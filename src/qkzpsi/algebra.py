@@ -325,24 +325,35 @@ class Polynomial:
                     raise ContextError(
                         f"substitution into a new context must map {ctx.names[idx]!r}"
                     )
+        # Each term expands over its non-zero exponents only, by cached
+        # power dicts, into one accumulator.
         pow_cache = {}
-
-        def power(idx, n):
-            key = (idx, n)
-            hit = pow_cache.get(key)
-            if hit is None:
-                hit = images[idx] ** n
-                pow_cache[key] = hit
-            return hit
-
-        total = tctx.zero()
+        one = (0,) * tctx.nvars
+        acc = {}
+        get = acc.get
         for e, c in self.terms.items():
-            term = tctx.const(c)
+            cur = None
             for idx, exp in enumerate(e):
-                if exp:
-                    term = term * power(idx, exp)
-            total = total + term
-        return total
+                if not exp:
+                    continue
+                pw = pow_cache.get((idx, exp))
+                if pw is None:
+                    pw = pow_cache[(idx, exp)] = (images[idx] ** exp).terms
+                if cur is None:
+                    cur = {e2: c * c2 for e2, c2 in pw.items()}
+                    continue
+                nxt = {}
+                nget = nxt.get
+                for e1, c1 in cur.items():
+                    for e2, c2 in pw.items():
+                        mon = tuple([x + y for x, y in zip(e1, e2)])
+                        nxt[mon] = nget(mon, 0) + c1 * c2
+                cur = nxt
+            if cur is None:
+                cur = {one: c}
+            for mon, cm in cur.items():
+                acc[mon] = get(mon, 0) + cm
+        return Polynomial(tctx, acc)
 
     def evaluate(self, values):
         """Evaluate at a full rational point (sequence ordered as ctx.names)."""
@@ -379,27 +390,21 @@ class Polynomial:
             out = {}
             for e, coeff in self.terms.items():
                 if e[h] == 0:
+                    rem = {e2: c2 for e2, c2 in self.terms.items() if e2[h] == 0}
                     raise ExactDivisionError(
-                        "not divisible by pure-h form", remainder=self
+                        "not divisible by pure-h form",
+                        remainder=Polynomial(ctx, rem, _clean=True),
                     )
                 le = list(e)
                 le[h] -= 1
                 out[tuple(le)] = _norm_coeff(Fraction(coeff, c) if coeff % c else coeff // c)
             return Polynomial(ctx, out, _clean=True)
-        # The canonical form has +z_i as its leading variable.
+        # The canonical form z_lead - rest has +z_i as its leading variable,
+        # and rest = z_j - c*h (maybe no z_j).
         lead = form.i - 1
-        # rest = form - z_lead, as a polynomial: c*h - z_j (maybe no z_j)
-        rest_terms = {}
+        hc = form.hcoef
         h = ctx.h_index
-        if form.hcoef:
-            e = [0] * ctx.nvars
-            e[h] = 1
-            rest_terms[tuple(e)] = form.hcoef
-        if form.j is not None:
-            e = [0] * ctx.nvars
-            e[form.j - 1] = 1
-            rest_terms[tuple(e)] = -1
-        rest = Polynomial(ctx, rest_terms, _clean=True)
+        j = None if form.j is None else form.j - 1
         # group by exponent of z_lead
         layers = {}
         for e, c in self.terms.items():
@@ -408,16 +413,36 @@ class Polynomial:
             le[lead] = 0
             layers.setdefault(d, {})[tuple(le)] = c
         D = max(layers)
-        carry = ctx.zero()
+        carry = {}
         quotient = {}
         for d in range(D, 0, -1):
-            cur = Polynomial(ctx, layers.get(d, {}), _clean=True) + carry
-            for e, c in cur.terms.items():
+            # cur = layer_d + carry; its terms are quotient terms at z_lead^(d-1)
+            cur = layers.get(d, {})
+            get = cur.get
+            for e, c in carry.items():
+                s = get(e, 0) + c
+                if s:
+                    cur[e] = _norm_coeff(s)
+                elif e in cur:
+                    del cur[e]
+            # carry = cur * rest, accumulated in place
+            carry = {}
+            cget = carry.get
+            for e, c in cur.items():
                 le = list(e)
                 le[lead] = d - 1
                 quotient[tuple(le)] = c
-            carry = -(cur * rest)
-        rem = Polynomial(ctx, layers.get(0, {}), _clean=True) + carry
+                le[lead] = 0
+                if j is not None:
+                    le[j] += 1
+                    t = tuple(le)
+                    carry[t] = cget(t, 0) + c
+                    le[j] -= 1
+                if hc:
+                    le[h] += 1
+                    t = tuple(le)
+                    carry[t] = cget(t, 0) - hc * c
+        rem = Polynomial(ctx, layers.get(0, {}), _clean=True) + Polynomial(ctx, carry)
         if rem:
             raise ExactDivisionError("division not exact", remainder=rem)
         return Polynomial(ctx, quotient, _clean=True)

@@ -13,6 +13,10 @@ Subcommands:
 The environment variable QKZ_THREADS caps the number of worker threads used
 to run independent checks (the computations are pure, so any value is safe;
 the default is 1).
+
+Bad input (a malformed number list, a lambda or m that does not fit k, a
+vector file that is missing or does not match the psi JSON schema) ends
+with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ import sys
 from .algebra import spectral_context
 from .combinatorics import sequence_rotation
 from .qkz import (
+    PsiError,
     PsiVector,
     build_psi_fundamental,
     check_cyclicity,
     check_exchange,
     check_recurrence,
+    check_shape,
     check_wheel,
     fuse_psi,
     qkz_step,
@@ -49,8 +55,15 @@ from . import appendix as appendixmod
 from . import slice as slicemod
 
 
+class UsageError(Exception):
+    """Bad command-line input; ``main`` prints it and exits with status 2."""
+
+
 def _ints(text):
-    return tuple(int(x) for x in text.split(",") if x != "")
+    try:
+        return tuple(int(x) for x in text.split(",") if x != "")
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _write(doc, path):
@@ -84,11 +97,14 @@ def run_reports(jobs):
 def _build_psi(args):
     lam = _ints(args.lam)
     k = args.k
+    m = _ints(args.m) if args.m else None
+    try:
+        check_shape(k, lam, m)
+    except PsiError as err:
+        raise UsageError(str(err)) from None
     psi = build_psi_fundamental(k, lam)
-    if args.m:
-        m = _ints(args.m)
-        if m != psi.m:
-            psi = fuse_psi(psi, m)
+    if m is not None and m != psi.m:
+        psi = fuse_psi(psi, m)
     return psi
 
 
@@ -112,8 +128,15 @@ def cmd_psi_build(args):
 
 
 def _load_psi(path):
-    with open(path) as fh:
-        return PsiVector.from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return PsiVector.from_json(json.load(fh))
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err.strerror}") from None
+    except ValueError as err:
+        raise UsageError(f"{path} is not JSON: {err}") from None
+    except PsiError as err:
+        raise UsageError(f"{path}: {err}") from None
 
 
 def cmd_psi_verify(args):
@@ -313,7 +336,11 @@ def main(argv=None):
     p_app.set_defaults(fn=cmd_appendix_suite)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as err:
+        print(f"qkzpsi: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,12 +2,28 @@
 
 The vector for the fundamental sequence m = (1,...,1) is built from its
 extreme entry (the product of hb + z_i - z_j over equal-letter pairs) by
-repeated use of the exchange relation, one inversion at a time; every
-division this takes must be exact and every derivation path must agree,
-which the builder enforces.  Vectors for general m are produced from the
-fundamental one by the fusion specialization: group the variables into
-arithmetic progressions of step hb and contract with unnormalized
-antisymmetrizers.
+repeated use of the exchange relation, one inversion at a time.  Solved
+for the entry with a descent at i, the exchange relation reads
+
+    (hb*f - (hb + z_i - z_{i+1}) * tau_i f) / (z_i - z_{i+1})
+        = hb * d_i f - tau_i f,
+
+where f is the entry of the ascent partner, tau_i swaps z_i and z_{i+1},
+and d_i f = (f - tau_i f)/(z_i - z_{i+1}) is the Newton divided difference
+(Lascoux-Schuetzenberger).  On a monomial it has the closed form
+
+    (x^a y^b - x^b y^a)/(x - y) = sign(a-b) x^min y^min sum_t x^t y^(|a-b|-1-t),
+
+so each step is written down term by term, with no multiplication and no
+division.  The division by z_i - z_{i+1} on the left is exact for every f,
+so exactness certifies nothing; what the builder does check is that every
+derivation path agrees, and that the entries are homogeneous, divisible by
+hb + z_i - z_{i+1} at adjacent equal letters with a symmetric quotient.
+
+Vectors for general m are produced from the fundamental one by the fusion
+specialization: group the variables into arithmetic progressions of step
+hb and contract with antisymmetrizers.  Specialization is linear, so each
+fused entry antisymmetrizes first and specializes once.
 
 Verification operations cover the exchange relation, wheel conditions,
 the insertion recurrence, cyclicity under rotation of the factors, and the
@@ -18,7 +34,6 @@ cyclicity wrap.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (
     ExactDivisionError,
@@ -27,7 +42,6 @@ from .algebra import (
     RationalFunction,
     spectral_context,
 )
-from .combinatorics import sequence_rotation
 from .reporting import Report, report, timer
 from . import rmatrix as _rm
 
@@ -98,19 +112,47 @@ class PsiVector:
 
     @staticmethod
     def from_json(doc):
-        k = doc["k"]
-        lam = tuple(doc["lambda"])
-        m = tuple(doc["m"])
-        ctx = spectral_context(doc["vars"])
-        entries = {}
-        for row in doc["entries"]:
-            lab = tuple(tuple(S) for S in row["label"])
-            entries[lab] = Polynomial.from_json(row["poly"], ctx)
+        """Read ``to_json`` output; PsiError names what does not fit."""
+        try:
+            k, lam, m = doc["k"], tuple(doc["lambda"]), tuple(doc["m"])
+            check_shape(k, lam, m)
+            if doc["vars"] != len(m):
+                raise PsiError(f"psi JSON has vars = {doc['vars']!r}, want {len(m)}")
+            ctx = spectral_context(len(m))
+            entries = {
+                tuple(tuple(S) for S in row["label"]): Polynomial.from_json(row["poly"], ctx)
+                for row in doc["entries"]
+            }
+        except KeyError as err:
+            raise PsiError(f"psi JSON lacks the field {err}") from None
+        except (TypeError, ValueError) as err:
+            raise PsiError(f"malformed psi JSON: {err}") from None
+        if sorted(entries) != content_labels(k, lam, m):
+            raise PsiError("psi JSON labels are not the content labels of (k, lambda, m)")
         return PsiVector(k, lam, m, ctx, entries)
 
 
 def label_text(lab):
     return "(" + ",".join("{" + ",".join(str(x) for x in S) + "}" for S in lab) + ")"
+
+
+def check_shape(k, lam, m=None):
+    """Raise PsiError unless lam is a partition with at most k rows and m
+    (if given) is a sequence of wedge sizes 1 <= m_i <= k summing to |lam|."""
+    if k < 1:
+        raise PsiError(f"k must be positive, got {k}")
+    if any(x <= 0 for x in lam):
+        raise PsiError("lambda rows must be positive")
+    if list(lam) != sorted(lam, reverse=True):
+        raise PsiError("lambda must be weakly decreasing")
+    if len(lam) > k:
+        raise PsiError(f"lambda has {len(lam)} rows, more than k = {k}")
+    if m is None:
+        return
+    if any(not 1 <= x <= k for x in m):
+        raise PsiError(f"every m_i must satisfy 1 <= m_i <= k = {k}")
+    if sum(m) != sum(lam):
+        raise PsiError(f"sum(m) = {sum(m)} differs from sum(lambda) = {sum(lam)}")
 
 
 def content_labels(k, lam, m):
@@ -196,29 +238,58 @@ def _multiset_permutations(items):
     return out
 
 
-@lru_cache(maxsize=None)
-def build_psi_fundamental(k, lam, check_invariants=True):
+def _exchange_step(f, i):
+    """hb * d_i f - tau_i f, emitted term by term (see the module docstring).
+
+    With x = z_i, y = z_{i+1} and hb = 2h internally, a term c x^a y^b
+    contributes -c x^b y^a, and for a != b also
+    2c * sign(a-b) * h * x^min y^min * x^t y^(|a-b|-1-t) for each t.
+    The h exponent is the last slot of a spectral context.
+    """
+    a_idx, b_idx = i - 1, i
+    out = {}
+    get = out.get
+    for e, c in f.terms.items():
+        a, b = e[a_idx], e[b_idx]
+        if a == b:
+            out[e] = get(e, 0) - c
+            continue
+        head = e[:a_idx]
+        t = head + (b, a) + e[b_idx + 1:]
+        out[t] = get(t, 0) - c
+        lo, top, cc = (b, a - 1, 2 * c) if a > b else (a, b - 1, -2 * c)
+        tail = e[b_idx + 1:-1] + (e[-1] + 1,)
+        for s in range(lo, top + 1):
+            t = head + (s, top + lo - s) + tail
+            out[t] = get(t, 0) + cc
+    return Polynomial(f.ctx, {e: c for e, c in out.items() if c}, _clean=True)
+
+
+def build_psi_fundamental(k, lam):
     """Fundamental-case vector, seeded at the extreme entry and propagated.
 
-    Each label with a descent at position i is derived from its ascent
-    partner beta' = s_i beta via
+    Each label beta with a descent at position i is derived from its ascent
+    partner beta' = s_i beta via the exchange relation,
 
         entry(beta) = (hb*entry(beta') - (hb + z_i - z_{i+1}) * tau_i entry(beta'))
                       / (z_i - z_{i+1})
+                    = hb * d_i entry(beta') - tau_i entry(beta'),
 
-    The division must be exact and all derivation paths must produce the
-    same polynomial; either failure raises immediately.
+    computed in closed form by ``_exchange_step``.  The numerator equals
+    hb*(f - tau_i f) - (z_i - z_{i+1}) tau_i f, which z_i - z_{i+1} always
+    divides, so the division is exact for every f and checking it would
+    certify nothing.  The checks that can fail, each raising PsiError at
+    once, are: every descent of a label derives the same polynomial; every
+    entry is homogeneous of degree sum lam_a (lam_a - 1)/2; at adjacent
+    equal letters (i, i+1) every entry is divisible by hb + z_i - z_{i+1},
+    with a quotient symmetric in z_i, z_{i+1}.
+
+    Every call builds a new vector; callers own what they get.
     """
     lam = tuple(lam)
-    if any(x <= 0 for x in lam):
-        raise PsiError("lambda rows must be positive")
-    if list(lam) != sorted(lam, reverse=True):
-        raise PsiError("lambda must be weakly decreasing")
-    if len(lam) > k:
-        raise PsiError("lambda has more rows than k")
+    check_shape(k, lam)
     M = sum(lam)
     ctx = spectral_context(M)
-    hb = ctx.hbar()
     base = []
     for a, la in enumerate(lam, start=1):
         base.extend([a] * la)
@@ -227,13 +298,6 @@ def build_psi_fundamental(k, lam, check_invariants=True):
     entries_seq = {}
     _, extreme = extreme_component(lam)
     entries_seq[tuple(base)] = extreme
-
-    def derive(partner_entry, i):
-        tau = partner_entry.swap_z(i, i + 1)
-        shifted = LinearForm(2, i, i + 1).to_poly(ctx)  # hb + z_i - z_{i+1}
-        num = hb * partner_entry - shifted * tau
-        wform, _ = LinearForm.make(0, i, i + 1)
-        return num.exact_div(wform)
 
     for seq in seqs:
         if seq in entries_seq:
@@ -244,7 +308,7 @@ def build_psi_fundamental(k, lam, check_invariants=True):
         value = None
         for i in descents:
             partner = seq[:i - 1] + (seq[i], seq[i - 1]) + seq[i + 1:]
-            cand = derive(entries_seq[partner], i)
+            cand = _exchange_step(entries_seq[partner], i)
             if value is None:
                 value = cand
             elif cand != value:
@@ -255,34 +319,24 @@ def build_psi_fundamental(k, lam, check_invariants=True):
     for seq, p in entries_seq.items():
         if p.homogeneous_degree() != want:
             raise PsiError(f"entry {seq} is not homogeneous of degree {want}")
-    if check_invariants:
-        for seq, p in entries_seq.items():
-            for i in range(1, M):
-                if seq[i - 1] == seq[i]:
-                    form = LinearForm(2, i, i + 1)
-                    try:
-                        q = p.exact_div(form)
-                    except ExactDivisionError:
-                        raise PsiError(
-                            f"entry {seq} not divisible by hb + z_{i} - z_{i+1}"
-                        ) from None
-                    if q.swap_z(i, i + 1) != q:
-                        raise PsiError(f"quotient at {seq}, slot {i} not symmetric")
+    for seq, p in entries_seq.items():
+        for i in range(1, M):
+            if seq[i - 1] == seq[i]:
+                form = LinearForm(2, i, i + 1)
+                try:
+                    q = p.exact_div(form)
+                except ExactDivisionError:
+                    raise PsiError(
+                        f"entry {seq} not divisible by hb + z_{i} - z_{i+1}"
+                    ) from None
+                if q.swap_z(i, i + 1) != q:
+                    raise PsiError(f"quotient at {seq}, slot {i} not symmetric")
 
     entries = {tuple((a,) for a in seq): p for seq, p in entries_seq.items()}
     return PsiVector(k, lam, (1,) * M, ctx, entries)
 
 
 # -- fusion ----------------------------------------------------------------------
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def fuse_psi(psi1, m):
@@ -294,6 +348,10 @@ def fuse_psi(psi1, m):
     (S_1, ..., S_N) is 1/prod(m_i!) times the signed sum over orderings of
     each S_i of the specialized fundamental entries.  This scale makes the
     extreme entry a monic product of linear forms.
+
+    Specialization is linear, so the signed sum is taken first, over the
+    fundamental ring, and specialized once per fused label.  Each ordering
+    belongs to exactly one label, so no fundamental entry is visited twice.
     """
     from itertools import permutations, product
     from math import factorial
@@ -302,6 +360,7 @@ def fuse_psi(psi1, m):
     M = sum(m)
     if psi1.m != (1,) * M:
         raise PsiError("fuse_psi expects a fundamental vector matching sum(m)")
+    check_shape(psi1.k, psi1.lam, m)
     if m == psi1.m:
         return psi1
     N = len(m)
@@ -316,29 +375,22 @@ def fuse_psi(psi1, m):
             pos += 1
             mapping[pos - 1] = ctx.z(gi) + half * (2 * t - mi + 1)
     mapping[psi1.ctx.h_index] = ctx.hbar() * Fraction(1, 2)
-    specialized = {}
-
-    def special(seq):
-        val = specialized.get(seq)
-        if val is None:
-            lab = tuple((a,) for a in seq)
-            val = psi1.entries[lab].substitute(mapping, ctx)
-            specialized[seq] = val
-        return val
-
     scale = Fraction(1)
     for mi in m:
         scale /= factorial(mi)
     labels = content_labels(k, psi1.lam, m)
     entries = {}
     for lab in labels:
-        total = ctx.zero()
+        acc = {}
+        get = acc.get
         for orderings in product(*[list(permutations(S)) for S in lab]):
-            seq = tuple(x for block in orderings for x in block)
             sign = 1
             for block in orderings:
-                sign *= _perm_sign(block)
-            total = total + special(seq) * sign
+                sign *= _rm._perm_sign(block)
+            seq = tuple((x,) for block in orderings for x in block)
+            for e, c in psi1.entries[seq].terms.items():
+                acc[e] = get(e, 0) + sign * c
+        total = Polynomial(psi1.ctx, acc).substitute(mapping, ctx)
         entries[lab] = total * scale
     return PsiVector(k, psi1.lam, m, ctx, entries)
 
@@ -529,7 +581,7 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
             return ("survives", None, 0)
         if any(len(S) != 1 for S in inserted):
             raise PsiError("out-of-order inserts supported for singleton rows only")
-        sign = _perm_sign(tuple(x for S in inserted for x in S))
+        sign = _rm._perm_sign(tuple(x for S in inserted for x in S))
         srt = tuple((x,) for x in sorted(letters))
         return ("collapse", srt, sign)
 
@@ -621,11 +673,6 @@ def check_cyclicity(psi, rho_op, instance=None):
                     elapsed=tm.elapsed,
                 )
     return report("cyclicity", name, True, elapsed=tm.elapsed)
-
-
-def default_rho(psi):
-    """Rotation operator on the standard basis (full-rectangle content only)."""
-    return sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
 
 
 # -- the difference step ----------------------------------------------------------

@@ -558,12 +558,6 @@ def _uni_trim(c):
     return c
 
 
-def _uni_add(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    return _uni_trim(out)
-
-
 def _uni_sub(a, b):
     n = max(len(a), len(b))
     out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]

@@ -129,3 +129,43 @@ def test_corrupted_fixture_exactly_one_fail():
         reports = cmd_appendix_suite(corrupt=corruption)
         fails = [r for r in reports if not r.passed]
         assert len(fails) == 1, (corruption, [r.check for r in fails])
+
+
+def assert_usage_error(res):
+    """Exit status 2 and one line on stderr, no traceback."""
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qkzpsi: error: "), res.stderr
+
+
+def test_psi_build_rejects_wedge_larger_than_k(tmp_path):
+    out = tmp_path / "psi.json"
+    res = run_cli("psi", "build", "--k", "2", "--lambda", "2,2", "--m", "3,1",
+                  "--out", str(out))
+    assert_usage_error(res)
+    assert "m_i" in res.stderr
+    assert not out.exists()
+
+
+def test_psi_build_rejects_bad_lambda_and_m_sum(tmp_path):
+    out = tmp_path / "psi.json"
+    res = run_cli("psi", "build", "--k", "2", "--lambda", "1,2", "--out", str(out))
+    assert_usage_error(res)
+    assert "weakly decreasing" in res.stderr
+    res = run_cli("psi", "build", "--k", "2", "--lambda", "2,2", "--m", "2,1",
+                  "--out", str(out))
+    assert_usage_error(res)
+    assert "sum(m)" in res.stderr
+    assert not out.exists()
+
+
+def test_psi_verify_rejects_incomplete_json(tmp_path):
+    path = tmp_path / "psi.json"
+    path.write_text('{"entries": []}')
+    res = run_cli("psi", "verify", "--check", "exchange", "--in", str(path))
+    assert_usage_error(res)
+    assert "'k'" in res.stderr
+    # a complete header whose entries do not cover the content labels
+    path.write_text('{"k": 2, "lambda": [1, 1], "m": [1, 1], "vars": 2, "entries": []}')
+    res = run_cli("psi", "verify", "--check", "exchange", "--in", str(path))
+    assert_usage_error(res)

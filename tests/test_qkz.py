@@ -230,3 +230,31 @@ def test_psi_json_roundtrip():
     assert back.basis == psi.basis
     for lab in psi.basis:
         assert back.entries[lab] == psi.entries[lab]
+
+
+def test_build_returns_a_vector_the_caller_owns():
+    first = build_psi_fundamental(2, (2, 2))
+    first.entries.clear()
+    second = build_psi_fundamental(2, (2, 2))
+    assert second is not first
+    assert len(second.entries) == 6
+
+
+@pytest.mark.parametrize("k, lam, slot, perturb, message", [
+    # a step that depends on the derivation path
+    (3, (2, 1, 1), 2, lambda f, step: -step, "path mismatch"),
+    # a step whose error breaks the factor hb + z_2 - z_3 before any path disagrees
+    (2, (2, 2), 2, lambda f, step: step + f.swap_z(2, 3), "not divisible"),
+])
+def test_build_checks_fire(monkeypatch, k, lam, slot, perturb, message):
+    import qkzpsi.qkz as qkz
+
+    real = qkz._exchange_step
+
+    def step(f, i):
+        out = real(f, i)
+        return perturb(f, out) if i == slot else out
+
+    monkeypatch.setattr(qkz, "_exchange_step", step)
+    with pytest.raises(PsiError, match=message):
+        build_psi_fundamental(k, lam)
