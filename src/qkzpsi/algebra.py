@@ -461,11 +461,19 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def _coeff_display(self, e, c):
-        """Displayed coefficient: internal h-units folded into hb powers."""
-        if self.ctx.h_index is None:
-            return Fraction(c)
-        eh = e[self.ctx.h_index]
-        return Fraction(c) / (2 ** eh)
+        """Displayed coefficient c / 2**eh as a reduced (numerator, denominator).
+
+        Internal h-units fold into hb powers.  Integer coefficients stay on
+        integers: only powers of two can cancel against 2**eh.
+        """
+        eh = 0 if self.ctx.h_index is None else e[self.ctx.h_index]
+        if type(c) is not int:
+            disp = Fraction(c) / (2 ** eh)
+            return disp.numerator, disp.denominator
+        if eh == 0:
+            return c, 1
+        shift = min(eh, (c & -c).bit_length() - 1)
+        return c >> shift, 1 << (eh - shift)
 
     def text(self):
         """Canonical text form, hb denoting the equivariant parameter."""
@@ -474,22 +482,22 @@ class Polynomial:
         ctx = self.ctx
         parts = []
         for e, c in self.sorted_terms():
-            disp = self._coeff_display(e, c)
+            num, den = self._coeff_display(e, c)
             factors = []
             for idx, exp in enumerate(e):
                 if not exp:
                     continue
                 name = ctx.names[idx]
                 factors.append(name if exp == 1 else f"{name}^{exp}")
-            mag = abs(disp)
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             body = "*".join(factors)
             if not factors:
-                piece = _frac_str(mag)
-            elif mag == 1:
+                piece = mag
+            elif mag == "1":
                 piece = body
             else:
-                piece = f"{_frac_str(mag)}*{body}"
-            parts.append(("-" if disp < 0 else "+", piece))
+                piece = f"{mag}*{body}"
+            parts.append(("-" if num < 0 else "+", piece))
         sign0, piece0 = parts[0]
         out = ("-" if sign0 == "-" else "") + piece0
         for sign, piece in parts[1:]:
@@ -502,8 +510,7 @@ class Polynomial:
     def to_json(self):
         terms = []
         for e, c in self.sorted_terms():
-            disp = self._coeff_display(e, c)
-            terms.append([disp.numerator, disp.denominator, *e])
+            terms.append([*self._coeff_display(e, c), *e])
         doc = {"terms": terms}
         if self.ctx.h_index is not None:
             doc["vars"] = self.ctx.nz
@@ -623,7 +630,24 @@ class LinearForm:
 
 
 class RationalFunction:
-    """num / prod(forms), reduced by exact cancellation of denominator forms."""
+    """num / prod(forms), reduced by exact cancellation of denominator forms.
+
+    ``den`` maps canonical LinearForms to multiplicities.  The reduced form
+    is num / prod(forms) with no denominator form dividing num.  Distinct
+    canonical forms are coprime irreducibles of Q[z, h], so that form is
+    unique: two reduced representations of one function have the same
+    ``den`` and the same ``num``, term for term.  Hence reduction needs one
+    pass (dividing by one form never makes num divisible by another), and
+    a sum of products reduced once (``RFSum``) comes out byte-identical to
+    the same sum reduced after every step.
+
+    One caveat: the pure-h forms LinearForm(c) for different c are
+    associates (c*h and c'*h differ by a unit).  A denominator holding two
+    of them, say h and 2h, has more than one reduced representation, and
+    which one comes out depends on the order in which ``den`` is divided.
+    No computation of the package builds such a denominator; the forms of
+    ``den`` are divided in insertion order.
+    """
 
     __slots__ = ("ctx", "num", "den")
 
@@ -641,19 +665,20 @@ class RationalFunction:
             self._reduce()
 
     def _reduce(self):
-        changed = True
-        while changed and self.den:
-            changed = False
-            for f in list(self.den):
+        """Divide num by each form until it stops dividing, in one pass."""
+        den = self.den
+        for f in list(den):
+            m = den[f]
+            while m:
                 try:
                     self.num = self.num.exact_div(f)
                 except ExactDivisionError:
-                    continue
-                if self.den[f] == 1:
-                    del self.den[f]
-                else:
-                    self.den[f] -= 1
-                changed = True
+                    break
+                m -= 1
+            if m:
+                den[f] = m
+            else:
+                del den[f]
 
     @staticmethod
     def from_poly(p):
@@ -676,25 +701,10 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, _reduced=True)
 
     def __add__(self, other):
-        other = _as_rf(other, self.ctx)
-        if self.ctx != other.ctx:
-            raise ContextError("rational functions from different contexts")
-        # lcm of denominators
-        lcm = dict(self.den)
-        for f, m in other.den.items():
-            if lcm.get(f, 0) < m:
-                lcm[f] = m
-        a = self.num
-        for f, m in lcm.items():
-            extra = m - self.den.get(f, 0)
-            if extra:
-                a = a * (f.to_poly(self.ctx) ** extra)
-        b = other.num
-        for f, m in lcm.items():
-            extra = m - other.den.get(f, 0)
-            if extra:
-                b = b * (f.to_poly(self.ctx) ** extra)
-        return RationalFunction(a + b, lcm)
+        acc = RFSum(self.ctx)
+        acc.add_product(self, 1)
+        acc.add_product(other, 1)
+        return acc.result()
 
     __radd__ = __add__
 
@@ -724,6 +734,8 @@ class RationalFunction:
 
     def equals(self, other):
         other = _as_rf(other, self.ctx)
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den_poly()) == (other.num * self.den_poly())
 
     def __eq__(self, other):
@@ -787,6 +799,72 @@ class RationalFunction:
 
     def __repr__(self):
         return f"<RatFun {self.text()}>"
+
+
+class RFSum:
+    """A sum of products of rational functions, reduced once.
+
+    ``add_product(a, b)`` multiplies the numerators of a and b term by term
+    into one dict per distinct denominator; ``result()`` brings the groups
+    to their lcm and builds one RationalFunction, which reduces once.  The
+    factors may be RationalFunctions, Polynomials or rational constants.
+    """
+
+    __slots__ = ("ctx", "groups")
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.groups = {}  # frozenset of den items -> (den, numerator terms)
+
+    def _parts(self, x):
+        x = _as_rf(x, self.ctx)
+        if x.ctx is not self.ctx and x.ctx != self.ctx:
+            raise ContextError("rational functions from different contexts")
+        return x.num.terms, x.den
+
+    def add_product(self, a, b):
+        a_terms, a_den = self._parts(a)
+        b_terms, b_den = self._parts(b)
+        if not a_terms or not b_terms:
+            return
+        den = dict(a_den)
+        for f, m in b_den.items():
+            den[f] = den.get(f, 0) + m
+        key = frozenset(den.items())
+        group = self.groups.get(key)
+        if group is None:
+            group = self.groups[key] = (den, {})
+        acc = group[1]
+        get = acc.get
+        if len(a_terms) < len(b_terms):
+            a_terms, b_terms = b_terms, a_terms
+        for eb, cb in b_terms.items():
+            for ea, ca in a_terms.items():
+                e = tuple([x + y for x, y in zip(ea, eb)])
+                acc[e] = get(e, 0) + ca * cb
+
+    def result(self):
+        ctx = self.ctx
+        groups = list(self.groups.values())
+        if len(groups) == 1:
+            den, acc = groups[0]
+            return RationalFunction(Polynomial(ctx, acc), den)
+        lcm = {}
+        for den, _ in groups:
+            for f, m in den.items():
+                if lcm.get(f, 0) < m:
+                    lcm[f] = m
+        total = {}
+        get = total.get
+        for den, acc in groups:
+            cofactor = ctx.one()
+            for f, m in lcm.items():
+                extra = m - den.get(f, 0)
+                if extra:
+                    cofactor = cofactor * f.to_poly(ctx) ** extra
+            for e, c in (Polynomial(ctx, acc) * cofactor).terms.items():
+                total[e] = get(e, 0) + c
+        return RationalFunction(Polynomial(ctx, total), lcm)
 
 
 def _as_rf(x, ctx):

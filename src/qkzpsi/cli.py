@@ -10,10 +10,6 @@ Subcommands:
   rmat verify      check ybe|unitarity|commutation symbolically
   appendix-suite   run all eight fixture checks
 
-The environment variable QKZ_THREADS caps the number of worker threads used
-to run independent checks (the computations are pure, so any value is safe;
-the default is 1).
-
 Bad input (a malformed number list, a lambda or m that does not fit k, a
 vector file that is missing or does not match the psi JSON schema) ends
 with one line on stderr and exit status 2.
@@ -23,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import spectral_context
@@ -75,23 +70,9 @@ def _write(doc, path):
             fh.write(text)
 
 
-def threads():
-    try:
-        return max(1, int(os.environ.get("QKZ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_reports(jobs):
-    """Run independent report-producing callables, honoring QKZ_THREADS."""
-    n = threads()
-    if n <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+    """Run report-producing callables one after another, in order."""
+    return [job() for job in jobs]
 
 
 def _build_psi(args):

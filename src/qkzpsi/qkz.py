@@ -423,7 +423,7 @@ def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
     with timer() as tm:
         sub = operator.substitute_spectral(form, sign, psi.ctx)
         if slotwise:
-            applied = _apply_pair_operator(sub, psi.entries, i - 1)
+            applied = _rm.apply_at_slot(sub, psi.entries, i - 1)
         else:
             applied = sub.apply(psi.entries)
         for lab in psi.basis:
@@ -440,23 +440,6 @@ def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
                     elapsed=tm.elapsed,
                 )
     return report("exchange", name, True, elapsed=tm.elapsed)
-
-
-def _apply_pair_operator(sub, entries, slot):
-    out = {}
-    by_source = sub.by_source()
-    for label, val in entries.items():
-        if val.is_zero():
-            continue
-        pair = (label[slot], label[slot + 1])
-        for (P, Q), rf in by_source.get(pair, ()):
-            new_label = label[:slot] + (P, Q) + label[slot + 2:]
-            term = rf * val
-            if new_label in out:
-                out[new_label] = out[new_label] + term
-            else:
-                out[new_label] = term
-    return out
 
 
 def wheel_positions(m, k):
@@ -710,40 +693,30 @@ def qkz_step(psi, i, rho_op, full_ops=None, instance=None, closure=True):
     apply_at = _applicators(psi, full_ops)
     half = ctx.hbar() * Fraction(1, 2)
 
-    def run_chain(vec, steps):
-        for (j, hcoef, a, b) in steps:
-            form, sign = LinearForm.make(hcoef, a, b)
-            vec = apply_at[j](vec, form, sign)
-        return vec
-
-    # route A: v = R_{i-1}(z_{i-1}-z_i) ... then rho ... then R_{N-1}..R_i
-    steps_pre = [(j, 0, j, i) for j in range(i - 1, 0, -1)]
-    steps_post = [(j, -s_h, j + 1, i) for j in range(N - 1, i - 1, -1)]
+    steps_pre, steps_post, steps_right, steps_back = _route_steps(N, k, i)
     with timer() as tm:
-        v = run_chain(dict(psi.entries), steps_pre)
+        v = _run_chain(apply_at, dict(psi.entries), steps_pre)
         v = rho_op.apply(v)
-        v = run_chain(v, steps_post)
+        v = _run_chain(apply_at, v, steps_post)
         lhs = {
             lab: psi.entries[lab].substitute({i - 1: ctx.z(i) + half * s_h})
             for lab in psi.basis
         }
-        ok, where = _vec_equal_rf(lhs, v, ctx)
+        ok, where = _rm._vec_equal(lhs, v)
         if not ok:
             return report(
                 "qkz", name, False,
                 witness=f"route A mismatch at {label_text(where)}", elapsed=tm.elapsed,
             )
         # route B: move right, wrap via the inverse rotation
-        steps_right = [(j, 0, i, j + 1) for j in range(i, N)]
-        steps_back = [(j, -s_h, i, j) for j in range(1, i)]
-        v2 = run_chain(dict(psi.entries), steps_right)
+        v2 = _run_chain(apply_at, dict(psi.entries), steps_right)
         v2 = rho_op.inverse().apply(v2)
-        v2 = run_chain(v2, steps_back)
+        v2 = _run_chain(apply_at, v2, steps_back)
         lhs2 = {
             lab: psi.entries[lab].substitute({i - 1: ctx.z(i) - half * s_h})
             for lab in psi.basis
         }
-        ok, where = _vec_equal_rf(lhs2, v2, ctx)
+        ok, where = _rm._vec_equal(lhs2, v2)
         if not ok:
             return report(
                 "qkz", name, False,
@@ -765,21 +738,27 @@ def qkz_step(psi, i, rho_op, full_ops=None, instance=None, closure=True):
     return report("qkz", name, True, elapsed=tm.elapsed)
 
 
-def _vec_equal_rf(poly_vec, rf_vec, ctx):
-    zero = ctx.zero()
-    keys = set(poly_vec) | set(rf_vec)
-    for lab in keys:
-        lhs = poly_vec.get(lab, zero)
-        rhs = rf_vec.get(lab)
-        if rhs is None:
-            if not lhs.is_zero():
-                return False, lab
-        elif isinstance(rhs, Polynomial):
-            if rhs != lhs:
-                return False, lab
-        elif not rhs.equals(lhs):
-            return False, lab
-    return True, None
+def _route_steps(N, k, i):
+    """Steps (slot, hcoef, a, b) of both routes of the step in z_i.
+
+    Route A applies steps_pre, rho, steps_post; route B applies
+    steps_right, the inverse rotation, steps_back.  A step applies the slot
+    operator at argument hcoef*h + z_a - z_b.
+    """
+    s_h = 2 * (k + 1)
+    # route A: v = R_{i-1}(z_{i-1}-z_i) ... then rho ... then R_{N-1}..R_i
+    steps_pre = [(j, 0, j, i) for j in range(i - 1, 0, -1)]
+    steps_post = [(j, -s_h, j + 1, i) for j in range(N - 1, i - 1, -1)]
+    steps_right = [(j, 0, i, j + 1) for j in range(i, N)]
+    steps_back = [(j, -s_h, i, j) for j in range(1, i)]
+    return steps_pre, steps_post, steps_right, steps_back
+
+
+def _run_chain(apply_at, vec, steps):
+    for (j, hcoef, a, b) in steps:
+        form, sign = LinearForm.make(hcoef, a, b)
+        vec = apply_at[j](vec, form, sign)
+    return vec
 
 
 def _materialize(psi, apply_at, steps1, rho_op, steps2, ctx):
@@ -787,14 +766,8 @@ def _materialize(psi, apply_at, steps1, rho_op, steps2, ctx):
     one = ctx.one()
     entries = {}
     for src in psi.basis:
-        vec = {src: RationalFunction.from_poly(one)}
-        for (j, hcoef, a, b) in steps1:
-            form, sign = LinearForm.make(hcoef, a, b)
-            vec = apply_at[j](vec, form, sign)
-        vec = rho_op.apply(vec)
-        for (j, hcoef, a, b) in steps2:
-            form, sign = LinearForm.make(hcoef, a, b)
-            vec = apply_at[j](vec, form, sign)
+        vec = _run_chain(apply_at, {src: RationalFunction.from_poly(one)}, steps1)
+        vec = _run_chain(apply_at, rho_op.apply(vec), steps2)
         for tgt, rf in vec.items():
             if not rf.is_zero():
                 entries[(tgt, src)] = rf

@@ -26,6 +26,7 @@ from .algebra import (
     LinearForm,
     Polynomial,
     RationalFunction,
+    RFSum,
     factor_linear_forms,
     spectral_context,
 )
@@ -41,6 +42,33 @@ CTX1 = spectral_context(1)
 
 def _rf(num, den=None):
     return RationalFunction(num, den or {})
+
+
+def _accumulate(ctx, products):
+    """Sum products (key, a, b) into {key: sum of a*b}, each sum reduced once.
+
+    Keys come out in order of first appearance, including keys whose sum
+    cancels to zero.
+    """
+    sums = {}
+    for key, a, b in products:
+        acc = sums.get(key)
+        if acc is None:
+            acc = sums[key] = RFSum(ctx)
+        acc.add_product(a, b)
+    return {key: acc.result() for key, acc in sums.items()}
+
+
+def apply_at_slot(pair_op, vec, slot):
+    """Apply a pair operator to the factors (slot, slot+1), 0-based, of every label."""
+    by_source = pair_op.by_source()
+
+    def products():
+        for label, val in vec.items():
+            for (P, Q), rf in by_source.get((label[slot], label[slot + 1]), ()):
+                yield label[:slot] + (P, Q) + label[slot + 2:], rf, val
+
+    return _accumulate(pair_op.ctx, products())
 
 
 class ROperator:
@@ -74,32 +102,25 @@ class ROperator:
 
     def apply(self, vec):
         """Matrix-vector product; vec maps source labels to Polynomial/RF."""
-        out = {}
-        for s, val in vec.items():
-            if hasattr(val, "is_zero") and val.is_zero():
-                continue
-            for t, rf in self.by_source().get(s, ()):
-                term = rf * val
-                if t in out:
-                    out[t] = out[t] + term
-                else:
-                    out[t] = term
-        return out
+        by_source = self.by_source()
+        return _accumulate(self.ctx, (
+            (t, rf, val)
+            for s, val in vec.items() if not val.is_zero()
+            for t, rf in by_source.get(s, ())
+        ))
 
     def matmul(self, other):
-        """self o other (apply other first)."""
+        """self o other (apply other first), one result column at a time."""
         if self.ctx != other.ctx:
             raise RMatrixError("context mismatch in composition")
         entries = {}
         mid = self.by_source()
-        for (m, s), rf1 in other.entries.items():
-            for t, rf2 in mid.get(m, ()):
-                key = (t, s)
-                term = rf2 * rf1
-                if key in entries:
-                    entries[key] = entries[key] + term
-                else:
-                    entries[key] = term
+        for s, column in other.by_source().items():
+            col = _accumulate(self.ctx, (
+                (t, rf2, rf1) for m, rf1 in column for t, rf2 in mid.get(m, ())
+            ))
+            for t, rf in col.items():
+                entries[(t, s)] = rf
         return ROperator(self.ctx, other.source, self.target, entries)
 
     def substitute_spectral(self, form, sign, target_ctx):
@@ -261,26 +282,21 @@ def _apply_fundamental_slot(vec, slot, arg_hcoef, ctx):
     half = ctx.hbar() * Fraction(1, 2)
     arg = z + half * arg_hcoef
     den_form, den_sign = LinearForm.make(2 + arg_hcoef, 1)  # hb + z + c*h
-    out = {}
+    eq = RationalFunction((hb - arg) * den_sign, {den_form: 1})
+    stay = RationalFunction(hb * den_sign, {den_form: 1})
+    swap = RationalFunction(-arg * den_sign, {den_form: 1})
 
-    def add(word, val):
-        if word in out:
-            out[word] = out[word] + val
-        else:
-            out[word] = val
+    def products():
+        for word, coeff in vec.items():
+            x, y = word[slot], word[slot + 1]
+            if x == y:
+                yield word, coeff, eq
+            else:
+                yield word, coeff, stay
+                yield word[:slot] + (y, x) + word[slot + 2:], coeff, swap
 
-    eq_num = hb - arg
-    stay_num = hb
-    swap_num = -arg
-    for word, coeff in vec.items():
-        x, y = word[slot], word[slot + 1]
-        if x == y:
-            add(word, coeff * RationalFunction(eq_num * den_sign, {den_form: 1}))
-        else:
-            swapped = word[:slot] + (y, x) + word[slot + 2:]
-            add(word, coeff * RationalFunction(stay_num * den_sign, {den_form: 1}))
-            add(swapped, coeff * RationalFunction(swap_num * den_sign, {den_form: 1}))
-    return {w: v for w, v in out.items() if not (hasattr(v, "is_zero") and v.is_zero())}
+    out = _accumulate(ctx, products())
+    return {w: v for w, v in out.items() if not v.is_zero()}
 
 
 def fused_rcheck(k, a, b):
@@ -319,28 +335,15 @@ def fused_rcheck(k, a, b):
             if c is not None and not c.is_zero():
                 coeffs[(P, Q)] = c
         # the image must lie in the fused subspace: rebuild and compare
-        rebuilt = {}
-        for (P, Q), c in coeffs.items():
-            for wp, cp in _wedge_embed(P).items():
-                for wq, cq in _wedge_embed(Q).items():
-                    w = wp + wq
-                    term = c * (cp * cq)
-                    if w in rebuilt:
-                        rebuilt[w] = rebuilt[w] + term
-                    else:
-                        rebuilt[w] = term
-        keys = set(vec) | set(rebuilt)
-        for w in keys:
-            lhs = vec.get(w)
-            rhs = rebuilt.get(w)
-            if lhs is None:
-                if not rhs.is_zero():
-                    raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
-            elif rhs is None:
-                if not lhs.is_zero():
-                    raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
-            elif not lhs.equals(rhs):
-                raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
+        rebuilt = _accumulate(ctx, (
+            (wp + wq, c, cp * cq)
+            for (P, Q), c in coeffs.items()
+            for wp, cp in _wedge_embed(P).items()
+            for wq, cq in _wedge_embed(Q).items()
+        ))
+        ok, w = _vec_equal(vec, rebuilt)
+        if not ok:
+            raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
         for key, c in coeffs.items():
             entries[(key, (S, T))] = c
         if (S, T) == (S_top, T_top):
@@ -361,18 +364,22 @@ def _unit_vectors(basis, ctx):
 
 
 def _vec_equal(v1, v2):
-    keys = set(v1) | set(v2)
-    for kk in keys:
-        a = v1.get(kk)
-        b = v2.get(kk)
-        if a is None:
-            if not b.is_zero():
-                return False, kk
-        elif b is None:
-            if not a.is_zero():
-                return False, kk
+    """Compare two sparse vectors of Polynomials or RationalFunctions.
+
+    A missing key reads as zero.  Returns (True, None), or (False, key) for
+    the first differing key in the iteration order of set(v1) | set(v2).
+    """
+    for key in set(v1) | set(v2):
+        a = v1.get(key)
+        b = v2.get(key)
+        if a is None or b is None:
+            if not (b if a is None else a).is_zero():
+                return False, key
+        elif isinstance(a, Polynomial):
+            if not (a == b if isinstance(b, Polynomial) else b.equals(a)):
+                return False, key
         elif not a.equals(b):
-            return False, kk
+            return False, key
     return True, None
 
 
@@ -457,24 +464,23 @@ def family_slot_applicator(k, slot):
     cache = {}
 
     def apply(vec, form, sign):
-        out = {}
-        for label, val in vec.items():
-            a, b = len(label[slot]), len(label[slot + 1])
-            key = (a, b, form, sign)
-            sub = cache.get(key)
-            if sub is None:
-                ctx = val.ctx
-                sub = pair_operator(k, a, b).substitute_spectral(form, sign, ctx)
-                cache[key] = sub
-            pair = (label[slot], label[slot + 1])
-            for (P, Q), rf in sub.by_source().get(pair, ()):
-                new_label = label[:slot] + (P, Q) + label[slot + 2:]
-                term = rf * val
-                if new_label in out:
-                    out[new_label] = out[new_label] + term
-                else:
-                    out[new_label] = term
-        return out
+        if not vec:
+            return {}
+        ctx = next(iter(vec.values())).ctx
+
+        def products():
+            for label, val in vec.items():
+                a, b = len(label[slot]), len(label[slot + 1])
+                key = (a, b, form, sign)
+                sub = cache.get(key)
+                if sub is None:
+                    sub = pair_operator(k, a, b).substitute_spectral(form, sign, ctx)
+                    cache[key] = sub
+                pair = (label[slot], label[slot + 1])
+                for (P, Q), rf in sub.by_source().get(pair, ()):
+                    yield label[:slot] + (P, Q) + label[slot + 2:], rf, val
+
+        return _accumulate(ctx, products())
 
     return apply
 
@@ -491,18 +497,7 @@ def slot_applicator(rop, slot, nslots):
             ctx = next(iter(vec.values())).ctx if vec else None
             sub = _rop.substitute_spectral(form, sign, ctx)
             cache[key] = sub
-        by_source = sub.by_source()
-        out = {}
-        for label, val in vec.items():
-            pair = (label[_slot], label[_slot + 1])
-            for (P, Q), rf in by_source.get(pair, ()):
-                new_label = label[:_slot] + (P, Q) + label[_slot + 2:]
-                term = rf * val
-                if new_label in out:
-                    out[new_label] = out[new_label] + term
-                else:
-                    out[new_label] = term
-        return out
+        return apply_at_slot(sub, vec, _slot)
 
     return apply
 

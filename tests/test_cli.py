@@ -11,13 +11,18 @@ def run_cli(*args, env=None):
     """Run the CLI in a child process that can import qkzpsi from src/.
 
     The child inherits this process's environment with src/ prepended to
-    PYTHONPATH; entries of `env` override single variables on top of that.
+    PYTHONPATH; entries of `env` override single variables on top of that,
+    and an entry set to None removes its variable.
     """
     child_env = dict(os.environ)
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), child_env.get("PYTHONPATH")) if p
     )
-    child_env.update(env or {})
+    for name, value in (env or {}).items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
     return subprocess.run(
         [sys.executable, "-m", "qkzpsi.cli", *args],
         capture_output=True, text=True, env=child_env,
@@ -110,16 +115,17 @@ def test_appendix_suite_cli(tmp_path):
 
 
 def test_appendix_suite_threads_env(tmp_path):
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    res = run_cli("appendix-suite", "--json-out", str(serial),
-                  env={"QKZ_THREADS": "1"})
-    assert res.returncode == 0, res.stderr
-    res = run_cli("appendix-suite", "--json-out", str(threaded),
-                  env={"QKZ_THREADS": "4"})
+    """QKZ_THREADS is no longer read: setting it changes no report."""
+    unset = tmp_path / "unset.json"
+    res = run_cli("appendix-suite", "--json-out", str(unset), env={"QKZ_THREADS": None})
     assert res.returncode == 0, res.stderr
     assert res.stdout.count("PASS") == 8
-    assert report_keys(threaded) == report_keys(serial)
+    for value in ("4", "not-a-number"):
+        out = tmp_path / f"threads-{value}.json"
+        res = run_cli("appendix-suite", "--json-out", str(out), env={"QKZ_THREADS": value})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.count("PASS") == 8
+        assert report_keys(out) == report_keys(unset)
 
 
 def test_corrupted_fixture_exactly_one_fail():

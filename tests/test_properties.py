@@ -1,4 +1,10 @@
-"""Property tests of the polynomial kernel: exact division and substitution."""
+"""Property tests of the polynomial kernel and of rational-function sums.
+
+Exact division, substitution, the JSON and text round trips, and ``RFSum``
+against a fold that reduces after every product and every sum.
+"""
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +12,10 @@ from qkzpsi.algebra import (
     ExactDivisionError,
     LinearForm,
     Polynomial,
+    RationalFunction,
+    RFSum,
+    coordinate_context,
+    parse_polynomial,
     spectral_context,
 )
 
@@ -99,3 +109,119 @@ def test_substitute_is_a_ring_homomorphism_into_a_new_context(p, q, mapping):
     assert s(p + q) == s(p) + s(q)
     assert s(CTX.one()) == TARGET.one()
 
+
+
+COORD = coordinate_context(("x", "y1", "y2"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polys(CTX), polys(COORD)))
+def test_json_and_text_round_trip(p):
+    assert Polynomial.from_json(p.to_json(), p.ctx) == p
+    assert parse_polynomial(p.text(), p.ctx) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polys(CTX), polys(COORD)))
+def test_coeff_display_is_the_reduced_fraction(p):
+    h = p.ctx.h_index
+    for e, c in p.terms.items():
+        want = Fraction(c) / 2 ** (0 if h is None else e[h])
+        assert p._coeff_display(e, c) == (want.numerator, want.denominator)
+
+
+@st.composite
+def rational_functions(draw):
+    """num / prod(forms) over CTX, with z-forms and at most the pure-h form h.
+
+    Distinct pure-h forms are associates, so they are left out here; see
+    test_associate_pure_h_forms_reduce_in_insertion_order.
+    """
+    num = draw(polys(CTX, max_terms=3, max_exp=2))
+    den = {}
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(forms())
+        if f.i is None:
+            f = LinearForm(1)
+        den[f] = den.get(f, 0) + draw(st.integers(1, 2))
+    return RationalFunction(num, den)
+
+
+def same_rf(got, want):
+    return got.num.terms == want.num.terms and got.den == want.den
+
+
+def lcm_add(x, y):
+    """x + y over the lcm of their denominators, reduced."""
+    lcm = dict(x.den)
+    for f, m in y.den.items():
+        lcm[f] = max(lcm.get(f, 0), m)
+
+    def lift(r):
+        num = r.num
+        for f, m in lcm.items():
+            num = num * f.to_poly(CTX) ** (m - r.den.get(f, 0))
+        return num
+    return RationalFunction(lift(x) + lift(y), lcm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(rational_functions(), rational_functions()), max_size=3))
+def test_rfsum_matches_the_stepwise_fold(pairs):
+    acc = RFSum(CTX)
+    folded = RationalFunction.from_poly(CTX.zero())
+    for a, b in pairs:
+        acc.add_product(a, b)
+        folded = lcm_add(folded, a * b)
+    assert same_rf(acc.result(), folded)
+    assert same_rf(sum((a * b for a, b in pairs), RationalFunction.from_poly(CTX.zero())),
+                   folded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_functions(), rational_functions())
+def test_rfsum_that_cancels_is_zero_over_an_empty_den(a, b):
+    acc = RFSum(CTX)
+    acc.add_product(a, b)
+    acc.add_product(-a, b)
+    out = acc.result()
+    assert out.is_zero() and out.den == {}
+
+
+def cross_equal(x, y):
+    return x.num * y.den_poly() == y.num * x.den_poly()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_functions(), polys(CTX, max_terms=3, max_exp=2), forms())
+def test_equals_agrees_with_cross_multiplication(x, q, f):
+    same_den = RationalFunction(q, x.den, _reduced=True)
+    other_den = RationalFunction(q, {f: 1})
+    # x times f/f: the same function over a different, unreduced denominator
+    widened = RationalFunction(x.num * f.to_poly(CTX), {**x.den, f: x.den.get(f, 0) + 1},
+                               _reduced=True)
+    for y in (x, same_den, other_den, widened):
+        assert x.equals(y) == cross_equal(x, y)
+        assert y.equals(x) == cross_equal(y, x)
+    assert x.equals(widened)
+
+
+def test_associate_pure_h_forms_reduce_in_insertion_order():
+    """h = LinearForm(1) and 2h = LinearForm(2) in one den: no unique reduced form.
+
+    Reduction divides by the forms of den in insertion order, each until it
+    stops dividing, so h^2*z1 / (h^2 * 2h) keeps whichever form comes last.
+    Both results are the same function.
+    """
+    h, h2 = LinearForm(1), LinearForm(2)
+    num = Polynomial(CTX, {(1, 0, 0, 2): 1})  # h^2 * z1
+    first_h = RationalFunction(num, {h: 2, h2: 1})
+    first_2h = RationalFunction(num, {h2: 1, h: 2})
+    assert first_h.den == {h2: 1} and first_h.num == CTX.var(0)
+    assert first_2h.den == {h: 1} and first_2h.num == CTX.var(0) * Fraction(1, 2)
+    assert first_h.equals(first_2h)
+    # a sum over that den reduces the same way as the constructor
+    acc = RFSum(CTX)
+    acc.add_product(RationalFunction(num, {h: 2}, _reduced=True),
+                    RationalFunction(CTX.one(), {h2: 1}, _reduced=True))
+    assert same_rf(acc.result(), first_h)
