@@ -9,6 +9,36 @@ as plain ints whenever possible (the propagation and multidegree
 computations stay integral, and int arithmetic is much faster than
 Fraction).
 
+Monomials are packed exponent vectors (Monagan-Pearce, CASC 2007): each
+monomial is one int, and ``Polynomial.terms`` maps these ints to
+coefficients.
+
+* Layout.  In a context of n variables, variable i owns the 16-bit field
+  at bit ``16*(n-1-i)``: names[0] is the most significant field and the h
+  slot, always the last name, the least significant.  The total degree
+  sits in an unbounded field above them, from bit ``16*n`` (``ctx.shift``).
+  The monomial of variable i is ``ctx.units[i]``, its field bit plus the
+  degree bit.  ``ctx.pack`` and ``ctx.unpack`` convert from and to
+  exponent tuples; only input and output do.
+* Order.  Integers compare the degree field first and then the exponent
+  fields from names[0] down, which is graded lexicographic order with
+  z_1 > ... > z_N > h.  So ``sorted_terms`` sorts the keys themselves.
+* Linearity.  Packing is linear in the exponent vector, so unit arithmetic
+  whose result has every field in [0, 2**16) is exact: a monomial product
+  is one integer ``+``; swapping z_i and z_j adds (b - a)*(U_i - U_j) for
+  the field units U; the divided differences of the fundamental builder
+  and the layers and carry of ``exact_div`` add and subtract units (with
+  their degree bit where the degree changes).  Code subtracts a unit only
+  from a field it has read as positive, so no field ever borrows.
+* Degree guard.  No exponent exceeds the total degree, so no field can
+  carry while every degree stays below 2**16 (``DEGREE_LIMIT``).
+  ``__mul__``, ``__pow__``, ``substitute`` and ``RFSum.add_product`` bound
+  the degree of their result before their loop (the top field of the
+  largest key is the degree) and raise AlgebraError instead of carrying.
+  ``ctx.pack``, and through it ``from_json``, rejects exponents outside
+  [0, 2**16) and degrees of 2**16 or more; ``parse_polynomial`` reaches
+  the guard of ``__pow__``.  Every other operation keeps or lowers degrees.
+
 Rational functions are kept in the restricted form used throughout:
 a polynomial numerator over a multiset of integer linear forms
 a*hb + z_i - z_j.  That restriction makes reduction exact and cheap
@@ -18,8 +48,14 @@ a*hb + z_i - z_j.  That restriction makes reduction exact and cheap
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+
+FIELD_BITS = 16
+DEGREE_LIMIT = 1 << FIELD_BITS
+FIELD_MASK = DEGREE_LIMIT - 1
 
 
 class AlgebraError(Exception):
@@ -49,23 +85,37 @@ def _norm_coeff(c):
     return c
 
 
+def _degree_overflow(deg):
+    return AlgebraError(
+        f"degree {deg} does not fit the packed exponent fields (limit {DEGREE_LIMIT - 1})"
+    )
+
+
 class PolyContext:
     """A fixed tuple of variable names, optionally with a distinguished h slot.
 
     Spectral contexts (``spectral_context``) carry z-variables plus the
     half-unit h as the last slot; coordinate contexts (slice rings) have no
-    h variable and no swap/linear-form structure.
+    h variable and no swap/linear-form structure.  The context owns the
+    packed monomial encoding described in the module docstring.
     """
 
-    __slots__ = ("names", "h_index", "nz", "_index")
+    __slots__ = ("names", "h_index", "nz", "_index", "shift", "mask", "units", "_fields")
 
     def __init__(self, names, h_index=None):
         self.names = tuple(names)
+        n = len(self.names)
+        if h_index is not None and h_index != n - 1:
+            raise ContextError("the h slot must be the last variable")
         self.h_index = h_index
-        self.nz = len(self.names) - (0 if h_index is None else 1)
-        self._index = {n: i for i, n in enumerate(self.names)}
-        if len(self._index) != len(self.names):
+        self.nz = n - (0 if h_index is None else 1)
+        self._index = {name: i for i, name in enumerate(self.names)}
+        if len(self._index) != n:
             raise ContextError("duplicate variable names")
+        self.shift = FIELD_BITS * n
+        self.mask = (1 << self.shift) - 1
+        self.units = tuple((1 << self.shift) | (1 << self.offset(i)) for i in range(n))
+        self._fields = struct.Struct(f">{n}H")
 
     @property
     def nvars(self):
@@ -77,6 +127,27 @@ class PolyContext:
         except KeyError:
             raise ContextError(f"unknown variable {name!r}") from None
 
+    def offset(self, idx):
+        """Bit position of the exponent field of variable ``idx``."""
+        return FIELD_BITS * (len(self.names) - 1 - idx)
+
+    def pack(self, exps):
+        """The packed monomial of an exponent sequence ordered as ``names``."""
+        try:
+            fields = int.from_bytes(self._fields.pack(*exps), "big")
+        except struct.error:
+            raise AlgebraError(
+                f"exponents {list(exps)!r} are not {self.nvars} integers in [0, {DEGREE_LIMIT})"
+            ) from None
+        deg = sum(exps)
+        if deg >= DEGREE_LIMIT:
+            raise _degree_overflow(deg)
+        return deg << self.shift | fields
+
+    def unpack(self, mono):
+        """The exponent tuple of a packed monomial, ordered as ``names``."""
+        return self._fields.unpack((mono & self.mask).to_bytes(2 * len(self.names), "big"))
+
     def zero(self):
         return Polynomial(self, {})
 
@@ -87,13 +158,11 @@ class PolyContext:
         c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
         if c == 0:
             return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {0: c})
 
     def var(self, name_or_index):
         i = name_or_index if isinstance(name_or_index, int) else self.index(name_or_index)
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, {tuple(e): 1})
+        return Polynomial(self, {self.units[i]: 1})
 
     def z(self, i):
         """The i-th spectral variable, 1-based."""
@@ -105,9 +174,7 @@ class PolyContext:
         """The displayed parameter hb, i.e. twice the internal half-unit."""
         if self.h_index is None:
             raise ContextError("context has no h variable")
-        e = [0] * self.nvars
-        e[self.h_index] = 1
-        return Polynomial(self, {tuple(e): 2})
+        return Polynomial(self, {self.units[self.h_index]: 2})
 
     def __eq__(self, other):
         return (
@@ -146,12 +213,34 @@ def coordinate_context(names):
     return PolyContext(tuple(names), h_index=None)
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+def _mul_into(acc, a, b, shift):
+    """acc += a*b over packed term dicts a, b (both non-empty), in place."""
+    deg = (max(a) >> shift) + (max(b) >> shift)
+    if deg >= DEGREE_LIMIT:
+        raise _degree_overflow(deg)
+    if len(a) < len(b):
+        a, b = b, a
+    get = acc.get
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = ea + eb
+            acc[e] = get(e, 0) + ca * cb
+
+
+def sum_of_products(ctx, pairs):
+    """The polynomial sum of a*b over the pairs (a, b), accumulated in one dict."""
+    acc = {}
+    shift = ctx.shift
+    for a, b in pairs:
+        if (a.ctx is not ctx and a.ctx != ctx) or (b.ctx is not ctx and b.ctx != ctx):
+            raise ContextError("polynomials from different contexts")
+        if a.terms and b.terms:
+            _mul_into(acc, a.terms, b.terms, shift)
+    return Polynomial(ctx, acc)
 
 
 class Polynomial:
-    """Sparse exact polynomial: map from exponent tuples to rational coeffs.
+    """Sparse exact polynomial: map from packed monomials to rational coeffs.
 
     Instances are treated as immutable; no method mutates ``terms`` after
     construction.  Zero coefficients are never stored.
@@ -192,19 +281,17 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> self.ctx.shift
 
     def homogeneous_degree(self):
         """The common total degree of all terms, or None if inhomogeneous."""
-        degs = {sum(e) for e in self.terms}
+        shift = self.ctx.shift
+        degs = {e >> shift for e in self.terms}
         if not degs:
             return 0
         if len(degs) > 1:
             return None
         return degs.pop()
-
-    def is_homogeneous(self):
-        return self.homogeneous_degree() is not None
 
     # -- ring operations -------------------------------------------------
 
@@ -250,16 +337,8 @@ class Polynomial:
         self._check(other)
         if not self.terms or not other.terms:
             return self.ctx.zero()
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
         out = {}
-        get = out.get
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = get(e, 0) + ca * cb
-                out[e] = s
+        _mul_into(out, self.terms, other.terms, self.ctx.shift)
         return Polynomial(self.ctx, out)
 
     __rmul__ = __mul__
@@ -267,6 +346,9 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise AlgebraError("negative polynomial power")
+        deg = self.degree() * n
+        if deg >= DEGREE_LIMIT:
+            raise _degree_overflow(deg)
         result = self.ctx.one()
         base = self
         while n:
@@ -287,15 +369,11 @@ class Polynomial:
             raise ContextError("swap index out of range")
         if i == j:
             return self
-        a, b = i - 1, j - 1
+        si, sj = ctx.offset(i - 1), ctx.offset(j - 1)
+        step = (1 << si) - (1 << sj)
         out = {}
         for e, c in self.terms.items():
-            if e[a] == e[b]:
-                out[e] = c
-            else:
-                le = list(e)
-                le[a], le[b] = le[b], le[a]
-                out[tuple(le)] = c
+            out[e + ((e >> sj & FIELD_MASK) - (e >> si & FIELD_MASK)) * step] = c
         return Polynomial(self.ctx, out, _clean=True)
 
     def substitute(self, mapping, target_ctx=None):
@@ -325,15 +403,20 @@ class Polynomial:
                     raise ContextError(
                         f"substitution into a new context must map {ctx.names[idx]!r}"
                     )
+        if not self.terms:
+            return tctx.zero()
+        deg = self.degree() * max((v.degree() for v in images.values()), default=0)
+        if deg >= DEGREE_LIMIT:
+            raise _degree_overflow(deg)
         # Each term expands over its non-zero exponents only, by cached
         # power dicts, into one accumulator.
         pow_cache = {}
-        one = (0,) * tctx.nvars
+        unpack = ctx.unpack
         acc = {}
         get = acc.get
         for e, c in self.terms.items():
             cur = None
-            for idx, exp in enumerate(e):
+            for idx, exp in enumerate(unpack(e)):
                 if not exp:
                     continue
                 pw = pow_cache.get((idx, exp))
@@ -346,11 +429,11 @@ class Polynomial:
                 nget = nxt.get
                 for e1, c1 in cur.items():
                     for e2, c2 in pw.items():
-                        mon = tuple([x + y for x, y in zip(e1, e2)])
+                        mon = e1 + e2
                         nxt[mon] = nget(mon, 0) + c1 * c2
                 cur = nxt
             if cur is None:
-                cur = {one: c}
+                cur = {0: c}
             for mon, cm in cur.items():
                 acc[mon] = get(mon, 0) + cm
         return Polynomial(tctx, acc)
@@ -360,10 +443,11 @@ class Polynomial:
         vals = [Fraction(v) if not isinstance(v, (int, Fraction)) else v for v in values]
         if len(vals) != self.ctx.nvars:
             raise ContextError("wrong number of values")
+        unpack = self.ctx.unpack
         total = Fraction(0)
         for e, c in self.terms.items():
             term = Fraction(c)
-            for v, exp in zip(vals, e):
+            for v, exp in zip(vals, unpack(e)):
                 if exp:
                     term *= Fraction(v) ** exp
             total += term
@@ -381,37 +465,36 @@ class Polynomial:
             raise ContextError("exact_div requires a spectral context")
         if not self.terms:
             return self
+        units = ctx.units
+        uh = units[ctx.h_index]
         if form.i is None and form.j is None:
-            # pure c*h
+            # pure c*h; the h field is the lowest
             c = form.hcoef
             if c == 0:
                 raise AlgebraError("division by the zero form")
-            h = ctx.h_index
             out = {}
             for e, coeff in self.terms.items():
-                if e[h] == 0:
-                    rem = {e2: c2 for e2, c2 in self.terms.items() if e2[h] == 0}
+                if not e & FIELD_MASK:
+                    rem = {e2: c2 for e2, c2 in self.terms.items() if not e2 & FIELD_MASK}
                     raise ExactDivisionError(
                         "not divisible by pure-h form",
                         remainder=Polynomial(ctx, rem, _clean=True),
                     )
-                le = list(e)
-                le[h] -= 1
-                out[tuple(le)] = _norm_coeff(Fraction(coeff, c) if coeff % c else coeff // c)
+                out[e - uh] = _norm_coeff(Fraction(coeff, c) if coeff % c else coeff // c)
             return Polynomial(ctx, out, _clean=True)
         # The canonical form z_lead - rest has +z_i as its leading variable,
         # and rest = z_j - c*h (maybe no z_j).
         lead = form.i - 1
+        lead_off = ctx.offset(lead)
+        ulead = units[lead]
         hc = form.hcoef
-        h = ctx.h_index
-        j = None if form.j is None else form.j - 1
-        # group by exponent of z_lead
+        uj = None if form.j is None else units[form.j - 1]
+        # group by exponent of z_lead; a layer key has the z_lead field (and
+        # its share of the degree) taken out
         layers = {}
         for e, c in self.terms.items():
-            d = e[lead]
-            le = list(e)
-            le[lead] = 0
-            layers.setdefault(d, {})[tuple(le)] = c
+            d = e >> lead_off & FIELD_MASK
+            layers.setdefault(d, {})[e - d * ulead] = c
         D = max(layers)
         carry = {}
         quotient = {}
@@ -428,37 +511,26 @@ class Polynomial:
             # carry = cur * rest, accumulated in place
             carry = {}
             cget = carry.get
+            up = (d - 1) * ulead
             for e, c in cur.items():
-                le = list(e)
-                le[lead] = d - 1
-                quotient[tuple(le)] = c
-                le[lead] = 0
-                if j is not None:
-                    le[j] += 1
-                    t = tuple(le)
+                quotient[e + up] = c
+                if uj is not None:
+                    t = e + uj
                     carry[t] = cget(t, 0) + c
-                    le[j] -= 1
                 if hc:
-                    le[h] += 1
-                    t = tuple(le)
+                    t = e + uh
                     carry[t] = cget(t, 0) - hc * c
         rem = Polynomial(ctx, layers.get(0, {}), _clean=True) + Polynomial(ctx, carry)
         if rem:
             raise ExactDivisionError("division not exact", remainder=rem)
         return Polynomial(ctx, quotient, _clean=True)
 
-    def divisible_by(self, form):
-        try:
-            self.exact_div(form)
-            return True
-        except ExactDivisionError:
-            return False
-
     # -- ordering, display, serialization ---------------------------------
 
     def sorted_terms(self):
         """Terms in the canonical order: graded lex, z_1 > ... > z_N > h, descending."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        terms = self.terms
+        return [(e, terms[e]) for e in sorted(terms, reverse=True)]
 
     def _coeff_display(self, e, c):
         """Displayed coefficient c / 2**eh as a reduced (numerator, denominator).
@@ -466,7 +538,7 @@ class Polynomial:
         Internal h-units fold into hb powers.  Integer coefficients stay on
         integers: only powers of two can cancel against 2**eh.
         """
-        eh = 0 if self.ctx.h_index is None else e[self.ctx.h_index]
+        eh = 0 if self.ctx.h_index is None else e & FIELD_MASK
         if type(c) is not int:
             disp = Fraction(c) / (2 ** eh)
             return disp.numerator, disp.denominator
@@ -480,37 +552,34 @@ class Polynomial:
         if not self.terms:
             return "0"
         ctx = self.ctx
+        names, shift, unpack = ctx.names, ctx.shift, ctx.unpack
         parts = []
         for e, c in self.sorted_terms():
             num, den = self._coeff_display(e, c)
-            factors = []
-            for idx, exp in enumerate(e):
-                if not exp:
-                    continue
-                name = ctx.names[idx]
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            exps = unpack(e)
+            factors = list(compress(names, exps))
+            if len(factors) != e >> shift:  # some exponent above 1
+                factors = [name if exp == 1 else f"{name}^{exp}"
+                           for name, exp in zip(factors, compress(exps, exps))]
             body = "*".join(factors)
-            if not factors:
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            if not body:
                 piece = mag
             elif mag == "1":
                 piece = body
             else:
                 piece = f"{mag}*{body}"
-            parts.append(("-" if num < 0 else "+", piece))
-        sign0, piece0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + piece0
-        for sign, piece in parts[1:]:
-            out += f" {sign} {piece}"
-        return out
+            parts.append(("- " if num < 0 else "+ ") + piece)
+        first = parts[0]
+        parts[0] = "-" + first[2:] if first[0] == "-" else first[2:]
+        return " ".join(parts)
 
     def __repr__(self):
         return f"<Poly {self.text()}>"
 
     def to_json(self):
-        terms = []
-        for e, c in self.sorted_terms():
-            terms.append([*self._coeff_display(e, c), *e])
+        unpack = self.ctx.unpack
+        terms = [[*self._coeff_display(e, c), *unpack(e)] for e, c in self.sorted_terms()]
         doc = {"terms": terms}
         if self.ctx.h_index is not None:
             doc["vars"] = self.ctx.nz
@@ -520,14 +589,18 @@ class Polynomial:
 
     @staticmethod
     def from_json(doc, ctx):
+        """Read ``to_json`` output; AlgebraError for exponents that cannot be packed."""
+        h = ctx.h_index
+        pack = ctx.pack
         terms = {}
         for row in doc["terms"]:
             num, den, *e = row
-            e = tuple(e)
-            c = Fraction(num, den)
-            if ctx.h_index is not None:
-                c *= 2 ** e[ctx.h_index]
-            terms[e] = _norm_coeff(c)
+            mono = pack(e)
+            eh = 0 if h is None else e[h]
+            if den == 1 and type(num) is int:
+                terms[mono] = num << eh
+            else:
+                terms[mono] = _norm_coeff(Fraction(num, den) * 2 ** eh)
         return Polynomial(ctx, terms)
 
 
@@ -586,19 +659,14 @@ class LinearForm:
     def to_poly(self, ctx):
         if ctx.h_index is None:
             raise ContextError("linear forms need a spectral context")
+        units = ctx.units
         terms = {}
         if self.hcoef:
-            e = [0] * ctx.nvars
-            e[ctx.h_index] = 1
-            terms[tuple(e)] = self.hcoef
+            terms[units[ctx.h_index]] = self.hcoef
         if self.i is not None:
-            e = [0] * ctx.nvars
-            e[self.i - 1] = 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) + 1
+            terms[units[self.i - 1]] = 1
         if self.j is not None:
-            e = [0] * ctx.nvars
-            e[self.j - 1] = 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) - 1
+            terms[units[self.j - 1]] = -1
         return Polynomial(ctx, terms)
 
     def text(self, ctx=None):
@@ -774,10 +842,7 @@ class RationalFunction:
                 poly_map[zi - 1] = form.to_poly(tctx) * sign
         if target_ctx is not None:
             # map h through unchanged, other z's must be covered
-            poly_map[self.ctx.h_index] = Polynomial(
-                tctx,
-                {tuple(1 if t == tctx.h_index else 0 for t in range(tctx.nvars)): 1},
-            )
+            poly_map[self.ctx.h_index] = Polynomial(tctx, {tctx.units[tctx.h_index]: 1})
         num = self.num.substitute(poly_map, tctx if target_ctx is not None else None)
         den = {}
         for f, m in self.den.items():
@@ -834,14 +899,7 @@ class RFSum:
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = (den, {})
-        acc = group[1]
-        get = acc.get
-        if len(a_terms) < len(b_terms):
-            a_terms, b_terms = b_terms, a_terms
-        for eb, cb in b_terms.items():
-            for ea, ca in a_terms.items():
-                e = tuple([x + y for x, y in zip(ea, eb)])
-                acc[e] = get(e, 0) + ca * cb
+        _mul_into(group[1], a_terms, b_terms, self.ctx.shift)
 
     def result(self):
         ctx = self.ctx
@@ -885,9 +943,9 @@ def _poly_to_form(p):
     pos = None
     neg = None
     for e, c in p.terms.items():
-        if sum(e) != 1:
+        if e not in ctx.units:
             raise AlgebraError("not a linear form")
-        idx = e.index(1)
+        idx = ctx.units.index(e)
         if idx == h:
             hc = c
         elif c == 1 and pos is None:
@@ -921,7 +979,7 @@ def factor_linear_forms(p):
         progress = False
         support = set()
         for e in cur.terms:
-            for idx, exp in enumerate(e):
+            for idx, exp in enumerate(ctx.unpack(e)):
                 if exp and idx != ctx.h_index:
                     support.add(idx + 1)
         support = sorted(support)

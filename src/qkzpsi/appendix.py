@@ -552,7 +552,8 @@ def sample_component_point(doc, comp_index, rng):
             poly = cvals[cidx]
             vidx = ctx.index(var)
             c1 = c0 = Fraction(0)
-            for e, coeff in poly.terms.items():
+            for mono, coeff in poly.terms.items():
+                e = ctx.unpack(mono)
                 term = Fraction(coeff)
                 for idx, exp in enumerate(e):
                     if idx == vidx:

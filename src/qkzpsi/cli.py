@@ -10,9 +10,15 @@ Subcommands:
   rmat verify      check ybe|unitarity|commutation symbolically
   appendix-suite   run all eight fixture checks
 
-Bad input (a malformed number list, a lambda or m that does not fit k, a
-vector file that is missing or does not match the psi JSON schema) ends
-with one line on stderr and exit status 2.
+Bad input ends with one ``qkzpsi: error: ...`` line on stderr and exit
+status 2, with no traceback.  Bad input is: a malformed number list; a
+lambda or m that does not fit k; a vector file that is missing, is not
+JSON, does not match the psi JSON schema or holds exponents outside
+[0, 2**16); for ``slice emit`` an empty m or a non-positive block size, an
+ell with a negative entry or a sum other than sum(m), a slice larger than
+the desk-scale limit (12), or a non-rectangular ell with ``--deform``; for
+``rmat`` wedge sizes a, b outside 1..k-1, and for ``rmat verify`` a != b
+(its checks act on the a-th wedge power alone).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .qkz import (
     qkz_step,
     wheel_positions,
 )
-from .reporting import dump_reports
+from .reporting import dump_reports, json_text
 from .rmatrix import (
     fundamental_rcheck,
     fused_rcheck,
@@ -62,7 +68,7 @@ def _ints(text):
 
 
 def _write(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json_text(doc) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -156,10 +162,11 @@ def cmd_psi_verify(args):
 def cmd_slice_emit(args):
     m = _ints(args.m)
     ell = _ints(args.ell)
-    if args.deform:
-        eqs = slicemod.emit_deformed_equations(m, ell)
-    else:
-        eqs = slicemod.emit_equations(m, ell)
+    emit = slicemod.emit_deformed_equations if args.deform else slicemod.emit_equations
+    try:
+        eqs = emit(m, ell)
+    except slicemod.SliceError as err:
+        raise UsageError(str(err)) from None
     if args.format == "json":
         _write(eqs.to_json(), args.out)
     else:
@@ -192,7 +199,13 @@ def cmd_slice_verify_appendix(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _check_wedges(k, a, b):
+    if not (1 <= a <= k - 1 and 1 <= b <= k - 1):
+        raise UsageError(f"wedge sizes must satisfy 1 <= a, b <= k-1, got k={k} a={a} b={b}")
+
+
 def cmd_rmat_show(args):
+    _check_wedges(args.k, args.a, args.b)
     rop = fused_rcheck(args.k, args.a, args.b)
     if args.format == "json":
         _write(rop.to_json(), args.out)
@@ -212,6 +225,9 @@ def cmd_rmat_show(args):
 
 def cmd_rmat_verify(args):
     k, a, b = args.k, args.a, args.b
+    _check_wedges(k, a, b)
+    if a != b:
+        raise UsageError(f"rmat verify checks the a-th wedge power alone: a = {a} != b = {b}")
     rop = fused_rcheck(k, a, b)
     from itertools import combinations
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
+    FIELD_MASK,
+    AlgebraError,
     ExactDivisionError,
     LinearForm,
     Polynomial,
@@ -72,9 +74,6 @@ class PsiVector:
 
     def expected_degree(self):
         return sum(a * (a - 1) // 2 for a in self.lam)
-
-    def copy_entries(self):
-        return dict(self.entries)
 
     def degree_report(self, instance=""):
         """Every entry homogeneous of degree sum lam_a (lam_a - 1)/2."""
@@ -125,7 +124,7 @@ class PsiVector:
             }
         except KeyError as err:
             raise PsiError(f"psi JSON lacks the field {err}") from None
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, ZeroDivisionError, AlgebraError) as err:
             raise PsiError(f"malformed psi JSON: {err}") from None
         if sorted(entries) != content_labels(k, lam, m):
             raise PsiError("psi JSON labels are not the content labels of (k, lambda, m)")
@@ -244,25 +243,30 @@ def _exchange_step(f, i):
     With x = z_i, y = z_{i+1} and hb = 2h internally, a term c x^a y^b
     contributes -c x^b y^a, and for a != b also
     2c * sign(a-b) * h * x^min y^min * x^t y^(|a-b|-1-t) for each t.
-    The h exponent is the last slot of a spectral context.
+    On packed monomials (see ``algebra``) with field units X, Y of x, y the
+    swap adds (b-a)*(X-Y), and the divided-difference terms start at
+    x^lo y^top h^(e_h+1) and step by X - Y.  The degree never changes, and
+    the h field is the lowest, with unit 1.
     """
-    a_idx, b_idx = i - 1, i
+    ctx = f.ctx
+    x_off, y_off = ctx.offset(i - 1), ctx.offset(i)
+    X, Y = 1 << x_off, 1 << y_off
+    step = X - Y
     out = {}
     get = out.get
     for e, c in f.terms.items():
-        a, b = e[a_idx], e[b_idx]
+        a, b = e >> x_off & FIELD_MASK, e >> y_off & FIELD_MASK
         if a == b:
             out[e] = get(e, 0) - c
             continue
-        head = e[:a_idx]
-        t = head + (b, a) + e[b_idx + 1:]
+        t = e + (b - a) * step
         out[t] = get(t, 0) - c
         lo, top, cc = (b, a - 1, 2 * c) if a > b else (a, b - 1, -2 * c)
-        tail = e[b_idx + 1:-1] + (e[-1] + 1,)
-        for s in range(lo, top + 1):
-            t = head + (s, top + lo - s) + tail
+        t = e - a * X - b * Y + lo * X + top * Y + 1
+        for _ in range(top - lo + 1):
             out[t] = get(t, 0) + cc
-    return Polynomial(f.ctx, {e: c for e, c in out.items() if c}, _clean=True)
+            t += step
+    return Polynomial(ctx, {e: c for e, c in out.items() if c}, _clean=True)
 
 
 def build_psi_fundamental(k, lam):
@@ -398,10 +402,6 @@ def fuse_psi(psi1, m):
 # -- checks ----------------------------------------------------------------------
 
 
-def _pair_operator(k, a, b):
-    return _rm.pair_operator(k, a, b)
-
-
 def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
     """Verify tau_i Psi = R_i(z_i - z_{i+1}) Psi, exactly.
 
@@ -415,7 +415,7 @@ def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
     if m[i - 1] != m[i]:
         return Report("exchange", name, "skipped", witness="inhomogeneous adjacent m")
     if operator is None:
-        operator = _pair_operator(psi.k, m[i - 1], m[i])
+        operator = _rm.pair_operator(psi.k, m[i - 1], m[i])
     if slotwise is None:
         # a full-basis operator carries the psi labels themselves
         slotwise = tuple(operator.source) != tuple(psi.basis)
@@ -667,7 +667,7 @@ def _applicators(psi, full_ops=None):
         return {j: _rm.matrix_applicator(op) for j, op in full_ops.items()}
     out = {}
     for j in range(1, psi.N):
-        rop = _pair_operator(psi.k, psi.m[j - 1], psi.m[j])
+        rop = _rm.pair_operator(psi.k, psi.m[j - 1], psi.m[j])
         out[j] = _rm.slot_applicator(rop, j - 1, psi.N)
     return out
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from types import MappingProxyType
 
 from .algebra import (
+    FIELD_MASK,
     AlgebraError,
     ExactDivisionError,
     LinearForm,
@@ -76,14 +78,16 @@ class ROperator:
 
     Labels are arbitrary hashables; for the fused operators they are pairs
     (S, T) of sorted letter tuples.  Entries are stored sparsely as
-    {(target_label, source_label): RationalFunction}.
+    {(target_label, source_label): RationalFunction}, behind a read-only
+    view: ``pair_operator`` hands one cached operator to every caller.
     """
 
     def __init__(self, ctx, source, target, entries):
         self.ctx = ctx
         self.source = tuple(source)
         self.target = tuple(target)
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        self.entries = MappingProxyType(
+            {k: v for k, v in entries.items() if not v.is_zero()})
         self._by_source = None
 
     def by_source(self):
@@ -160,14 +164,6 @@ class ROperator:
             if not self.entry(*k).equals(other.entry(*k)):
                 return False
         return True
-
-    def scaled(self, rf_scalar):
-        return ROperator(
-            self.ctx,
-            self.source,
-            self.target,
-            {k: rf_scalar * v for k, v in self.entries.items()},
-        )
 
     def evaluate_at_zero(self):
         """Evaluate every entry at z = 0 (numeric matrix as nested dict)."""
@@ -683,16 +679,17 @@ def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
     for pos, t in enumerate(rest):
         mapping[t - 1] = sctx.var(f"r{t}")
     mapping[ctx.h_index] = sctx.var("hb")
-    w_idx = sctx.index("w")
-    h_idx = sctx.h_index
+    w_off = sctx.offset(sctx.index("w"))
+    # a rest-monomial keeps the fields of u and the r's: no w, h or degree,
+    # so its integer order is the lex order of those exponents
+    rest_mask = sctx.mask ^ (FIELD_MASK << w_off) ^ FIELD_MASK
 
     def split(p):
         """rest-monomial -> univariate coefficient list in the w-grading."""
         rows = {}
         for e, c in p.terms.items():
-            ew = e[w_idx]
-            key = tuple(x for pos, x in enumerate(e) if pos not in (w_idx, h_idx))
-            coeffs = rows.setdefault(key, {})
+            ew = e >> w_off & FIELD_MASK
+            coeffs = rows.setdefault(e & rest_mask, {})
             coeffs[ew] = coeffs.get(ew, 0) + c
         out = {}
         for key, coeffs in rows.items():

@@ -16,13 +16,16 @@ elementary symmetric polynomials of the t_a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 from .algebra import (
+    FIELD_MASK,
     LinearForm,
     Polynomial,
     PolyContext,
     coordinate_context,
     spectral_context,
+    sum_of_products,
 )
 
 
@@ -56,8 +59,8 @@ class SliceModel:
 
     def __init__(self, m, restricted=False):
         self.m = tuple(int(x) for x in m)
-        if any(x < 1 for x in self.m):
-            raise SliceError("m entries must be positive")
+        if not self.m or any(x < 1 for x in self.m):
+            raise SliceError("m must be a non-empty list of positive block sizes")
         self.N = len(self.m)
         self.M = sum(self.m)
         self.restricted = restricted
@@ -122,9 +125,10 @@ class SliceModel:
             z[c.j - 1] -= 1
         return tuple(z) + (c.weight_h,)
 
-    def monomial_weight(self, ctx, exps):
+    def monomial_weight(self, ctx, mono):
+        """Grading vector of a packed monomial of ``ctx``."""
         total = [0] * (self.N + 1)
-        for idx, e in enumerate(exps):
+        for idx, e in enumerate(ctx.unpack(mono)):
             if not e:
                 continue
             name = ctx.names[idx]
@@ -179,22 +183,10 @@ class EquationSet:
 
 
 def _mat_mul_poly(A, B):
-    n = len(A)
-    zero = A[0][0].ctx.zero()
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(n):
-            a = Ai[t]
-            if a.is_zero():
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(n):
-                b = Bt[j]
-                if not b.is_zero():
-                    row[j] = row[j] + a * b
-    return out
+    """A*B, each entry accumulated in one dict."""
+    ctx = A[0][0].ctx
+    cols = list(zip(*B))
+    return [[sum_of_products(ctx, zip(Ai, col)) for col in cols] for Ai in A]
 
 
 def _mat_pow(X, p):
@@ -202,6 +194,16 @@ def _mat_pow(X, p):
     for _ in range(p - 1):
         out = _mat_mul_poly(out, X)
     return out
+
+
+def _check_ell(ell, M):
+    """ell as a tuple of non-negative ints summing to the matrix size M."""
+    ell = tuple(int(x) for x in ell)
+    if any(x < 0 for x in ell):
+        raise SliceError("ell entries must be non-negative")
+    if sum(ell) != M:
+        raise SliceError(f"ell must sum to the matrix size {M}, got {sum(ell)}")
+    return ell
 
 
 def emit_equations(m, ell, restricted=False, max_size=12):
@@ -215,9 +217,7 @@ def emit_equations(m, ell, restricted=False, max_size=12):
     model = SliceModel(m, restricted=restricted)
     if model.M > max_size:
         raise SliceError(f"slice size {model.M} exceeds the desk-scale limit {max_size}")
-    ell = tuple(int(x) for x in ell)
-    if sum(ell) != model.M:
-        raise SliceError("ell must sum to the matrix size")
+    ell = _check_ell(ell, model.M)
     parts = [x for x in ell if x > 0]
     ctx, X = model.generic_matrix()
     relations = []
@@ -242,7 +242,6 @@ def emit_equations(m, ell, restricted=False, max_size=12):
 
 
 def _minor_relations(P, size, tag, M):
-    from itertools import combinations
     from math import comb
 
     if comb(M, size) ** 2 > 4000:
@@ -262,39 +261,41 @@ def _minor_relations(P, size, tag, M):
 
 
 def _poly_det(sub):
-    from itertools import permutations
-
     n = len(sub)
     if n > 4:
         raise SliceError("symbolic minors above size 4 are out of desk scale")
     ctx = sub[0][0].ctx
-    total = ctx.zero()
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = ctx.one()
-        for i in range(n):
-            term = term * sub[i][perm[i]]
-            if term.is_zero():
-                break
-        total = total + term * sign
-    return total
+
+    def products():
+        """(sign * first n-1 factors, last factor) for every permutation."""
+        for perm in permutations(range(n)):
+            sign = 1
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if perm[i] > perm[j]:
+                        sign = -sign
+            head = ctx.const(sign)
+            for i in range(n - 1):
+                head = head * sub[i][perm[i]]
+                if head.is_zero():
+                    break
+            else:
+                yield head, sub[n - 1][perm[n - 1]]
+
+    return sum_of_products(ctx, products())
 
 
 def elementary_symmetric(ctx, tnames):
-    """e_0..e_k of the named deformation parameters, as polynomials."""
-    k = len(tnames)
-    es = [ctx.one()]
-    for a in range(1, k + 1):
-        es.append(ctx.zero())
-    for name in tnames:
-        t = ctx.var(name)
-        for a in range(len(tnames), 0, -1):
-            es[a] = es[a] + es[a - 1] * t
-    return es
+    """e_0..e_k of the named deformation parameters, as polynomials.
+
+    e_a is the sum of the packed monomials of the a-element subsets, each
+    with coefficient 1.
+    """
+    units = [ctx.units[ctx.index(name)] for name in tnames]
+    return [
+        Polynomial(ctx, {sum(subset): 1 for subset in combinations(units, a)}, _clean=True)
+        for a in range(len(units) + 1)
+    ]
 
 
 def emit_deformed_equations(m, ell, max_size=12):
@@ -305,8 +306,8 @@ def emit_deformed_equations(m, ell, max_size=12):
     """
     model = SliceModel(m, restricted=False)
     if model.M > max_size:
-        raise SliceError("slice size exceeds the desk-scale limit")
-    ell = tuple(int(x) for x in ell)
+        raise SliceError(f"slice size {model.M} exceeds the desk-scale limit {max_size}")
+    ell = _check_ell(ell, model.M)
     parts = [x for x in ell if x > 0]
     if len(set(parts)) > 1:
         raise SliceError("deformed equations are modeled for rectangular ell only")
@@ -323,13 +324,12 @@ def emit_deformed_equations(m, ell, max_size=12):
     powers[0] = ident
     for p in range(1, L + 1):
         powers[p] = _mat_mul_poly(powers[p - 1], X)
+    signed = [es[s] * (-1) ** s for s in range(L + 1)]
     relations = []
     for r in range(model.M):
         for c in range(model.M):
-            val = ctx.zero()
-            for s in range(L + 1):
-                coeff = es[s] * ((-1) ** s)
-                val = val + coeff * powers[L - s][r][c]
+            val = sum_of_products(
+                ctx, ((signed[s], powers[L - s][r][c]) for s in range(L + 1)))
             relations.append((f"prod(X-t)[{r + 1},{c + 1}]", val))
     return EquationSet(m=model.m, ell=ell, ctx=ctx, relations=tuple(relations), deformed=True)
 
@@ -360,17 +360,15 @@ def linear_component_multidegree(model, vanishing):
 def linear_solve(poly, var, ctx):
     """Solve a polynomial linear in ``var``: returns (num, den) with var = num/den."""
     vidx = ctx.index(var)
+    off, unit = ctx.offset(vidx), ctx.units[vidx]
     c0 = {}
     c1 = {}
     for e, coeff in poly.terms.items():
-        d = e[vidx]
-        le = list(e)
-        le[vidx] = 0
-        key = tuple(le)
+        d = e >> off & FIELD_MASK
         if d == 0:
-            c0[key] = coeff
+            c0[e] = coeff
         elif d == 1:
-            c1[key] = coeff
+            c1[e - unit] = coeff
         else:
             raise SliceError(f"constraint is not linear in {var}")
     num = -Polynomial(ctx, c0)
@@ -387,34 +385,37 @@ def eval_rational(poly, assignment, ctx):
     product of the assignment denominators raised to the maximal exponents,
     so membership checks reduce to `num == 0`.
     """
+    offsets = {name: ctx.offset(ctx.index(name)) for name in assignment}
+    units = {name: ctx.units[ctx.index(name)] for name in assignment}
     maxdeg = {}
     for e in poly.terms:
-        for name, (num, den) in assignment.items():
-            idx = ctx.index(name)
-            if e[idx] > maxdeg.get(name, 0):
-                maxdeg[name] = e[idx]
+        for name, off in offsets.items():
+            exp = e >> off & FIELD_MASK
+            if exp > maxdeg.get(name, 0):
+                maxdeg[name] = exp
     den_total = ctx.one()
     for name, d in maxdeg.items():
         den_total = den_total * (assignment[name][1] ** d)
-    assigned_idx = {ctx.index(name): name for name in maxdeg}
-    total = ctx.zero()
+    total = {}
+    get = total.get
     for e, coeff in poly.terms.items():
-        factor = ctx.const(coeff)
-        for idx, exp in enumerate(e):
-            if idx in assigned_idx:
-                continue
-            if exp:
-                factor = factor * (ctx.var(idx) ** exp)
-        for idx, name in assigned_idx.items():
+        # the unassigned variables stay as they are: take the others out
+        rest = e
+        exps = {}
+        for name in maxdeg:
+            exp = exps[name] = e >> offsets[name] & FIELD_MASK
+            rest -= exp * units[name]
+        factor = Polynomial(ctx, {rest: coeff}, _clean=True)
+        for name, exp in exps.items():
             num, den = assignment[name]
-            exp = e[idx]
             if exp:
                 factor = factor * (num ** exp)
             pad = maxdeg[name] - exp
             if pad:
                 factor = factor * (den ** pad)
-        total = total + factor
-    return total, den_total
+        for mono, c in factor.terms.items():
+            total[mono] = get(mono, 0) + c
+    return Polynomial(ctx, total), den_total
 
 
 def verify_component_membership(

@@ -10,6 +10,7 @@ from qkzpsi.algebra import (
     LinearForm,
     Polynomial,
     RationalFunction,
+    RFSum,
     factor_linear_forms,
     parse_polynomial,
     spectral_context,
@@ -41,7 +42,8 @@ def test_shifted_product_has_six_monomials():
             expected[e] = expected.get(e, 0) + c1 * c2
     expected = {e: c for e, c in expected.items() if c}
     product = (HB + Z[1] - Z[2]) * (2 * HB + Z[1] - Z[2])
-    assert product.terms == expected
+    assert {CTX4.unpack(e): c for e, c in product.terms.items()} == expected
+    assert product.terms == {CTX4.pack(e): c for e, c in expected.items()}
     assert len(product.terms) == 6
 
 
@@ -104,7 +106,8 @@ def _random_poly(rng, ctx, nterms=4, deg=4):
         e = [0] * ctx.nvars
         for _ in range(rng.randrange(deg + 1)):
             e[rng.randrange(ctx.nvars)] += 1
-        terms[tuple(e)] = terms.get(tuple(e), 0) + rng.randrange(-6, 7)
+        key = ctx.pack(e)
+        terms[key] = terms.get(key, 0) + rng.randrange(-6, 7)
     return Polynomial(ctx, terms)
 
 
@@ -207,3 +210,56 @@ def test_canonical_form_sign():
     assert form == LinearForm(-2, 1, None)
     form2, sign2 = LinearForm.make(0, 3, 1)
     assert (form2.i, form2.j, sign2) == (1, 3, -1)
+
+
+def test_degree_guard_raises_instead_of_carrying():
+    x = CTX4.z(1)
+    half = x ** 32768
+    with pytest.raises(AlgebraError):
+        half * half
+    with pytest.raises(AlgebraError):
+        x ** 65536
+    with pytest.raises(AlgebraError):
+        (x * Z[2]) ** 40000
+    with pytest.raises(AlgebraError):
+        half.substitute({0: x * x})
+    acc = RFSum(CTX4)
+    with pytest.raises(AlgebraError):
+        acc.add_product(half, half)
+    with pytest.raises(AlgebraError):
+        parse_polynomial("z1^65536", CTX4)
+
+
+def test_highest_exponent_packs_and_unpacks():
+    top = (65535, 0, 0, 0, 0)
+    p = Z[1] ** 65535
+    assert p.degree() == 65535
+    assert p.terms == {CTX4.pack(top): 1}
+    assert CTX4.unpack(CTX4.pack(top)) == top
+    assert p.to_json()["terms"] == [[1, 1, *top]]
+    assert Polynomial.from_json(p.to_json(), CTX4) == p
+    assert p.text() == "z1^65535"
+    assert parse_polynomial("z1^65535", CTX4) == p
+    q = Z[1] ** 65534
+    assert (q * (Z[1] - Z[2])).exact_div(LinearForm.make(0, 1, 2)[0]) == q
+    assert p.swap_z(1, 3) == Z[3] ** 65535
+
+
+@pytest.mark.parametrize("exps", [
+    (65536, 0, 0, 0, 0),
+    (-1, 1, 0, 0, 0),
+    (40000, 30000, 0, 0, 0),  # each field fits, the degree does not
+    (1, 0, 0, 0),  # too few fields
+])
+def test_pack_and_from_json_reject_what_does_not_fit(exps):
+    with pytest.raises(AlgebraError):
+        CTX4.pack(exps)
+    with pytest.raises(AlgebraError):
+        Polynomial.from_json({"terms": [[1, 1, *exps]]}, CTX4)
+
+
+def test_packed_order_is_grlex():
+    rng = random.Random(5)
+    exps = [tuple(rng.randrange(4) for _ in range(5)) for _ in range(200)]
+    by_int = sorted(exps, key=CTX4.pack)
+    assert by_int == sorted(exps, key=lambda e: (sum(e), e))

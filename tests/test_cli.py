@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -175,3 +177,37 @@ def test_psi_verify_rejects_incomplete_json(tmp_path):
     path.write_text('{"k": 2, "lambda": [1, 1], "m": [1, 1], "vars": 2, "entries": []}')
     res = run_cli("psi", "verify", "--check", "exchange", "--in", str(path))
     assert_usage_error(res)
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (("slice", "emit", "--m", "2,2", "--ell", "3,3"), "ell must sum to the matrix size 4"),
+    (("slice", "emit", "--m", "2,0", "--ell", "2"), "positive block sizes"),
+    (("slice", "emit", "--m", "7,7", "--ell", "14"), "desk-scale limit"),
+    (("slice", "emit", "--m", "2,2", "--ell", "2,1,1", "--deform"), "rectangular ell only"),
+    (("rmat", "show", "--k", "3", "--a", "4"), "1 <= a, b <= k-1"),
+    (("rmat", "verify", "--check", "ybe", "--k", "3", "--a", "0", "--b", "1"),
+     "1 <= a, b <= k-1"),
+    (("rmat", "verify", "--check", "unitarity", "--k", "4", "--a", "1", "--b", "2"),
+     "a = 1 != b = 2"),
+], ids=["ell-sum", "zero-block", "oversize", "deform-not-rectangular", "wedge-above-k",
+        "zero-wedge", "verify-a-not-b"])
+def test_bad_slice_and_rmat_input_is_a_usage_error(argv, fragment):
+    res = run_cli(*argv)
+    assert_usage_error(res)
+    assert fragment in res.stderr
+    assert res.stdout == ""
+
+
+def test_psi_verify_rejects_exponents_that_do_not_pack(tmp_path):
+    good = tmp_path / "psi.json"
+    res = run_cli("psi", "build", "--k", "2", "--lambda", "1,1", "--out", str(good))
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(good.read_text())
+    # entries are [num, den, e_z1, e_z2, e_h]
+    for bad in (2 ** 16, -1):
+        doc["entries"][0]["poly"]["terms"][0][2] = bad
+        path = tmp_path / f"bad{bad}.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("psi", "verify", "--check", "exchange", "--in", str(path))
+        assert_usage_error(res)
+        assert "malformed psi JSON" in res.stderr

@@ -1,4 +1,5 @@
-"""The closed-form builder, fusion and operator sums against the algorithms they replaced.
+"""The closed-form builder, fusion, operator sums and the packed polynomial
+kernel against the algorithms they replaced.
 
 ``oracle_fundamental`` propagates the exchange relation by multiplying out
 the numerator and dividing it exactly by z_i - z_{i+1};
@@ -7,6 +8,8 @@ signed specializations afterwards.  ``stepwise_accumulate`` and
 ``stepwise_matmul`` reduce after every product and every partial sum, the
 sums brought to the lcm of two denominators by ``lcm_add``;
 ``multipass_reduce`` repeats its reduction pass until nothing divides.
+The ``tuple_*`` functions are the polynomial kernel on exponent tuples,
+{(e_1, ..., e_n): coeff}, as it was before monomials were packed into ints.
 All of them live only here, as references.
 """
 
@@ -16,9 +19,16 @@ from itertools import permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkzpsi import rmatrix
-from qkzpsi.algebra import ExactDivisionError, LinearForm, RationalFunction, spectral_context
+from qkzpsi.algebra import (
+    ExactDivisionError,
+    LinearForm,
+    Polynomial,
+    RationalFunction,
+    spectral_context,
+)
 from qkzpsi.combinatorics import sequence_rotation
 from qkzpsi.qkz import (
     _applicators,
@@ -33,6 +43,7 @@ from qkzpsi.qkz import (
     fuse_psi,
 )
 from qkzpsi.rmatrix import _perm_sign, fused_rcheck
+from qkzpsi.slice import SliceModel
 
 
 def oracle_fundamental(lam):
@@ -210,3 +221,228 @@ def test_qkz_composites_match_stepwise_sums(stepwise, i):
     prod = shifted.matmul(C)
     assert_same_operator(prod, prod0)
     assert prod.is_identity()
+
+
+# -- the tuple-keyed polynomial kernel ------------------------------------------
+
+
+def tuple_terms(p):
+    return {p.ctx.unpack(e): c for e, c in p.terms.items()}
+
+
+def tuple_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_mul(a, b):
+    out = {}
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_substitute(terms, images, nvars):
+    """images[idx] is the tuple-keyed image of variable idx over nvars variables."""
+    acc = {}
+    for e, c in terms.items():
+        cur = {(0,) * nvars: c}
+        for idx, exp in enumerate(e):
+            for _ in range(exp):
+                cur = tuple_mul(cur, images[idx])
+        acc = tuple_add(acc, cur)
+    return acc
+
+
+def tuple_swap(terms, i, j):
+    out = {}
+    for e, c in terms.items():
+        le = list(e)
+        le[i - 1], le[j - 1] = le[j - 1], le[i - 1]
+        out[tuple(le)] = c
+    return out
+
+
+def tuple_exact_div(terms, form, h):
+    """(quotient, remainder) of synthetic division by a LinearForm; h is the h slot."""
+    if not terms:
+        return {}, {}
+    if form.i is None and form.j is None:
+        rem = {e: c for e, c in terms.items() if e[h] == 0}
+        quo = {}
+        for e, c in terms.items():
+            if e[h]:
+                le = list(e)
+                le[h] -= 1
+                quo[tuple(le)] = Fraction(c, form.hcoef)
+        return quo, rem
+    lead = form.i - 1
+    j = None if form.j is None else form.j - 1
+    layers = {}
+    for e, c in terms.items():
+        le = list(e)
+        le[lead] = 0
+        layers.setdefault(e[lead], {})[tuple(le)] = c
+    carry, quotient = {}, {}
+    for d in range(max(layers), 0, -1):
+        cur = tuple_add(layers.get(d, {}), carry)
+        carry = {}
+        for e, c in cur.items():
+            le = list(e)
+            le[lead] = d - 1
+            quotient[tuple(le)] = c
+            le[lead] = 0
+            if j is not None:
+                le[j] += 1
+                carry = tuple_add(carry, {tuple(le): c})
+                le[j] -= 1
+            if form.hcoef:
+                le[h] += 1
+                carry = tuple_add(carry, {tuple(le): -form.hcoef * c})
+    return quotient, tuple_add(layers.get(0, {}), carry)
+
+
+def tuple_display(e, c, h):
+    disp = Fraction(c) / 2 ** (0 if h is None else e[h])
+    return disp.numerator, disp.denominator
+
+
+def tuple_sorted(terms):
+    return sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def tuple_text(terms, names, h):
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in tuple_sorted(terms):
+        num, den = tuple_display(e, c, h)
+        factors = [n if x == 1 else f"{n}^{x}" for n, x in zip(names, e) if x]
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        body = "*".join(factors)
+        piece = mag if not factors else body if mag == "1" else f"{mag}*{body}"
+        parts.append(("-" if num < 0 else "+", piece))
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    for sign, piece in parts[1:]:
+        out += f" {sign} {piece}"
+    return out
+
+
+def tuple_to_json(terms, ctx):
+    rows = [[*tuple_display(e, c, ctx.h_index), *e] for e, c in tuple_sorted(terms)]
+    return {"terms": rows, "vars": ctx.nz if ctx.h_index is not None else list(ctx.names)}
+
+
+SPECTRAL = (spectral_context(3), spectral_context(9))  # 4 and 10 variables
+COORDINATE = (
+    SliceModel((2,) * 5).context(extra=tuple(f"t{a}" for a in range(1, 6))),  # 55
+    SliceModel((2,) * 6).context(),  # 72
+)
+assert [c.nvars for c in SPECTRAL + COORDINATE] == [4, 10, 55, 72]
+
+coefficients = st.one_of(
+    st.integers(-50, 50).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+)
+
+
+def tuple_polys(ctx, max_terms=4, max_exp=3, support=4):
+    """Tuple-keyed term dicts over ctx with at most ``support`` variables per term."""
+    n = ctx.nvars
+    monomials = st.dictionaries(st.integers(0, n - 1), st.integers(1, max_exp),
+                                max_size=support).map(
+        lambda d: tuple(d.get(i, 0) for i in range(n)))
+    return st.dictionaries(monomials, coefficients, max_size=max_terms)
+
+
+def packed(ctx, terms):
+    return Polynomial(ctx, {ctx.pack(e): c for e, c in terms.items()})
+
+
+contexts = st.sampled_from(SPECTRAL + COORDINATE)
+spectral = st.sampled_from(SPECTRAL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(contexts.flatmap(lambda ctx: st.tuples(st.just(ctx), tuple_polys(ctx), tuple_polys(ctx))))
+def test_packed_mul_and_add_match_tuples(case):
+    ctx, a, b = case
+    pa, pb = packed(ctx, a), packed(ctx, b)
+    assert tuple_terms(pa) == {e: c for e, c in a.items() if c}
+    assert tuple_terms(pa * pb) == tuple_mul(a, b)
+    assert tuple_terms(pa + pb) == tuple_add(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(contexts.flatmap(lambda ctx: st.tuples(st.just(ctx), tuple_polys(ctx, max_terms=6))))
+def test_packed_text_and_json_match_tuples(case):
+    ctx, a = case
+    p = packed(ctx, a)
+    assert p.text() == tuple_text(a, ctx.names, ctx.h_index)
+    assert p.to_json() == tuple_to_json(a, ctx)
+
+
+@st.composite
+def substitutions(draw, ctx):
+    """A term dict over ctx and images of all its variables over another ring.
+
+    Variables that the terms do not use map to zero.
+    """
+    target = SPECTRAL[0] if ctx.h_index is not None else COORDINATE[0]
+    terms = draw(tuple_polys(ctx, max_terms=3, max_exp=2, support=3))
+    used = {idx for e in terms for idx, x in enumerate(e) if x}
+    images = [draw(tuple_polys(target, max_terms=3, max_exp=1, support=2)) if idx in used
+              else {} for idx in range(ctx.nvars)]
+    return ctx, target, terms, images
+
+
+@settings(max_examples=100, deadline=None)
+@given(contexts.flatmap(substitutions))
+def test_packed_substitute_matches_tuples(case):
+    ctx, target, terms, images = case
+    mapping = {idx: packed(target, img) for idx, img in enumerate(images)}
+    got = packed(ctx, terms).substitute(mapping, target)
+    assert tuple_terms(got) == tuple_substitute(terms, images, target.nvars)
+
+
+@st.composite
+def spectral_forms(draw, ctx):
+    hc = draw(st.integers(-4, 4))
+    shape = draw(st.sampled_from(("ij", "i", "j", "h")))
+    i, j = draw(st.lists(st.integers(1, ctx.nz), min_size=2, max_size=2, unique=True))
+    if shape == "h":
+        return LinearForm.make(hc or 1)[0]
+    return LinearForm.make(hc, i if shape != "j" else None, j if shape != "i" else None)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectral.flatmap(lambda ctx: st.tuples(
+    st.just(ctx), tuple_polys(ctx), spectral_forms(ctx), st.booleans())))
+def test_packed_exact_div_matches_tuples(case):
+    ctx, a, form, multiply = case
+    p = packed(ctx, a)
+    if multiply:
+        p = p * form.to_poly(ctx)
+    quotient, remainder = tuple_exact_div(tuple_terms(p), form, ctx.h_index)
+    try:
+        got = p.exact_div(form)
+    except ExactDivisionError as err:
+        assert remainder
+        assert tuple_terms(err.remainder) == remainder
+    else:
+        assert not remainder
+        assert tuple_terms(got) == quotient
+    if multiply:
+        assert not remainder
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectral.flatmap(lambda ctx: st.tuples(
+    st.just(ctx), tuple_polys(ctx), st.integers(1, ctx.nz), st.integers(1, ctx.nz))))
+def test_packed_swap_matches_tuples(case):
+    ctx, a, i, j = case
+    assert tuple_terms(packed(ctx, a).swap_z(i, j)) == tuple_swap(a, i, j)

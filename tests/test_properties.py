@@ -1,7 +1,8 @@
 """Property tests of the polynomial kernel and of rational-function sums.
 
-Exact division, substitution, the JSON and text round trips, and ``RFSum``
-against a fold that reduces after every product and every sum.
+Ring axioms, ``swap_z`` as an involution, exact division, substitution,
+the JSON and text round trips, and ``RFSum`` against a fold that reduces
+after every product and every sum.
 """
 
 from fractions import Fraction
@@ -31,7 +32,7 @@ coeffs = st.one_of(
 def polys(ctx, max_terms=5, max_exp=3):
     exps = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
-        lambda terms: Polynomial(ctx, terms))
+        lambda terms: Polynomial(ctx, {ctx.pack(e): c for e, c in terms.items()}))
 
 
 @st.composite
@@ -50,7 +51,36 @@ def lead_index(form):
 
 
 def free_of(p, idx):
-    return all(e[idx] == 0 for e in p.terms)
+    return all(p.ctx.unpack(e)[idx] == 0 for e in p.terms)
+
+
+COORD = coordinate_context(("x", "y1", "y2"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((CTX, COORD)).flatmap(
+    lambda ctx: st.tuples(*[polys(ctx, max_terms=4, max_exp=3)] * 3)))
+def test_ring_axioms(pqr):
+    p, q, r = pqr
+    zero, one = p.ctx.zero(), p.ctx.one()
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert p + zero == p and p - p == zero
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * one == p and (p * zero).is_zero()
+    assert p * (q + r) == p * q + p * r
+    assert (p * q).degree() == (-1 if not (p and q) else p.degree() + q.degree())
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(CTX), st.integers(1, 3), st.integers(1, 3))
+def test_swap_z_is_an_involution(p, i, j):
+    s = p.swap_z(i, j)
+    assert s.swap_z(i, j) == p
+    assert s.swap_z(j, i) == p
+    assert s.homogeneous_degree() == p.homogeneous_degree()
+    assert len(s.terms) == len(p.terms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -66,7 +96,8 @@ def test_exact_div_reports_its_remainder(p, r, form):
     # set the lead variable of r to 1: then r is the remainder of q by the form
     dropped = {}
     for e, c in r.terms.items():
-        e = e[:lead] + (0,) + e[lead + 1:]
+        e = CTX.unpack(e)
+        e = CTX.pack(e[:lead] + (0,) + e[lead + 1:])
         dropped[e] = dropped.get(e, 0) + c
     r = Polynomial(CTX, dropped) or CTX.one()
     q = p * form.to_poly(CTX) + r
@@ -110,10 +141,6 @@ def test_substitute_is_a_ring_homomorphism_into_a_new_context(p, q, mapping):
     assert s(CTX.one()) == TARGET.one()
 
 
-
-COORD = coordinate_context(("x", "y1", "y2"))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(polys(CTX), polys(COORD)))
 def test_json_and_text_round_trip(p):
@@ -126,7 +153,7 @@ def test_json_and_text_round_trip(p):
 def test_coeff_display_is_the_reduced_fraction(p):
     h = p.ctx.h_index
     for e, c in p.terms.items():
-        want = Fraction(c) / 2 ** (0 if h is None else e[h])
+        want = Fraction(c) / 2 ** (0 if h is None else p.ctx.unpack(e)[h])
         assert p._coeff_display(e, c) == (want.numerator, want.denominator)
 
 
@@ -214,7 +241,7 @@ def test_associate_pure_h_forms_reduce_in_insertion_order():
     Both results are the same function.
     """
     h, h2 = LinearForm(1), LinearForm(2)
-    num = Polynomial(CTX, {(1, 0, 0, 2): 1})  # h^2 * z1
+    num = Polynomial(CTX, {CTX.pack((1, 0, 0, 2)): 1})  # h^2 * z1
     first_h = RationalFunction(num, {h: 2, h2: 1})
     first_2h = RationalFunction(num, {h2: 1, h: 2})
     assert first_h.den == {h2: 1} and first_h.num == CTX.var(0)

@@ -157,3 +157,14 @@ def test_solve_rejects_perturbed_family():
     broken = PsiVector(psi.k, psi.lam, psi.m, psi.ctx, bad)
     with pytest.raises(RMatrixError):
         solve_rmatrix_from_exchange(broken, 1, slotwise=True)
+
+
+def test_cached_pair_operator_entries_are_read_only():
+    rop = pair_operator(3, 1, 1)
+    key = next(iter(rop.entries))
+    with pytest.raises(TypeError):
+        rop.entries[key] = RationalFunction.from_poly(CTX1.zero())
+    with pytest.raises(TypeError):
+        del rop.entries[key]
+    assert pair_operator(3, 1, 1) is rop
+    assert rop.entries[key] is pair_operator(3, 1, 1).entries[key]
