@@ -186,6 +186,10 @@ class PolyContext:
     def __hash__(self):
         return hash((self.names, self.h_index))
 
+    def __reduce__(self):
+        # rebuild from the names: the compiled field Struct does not pickle
+        return PolyContext, (self.names, self.h_index)
+
     def __repr__(self):
         return f"PolyContext({self.names!r}, h_index={self.h_index})"
 

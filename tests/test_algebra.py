@@ -263,3 +263,13 @@ def test_packed_order_is_grlex():
     exps = [tuple(rng.randrange(4) for _ in range(5)) for _ in range(200)]
     by_int = sorted(exps, key=CTX4.pack)
     assert by_int == sorted(exps, key=lambda e: (sum(e), e))
+
+
+def test_polynomials_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    p = (HB + Z[1] - Z[2]) * Z[4] ** 3
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert q == p and q.ctx == CTX4
+        assert q.ctx.unpack(max(q.terms)) == CTX4.unpack(max(p.terms))
