@@ -199,11 +199,10 @@ def test_bad_slice_and_rmat_input_is_a_usage_error(argv, fragment):
 
 
 def test_psi_verify_rejects_exponents_that_do_not_pack(tmp_path):
-    good = tmp_path / "psi.json"
-    res = run_cli("psi", "build", "--k", "2", "--lambda", "1,1", "--out", str(good))
-    assert res.returncode == 0, res.stderr
-    doc = json.loads(good.read_text())
-    # entries are [num, den, e_z1, e_z2, e_h]
+    from qkzpsi.qkz import build_psi_fundamental
+
+    doc = build_psi_fundamental(2, (1, 1)).to_json()
+    # term rows are [num, den, e_z1, e_z2, e_h]
     for bad in (2 ** 16, -1):
         doc["entries"][0]["poly"]["terms"][0][2] = bad
         path = tmp_path / f"bad{bad}.json"
