@@ -17,6 +17,15 @@ class CombinatoricsError(Exception):
     pass
 
 
+def inversions(seq):
+    """Number of pairs i < j with seq[i] > seq[j].
+
+    Its parity is the sign of the permutation that sorts seq:
+    ``(-1) ** inversions(seq)``.
+    """
+    return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+
+
 # -- quiver data -------------------------------------------------------------
 
 
@@ -342,17 +351,18 @@ def rho_matrix(basis, m, M, k):
 def sequence_rotation(basis, m, M, k):
     """Rotation operator on the standard (subset-sequence) basis.
 
-    Acts by (rho v)_{(S_1..S_N)} = sign * v_{(S_2..S_N, S_1)}; the scalar is
-    eps^{m_1} times the parity (-1)^(M - M/k) of moving the first group past
-    the rest, matching the convention in which the vectors are built by
-    exchange propagation.  Defined for full-height rectangles, where every
-    letter appears M/k times.
+    Acts by (rho v)_{(S_1..S_N)} = sign * v_{(S_N, S_1, ..., S_{N-1})}, the
+    direction of the identity Psi(z_2, ..., z_N, z_1 + (k+1) hb) = rho Psi(z).
+    The scalar is eps^{m_1} times the parity (-1)^(M - M/k) of moving the
+    first group past the rest, matching the convention in which the vectors
+    are built by exchange propagation.  Defined for full-height rectangles,
+    where every letter appears M/k times.
     """
     eps = epsilon_sign(M, k)
     sign = (eps if m[0] % 2 else 1) * (-1 if (M - M // k) % 2 else 1)
     mapping = {}
     for lab in basis:
-        mapping[lab] = (lab[-1],) + lab[:-1]
+        mapping[lab] = lab[1:] + (lab[0],)
     return SignedPermutationOp(tuple(basis), mapping, sign)
 
 

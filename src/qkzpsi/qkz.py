@@ -44,6 +44,7 @@ from .algebra import (
     RationalFunction,
     spectral_context,
 )
+from .combinatorics import inversions
 from .reporting import Report, report, timer
 from . import rmatrix as _rm
 
@@ -209,15 +210,6 @@ def extreme_component(lam):
     return label, p
 
 
-def _inversions(seq):
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv
-
-
 def _multiset_permutations(items):
     items = sorted(items)
     out = []
@@ -298,7 +290,7 @@ def build_psi_fundamental(k, lam):
     for a, la in enumerate(lam, start=1):
         base.extend([a] * la)
     seqs = _multiset_permutations(base)
-    seqs.sort(key=lambda s: (_inversions(s), s))
+    seqs.sort(key=lambda s: (inversions(s), s))
     entries_seq = {}
     _, extreme = extreme_component(lam)
     entries_seq[tuple(base)] = extreme
@@ -388,9 +380,7 @@ def fuse_psi(psi1, m):
         acc = {}
         get = acc.get
         for orderings in product(*[list(permutations(S)) for S in lab]):
-            sign = 1
-            for block in orderings:
-                sign *= _rm._perm_sign(block)
+            sign = (-1) ** sum(map(inversions, orderings))
             seq = tuple((x,) for block in orderings for x in block)
             for e, c in psi1.entries[seq].terms.items():
                 acc[e] = get(e, 0) + sign * c
@@ -564,7 +554,7 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
             return ("survives", None, 0)
         if any(len(S) != 1 for S in inserted):
             raise PsiError("out-of-order inserts supported for singleton rows only")
-        sign = _rm._perm_sign(tuple(x for S in inserted for x in S))
+        sign = (-1) ** inversions([x for S in inserted for x in S])
         srt = tuple((x,) for x in sorted(letters))
         return ("collapse", srt, sign)
 

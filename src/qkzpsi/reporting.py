@@ -113,10 +113,16 @@ def _emit(x, nl, out):
         if set(map(type, x)) == {int}:
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
             return
+        row_sep = "," + inner + "  "
         sep = "[" + inner
         for item in x:
-            out.append(sep)
-            _emit(item, inner, out)
+            if type(item) is list and item and set(map(type, item)) == {int}:
+                # a term row, written here to save a call per row
+                out.append(sep + "[" + row_sep[1:] + row_sep.join(map(int.__repr__, item))
+                           + inner + "]")
+            else:
+                out.append(sep)
+                _emit(item, inner, out)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(x, dict):

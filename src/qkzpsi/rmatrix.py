@@ -9,6 +9,17 @@ with fundamental operators, project back, and normalize so that the
 eigenvalue on the extreme weight vector is prod_c (c*hb - z)/(c*hb + z)
 (equivalently so that unitarity holds).
 
+The fundamental operator sees letters only through whether two are equal,
+so the braid commutes with every relabelling sigma in S_k of the letters,
+applied letter by letter to words.  Relabelling a wedge vector gives
+e_{sort sigma(S)} times e(S), the sign of sorting sigma(S); hence
+R[(sigma P, sigma Q), (sigma S, sigma T)] = e(S) e(T) e(P) e(Q) R[(P, Q), (S, T)],
+and the S_k-orbit of a source (S, T) is fixed by r = |S & T|.  The fused
+operator is therefore braided on one source per r and transported to the
+rest.  The projection check transports too: sigma maps the span of the
+sorted wedge words onto itself, so an image that lies in it for the
+representative lies in it for every source of the orbit.
+
 The module also solves for an R-matrix directly from the exchange relation
 satisfied by a vector of polynomials, by exact linear algebra over the
 field of rational functions in the single difference variable.
@@ -32,6 +43,7 @@ from .algebra import (
     factor_linear_forms,
     spectral_context,
 )
+from .combinatorics import inversions
 from .reporting import report, timer
 
 
@@ -249,22 +261,9 @@ def normalization_factor(mi, mj):
     return RationalFunction(num, den)
 
 
-def _perm_sign(perm):
-    sign = 1
-    n = len(perm)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _wedge_embed(S):
     """Unnormalized antisymmetrizer image of the wedge vector of S."""
-    out = {}
-    for perm in permutations(S):
-        out[perm] = _perm_sign(perm)
-    return out
+    return {perm: (-1) ** inversions(perm) for perm in permutations(S)}
 
 
 def _apply_fundamental_slot(vec, slot, arg_hcoef, ctx):
@@ -295,8 +294,51 @@ def _apply_fundamental_slot(vec, slot, arg_hcoef, ctx):
     return {w: v for w, v in out.items() if not v.is_zero()}
 
 
+def _braid_column(S, T, a, b, target, ctx):
+    """Column (S, T) of the unnormalized fused operator: {(P, Q): entry}.
+
+    Embeds e_S x e_T into words, braids the a left letters past the b right
+    ones (factor arguments u_p - v_q = z + (2p - 2q + b - a) h), reads the
+    coefficients of the sorted target words, and checks that the image is
+    the wedge vector those coefficients rebuild.
+    """
+    vec = {ws + wt: _rf(ctx.const(cs * ct))
+           for ws, cs in _wedge_embed(S).items() for wt, ct in _wedge_embed(T).items()}
+    for p in range(a, 0, -1):
+        for q in range(1, b + 1):
+            vec = _apply_fundamental_slot(vec, p + q - 2, 2 * p - 2 * q + b - a, ctx)
+    coeffs = {(P, Q): vec[P + Q] for (P, Q) in target if P + Q in vec}
+    rebuilt = _accumulate(ctx, (
+        (wp + wq, c, cp * cq)
+        for (P, Q), c in coeffs.items()
+        for wp, cp in _wedge_embed(P).items()
+        for wq, cq in _wedge_embed(Q).items()
+    ))
+    ok, w = _vec_equal(vec, rebuilt)
+    if not ok:
+        raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
+    return coeffs
+
+
+def _transport_parity(sigma, *tuples):
+    """Parity of the product of e(X), the sign of sorting sigma(X), over tuples."""
+    return sum(inversions([sigma[x] for x in X]) for X in tuples) % 2
+
+
 def fused_rcheck(k, a, b):
-    """Fused operator on wedge_a x wedge_b, by braid + projection + rescale."""
+    """Fused operator on wedge_a x wedge_b: braid, project, rescale, transport.
+
+    One source per S_k-orbit is braided (see the module docstring): for
+    r = |S & T| in max(0, a+b-k)..min(a, b), the representative is
+    S0 = (1..a), T0 = (1..r, a+1..a+b-r).  At r = min(a, b) it is the
+    extreme pair ((1..a), (1..b)), whose (T0, S0) entry fixes the
+    normalization.  A source (S, T) is reached by the relabelling sigma
+    that maps the blocks 1..r, r+1..a, a+1..a+b-r, a+b-r+1..k of the
+    representative in order onto S & T, S - T, T - S and the rest, and
+        R[(sigma P, sigma Q), (S, T)] = e(S0) e(T0) e(P) e(Q) R[(P, Q), (S0, T0)],
+    e(X) being the sign of sorting sigma(X).  Entries come out column by
+    column in the order of ``source``, each column in the order of ``target``.
+    """
     if not (1 <= a <= k - 1 and 1 <= b <= k - 1):
         raise RMatrixError("wedge sizes must lie in 1..k-1")
     if a == 1 and b == 1:
@@ -304,50 +346,33 @@ def fused_rcheck(k, a, b):
     ctx = CTX1
     source = _pair_labels(k, a, b)
     target = _pair_labels(k, b, a)
-    # braid word moving the a left factors past the b right factors;
-    # factor arguments are u_p - v_q = z + (2p - 2q + b - a) h
-    word_steps = []
-    for p in range(a, 0, -1):
-        for q in range(1, b + 1):
-            slot = (p - 1) + q - 1  # 0-based position in the length-(a+b) word
-            word_steps.append((slot, 2 * p - 2 * q + b - a))
-    entries = {}
-    raw_extreme = None
-    S_top = tuple(range(1, a + 1))
-    T_top = tuple(range(1, b + 1))
-    for (S, T) in source:
-        vec = {}
-        emb_S = _wedge_embed(S)
-        emb_T = _wedge_embed(T)
-        for ws, cs in emb_S.items():
-            for wt, ct in emb_T.items():
-                vec[ws + wt] = _rf(ctx.const(cs * ct))
-        for slot, hc in word_steps:
-            vec = _apply_fundamental_slot(vec, slot, hc, ctx)
-        # project on the sorted words of the target wedge pair basis
-        coeffs = {}
-        for (P, Q) in target:
-            c = vec.get(tuple(P) + tuple(Q))
-            if c is not None and not c.is_zero():
-                coeffs[(P, Q)] = c
-        # the image must lie in the fused subspace: rebuild and compare
-        rebuilt = _accumulate(ctx, (
-            (wp + wq, c, cp * cq)
-            for (P, Q), c in coeffs.items()
-            for wp, cp in _wedge_embed(P).items()
-            for wq, cq in _wedge_embed(Q).items()
-        ))
-        ok, w = _vec_equal(vec, rebuilt)
-        if not ok:
-            raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
-        for key, c in coeffs.items():
-            entries[(key, (S, T))] = c
-        if (S, T) == (S_top, T_top):
-            raw_extreme = coeffs.get((T_top, S_top))
+    S0 = tuple(range(1, a + 1))
+    reps = {}
+    for r in range(max(0, a + b - k), min(a, b) + 1):
+        T0 = tuple(range(1, r + 1)) + tuple(range(a + 1, a + b - r + 1))
+        reps[r] = T0, _braid_column(S0, T0, a, b, target, ctx)
+    T0, top = reps[min(a, b)]
+    raw_extreme = top.get((T0, S0))
     if raw_extreme is None or raw_extreme.is_zero():
         raise RMatrixError("extreme matrix element vanished; cannot normalize")
     scalar = normalization_factor(a, b) * raw_extreme.inverse()
-    entries = {key: scalar * rf for key, rf in entries.items()}
+    for _, col in reps.values():
+        for key, rf in col.items():
+            col[key] = scalar * rf
+    row = {lab: n for n, lab in enumerate(target)}
+    entries = {}
+    for (S, T) in source:
+        both = [x for x in S if x in T]
+        sigma = (0, *both, *(x for x in S if x not in T), *(x for x in T if x not in S),
+                 *(x for x in range(1, k + 1) if x not in S and x not in T))
+        T0, col = reps[len(both)]
+        column = []
+        for (P, Q), rf in col.items():
+            key = (tuple(sorted(sigma[x] for x in P)), tuple(sorted(sigma[x] for x in Q)))
+            odd = _transport_parity(sigma, S0, T0, P, Q)
+            column.append((row[key], key, -rf if odd else rf))
+        for _, key, rf in sorted(column):  # rows are distinct: rf is never compared
+            entries[(key, (S, T))] = rf
     return ROperator(ctx, source, target, entries)
 
 

@@ -27,6 +27,7 @@ from .algebra import (
     spectral_context,
     sum_of_products,
 )
+from .combinatorics import inversions
 
 
 class SliceError(Exception):
@@ -269,12 +270,7 @@ def _poly_det(sub):
     def products():
         """(sign * first n-1 factors, last factor) for every permutation."""
         for perm in permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            head = ctx.const(sign)
+            head = ctx.const((-1) ** inversions(perm))
             for i in range(n - 1):
                 head = head * sub[i][perm[i]]
                 if head.is_zero():

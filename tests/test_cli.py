@@ -107,6 +107,12 @@ def test_rmat_verify_ybe():
     assert "PASS" in res.stdout
 
 
+def test_rmat_verify_unitarity_k6_33():
+    res = run_cli("rmat", "verify", "--check", "unitarity", "--k", "6", "--a", "3", "--b", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "PASS  unitarity  fused k=6 a=3 b=3"
+
+
 def test_appendix_suite_cli(tmp_path):
     out = tmp_path / "reports.json"
     res = run_cli("appendix-suite", "--json-out", str(out))

@@ -29,10 +29,9 @@ from qkzpsi.algebra import (
     RationalFunction,
     spectral_context,
 )
-from qkzpsi.combinatorics import sequence_rotation
+from qkzpsi.combinatorics import inversions, sequence_rotation
 from qkzpsi.qkz import (
     _applicators,
-    _inversions,
     _materialize,
     _multiset_permutations,
     _route_steps,
@@ -42,7 +41,7 @@ from qkzpsi.qkz import (
     extreme_component,
     fuse_psi,
 )
-from qkzpsi.rmatrix import _perm_sign, fused_rcheck
+from qkzpsi.rmatrix import fused_rcheck
 from qkzpsi.slice import SliceModel
 
 
@@ -53,7 +52,7 @@ def oracle_fundamental(lam):
     ctx = spectral_context(M)
     hb = ctx.hbar()
     base = tuple(a for a, la in enumerate(lam, start=1) for _ in range(la))
-    seqs = sorted(_multiset_permutations(base), key=lambda s: (_inversions(s), s))
+    seqs = sorted(_multiset_permutations(base), key=lambda s: (inversions(s), s))
     entries = {base: extreme_component(lam)[1]}
     for seq in seqs:
         if seq in entries:
@@ -85,11 +84,21 @@ def oracle_fuse(psi1, m):
         for orderings in product(*[list(permutations(S)) for S in lab]):
             sign = 1
             for block in orderings:
-                sign *= _perm_sign(block)
+                sign *= perm_sign(block)
             seq = tuple((x,) for block in orderings for x in block)
             total = total + psi1.entries[seq].substitute(mapping, ctx) * sign
         entries[lab] = total * scale
     return entries
+
+
+def perm_sign(perm):
+    """The sign of the permutation that sorts perm, by flipping once per inversion."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
 
 
 def assert_same_terms(got, want):
@@ -195,6 +204,77 @@ def test_fused_rcheck_matches_stepwise_sums(stepwise, k, a, b):
     with stepwise():
         want = fused_rcheck(k, a, b)
     assert_same_operator(fused_rcheck(k, a, b), want)
+
+
+def braid_every_source(k, a, b):
+    """The fused operator with every source braided, projected and checked."""
+    if a == 1 and b == 1:
+        return rmatrix.fundamental_rcheck(k)
+    ctx = rmatrix.CTX1
+    source = rmatrix._pair_labels(k, a, b)
+    target = rmatrix._pair_labels(k, b, a)
+
+    def embed(S):
+        return {perm: perm_sign(perm) for perm in permutations(S)}
+
+    entries = {}
+    raw_extreme = None
+    for (S, T) in source:
+        vec = {ws + wt: RationalFunction.from_poly(ctx.const(cs * ct))
+               for ws, cs in embed(S).items() for wt, ct in embed(T).items()}
+        for p in range(a, 0, -1):
+            for q in range(1, b + 1):
+                vec = rmatrix._apply_fundamental_slot(vec, p + q - 2, 2 * p - 2 * q + b - a, ctx)
+        coeffs = {(P, Q): vec[P + Q] for (P, Q) in target
+                  if P + Q in vec and not vec[P + Q].is_zero()}
+        rebuilt = rmatrix._accumulate(ctx, (
+            (wp + wq, c, cp * cq)
+            for (P, Q), c in coeffs.items()
+            for wp, cp in embed(P).items()
+            for wq, cq in embed(Q).items()
+        ))
+        assert rmatrix._vec_equal(vec, rebuilt)[0], (S, T)
+        for key, c in coeffs.items():
+            entries[(key, (S, T))] = c
+        if S == tuple(range(1, a + 1)) and T == tuple(range(1, b + 1)):
+            raw_extreme = coeffs[(T, S)]
+    scalar = rmatrix.normalization_factor(a, b) * raw_extreme.inverse()
+    entries = {key: scalar * rf for key, rf in entries.items()}
+    return rmatrix.ROperator(ctx, source, target, entries)
+
+
+ORBIT_CASES = [(k, a, b) for k in (2, 3, 4) for a in range(1, k) for b in range(1, k)] + [
+    (5, 1, 3), (5, 2, 2), (5, 2, 3), (5, 3, 2)]
+
+
+@pytest.fixture(scope="module")
+def braided_every_source():
+    return {case: braid_every_source(*case) for case in ORBIT_CASES}
+
+
+@pytest.mark.parametrize("k, a, b", ORBIT_CASES)
+def test_fused_rcheck_matches_braiding_every_source(braided_every_source, k, a, b):
+    assert_same_operator(fused_rcheck(k, a, b), braided_every_source[(k, a, b)])
+
+
+@pytest.mark.parametrize("dropped", ["e(S0)", "e(T0)", "e(P)", "e(Q)"])
+def test_one_flipped_transport_sign_is_caught(
+        braided_every_source, monkeypatch, dropped):
+    """Leaving one factor out of the sign rule flips it wherever it is -1."""
+    real = rmatrix._transport_parity
+    position = ["e(S0)", "e(T0)", "e(P)", "e(Q)"].index(dropped)
+
+    def parity(sigma, *tuples):
+        return real(sigma, *tuples[:position], *tuples[position + 1:])
+
+    monkeypatch.setattr(rmatrix, "_transport_parity", parity)
+    failed = []
+    for case in [(4, 2, 2), (5, 2, 3), (5, 3, 2)]:
+        try:
+            assert_same_operator(fused_rcheck(*case), braided_every_source[case])
+        except AssertionError:
+            failed.append(case)
+    assert failed == [(4, 2, 2), (5, 2, 3), (5, 3, 2)]
 
 
 def qkz_composites(psi, i):

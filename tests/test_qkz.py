@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qkzpsi.algebra import LinearForm, parse_polynomial, spectral_context
-from qkzpsi.combinatorics import sequence_rotation
+from qkzpsi.combinatorics import SignedPermutationOp, sequence_rotation
 from qkzpsi.qkz import (
     PsiError,
     PsiVector,
@@ -215,6 +215,48 @@ def test_qkz_step_fundamental():
     rho = sequence_rotation(psi.basis, psi.m, 4, 2)
     for i in range(1, 5):
         assert qkz_step(psi, i, rho).passed
+
+
+def inverse_rotation(rho):
+    """rho with the label map reversed: (rho v)_S = sign * v_(S_2..S_N, S_1)."""
+    return SignedPermutationOp(
+        rho.basis, {lab: (lab[-1],) + lab[:-1] for lab in rho.basis}, rho.sign)
+
+
+@pytest.fixture(scope="module", params=[(2, (3, 3)), (3, (2, 2, 2))], ids=str)
+def rotated(request):
+    """A vector whose entries tell the rotation from its inverse, and its rho."""
+    k, lam = request.param
+    psi = build_psi_fundamental(k, lam)
+    return psi, sequence_rotation(psi.basis, psi.m, sum(lam), k)
+
+
+def test_cyclicity_and_both_qkz_routes(rotated):
+    psi, rho = rotated
+    assert check_cyclicity(psi, rho).passed
+    for i in range(1, psi.N + 1):
+        rep = qkz_step(psi, i, rho, closure=False)
+        assert rep.passed, (i, rep.witness)
+
+
+def test_inverse_rotation_fails_cyclicity_and_both_qkz_routes(rotated):
+    psi, rho = rotated
+    wrong = inverse_rotation(rho)
+    assert check_cyclicity(psi, wrong).status == "fail"
+    for i in range(1, psi.N + 1):
+        assert qkz_step(psi, i, wrong, closure=False).status == "fail", i
+
+
+def test_qkz_route_composites_are_inverse_k2_33():
+    psi = build_psi_fundamental(2, (3, 3))
+    assert qkz_step(psi, 1, sequence_rotation(psi.basis, psi.m, 6, 2)).passed
+
+
+def test_cyclicity_k2_44():
+    # 64 of its 70 labels fail under the inverse rotation; its qKZ routes
+    # take minutes and are left out
+    psi = build_psi_fundamental(2, (4, 4))
+    assert check_cyclicity(psi, sequence_rotation(psi.basis, psi.m, 8, 2)).passed
 
 
 def test_degree_invariant_selection():
