@@ -294,14 +294,15 @@ def _apply_fundamental_slot(vec, slot, arg_hcoef, ctx):
     return {w: v for w, v in out.items() if not v.is_zero()}
 
 
-def _braid_column(S, T, a, b, target, ctx):
+def _braid_column(S, T, target, ctx):
     """Column (S, T) of the unnormalized fused operator: {(P, Q): entry}.
 
-    Embeds e_S x e_T into words, braids the a left letters past the b right
-    ones (factor arguments u_p - v_q = z + (2p - 2q + b - a) h), reads the
-    coefficients of the sorted target words, and checks that the image is
-    the wedge vector those coefficients rebuild.
+    Embeds e_S x e_T into words, braids the a = |S| left letters past the
+    b = |T| right ones (factor arguments u_p - v_q = z + (2p - 2q + b - a) h),
+    reads the coefficients of the sorted target words, and checks that the
+    image is the wedge vector those coefficients rebuild.
     """
+    a, b = len(S), len(T)
     vec = {ws + wt: _rf(ctx.const(cs * ct))
            for ws, cs in _wedge_embed(S).items() for wt, ct in _wedge_embed(T).items()}
     for p in range(a, 0, -1):
@@ -350,7 +351,7 @@ def fused_rcheck(k, a, b):
     reps = {}
     for r in range(max(0, a + b - k), min(a, b) + 1):
         T0 = tuple(range(1, r + 1)) + tuple(range(a + 1, a + b - r + 1))
-        reps[r] = T0, _braid_column(S0, T0, a, b, target, ctx)
+        reps[r] = T0, _braid_column(S0, T0, target, ctx)
     T0, top = reps[min(a, b)]
     raw_extreme = top.get((T0, S0))
     if raw_extreme is None or raw_extreme.is_zero():
@@ -363,6 +364,7 @@ def fused_rcheck(k, a, b):
     entries = {}
     for (S, T) in source:
         both = [x for x in S if x in T]
+        # sigma[x] is the image of letter x; index 0 is unused
         sigma = (0, *both, *(x for x in S if x not in T), *(x for x in T if x not in S),
                  *(x for x in range(1, k + 1) if x not in S and x not in T))
         T0, col = reps[len(both)]

@@ -10,6 +10,8 @@ sums brought to the lcm of two denominators by ``lcm_add``;
 ``multipass_reduce`` repeats its reduction pass until nothing divides.
 The ``tuple_*`` functions are the polynomial kernel on exponent tuples,
 {(e_1, ..., e_n): coeff}, as it was before monomials were packed into ints.
+``braid_every_source`` builds a fused R-matrix by braiding every source, as
+``fused_rcheck`` did before it braided one source per S_k-orbit.
 All of them live only here, as references.
 """
 
