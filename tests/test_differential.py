@@ -259,12 +259,10 @@ def test_fused_rcheck_matches_braiding_every_source(braided_every_source, k, a, 
     assert_same_operator(fused_rcheck(k, a, b), braided_every_source[(k, a, b)])
 
 
-@pytest.mark.parametrize("dropped", ["e(S0)", "e(T0)", "e(P)", "e(Q)"])
-def test_one_flipped_transport_sign_is_caught(
-        braided_every_source, monkeypatch, dropped):
+@pytest.mark.parametrize("position", range(4), ids=["e(S0)", "e(T0)", "e(P)", "e(Q)"])
+def test_one_flipped_transport_sign_is_caught(braided_every_source, monkeypatch, position):
     """Leaving one factor out of the sign rule flips it wherever it is -1."""
     real = rmatrix._transport_parity
-    position = ["e(S0)", "e(T0)", "e(P)", "e(Q)"].index(dropped)
 
     def parity(sigma, *tuples):
         return real(sigma, *tuples[:position], *tuples[position + 1:])
