@@ -380,6 +380,20 @@ class Polynomial:
             out[e + ((e >> sj & FIELD_MASK) - (e >> si & FIELD_MASK)) * step] = c
         return Polynomial(self.ctx, out, _clean=True)
 
+    def rotate_z(self):
+        """Rename z_t -> z_{t+1} (t < nz) and z_nz -> z_1 by shifting the packed
+        z fields one field down and the lowest to the top."""
+        ctx = self.ctx
+        if ctx.h_index is None:
+            raise ContextError("rotation requires a spectral context")
+        low, top = ctx.offset(ctx.nz - 1), ctx.offset(0)
+        zmask = (1 << top + FIELD_BITS) - (1 << low)
+        out = {}
+        for e, c in self.terms.items():
+            z = e & zmask
+            out[e ^ z | z >> FIELD_BITS & zmask | (z >> low & FIELD_MASK) << top] = c
+        return Polynomial(ctx, out, _clean=True)
+
     def substitute(self, mapping, target_ctx=None):
         """Substitute polynomials for variables.
 
@@ -398,10 +412,7 @@ class Polynomial:
             if v.ctx != tctx:
                 raise ContextError("substitution image in wrong context")
             images[idx] = v
-        if tctx == ctx:
-            for idx in range(ctx.nvars):
-                images.setdefault(idx, ctx.var(idx))
-        else:
+        if tctx != ctx:
             for idx in range(ctx.nvars):
                 if idx not in images:
                     raise ContextError(
@@ -412,17 +423,20 @@ class Polynomial:
         deg = self.degree() * max((v.degree() for v in images.values()), default=0)
         if deg >= DEGREE_LIMIT:
             raise _degree_overflow(deg)
-        # Each term expands over its non-zero exponents only, by cached
-        # power dicts, into one accumulator.
+        # Each term expands over the non-zero exponents of its mapped
+        # variables only, by cached power dicts, into one accumulator; what
+        # is left of the term (0 in a new context) is the unmapped monomial.
+        fields = [(idx, ctx.offset(idx), ctx.units[idx]) for idx in sorted(images)]
         pow_cache = {}
-        unpack = ctx.unpack
         acc = {}
         get = acc.get
         for e, c in self.terms.items():
             cur = None
-            for idx, exp in enumerate(unpack(e)):
+            for idx, off, unit in fields:
+                exp = e >> off & FIELD_MASK
                 if not exp:
                     continue
+                e -= exp * unit
                 pw = pow_cache.get((idx, exp))
                 if pw is None:
                     pw = pow_cache[(idx, exp)] = (images[idx] ** exp).terms
@@ -439,6 +453,7 @@ class Polynomial:
             if cur is None:
                 cur = {0: c}
             for mon, cm in cur.items():
+                mon += e
                 acc[mon] = get(mon, 0) + cm
         return Polynomial(tctx, acc)
 

@@ -52,6 +52,7 @@ class RMatrixError(Exception):
 
 
 CTX1 = spectral_context(1)
+CTX2 = spectral_context(2)
 
 
 def _rf(num, den=None):
@@ -153,20 +154,6 @@ class ROperator:
         for key, rf in self.entries.items():
             entries[key] = rf.substitute_z(mapping, target_ctx)
         return ROperator(target_ctx, self.source, self.target, entries)
-
-    def is_identity(self):
-        if self.source != self.target:
-            return False
-        one = self.ctx.one()
-        for s in self.source:
-            for t in self.target:
-                rf = self.entries.get((t, s))
-                if t == s:
-                    if rf is None or not rf.equals(one):
-                        return False
-                elif rf is not None and not rf.is_zero():
-                    return False
-        return True
 
     def equals(self, other):
         if self.source != other.source or self.target != other.target:
@@ -476,6 +463,17 @@ def verify_commutation(apply_i, apply_j, basis, ctx, instance=""):
 def pair_operator(k, a, b):
     """Cached fused operator for a pair of wedge factors."""
     return fused_rcheck(k, a, b)
+
+
+@lru_cache(maxsize=None)
+def pair_unitarity(k, a, b):
+    """(passed, witness) of R_ba(u) R_ab(-u) = 1 on the two-factor basis.
+
+    The operators are ``pair_operator``'s; the result is cached like them,
+    as an immutable pair.
+    """
+    rep = verify_unitarity(family_slot_applicator(k, 0), _pair_labels(k, a, b), CTX2)
+    return rep.passed, rep.witness
 
 
 def family_slot_applicator(k, slot):

@@ -12,6 +12,11 @@ The ``tuple_*`` functions are the polynomial kernel on exponent tuples,
 {(e_1, ..., e_n): coeff}, as it was before monomials were packed into ints.
 ``braid_every_source`` builds a fused R-matrix by braiding every source, as
 ``fused_rcheck`` did before it braided one source per S_k-orbit.
+``built_closure`` certifies that the two routes of the qKZ step agree by
+building both route composites and multiplying them, as ``qkz_step`` did
+before it certified the unitarity of each slot operator;
+``substitute_cyclic_shift`` substitutes every argument of the cyclic shift,
+as ``check_cyclicity`` did before it rotated the packed fields.
 All of them live only here, as references.
 """
 
@@ -31,15 +36,17 @@ from qkzpsi.algebra import (
     RationalFunction,
     spectral_context,
 )
+from qkzpsi.appendix import fixture_psi, fixture_rho, fixture_rmatrices
 from qkzpsi.combinatorics import inversions, sequence_rotation
 from qkzpsi.qkz import (
     _applicators,
-    _materialize,
     _multiset_permutations,
     _route_steps,
-    _substitute_operator,
+    _run_chain,
     build_psi_fundamental,
+    closure_witness,
     content_labels,
+    cyclic_shift,
     extreme_component,
     fuse_psi,
 )
@@ -277,30 +284,141 @@ def test_one_flipped_transport_sign_is_caught(braided_every_source, monkeypatch,
     assert failed == [(4, 2, 2), (5, 2, 3), (5, 3, 2)]
 
 
-def qkz_composites(psi, i):
+def materialize(psi, apply_at, steps1, rho_op, steps2):
+    """The composite operator of a route, built column by column on the basis."""
+    one = RationalFunction.from_poly(psi.ctx.one())
+    entries = {}
+    for src in psi.basis:
+        vec = _run_chain(apply_at, {src: one}, steps1)
+        vec = _run_chain(apply_at, rho_op.apply(vec), steps2)
+        for tgt, rf in vec.items():
+            entries[(tgt, src)] = rf
+    return rmatrix.ROperator(psi.ctx, psi.basis, psi.basis, entries)
+
+
+def substitute_operator(rop, zmapping):
+    entries = {key: rf.substitute_z(zmapping) for key, rf in rop.entries.items()}
+    return rmatrix.ROperator(rop.ctx, rop.source, rop.target, entries)
+
+
+def is_identity(rop):
+    """1 on the diagonal and 0 elsewhere (``entries`` holds no zeros)."""
+    one = rop.ctx.one()
+    return (rop.source == rop.target
+            and set(rop.entries) == {(s, s) for s in rop.source}
+            and all(rf.equals(one) for rf in rop.entries.values()))
+
+
+def qkz_composites(psi, i, rho, full_ops=None):
     """The route composites S_i and C_i of the step in z_i, and S_i(z_i -> z_i - s)."""
     ctx = psi.ctx
-    rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
-    apply_at = _applicators(psi)
+    apply_at = _applicators(psi, full_ops)
     pre, post, right, back = _route_steps(psi.N, psi.k, i)
-    S = _materialize(psi, apply_at, pre, rho, post, ctx)
-    C = _materialize(psi, apply_at, right, rho.inverse(), back, ctx)
+    S = materialize(psi, apply_at, pre, rho, post)
+    C = materialize(psi, apply_at, right, rho.inverse(), back)
     shift = {i: ctx.z(i) - ctx.hbar() * Fraction(psi.k + 1)}
-    return S, C, _substitute_operator(S, shift, ctx)
+    return S, C, substitute_operator(S, shift)
+
+
+def built_closure(psi, i, rho, full_ops=None):
+    """S_i(z_i -> z_i - s) C_i = 1, by building both composites and multiplying."""
+    _, C, shifted = qkz_composites(psi, i, rho, full_ops)
+    return is_identity(shifted.matmul(C))
+
+
+def rotation(psi):
+    return sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_qkz_composites_match_stepwise_sums(stepwise, i):
     psi = build_psi_fundamental(4, (1, 1, 1, 1))
+    rho = rotation(psi)
     with stepwise():
-        S0, C0, shifted0 = qkz_composites(psi, i)
+        S0, C0, shifted0 = qkz_composites(psi, i, rho)
         prod0 = stepwise_matmul(shifted0, C0)
-    S, C, shifted = qkz_composites(psi, i)
+    S, C, shifted = qkz_composites(psi, i, rho)
     assert_same_operator(S, S0)
     assert_same_operator(C, C0)
     prod = shifted.matmul(C)
     assert_same_operator(prod, prod0)
-    assert prod.is_identity()
+    assert is_identity(prod)
+
+
+@pytest.fixture
+def fresh_unitarity():
+    """pair_unitarity forgets its results before and after the test."""
+    rmatrix.pair_unitarity.cache_clear()
+    yield
+    rmatrix.pair_unitarity.cache_clear()
+
+
+@pytest.mark.parametrize("k, lam", [(2, (2, 2)), (2, (3, 3)), (4, (1, 1, 1, 1))], ids=str)
+def test_unitarity_certificate_agrees_with_built_closure(fresh_unitarity, k, lam):
+    psi = build_psi_fundamental(k, lam)
+    rho = rotation(psi)
+    assert closure_witness(psi) is None
+    assert [built_closure(psi, i, rho) for i in range(1, psi.N + 1)] == [True] * psi.N
+
+
+@pytest.fixture(scope="module")
+def appendix_case(appendix_doc):
+    printed = fixture_rmatrices(appendix_doc)
+    full_ops = {j: printed[f"R{j}"] for j in (1, 2, 3)}
+    return fixture_psi(appendix_doc), fixture_rho(appendix_doc), full_ops
+
+
+def test_unitarity_certificate_agrees_with_built_closure_on_full_ops(appendix_case):
+    psi, rho, full_ops = appendix_case
+    assert closure_witness(psi, full_ops) is None
+    assert [built_closure(psi, i, rho, full_ops) for i in range(1, 5)] == [True] * 4
+
+
+def scaled_entry(rop, key):
+    """rop with the entry at key doubled: no longer unitary."""
+    entries = dict(rop.entries)
+    entries[key] = entries[key] * 2
+    return rmatrix.ROperator(rop.ctx, rop.source, rop.target, entries)
+
+
+def test_a_non_unitary_pair_operator_fails_both(fresh_unitarity, monkeypatch):
+    psi = build_psi_fundamental(2, (2, 2))
+    rho = rotation(psi)
+    real = rmatrix.pair_operator(2, 1, 1)
+    key = (((1,), (1,)), ((1,), (1,)))
+    bad = scaled_entry(real, key)
+    monkeypatch.setattr(rmatrix, "pair_operator", lambda k, a, b: bad)
+    assert closure_witness(psi) == (
+        "slot 1 pair (1,1) is not unitary: column ((1,), (1,)), entry ((1,), (1,))")
+    assert [built_closure(psi, i, rho) for i in range(1, 5)] == [False] * 4
+
+
+def test_a_non_unitary_full_operator_fails_both(appendix_case):
+    psi, rho, full_ops = appendix_case
+    bad_ops = {**full_ops, 2: scaled_entry(full_ops[2], next(iter(full_ops[2].entries)))}
+    witness = closure_witness(psi, bad_ops)
+    assert witness.startswith("slot 2 operator is not unitary: column "), witness
+    assert [built_closure(psi, i, rho, bad_ops) for i in range(1, 5)] == [False] * 4
+
+
+def substitute_cyclic_shift(p, k):
+    """p(z_2, ..., z_N, z_1 + (k+1) hb), by substituting an image for every z."""
+    ctx = p.ctx
+    mapping = {t - 1: ctx.z(t + 1) for t in range(1, ctx.nz)}
+    mapping[ctx.nz - 1] = ctx.z(1) + ctx.hbar() * (k + 1)
+    return p.substitute(mapping)
+
+
+@pytest.mark.parametrize("k, lam", [(2, (3, 3)), (3, (2, 2, 2))], ids=str)
+def test_rotated_cyclic_shift_matches_substituting_every_image(k, lam):
+    psi = build_psi_fundamental(k, lam)
+    for lab, p in psi.entries.items():
+        assert cyclic_shift(p, k).terms == substitute_cyclic_shift(p, k).terms, lab
+
+
+def test_rotated_cyclic_shift_matches_substituting_every_image_m8(fused_example):
+    for lab, p in fused_example.entries.items():
+        assert cyclic_shift(p, 4).terms == substitute_cyclic_shift(p, 4).terms, lab
 
 
 # -- the tuple-keyed polynomial kernel ------------------------------------------
@@ -468,23 +586,28 @@ def test_packed_text_and_json_match_tuples(case):
 
 @st.composite
 def substitutions(draw, ctx):
-    """A term dict over ctx and images of all its variables over another ring.
+    """A term dict over ctx, images of its variables over a target ring, and
+    the variables left out of the mapping.
 
-    Variables that the terms do not use map to zero.
+    Variables that the terms do not use map to zero.  When the target is
+    ctx itself, some used variables may be left out; their images are the
+    variables themselves.
     """
     target = SPECTRAL[0] if ctx.h_index is not None else COORDINATE[0]
     terms = draw(tuple_polys(ctx, max_terms=3, max_exp=2, support=3))
-    used = {idx for e in terms for idx, x in enumerate(e) if x}
-    images = [draw(tuple_polys(target, max_terms=3, max_exp=1, support=2)) if idx in used
+    used = sorted({idx for e in terms for idx, x in enumerate(e) if x})
+    dropped = draw(st.sets(st.sampled_from(used))) if used and target is ctx else set()
+    images = [{tuple(int(j == idx) for j in range(ctx.nvars)): 1} if idx in dropped
+              else draw(tuple_polys(target, max_terms=3, max_exp=1, support=2)) if idx in used
               else {} for idx in range(ctx.nvars)]
-    return ctx, target, terms, images
+    return ctx, target, terms, images, dropped
 
 
 @settings(max_examples=100, deadline=None)
 @given(contexts.flatmap(substitutions))
 def test_packed_substitute_matches_tuples(case):
-    ctx, target, terms, images = case
-    mapping = {idx: packed(target, img) for idx, img in enumerate(images)}
+    ctx, target, terms, images, dropped = case
+    mapping = {idx: packed(target, img) for idx, img in enumerate(images) if idx not in dropped}
     got = packed(ctx, terms).substitute(mapping, target)
     assert tuple_terms(got) == tuple_substitute(terms, images, target.nvars)
 

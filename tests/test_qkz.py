@@ -13,7 +13,7 @@ from qkzpsi.qkz import (
     check_recurrence,
     check_wheel,
     content_labels,
-    cyclic_shift_mapping,
+    cyclic_shift,
     extreme_component,
     fuse_psi,
     qkz_step,
@@ -196,9 +196,8 @@ def test_cyclicity_iterated_closure():
     half = ctx.hbar() * Fraction(1, 2)
     full_shift = {t: ctx.z(t + 1) + half * shift for t in range(ctx.nz)}
     cur = dict(psi.entries)
-    mapping = cyclic_shift_mapping(ctx, psi.N, psi.k)
     for _ in range(psi.N):
-        cur = {lab: p.substitute(mapping) for lab, p in cur.items()}
+        cur = {lab: cyclic_shift(p, psi.k) for lab, p in cur.items()}
     rotated = {}
     for lab, p in psi.entries.items():
         img, sgn = lab, 1
@@ -235,7 +234,7 @@ def test_cyclicity_and_both_qkz_routes(rotated):
     psi, rho = rotated
     assert check_cyclicity(psi, rho).passed
     for i in range(1, psi.N + 1):
-        rep = qkz_step(psi, i, rho, closure=False)
+        rep = qkz_step(psi, i, rho)
         assert rep.passed, (i, rep.witness)
 
 
@@ -244,7 +243,14 @@ def test_inverse_rotation_fails_cyclicity_and_both_qkz_routes(rotated):
     wrong = inverse_rotation(rho)
     assert check_cyclicity(psi, wrong).status == "fail"
     for i in range(1, psi.N + 1):
-        assert qkz_step(psi, i, wrong, closure=False).status == "fail", i
+        assert qkz_step(psi, i, wrong).status == "fail", i
+
+
+def test_qkz_step_fused_m8(fused_example):
+    rho = sequence_rotation(fused_example.basis, fused_example.m, 8, 4)
+    for i in range(1, 5):
+        rep = qkz_step(fused_example, i, rho)
+        assert rep.passed, (i, rep.witness)
 
 
 def test_qkz_route_composites_are_inverse_k2_33():

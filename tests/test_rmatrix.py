@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 
 from qkzpsi.algebra import LinearForm, RationalFunction, spectral_context
 from qkzpsi.qkz import build_psi_fundamental
@@ -178,3 +179,17 @@ def test_cached_pair_operator_entries_are_read_only():
         del rop.entries[key]
     assert pair_operator(3, 1, 1) is rop
     assert rop.entries[key] is pair_operator(3, 1, 1).entries[key]
+
+
+@pytest.mark.parametrize("k, a, b", [(3, 1, 1), (4, 1, 1), (4, 2, 2)])
+def test_sympy_unitarity_from_entry_text(k, a, b):
+    """R(u) R(-u) = 1 in sympy, rebuilt from the printed entries alone."""
+    z, hb = sympy.symbols("z hb")
+    R = pair_operator(k, a, b)
+    assert R.source == R.target
+    index = {lab: n for n, lab in enumerate(R.source)}
+    M = sympy.zeros(len(index))
+    for (t, s), rf in R.entries.items():
+        M[index[t], index[s]] = sympy.sympify(rf.text(), locals={"z": z, "hb": hb})
+    product = (M * M.subs(z, -z)).applyfunc(sympy.cancel)
+    assert product == sympy.eye(len(index))
