@@ -667,14 +667,6 @@ class LinearForm:
             return LinearForm(hcoef, i, j), 1
         return LinearForm(-hcoef, j, i), -1
 
-    @staticmethod
-    def hbar_units(a, i=None, j=None):
-        """Canonical form for a*hb [+ z_i - z_j] with integer or half-integer a."""
-        h = Fraction(a) * 2
-        if h.denominator != 1:
-            raise AlgebraError("linear form h-coefficient must be a half-integer multiple of hb")
-        return LinearForm.make(int(h), i, j)
-
     def to_poly(self, ctx):
         if ctx.h_index is None:
             raise ContextError("linear forms need a spectral context")
@@ -771,10 +763,6 @@ class RationalFunction:
     def from_poly(p):
         return RationalFunction(p, {}, _reduced=True)
 
-    @staticmethod
-    def from_form(ctx, form, sign=1):
-        return RationalFunction(form.to_poly(ctx) * sign, {}, _reduced=True)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -832,12 +820,6 @@ class RationalFunction:
 
     def __hash__(self):
         raise TypeError("RationalFunction is unhashable")
-
-    def as_polynomial(self):
-        """Return the numerator if the denominator is trivial, else raise."""
-        if self.den:
-            raise AlgebraError("rational function is not polynomial")
-        return self.num
 
     def evaluate(self, values):
         d = self.den_poly().evaluate(values)

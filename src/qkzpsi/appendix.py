@@ -23,12 +23,9 @@ from .algebra import LinearForm, RationalFunction, parse_polynomial, spectral_co
 from .combinatorics import (
     SignedPermutationOp,
     Tableau,
-    enumerate_tableaux,
     epsilon_sign,
-    multiplicity_check,
     phi_map,
     rho_matrix,
-    weights_from_quiver,
 )
 from .qkz import PsiVector, check_cyclicity, check_wheel, label_text, wheel_positions
 from .reporting import Report, report, timer

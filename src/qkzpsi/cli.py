@@ -44,7 +44,6 @@ from .qkz import (
 )
 from .reporting import dump_reports, json_text
 from .rmatrix import (
-    fundamental_rcheck,
     fused_rcheck,
     product_basis,
     slot_applicator,
@@ -137,13 +136,15 @@ def cmd_psi_verify(args):
             [_ints(args.positions)] if args.positions else wheel_positions(psi.m, psi.k)
         )
         reports = [check_wheel(psi, pos) for pos in placements]
-    elif args.check == "cyclicity":
-        rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
-        reports = [check_cyclicity(psi, rho)]
-    elif args.check == "qkz":
-        rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
-        slots = [args.slot] if args.slot else range(1, psi.N + 1)
-        reports = [qkz_step(psi, i, rho) for i in slots]
+    elif args.check in ("cyclicity", "qkz"):
+        # the rotation is defined for homogeneous m only; both checks skip otherwise
+        rho = (sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
+               if len(set(psi.m)) == 1 else None)
+        if args.check == "cyclicity":
+            reports = [check_cyclicity(psi, rho)]
+        else:
+            slots = [args.slot] if args.slot else range(1, psi.N + 1)
+            reports = [qkz_step(psi, i, rho) for i in slots]
     elif args.check == "recurrence":
         p = args.insert_at
         k = psi.k

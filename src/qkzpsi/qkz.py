@@ -677,8 +677,13 @@ def qkz_step(psi, i, rho_op, full_ops=None, instance=None):
     slot operator satisfies R(u) R(-u) = 1.  So route independence is
     certified by that unitarity (``closure_witness``), once per distinct
     slot operator, and neither composite is built.
+
+    Without ``full_ops`` an inhomogeneous m is skipped: the slot operators
+    are fixed per slot, and the rotation moves the wedge sizes along.
     """
     name = instance or f"{psi.instance_name()} i={i}"
+    if full_ops is None and len(set(psi.m)) > 1:
+        return Report("qkz", name, "skipped", witness="m not homogeneous")
     N = psi.N
     k = psi.k
     ctx = psi.ctx

@@ -21,8 +21,12 @@ sorted wedge words onto itself, so an image that lies in it for the
 representative lies in it for every source of the orbit.
 
 The module also solves for an R-matrix directly from the exchange relation
-satisfied by a vector of polynomials, by exact linear algebra over the
-field of rational functions in the single difference variable.
+satisfied by a vector of polynomials.  The unknowns are rational functions
+of w = z_i - z_{i+1} and hb; each block of n of them is solved over
+Fraction at integers w and interpolated.  If column j of a block has
+w-degree at most c_j and the right-hand sides at most c_b, no Cramer
+determinant has degree above D = sum c_j + max(0, c_b - min c_j), so D+1
+samples where the determinant does not vanish fix every entry.
 """
 
 from __future__ import annotations
@@ -30,17 +34,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import comb, lcm, prod
 from types import MappingProxyType
 
 from .algebra import (
     FIELD_MASK,
-    AlgebraError,
-    ExactDivisionError,
     LinearForm,
     Polynomial,
     RationalFunction,
     RFSum,
-    factor_linear_forms,
     spectral_context,
 )
 from .combinatorics import inversions
@@ -562,117 +564,163 @@ def product_basis(letters_or_labels, nslots, content=None):
 # The unknown entries are rational functions of the single difference
 # w = z_i - z_{i+1} and hb.  Substituting z_i = (u+w)/2, z_{i+1} = (u-w)/2
 # makes every other monomial a formal "row" whose coefficient is a
-# homogeneous bivariate polynomial in (w, h); each row gives one linear
-# equation over Q(w, h).  Homogeneity lets the whole solve run on univariate
-# coefficient lists (the z-exponent grading), with fraction-free elimination
-# and a final gcd reduction.
+# homogeneous polynomial in (w, h); each row gives one linear equation over
+# Q(w, h).  Homogeneity lets the solve set h = 1: a coefficient is kept as
+# {w-exponent: coefficient}, and the solution is rehomogenized at the end.
+#
+# A block is sampled at integers w as the module docstring describes, with
+# the degree bound D.  The determinant's integer roots r, with multiplicity
+# m, give P = prod (w - r)^m, and x_j P is interpolated from the same
+# samples.  The interpolant has degree at most D - deg(det / P) exactly when
+# it is x_j P, that is when the reduced denominator of x_j splits into the
+# forms w - r*h: the part of det that does not split must cancel against
+# every Cramer numerator.
 
 
-def _uni_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _at(p, w):
+    """Value at w of a polynomial held as {w-exponent: coefficient}."""
+    return sum(c * w ** e for e, c in p.items())
 
 
-def _uni_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    return _uni_trim(out)
+def _degree(p):
+    return max(p, default=-1)
 
 
-def _uni_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
+def _gauss_jordan(rows, n):
+    """Reduce rows of rationals in place on their first n columns.
+
+    Returns (pivots, det), pivots[j] indexing the row that pivots column j,
+    or (None, 0) when the rank is below n.  With n rows, det is the
+    determinant of the first n columns and row pivots[j] ends up holding
+    x_j of each right-hand side in the columns after n.
+    """
+    pivots = []
+    det = Fraction(1)
+    free = list(range(len(rows)))
+    for j in range(n):
+        p = next((r for r in free if rows[r][j]), None)
+        if p is None:
+            return None, 0
+        free.remove(p)
+        piv = Fraction(rows[p][j])
+        det *= piv
+        rows[p] = prow = [x / piv for x in rows[p]]
+        for r, row in enumerate(rows):
+            f = row[j]
+            if f and r != p:
+                rows[r] = [a - f * b for a, b in zip(row, prow)]
+        pivots.append(p)
+    return pivots, -det if inversions(pivots) % 2 else det
+
+
+def _interpolator(xs):
+    """Map values at the points xs to the coefficients, low first and
+    trimmed, of the interpolating polynomial of degree < len(xs)."""
+    basis = []
+    for xk in xs:
+        poly, scale = [1], 1
+        for xm in xs:
+            if xm != xk:
+                poly = [a - xm * b for a, b in zip([0] + poly, poly + [0])]
+                scale *= xk - xm
+        basis.append([Fraction(c, scale) for c in poly])
+
+    def interpolate(values):
+        coeffs = [sum(v * col[e] for v, col in zip(values, basis)) for e in range(len(xs))]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return coeffs
+
+    return interpolate
+
+
+def _integer_roots(coeffs):
+    """{r: multiplicity} of the integer roots of a polynomial (coefficients low first).
+
+    Scaled to integer coefficients, a root r != 0 divides the lowest nonzero
+    coefficient, and every root has |r| at most Fujiwara's bound
+    2 max_i |c_i / c_n|^(1/(n-i)).  The multiplicity of r is the number of
+    its vanishing Taylor coefficients.
+    """
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    coeffs = [int(c * scale) for c in coeffs]
+    n = len(coeffs) - 1
+    low = next(c for c in coeffs if c)
+    bound = 0
+    for i, c in enumerate(coeffs[:n]):
+        ratio = Fraction(abs(c), abs(coeffs[n]))
+        t = int(float(ratio) ** (1 / (n - i)))
+        while t ** (n - i) < ratio:
+            t += 1
+        bound = max(bound, 2 * t)
+    roots = {}
+    for r in range(-bound, bound + 1):
+        if r and low % r:
             continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _uni_trim(out)
+        m = 0
+        while not sum(c * comb(i, m) * r ** (i - m) for i, c in enumerate(coeffs[m:], m)):
+            m += 1
+        if m:
+            roots[r] = m
+    return roots
 
 
-def _uni_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    while len(a) >= len(b) and _uni_trim(a):
-        if len(a) < len(b):
+def _solve_block(A, B, n):
+    """Solve A x = b over Q(w) for every column b of B, by sampling.
+
+    A has n columns and B one per target, their entries polynomials
+    {w-exponent: coefficient}.  Returns x_j for each target in turn (t-major)
+    as a RationalFunction over CTX1 with z for w, or None for zero.
+    """
+    col = [max(_degree(row[j]) for row in A) for j in range(n)]
+    for w in range(sum(col) + 1):
+        pivots, _ = _gauss_jordan([[_at(p, w) for p in row] for row in A], n)
+        if pivots is not None:
             break
-        coef = a[-1] / lead
-        deg = len(a) - len(b)
-        q[deg] = coef
-        for i, x in enumerate(b):
-            a[deg + i] -= coef * Fraction(x)
-        _uni_trim(a)
-    return _uni_trim(q), a
-
-
-def _uni_exact_div(a, b):
-    q, r = _uni_divmod(list(a), list(b))
-    if r:
-        raise RMatrixError("inexact univariate division during elimination")
-    return q
-
-
-def _uni_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _uni_divmod([Fraction(x) for x in a], b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = Fraction(a[-1])
-    return [Fraction(x) / lead for x in a]
-
-
-def _uni_integer_roots(poly):
-    """Roots of a monic-able integer-rooted polynomial, with multiplicity."""
-    p = [Fraction(x) for x in poly]
-    roots = []
-    while len(p) > 1:
-        const = p[0]
-        if const == 0:
-            roots.append(0)
-            p = p[1:]
+    else:
+        raise RMatrixError("exchange system underdetermined (too few independent rows)")
+    chosen = sorted(pivots)
+    A = [A[r] for r in chosen]
+    B = [B[r] for r in chosen]
+    col = [max(_degree(row[j]) for row in A) for j in range(n)]
+    rhs = max(_degree(p) for row in B for p in row)
+    D = sum(col) + max(0, rhs - min(col))
+    points, dets, samples = [], [], []
+    w = 0
+    while len(points) <= D:
+        rows = [[_at(p, w) for p in a + b] for a, b in zip(A, B)]
+        pivots, det = _gauss_jordan(rows, n)
+        if det:
+            points.append(w)
+            dets.append(det)
+            samples.append([rows[p][n + t] for t in range(len(B[0])) for p in pivots])
+        w += 1
+    interpolate = _interpolator(points)
+    det = interpolate(dets)
+    roots = _integer_roots(det)
+    split = sum(roots.values())
+    bound = D - (len(det) - 1 - split)
+    P = [prod((x - r) ** m for r, m in roots.items()) for x in points]
+    out = []
+    for values in zip(*samples):
+        q = interpolate([v * p for v, p in zip(values, P)])
+        if not q:
+            out.append(None)
             continue
-        lead = p[-1]
-        found = None
-        num = abs((const / lead).numerator) or 1
-        den_ = abs((const / lead).denominator)
-        cands = set()
-        for d in range(1, num + 1):
-            if num % d == 0:
-                cands.add(d)
-                cands.add(-d)
-        for r in sorted(cands, key=abs):
-            if den_ != 1 and (Fraction(r) * den_).denominator != 1:
-                pass
-            val = Fraction(0)
-            for c in reversed(p):
-                val = val * r + Fraction(c)
-            if val == 0:
-                found = r
-                break
-        if found is None:
-            return roots, p
-        roots.append(found)
-        q, rem = _uni_divmod(p, [-found, 1])
-        if rem:
-            raise RMatrixError("root deflation failed")
-        p = q
-    return roots, p
+        if len(q) - 1 > bound:
+            raise RMatrixError("solved denominator is not a product of integer linear forms")
+        degree = max(len(q) - 1, split)
+        den = {LinearForm(-r, 1): m for r, m in roots.items()}  # w - r*h
+        if degree > split:
+            den[LinearForm(1)] = degree - split
+        num = Polynomial(CTX1, {CTX1.pack((e, degree - e)): c for e, c in enumerate(q)})
+        out.append(RationalFunction(num, den))
+    return out
 
 
-def _pair_content(pair):
-    counts = {}
-    for part in pair:
-        for x in part:
-            counts[x] = counts.get(x, 0) + 1
-    return tuple(sorted(counts.items()))
+def _content(label):
+    """The letters of a label as a sorted tuple: equal for labels of one weight."""
+    return tuple(sorted(x for part in label for x in part))
 
 
 def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
@@ -697,47 +745,37 @@ def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
     rest = [t for t in range(1, N + 1) if t not in (i, i + 1)]
     names = ("w", "u", *[f"r{t}" for t in rest], "hb")
     sctx = type(ctx)(names, h_index=len(names) - 1)
-    half = Fraction(1, 2)
-    mapping = {}
-    mapping[i - 1] = (sctx.var("u") + sctx.var("w")) * half
-    mapping[i] = (sctx.var("u") - sctx.var("w")) * half
-    for pos, t in enumerate(rest):
-        mapping[t - 1] = sctx.var(f"r{t}")
-    mapping[ctx.h_index] = sctx.var("hb")
+    u, w = sctx.var("u") * Fraction(1, 2), sctx.var("w") * Fraction(1, 2)
+    mapping = {i - 1: u + w, i: u - w, ctx.h_index: sctx.var("hb")}
+    mapping.update((t - 1, sctx.var(f"r{t}")) for t in rest)
     w_off = sctx.offset(sctx.index("w"))
     # a rest-monomial keeps the fields of u and the r's: no w, h or degree,
     # so its integer order is the lex order of those exponents
     rest_mask = sctx.mask ^ (FIELD_MASK << w_off) ^ FIELD_MASK
 
     def split(p):
-        """rest-monomial -> univariate coefficient list in the w-grading."""
+        """rest-monomial -> its (w, h) coefficient at h = 1, as {w-exponent: c}."""
         rows = {}
         for e, c in p.terms.items():
             ew = e >> w_off & FIELD_MASK
             coeffs = rows.setdefault(e & rest_mask, {})
             coeffs[ew] = coeffs.get(ew, 0) + c
-        out = {}
-        for key, coeffs in rows.items():
-            top = max(coeffs)
-            out[key] = _uni_trim([coeffs.get(t, 0) for t in range(top + 1)])
-        return out
+        return rows
 
-    sub_cache = {lab: psi.entries[lab].substitute(mapping, sctx) for lab in labels}
-    tau_cache = {
-        lab: split(psi.entries[lab].swap_z(i, i + 1).substitute(mapping, sctx))
-        for lab in labels
-    }
+    sub_cache = {lab: split(psi.entries[lab].substitute(mapping, sctx)) for lab in labels}
+    tau_cache = {lab: split(psi.entries[lab].swap_z(i, i + 1).substitute(mapping, sctx))
+                 for lab in labels}
     entries = {}
     if slotwise:
         pairs = sorted({(lab[i - 1], lab[i]) for lab in labels})
         by_content = {}
         for pair in pairs:
-            by_content.setdefault(_pair_content(pair), []).append(pair)
+            by_content.setdefault(_content(pair), []).append(pair)
         rest_of = {}
         for lab in labels:
             rest_of.setdefault((lab[i - 1], lab[i]), []).append(lab[:i - 1] + lab[i + 1:])
         for target_pair in pairs:
-            block = by_content[_pair_content(target_pair)]
+            block = by_content[_content(target_pair)]
             rows = {}
             rhs = {}
             for rest_lab in rest_of[target_pair]:
@@ -746,159 +784,34 @@ def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
                     rhs[(rest_lab, key)] = uni
                 for col, src_pair in enumerate(block):
                     src = rest_lab[:i - 1] + src_pair + rest_lab[i - 1:]
-                    if src not in psi.entries:
-                        continue
-                    for key, uni in split(sub_cache[src]).items():
-                        rows.setdefault((rest_lab, key), [[] for _ in block])[col] = uni
+                    for key, uni in sub_cache.get(src, {}).items():
+                        rows.setdefault((rest_lab, key), [{} for _ in block])[col] = uni
             row_keys = sorted(set(rows) | set(rhs))
-            A = [rows.get(k, [[] for _ in block]) for k in row_keys]
-            bvec = [rhs.get(k, []) for k in row_keys]
-            x = _solve_uni_system(A, bvec, len(block))
-            for src_pair, sol in zip(block, x):
+            A = [rows.get(k, [{} for _ in block]) for k in row_keys]
+            B = [[rhs.get(k, {})] for k in row_keys]
+            for src_pair, sol in zip(block, _solve_block(A, B, len(block))):
                 if sol is not None:
                     entries[(target_pair, src_pair)] = sol
         rop = ROperator(CTX1, tuple(pairs), tuple(pairs), entries)
     else:
         blocks = {}
         for lab in labels:
-            blocks.setdefault(_pair_content(lab), []).append(lab)
-        for content, block in blocks.items():
-            cols = {lab: split(sub_cache[lab]) for lab in block}
-            row_keys = sorted({k for col in cols.values() for k in col})
+            blocks.setdefault(_content(lab), []).append(lab)
+        for block in blocks.values():
+            cols = [sub_cache[lab] for lab in block]
+            row_keys = sorted({k for col in cols for k in col})
+            A = [[col.get(k, {}) for col in cols] for k in row_keys]
+            B = [[tau_cache[target].get(k, {}) for target in block] for k in row_keys]
+            x = iter(_solve_block(A, B, len(block)))
             for target in block:
-                lhs = tau_cache[target]
-                A = [[cols[lab].get(k, []) for lab in block] for k in row_keys]
-                bvec = [lhs.get(k, []) for k in row_keys]
-                x = _solve_uni_system(A, bvec, len(block))
-                for lab, sol in zip(block, x):
+                for lab in block:
+                    sol = next(x)
                     if sol is not None:
                         entries[(target, lab)] = sol
         rop = ROperator(CTX1, tuple(labels), tuple(labels), entries)
-    # full verification of the relation
-    rep = _verify_exchange_solution(psi, rop, i, slotwise)
+    from .qkz import check_exchange  # qkz imports this module
+
+    rep = check_exchange(psi, i, operator=rop, slotwise=slotwise)
     if not rep.passed:
         raise RMatrixError(f"exchange system inconsistent: {rep.witness}")
     return rop
-
-
-def _solve_uni_system(A, b, ncols):
-    """Solve an overdetermined linear system with univariate-poly entries.
-
-    Returns a list of RationalFunction in CTX1 (None for zero).  Raises on
-    rank deficiency.  Column j of A corresponds to unknown j.
-    """
-    rows = [list(r) + [rhs] for r, rhs in zip(A, b)]
-    rows = [r for r in rows if any(_uni_trim(list(c)) for c in r)]
-    # fraction-free elimination to pick pivot rows and compute determinants
-    work = [r[:] for r in rows]
-    piv_rows = []
-    col = 0
-    prev = [1]
-    used = set()
-    for col in range(ncols):
-        piv = None
-        for ri in range(len(work)):
-            if ri in used:
-                continue
-            if _uni_trim(list(work[ri][col])):
-                piv = ri
-                break
-        if piv is None:
-            raise RMatrixError("exchange system underdetermined (too few independent rows)")
-        used.add(piv)
-        piv_rows.append(piv)
-        prow = work[piv]
-        for ri in range(len(work)):
-            if ri in used:
-                continue
-            row = work[ri]
-            if not _uni_trim(list(row[col])):
-                # still must scale for fraction-free consistency
-                for cj in range(ncols + 1):
-                    row[cj] = _uni_exact_div(_uni_mul(prow[col], row[cj]), prev)
-                continue
-            for cj in range(ncols + 1):
-                num = _uni_sub(_uni_mul(prow[col], row[cj]), _uni_mul(row[col], prow[cj]))
-                row[cj] = _uni_exact_div(num, prev)
-        prev = prow[col]
-    # Cramer on the selected square subsystem
-    square = [rows[ri] for ri in piv_rows]
-    det = _uni_det([r[:ncols] for r in square])
-    if not det:
-        raise RMatrixError("exchange system underdetermined (singular subsystem)")
-    out = []
-    for j in range(ncols):
-        mod = [r[:ncols] for r in square]
-        for ri in range(ncols):
-            mod[ri][j] = square[ri][ncols]
-        numer = _uni_det(mod)
-        out.append(_uni_ratio_to_rf(numer, det))
-    return out
-
-
-def _uni_det(M):
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = [1]
-    for kk in range(n - 1):
-        piv = None
-        for r in range(kk, n):
-            if _uni_trim(list(M[r][kk])):
-                piv = r
-                break
-        if piv is None:
-            return []
-        if piv != kk:
-            M[kk], M[piv] = M[piv], M[kk]
-            sign = -sign
-        for r in range(kk + 1, n):
-            for c in range(kk + 1, n):
-                num = _uni_sub(_uni_mul(M[kk][kk], M[r][c]), _uni_mul(M[r][kk], M[kk][c]))
-                M[r][c] = _uni_exact_div(num, prev)
-            M[r][kk] = []
-        prev = M[kk][kk]
-    det = M[n - 1][n - 1]
-    return [x * sign for x in det] if sign < 0 else det
-
-
-def _uni_ratio_to_rf(num, den):
-    """Rehomogenize num/den in (w, h) and express with linear-form denominator."""
-    if not num:
-        return None
-    g = _uni_gcd(num, den)
-    if len(g) > 1:
-        num = _uni_exact_div(num, g)
-        den = _uni_exact_div(den, g)
-    roots, resid = _uni_integer_roots(den)
-    if len(resid) > 1:
-        raise RMatrixError("solved denominator is not a product of integer linear forms")
-    lead = Fraction(resid[0]) if resid else Fraction(1)
-    ctx = CTX1
-    # rehomogenize: pad with h so numerator and denominator have equal degree
-    deg = max(len(num) - 1, len(roots))
-    h = ctx.hbar() * Fraction(1, 2)
-    z = ctx.z(1)
-    npoly = ctx.zero()
-    for e, c in enumerate(num):
-        if c:
-            npoly = npoly + ctx.const(Fraction(c) / lead) * (z ** e) * (h ** (deg - e))
-    den_forms = {}
-    for r in roots:
-        f, s = LinearForm.make(-r, 1)  # w - r*h
-        if s < 0:
-            npoly = -npoly
-        den_forms[f] = den_forms.get(f, 0) + 1
-        deg -= 1
-    # remaining h powers on the denominator side, if any
-    if deg > 0:
-        f = LinearForm(1)
-        den_forms[f] = den_forms.get(f, 0) + deg
-        npoly = npoly * (2 ** deg)  # hb/2 units: dividing by h^deg = (hb/2)^deg
-    return RationalFunction(npoly, den_forms)
-
-
-def _verify_exchange_solution(psi, rop, slot, slotwise):
-    from .qkz import check_exchange
-
-    return check_exchange(psi, slot, operator=rop, slotwise=slotwise)

@@ -75,6 +75,25 @@ def test_psi_verify_exchange_and_cyclicity(tmp_path):
         assert res.returncode == 0, (check, res.stderr)
 
 
+@pytest.fixture(scope="module")
+def inhomogeneous_psi(tmp_path_factory):
+    out = tmp_path_factory.mktemp("inhomogeneous") / "psi.json"
+    res = run_cli("psi", "build", "--k", "3", "--lambda", "2,2,2", "--m", "2,1,2,1",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    return out
+
+
+@pytest.mark.parametrize("check, slots", [("cyclicity", 1), ("qkz", 4)])
+def test_psi_verify_skips_rotation_checks_for_inhomogeneous_m(inhomogeneous_psi, check, slots):
+    res = run_cli("psi", "verify", "--check", check, "--in", str(inhomogeneous_psi))
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    reports = json.loads(res.stdout)["reports"]
+    assert [(r["check"], r["status"], r["witness"]) for r in reports] == (
+        [(check, "skipped", "m not homogeneous")] * slots)
+
+
 def test_slice_emit_text():
     res = run_cli("slice", "emit", "--m", "2,2,2,2", "--ell", "4,4,0,0")
     assert res.returncode == 0, res.stderr

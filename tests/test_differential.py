@@ -17,16 +17,20 @@ building both route composites and multiplying them, as ``qkz_step`` did
 before it certified the unitarity of each slot operator;
 ``substitute_cyclic_shift`` substitutes every argument of the cyclic shift,
 as ``check_cyclicity`` did before it rotated the packed fields.
+``oracle_solve_block`` solves the exchange relation's blocks by
+fraction-free elimination over univariate coefficient lists and Cramer's
+rule, as ``solve_rmatrix_from_exchange`` did before it sampled at integers.
 All of them live only here, as references.
 """
 
 import contextlib
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from qkzpsi import rmatrix
 from qkzpsi.algebra import (
@@ -649,3 +653,368 @@ def test_packed_exact_div_matches_tuples(case):
 def test_packed_swap_matches_tuples(case):
     ctx, a, i, j = case
     assert tuple_terms(packed(ctx, a).swap_z(i, j)) == tuple_swap(a, i, j)
+
+
+# -- the univariate exchange solver ---------------------------------------------
+
+
+def uni_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def uni_sub(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    return uni_trim(out)
+
+
+def uni_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] += x * y
+    return uni_trim(out)
+
+
+def uni_divmod(a, b):
+    if not b:
+        raise ZeroDivisionError("univariate division by zero")
+    a = [Fraction(x) for x in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = Fraction(b[-1])
+    while len(a) >= len(b) and uni_trim(a):
+        if len(a) < len(b):
+            break
+        coef = a[-1] / lead
+        deg = len(a) - len(b)
+        q[deg] = coef
+        for i, x in enumerate(b):
+            a[deg + i] -= coef * Fraction(x)
+        uni_trim(a)
+    return uni_trim(q), a
+
+
+def uni_exact_div(a, b):
+    q, r = uni_divmod(list(a), list(b))
+    if r:
+        raise rmatrix.RMatrixError("inexact univariate division during elimination")
+    return q
+
+
+def uni_gcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        _, r = uni_divmod([Fraction(x) for x in a], b)
+        a, b = b, r
+    if not a:
+        return []
+    lead = Fraction(a[-1])
+    return [Fraction(x) / lead for x in a]
+
+
+def uni_integer_roots(poly):
+    """Integer roots with multiplicity, by trial of the divisors of the constant."""
+    p = [Fraction(x) for x in poly]
+    roots = []
+    while len(p) > 1:
+        const = p[0]
+        if const == 0:
+            roots.append(0)
+            p = p[1:]
+            continue
+        num = abs((const / p[-1]).numerator) or 1
+        found = None
+        for r in sorted({s * d for d in range(1, num + 1) if num % d == 0 for s in (1, -1)},
+                        key=abs):
+            val = Fraction(0)
+            for c in reversed(p):
+                val = val * r + c
+            if val == 0:
+                found = r
+                break
+        if found is None:
+            return roots, p
+        roots.append(found)
+        q, rem = uni_divmod(p, [-found, 1])
+        if rem:
+            raise rmatrix.RMatrixError("root deflation failed")
+        p = q
+    return roots, p
+
+
+def uni_det(M):
+    n = len(M)
+    M = [row[:] for row in M]
+    sign = 1
+    prev = [1]
+    for kk in range(n - 1):
+        piv = None
+        for r in range(kk, n):
+            if uni_trim(list(M[r][kk])):
+                piv = r
+                break
+        if piv is None:
+            return []
+        if piv != kk:
+            M[kk], M[piv] = M[piv], M[kk]
+            sign = -sign
+        for r in range(kk + 1, n):
+            for c in range(kk + 1, n):
+                num = uni_sub(uni_mul(M[kk][kk], M[r][c]), uni_mul(M[r][kk], M[kk][c]))
+                M[r][c] = uni_exact_div(num, prev)
+            M[r][kk] = []
+        prev = M[kk][kk]
+    det = M[n - 1][n - 1]
+    return [x * sign for x in det] if sign < 0 else det
+
+
+def uni_ratio_to_rf(num, den):
+    """Rehomogenize num/den in (w, h) and express with linear-form denominator."""
+    if not num:
+        return None
+    g = uni_gcd(num, den)
+    if len(g) > 1:
+        num = uni_exact_div(num, g)
+        den = uni_exact_div(den, g)
+    roots, resid = uni_integer_roots(den)
+    if len(resid) > 1:
+        raise rmatrix.RMatrixError("solved denominator is not a product of integer linear forms")
+    lead = Fraction(resid[0]) if resid else Fraction(1)
+    ctx = rmatrix.CTX1
+    deg = max(len(num) - 1, len(roots))
+    h = ctx.hbar() * Fraction(1, 2)
+    z = ctx.z(1)
+    npoly = ctx.zero()
+    for e, c in enumerate(num):
+        if c:
+            npoly = npoly + ctx.const(Fraction(c) / lead) * (z ** e) * (h ** (deg - e))
+    den_forms = {}
+    for r in roots:
+        f, s = LinearForm.make(-r, 1)  # w - r*h
+        if s < 0:
+            npoly = -npoly
+        den_forms[f] = den_forms.get(f, 0) + 1
+        deg -= 1
+    if deg > 0:
+        f = LinearForm(1)
+        den_forms[f] = den_forms.get(f, 0) + deg
+        npoly = npoly * (2 ** deg)
+    return RationalFunction(npoly, den_forms)
+
+
+def solve_uni_system(A, b, ncols):
+    """Fraction-free elimination picks the pivot rows, Cramer's rule on them."""
+    rows = [list(r) + [rhs] for r, rhs in zip(A, b)]
+    rows = [r for r in rows if any(uni_trim(list(c)) for c in r)]
+    work = [r[:] for r in rows]
+    piv_rows = []
+    prev = [1]
+    used = set()
+    for col in range(ncols):
+        piv = None
+        for ri in range(len(work)):
+            if ri not in used and uni_trim(list(work[ri][col])):
+                piv = ri
+                break
+        if piv is None:
+            raise rmatrix.RMatrixError("exchange system underdetermined (too few independent rows)")
+        used.add(piv)
+        piv_rows.append(piv)
+        prow = work[piv]
+        for ri in range(len(work)):
+            if ri in used:
+                continue
+            row = work[ri]
+            if not uni_trim(list(row[col])):
+                for cj in range(ncols + 1):
+                    row[cj] = uni_exact_div(uni_mul(prow[col], row[cj]), prev)
+                continue
+            for cj in range(ncols + 1):
+                num = uni_sub(uni_mul(prow[col], row[cj]), uni_mul(row[col], prow[cj]))
+                row[cj] = uni_exact_div(num, prev)
+        prev = prow[col]
+    square = [rows[ri] for ri in piv_rows]
+    det = uni_det([r[:ncols] for r in square])
+    if not det:
+        raise rmatrix.RMatrixError("exchange system underdetermined (singular subsystem)")
+    out = []
+    for j in range(ncols):
+        mod = [r[:ncols] for r in square]
+        for ri in range(ncols):
+            mod[ri][j] = square[ri][ncols]
+        out.append(uni_ratio_to_rf(uni_det(mod), det))
+    return out
+
+
+def uni_list(p):
+    """{w-exponent: coefficient} as a trimmed coefficient list, low first."""
+    return uni_trim([p.get(e, 0) for e in range(max(p, default=-1) + 1)])
+
+
+def oracle_solve_block(A, B, n):
+    """``rmatrix._solve_block`` by univariate elimination, one target at a time."""
+    A = [[uni_list(p) for p in row] for row in A]
+    out = []
+    for t in range(len(B[0])):
+        out += solve_uni_system(A, [uni_list(row[t]) for row in B], n)
+    return out
+
+
+def operator_digest(rop):
+    """Entry order, numerator terms and denominator of every entry."""
+    return [(key, rf.num.terms, rf.den) for key, rf in rop.entries.items()]
+
+
+SLOTWISE_SOLVES = [(k, lam, slot)
+                   for k, lam in [(2, (2, 1)), (3, (2, 1)), (2, (2, 2)), (2, (3, 2))]
+                   for slot in range(1, sum(lam))]
+
+
+def assert_same_solve(monkeypatch, psi, slot, slotwise):
+    got = rmatrix.solve_rmatrix_from_exchange(psi, slot, slotwise=slotwise)
+    with monkeypatch.context() as patch:
+        patch.setattr(rmatrix, "_solve_block", oracle_solve_block)
+        want = rmatrix.solve_rmatrix_from_exchange(psi, slot, slotwise=slotwise)
+    assert operator_digest(got) == operator_digest(want)
+    assert got.text_matrix() == want.text_matrix()
+
+
+@pytest.mark.parametrize("slot", [1, 2, 3])
+def test_sampled_solve_matches_univariate_elimination_on_appendix(monkeypatch, appendix_doc, slot):
+    assert_same_solve(monkeypatch, fixture_psi(appendix_doc), slot, slotwise=False)
+
+
+@pytest.mark.parametrize("k, lam, slot", SLOTWISE_SOLVES, ids=str)
+def test_sampled_solve_matches_univariate_elimination_slotwise(monkeypatch, k, lam, slot):
+    # slot 3 of (2,(3,2)): the determinant carries z^2 - 20 hb^2, which
+    # does not split and cancels against every Cramer numerator
+    assert_same_solve(monkeypatch, build_psi_fundamental(k, lam), slot, slotwise=True)
+
+
+def evaluate_list(coeffs, w):
+    return sum(c * w ** e for e, c in enumerate(coeffs))
+
+
+def planted_system(A, numerators, denominators):
+    """The block system whose solution for target t is numerators[t][j] / denominators[t][j].
+
+    ``A`` holds coefficient lists and ``denominators`` {root: multiplicity};
+    every equation is multiplied by the lcm L of the denominators, so the
+    matrix is A L and the right-hand side of target t is sum_j A_j x_tj L.
+    """
+    lcm = {}
+    for dens in denominators:
+        for den in dens:
+            for r, m in den.items():
+                lcm[r] = max(lcm.get(r, 0), m)
+
+    def poly(roots):
+        out = [1]
+        for r, m in roots.items():
+            for _ in range(m):
+                out = uni_mul(out, [-r, 1])
+        return out
+
+    L = poly(lcm)
+    rhs = []
+    for nums, dens in zip(numerators, denominators):
+        cofactors = [uni_mul(a, poly({r: m - d.get(r, 0) for r, m in lcm.items()}))
+                     for a, d in zip(nums, dens)]
+        rhs.append([sum_lists(uni_mul(p, c) for p, c in zip(row, cofactors)) for row in A])
+    matrix = [[as_dict(uni_mul(p, L)) for p in row] for row in A]
+    right = [[as_dict(rhs[t][r]) for t in range(len(numerators))] for r in range(len(A))]
+    return matrix, right
+
+
+def sum_lists(polys):
+    out = []
+    for p in polys:
+        out = [x + y for x, y in zip_longest(out, p, fillvalue=0)]
+    return uni_trim(out)
+
+
+def as_dict(coeffs):
+    return {e: c for e, c in enumerate(coeffs) if c}
+
+
+def planted_rf(a, roots):
+    """a(w) / prod (w - r)^m at h = 1, rehomogenized over CTX1 (h = hb/2)."""
+    ctx = rmatrix.CTX1
+    z, h = ctx.z(1), ctx.hbar() * Fraction(1, 2)
+    den_degree = sum(roots.values())
+    degree = max(len(a) - 1, den_degree)
+    num = ctx.zero()
+    for e, c in enumerate(a):
+        num = num + ctx.const(c) * z ** e * h ** (degree - e)
+    den = {LinearForm(-r, 1): m for r, m in roots.items()}
+    if degree > den_degree:
+        den[LinearForm(1)] = degree - den_degree
+    return RationalFunction(num, den)
+
+
+small_polys = st.lists(st.integers(-4, 4), max_size=3).map(lambda c: uni_trim(list(c)))
+pole_sets = st.dictionaries(st.integers(-60, 60), st.integers(1, 2), max_size=2)
+
+
+@st.composite
+def planted_blocks(draw):
+    n = draw(st.integers(1, 3))
+    rows = n + draw(st.integers(0, 2))
+    A = [[draw(small_polys) for _ in range(n)] for _ in range(rows)]
+    # full rank over Q(w) when the top n x n block is invertible at w = 1000
+    top = sympy.Matrix([[evaluate_list(p, 1000) for p in row] for row in A[:n]])
+    assume(top.det() != 0)
+    targets = draw(st.integers(1, 2))
+    numerators = [[draw(small_polys) for _ in range(n)] for _ in range(targets)]
+    denominators = [[draw(pole_sets) for _ in range(n)] for _ in range(targets)]
+    return A, numerators, denominators
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_blocks())
+def test_sampled_solve_recovers_planted_integer_poles(case):
+    A, numerators, denominators = case
+    matrix, right = planted_system(A, numerators, denominators)
+    got = rmatrix._solve_block(matrix, right, len(A[0]))
+    want = [planted_rf(a, d) if a else None
+            for nums, dens in zip(numerators, denominators) for a, d in zip(nums, dens)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.equals(w)
+            assert set(g.den) <= set(w.den) | {LinearForm(1)}
+
+
+def test_sampled_solve_recovers_poles_beyond_the_sample_range():
+    # the solve samples w = 0..9 (D = 9); the poles sit at w = -50 and w = 75
+    A = [[[1, 1], [2]], [[0, 3], [1, 0, 1]], [[5], [1, -1]]]
+    numerators = [[[3, 1], [0, 0, 2]]]
+    denominators = [[{-50: 1}, {75: 2, -50: 1}]]
+    matrix, right = planted_system(A, numerators, denominators)
+    got = rmatrix._solve_block(matrix, right, 2)
+    assert got[0].equals(planted_rf([3, 1], {-50: 1}))
+    assert got[1].equals(planted_rf([0, 0, 2], {75: 2, -50: 1}))
+    assert set(got[1].den) == {LinearForm(50, 1), LinearForm(-75, 1)}
+
+
+def test_sampled_solve_rejects_a_denominator_that_does_not_split():
+    # (w^2 - 2) x = 1 and w (w^2 - 2) x = w: x = 1 / (w^2 - 2)
+    matrix = [[{0: -2, 2: 1}], [{1: -2, 3: 1}]]
+    right = [[{0: 1}], [{1: 1}]]
+    with pytest.raises(rmatrix.RMatrixError, match="not a product of integer linear forms"):
+        rmatrix._solve_block(matrix, right, 1)
+
+
+def test_sampled_solve_rejects_an_underdetermined_block():
+    matrix = [[{0: 1}, {0: 2}], [{1: 1}, {1: 2}]]
+    right = [[{0: 1}], [{1: 1}]]
+    with pytest.raises(rmatrix.RMatrixError, match="underdetermined"):
+        rmatrix._solve_block(matrix, right, 2)

@@ -157,6 +157,20 @@ def test_solve_fundamental_matches_flip_form():
                 assert R.entry(t, s).equals(F.entry(t, s)), (t, s)
 
 
+@pytest.mark.parametrize("lam, slot", [((2, 2, 1), s) for s in range(1, 5)]
+                         + [((2, 2, 2), s) for s in range(1, 6)], ids=str)
+def test_solve_three_letters_matches_flip_form(lam, slot):
+    # all but slot 3 of (2,2,1) and slot 4 of (2,2,2) once stopped at a
+    # falsely singular subsystem
+    psi = build_psi_fundamental(3, lam)
+    F = fundamental_rcheck(3)
+    R = solve_rmatrix_from_exchange(psi, slot, slotwise=True)
+    assert set(R.source) <= set(F.source)
+    for t in R.target:
+        for s in R.source:
+            assert R.entry(t, s).equals(F.entry(t, s)), (t, s)
+
+
 def test_solve_rejects_perturbed_family():
     # adding a non-symmetric linear term makes the exchange system insoluble
     psi = build_psi_fundamental(2, (2, 1))
