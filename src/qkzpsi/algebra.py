@@ -39,6 +39,11 @@ coefficients.
   [0, 2**16) and degrees of 2**16 or more; ``parse_polynomial`` reaches
   the guard of ``__pow__``.  Every other operation keeps or lowers degrees.
 
+Display.  ``Polynomial.text`` and ``to_json`` render terms through a
+``TermWriter``, which caches the text of each distinct coefficient and each
+distinct half of the exponent fields.  An output passes one writer to all
+of its polynomials, as most reuse is across them; the caches die with it.
+
 Rational functions are kept in the restricted form used throughout:
 a polynomial numerator over a multiset of integer linear forms
 a*hb + z_i - z_j.  That restriction makes reduction exact and cheap
@@ -51,7 +56,7 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from functools import cache, partial
 
 FIELD_BITS = 16
 DEGREE_LIMIT = 1 << FIELD_BITS
@@ -551,60 +556,19 @@ class Polynomial:
         terms = self.terms
         return [(e, terms[e]) for e in sorted(terms, reverse=True)]
 
-    def _coeff_display(self, e, c):
-        """Displayed coefficient c / 2**eh as a reduced (numerator, denominator).
-
-        Internal h-units fold into hb powers.  Integer coefficients stay on
-        integers: only powers of two can cancel against 2**eh.
-        """
-        eh = 0 if self.ctx.h_index is None else e & FIELD_MASK
-        if type(c) is not int:
-            disp = Fraction(c) / (2 ** eh)
-            return disp.numerator, disp.denominator
-        if eh == 0:
-            return c, 1
-        shift = min(eh, (c & -c).bit_length() - 1)
-        return c >> shift, 1 << (eh - shift)
-
-    def text(self):
+    def text(self, writer=None):
         """Canonical text form, hb denoting the equivariant parameter."""
-        if not self.terms:
-            return "0"
-        ctx = self.ctx
-        names, shift, unpack = ctx.names, ctx.shift, ctx.unpack
-        parts = []
-        for e, c in self.sorted_terms():
-            num, den = self._coeff_display(e, c)
-            exps = unpack(e)
-            factors = list(compress(names, exps))
-            if len(factors) != e >> shift:  # some exponent above 1
-                factors = [name if exp == 1 else f"{name}^{exp}"
-                           for name, exp in zip(factors, compress(exps, exps))]
-            body = "*".join(factors)
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if not body:
-                piece = mag
-            elif mag == "1":
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            parts.append(("- " if num < 0 else "+ ") + piece)
-        first = parts[0]
-        parts[0] = "-" + first[2:] if first[0] == "-" else first[2:]
-        return " ".join(parts)
+        return (writer or TermWriter(self.ctx)).text(self)
 
     def __repr__(self):
         return f"<Poly {self.text()}>"
 
-    def to_json(self):
-        unpack = self.ctx.unpack
-        terms = [[*self._coeff_display(e, c), *unpack(e)] for e, c in self.sorted_terms()]
-        doc = {"terms": terms}
-        if self.ctx.h_index is not None:
-            doc["vars"] = self.ctx.nz
-        else:
-            doc["vars"] = list(self.ctx.names)
-        return doc
+    def to_json(self, writer=None):
+        """The JSON document; with a ``TermWriter`` the term rows are a callable (json_parts)."""
+        ctx, hmask = self.ctx, 0 if self.ctx.h_index is None else FIELD_MASK
+        terms = partial(writer.json_rows, self) if writer else [
+            [*_display(c, e & hmask), *ctx.unpack(e)] for e, c in self.sorted_terms()]
+        return {"terms": terms, "vars": ctx.nz if ctx.h_index is not None else list(ctx.names)}
 
     @staticmethod
     def from_json(doc, ctx):
@@ -621,6 +585,98 @@ class Polynomial:
             else:
                 terms[mono] = _norm_coeff(Fraction(num, den) * 2 ** eh)
         return Polynomial(ctx, terms)
+
+
+def _display(c, eh):
+    """The displayed coefficient c / 2**eh of a term with h exponent eh, as a
+    reduced (numerator, denominator)."""
+    disp = Fraction(c, 1 << eh) if type(c) is int else c / (1 << eh)
+    return disp.numerator, disp.denominator
+
+
+def _factors(star_names, fields, count, offset):
+    """'*z1*z2^2*hb' for packed exponent fields, the lowest of them field ``offset``
+    (``star_names`` lowest field first), read from the top nonzero field down."""
+    out = []
+    while fields:
+        at = (fields.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+        exp = fields >> at
+        fields ^= exp << at
+        name = star_names[offset + at // FIELD_BITS]
+        out.append(name if exp == 1 else f"{name}^{exp}")
+    return "".join(out)
+
+
+class TermWriter:
+    """Text and JSON term rows of the polynomials of one output, over one context.
+
+    A term is its displayed coefficient and the exponent fields of its packed
+    monomial, split into a high half (the top n//2 fields) and a low half.
+    Each distinct coefficient (with its h exponent) and half is rendered once
+    and cached, so a term costs three lookups and a join.  A half is joined
+    from the cached texts of its own halves, down to spans of four fields.
+    No cache refers back to the writer, so they are freed with it.
+    """
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self._split = FIELD_BITS * (ctx.nvars - ctx.nvars // 2)
+        names = tuple("*" + name for name in reversed(ctx.names))
+        self._text = self._caches(lambda num, den: ("- " if num < 0 else "+ ") + (
+            str(abs(num)) if den == 1 else f"{abs(num)}/{den}"), partial(_factors, names))
+        self._rows_nl = None
+
+    def _caches(self, coefficient, half):
+        """Cached functions from a term's coefficient (and h exponent) to
+        ``coefficient(num, den)``, and from each half of its fields to
+        ``half(fields, count, index of the lowest field)``."""
+        def fields(count, offset):
+            if count > 4:
+                nlow = count - count // 2
+                high, low = fields(count // 2, offset + nlow), fields(nlow, offset)
+                bits = FIELD_BITS * nlow
+                return cache(lambda x: high(x >> bits) + low(x & (1 << bits) - 1))
+            mask = (1 << FIELD_BITS * count) - 1  # drops the degree above the high half
+            return cache(lambda x: half(x & mask, count, offset))
+        n = self.ctx.nvars
+        return (cache(lambda c, eh=0: coefficient(*_display(c, eh))),
+                fields(n // 2, n - n // 2), fields(n - n // 2, 0))
+
+    def _pieces(self, p, caches):
+        """The texts of p's terms in canonical order, from the three caches."""
+        if p.ctx is not self.ctx and p.ctx != self.ctx:
+            raise ContextError("polynomial and writer from different contexts")
+        coefficient, high, low = caches
+        terms = p.terms
+        keys = sorted(terms, reverse=True)
+        ehs = () if self.ctx.h_index is None else (map(FIELD_MASK.__and__, keys),)
+        coefficients = map(coefficient, map(terms.__getitem__, keys), *ehs)
+        return map("".join, zip(coefficients, map(high, map(self._split.__rrshift__, keys)),
+                                map(low, map(((1 << self._split) - 1).__and__, keys))))
+
+    def text(self, p):
+        """The canonical text of p (``Polynomial.text``)."""
+        if not p.terms:
+            return "0"
+        # a piece is sign, magnitude and '*'-led factors: drop the factor 1
+        text = " ".join(self._pieces(p, self._text)).replace(" 1*", " ")
+        return "-" + text[2:] if text[0] == "-" else text[2:]
+
+    def json_rows(self, p, nl):
+        """The JSON text of p's term rows, as ``json.dumps(rows, indent=2)``
+        writes a list value that sits after the newline-and-indent ``nl``."""
+        if not p.terms:
+            return "[]"
+        inner = nl + "  "
+        if nl != self._rows_nl:
+            sep = "," + inner + "  "
+            self._rows_nl, self._rows = nl, self._caches(
+                lambda num, den: f"[{sep[1:]}{num}{sep}{den}",
+                lambda x, count, offset: "".join(sep + str(x >> FIELD_BITS * i & FIELD_MASK)
+                                                 for i in range(count - 1, -1, -1)))
+        close = inner + "]"
+        rows = (close + "," + inner).join(self._pieces(p, self._rows))
+        return "[" + inner + rows + close + nl + "]"
 
 
 def _frac_str(f):
@@ -854,14 +910,14 @@ class RationalFunction:
             den[form] = den.get(form, 0) + m
         return RationalFunction(num, den)
 
-    def text(self):
+    def text(self, writer=None):
         if not self.den:
-            return self.num.text()
+            return self.num.text(writer)
         den = "*".join(
             f"({f.text(self.ctx)})" + (f"^{m}" if m > 1 else "")
             for f, m in sorted(self.den.items(), key=lambda t: t[0].sort_key())
         )
-        return f"({self.num.text()}) / ({den})"
+        return f"({self.num.text(writer)}) / ({den})"
 
     def __repr__(self):
         return f"<RatFun {self.text()}>"

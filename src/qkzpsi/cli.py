@@ -11,14 +11,14 @@ Subcommands:
   appendix-suite   run all eight fixture checks
 
 Bad input ends with one ``qkzpsi: error: ...`` line on stderr and exit
-status 2, with no traceback.  Bad input is: a malformed number list; a
-lambda or m that does not fit k; a vector file that is missing, is not
-JSON, does not match the psi JSON schema or holds exponents outside
-[0, 2**16); for ``slice emit`` an empty m or a non-positive block size, an
-ell with a negative entry or a sum other than sum(m), a slice larger than
-the desk-scale limit (12), or a non-rectangular ell with ``--deform``; for
-``rmat`` wedge sizes a, b outside 1..k-1, and for ``rmat verify`` a != b
-(its checks act on the a-th wedge power alone).
+status 2, with no traceback.  Bad input is: a malformed number list; an
+empty lambda or m, or one that does not fit k; a vector file that is
+missing, is not JSON, does not match the psi JSON schema, has no slots or
+holds exponents outside [0, 2**16); for ``slice emit`` an empty m or a
+non-positive block size, an ell with a negative entry or a sum other than
+sum(m), a slice larger than the desk-scale limit (12), or a non-rectangular
+ell with ``--deform``; for ``rmat`` wedge sizes a, b outside 1..k-1, and
+for ``rmat verify`` a != b (its checks act on the a-th wedge power alone).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import argparse
 import json
 import sys
 
-from .algebra import spectral_context
+from .algebra import TermWriter, spectral_context
 from .combinatorics import sequence_rotation
 from .qkz import (
     PsiError,
@@ -42,7 +42,7 @@ from .qkz import (
     qkz_step,
     wheel_positions,
 )
-from .reporting import dump_reports, json_text
+from .reporting import dump_reports, json_parts
 from .rmatrix import (
     fused_rcheck,
     product_basis,
@@ -66,13 +66,16 @@ def _ints(text):
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _write(doc, path):
-    text = json_text(doc) + "\n"
+def _write_parts(parts, path):
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
+
+
+def _write(doc, path):
+    _write_parts(json_parts(doc) + ["\n"], path)
 
 
 def run_reports(jobs):
@@ -83,7 +86,9 @@ def run_reports(jobs):
 def _build_psi(args):
     lam = _ints(args.lam)
     k = args.k
-    m = _ints(args.m) if args.m else None
+    m = _ints(args.m) if args.m is not None else None
+    if not lam or m == ():
+        raise UsageError(f"{'lambda' if not lam else 'm'} must not be empty")
     try:
         check_shape(k, lam, m)
     except PsiError as err:
@@ -96,20 +101,15 @@ def _build_psi(args):
 
 def cmd_psi_build(args):
     psi = _build_psi(args)
-    doc = psi.to_json()
+    writer = TermWriter(psi.ctx)
     if args.format == "text":
         lines = []
         for lab in psi.basis:
             pretty = ",".join("{" + ",".join(map(str, S)) + "}" for S in lab)
-            lines.append(f"({pretty}) : {psi.entries[lab].text()}")
-        text = "\n".join(lines) + "\n"
-        if args.out in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            lines.append(f"({pretty}) : {psi.entries[lab].text(writer)}\n")
+        _write_parts(lines, args.out)
     else:
-        _write(doc, args.out)
+        _write(psi.to_json(writer), args.out)
     return 0
 
 
@@ -168,18 +168,14 @@ def cmd_slice_emit(args):
         eqs = emit(m, ell)
     except slicemod.SliceError as err:
         raise UsageError(str(err)) from None
+    writer = TermWriter(eqs.ctx)
     if args.format == "json":
-        _write(eqs.to_json(), args.out)
+        _write(eqs.to_json(writer), args.out)
     else:
-        lines = [f"# slice m={m} ell={ell}" + (" (deformed)" if args.deform else "")]
+        lines = [f"# slice m={m} ell={ell}" + (" (deformed)" if args.deform else "") + "\n"]
         for name, p in eqs.nonzero():
-            lines.append(f"{name} : {p.text()} = 0")
-        text = "\n".join(lines) + "\n"
-        if args.out in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            lines.append(f"{name} : {p.text(writer)} = 0\n")
+        _write_parts(lines, args.out)
     return 0
 
 
@@ -215,12 +211,7 @@ def cmd_rmat_show(args):
             "(" + "".join(map(str, S)) + "|" + "".join(map(str, T)) + ")"
             for (S, T) in rop.source
         ]
-        text = "basis " + " ".join(labels) + "\n" + rop.text_matrix() + "\n"
-        if args.out in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write_parts(["basis " + " ".join(labels) + "\n", rop.text_matrix(), "\n"], args.out)
     return 0
 
 

@@ -41,6 +41,7 @@ from .algebra import (
     ExactDivisionError,
     LinearForm,
     Polynomial,
+    RationalFunction,
     spectral_context,
 )
 from .combinatorics import inversions
@@ -96,7 +97,7 @@ class PsiVector:
         m = ",".join(str(x) for x in self.m)
         return f"k={self.k} lambda=({lam}) m=({m})"
 
-    def to_json(self):
+    def to_json(self, writer=None):
         return {
             "schema": 1,
             "k": self.k,
@@ -104,7 +105,7 @@ class PsiVector:
             "m": list(self.m),
             "vars": self.ctx.nz,
             "entries": [
-                {"label": [list(S) for S in lab], "poly": self.entries[lab].to_json()}
+                {"label": [list(S) for S in lab], "poly": self.entries[lab].to_json(writer)}
                 for lab in self.basis
             ],
         }
@@ -114,6 +115,8 @@ class PsiVector:
         """Read ``to_json`` output; PsiError names what does not fit."""
         try:
             k, lam, m = doc["k"], tuple(doc["lambda"]), tuple(doc["m"])
+            if not m:
+                raise PsiError("psi JSON has no slots: m is empty")
             check_shape(k, lam, m)
             if doc["vars"] != len(m):
                 raise PsiError(f"psi JSON has vars = {doc['vars']!r}, want {len(m)}")
@@ -133,6 +136,13 @@ class PsiVector:
 
 def label_text(lab):
     return "(" + ",".join("{" + ",".join(str(x) for x in S) + "}" for S in lab) + ")"
+
+
+def _offending(lab, diff):
+    """The witness of a failed identity at lab: the leading terms of diff = lhs - rhs."""
+    terms = diff.sorted_terms()
+    head = Polynomial(diff.ctx, dict(terms[:3]), _clean=True).text() + " ..." * (len(terms) > 3)
+    return f"first offending label {label_text(lab)}: lhs - rhs = {head} ({len(terms)} terms)"
 
 
 def check_shape(k, lam, m=None):
@@ -423,11 +433,9 @@ def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
             else:
                 ok = rhs.equals(lhs)
             if not ok:
-                return report(
-                    "exchange", name, False,
-                    witness=f"first offending label {label_text(lab)}",
-                    elapsed=tm.elapsed,
-                )
+                diff = lhs if rhs is None else (RationalFunction.from_poly(lhs) - rhs).num
+                return report("exchange", name, False, witness=_offending(lab, diff),
+                              elapsed=tm.elapsed)
     return report("exchange", name, True, elapsed=tm.elapsed)
 
 
@@ -628,16 +636,15 @@ def check_cyclicity(psi, rho_op, instance=None):
     name = instance or psi.instance_name()
     if len(set(psi.m)) > 1:
         return Report("cyclicity", name, "skipped", witness="m not homogeneous")
+    if rho_op is None:
+        return Report("cyclicity", name, "skipped", witness="no rotation")
     with timer() as tm:
         rhs = rho_op.apply(psi.entries)
         for lab in psi.basis:
-            lhs = cyclic_shift(psi.entries[lab], psi.k)
-            if lhs != rhs.get(lab, psi.ctx.zero()):
-                return report(
-                    "cyclicity", name, False,
-                    witness=f"first offending label {label_text(lab)}",
-                    elapsed=tm.elapsed,
-                )
+            lhs, image = cyclic_shift(psi.entries[lab], psi.k), rhs.get(lab, psi.ctx.zero())
+            if lhs != image:
+                return report("cyclicity", name, False, witness=_offending(lab, lhs - image),
+                              elapsed=tm.elapsed)
     return report("cyclicity", name, True, elapsed=tm.elapsed)
 
 

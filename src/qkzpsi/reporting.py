@@ -74,16 +74,23 @@ def dump_reports(reports, fh=None):
 
 
 def json_text(doc):
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    return "".join(json_parts(doc))
+
+
+def json_parts(doc):
+    """The text of ``json_text(doc)`` as a list of parts, for ``writelines``.
 
     On CPython ``indent`` sends json.dumps to its pure-Python encoder; this
     writer emits the same text with fewer steps, and writes a list of plain
-    ints (a polynomial term row) with a single join.  Dict keys must be
-    strings.
+    ints with a single join.  Dict keys must be strings.  A callable value
+    writes its own text: it is called with the newline and indent that
+    precede it and returns that text (``Polynomial.to_json`` with a
+    ``TermWriter`` puts its term rows there).
     """
     out = []
     _emit(doc, "\n", out)
-    return "".join(out)
+    return out
 
 
 def _emit(x, nl, out):
@@ -113,16 +120,10 @@ def _emit(x, nl, out):
         if set(map(type, x)) == {int}:
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
             return
-        row_sep = "," + inner + "  "
         sep = "[" + inner
         for item in x:
-            if type(item) is list and item and set(map(type, item)) == {int}:
-                # a term row, written here to save a call per row
-                out.append(sep + "[" + row_sep[1:] + row_sep.join(map(int.__repr__, item))
-                           + inner + "]")
-            else:
-                out.append(sep)
-                _emit(item, inner, out)
+            out.append(sep)
+            _emit(item, inner, out)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(x, dict):
@@ -138,5 +139,7 @@ def _emit(x, nl, out):
             _emit(value, inner, out)
             sep = "," + inner
         out.append(nl + "}")
+    elif callable(x):
+        out.append(x(nl))
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

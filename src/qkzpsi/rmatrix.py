@@ -43,6 +43,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     RFSum,
+    TermWriter,
     spectral_context,
 )
 from .combinatorics import inversions
@@ -176,13 +177,14 @@ class ROperator:
         return out
 
     def to_json(self):
+        writer = TermWriter(self.ctx)
         rows = []
         for (t, s), rf in sorted(self.entries.items()):
             rows.append(
                 {
                     "target": [list(x) for x in t],
                     "source": [list(x) for x in s],
-                    "num": rf.num.text(),
+                    "num": rf.num.text(writer),
                     "den": [
                         {"form": f.text(self.ctx), "mult": m}
                         for f, m in sorted(rf.den.items(), key=lambda kv: kv[0].sort_key())
@@ -198,12 +200,13 @@ class ROperator:
 
     def text_matrix(self):
         """Dense text layout, rows = targets, columns = sources."""
+        writer = TermWriter(self.ctx)
         lines = []
         for t in self.target:
             row = []
             for s in self.source:
                 rf = self.entries.get((t, s))
-                row.append("0" if rf is None else rf.text())
+                row.append("0" if rf is None else rf.text(writer))
             lines.append("[ " + " , ".join(row) + " ]")
         return "\n".join(lines)
 

@@ -170,7 +170,7 @@ class EquationSet:
     def nonzero(self):
         return [(n, p) for n, p in self.relations if not p.is_zero()]
 
-    def to_json(self):
+    def to_json(self, writer=None):
         return {
             "schema": 1,
             "m": list(self.m),
@@ -178,7 +178,7 @@ class EquationSet:
             "deformed": self.deformed,
             "coordinates": [n for n in self.ctx.names],
             "relations": [
-                {"name": n, "poly": p.to_json()} for n, p in self.relations
+                {"name": n, "poly": p.to_json(writer)} for n, p in self.relations
             ],
         }
 

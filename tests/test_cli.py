@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -235,3 +236,52 @@ def test_psi_verify_rejects_exponents_that_do_not_pack(tmp_path):
         res = run_cli("psi", "verify", "--check", "exchange", "--in", str(path))
         assert_usage_error(res)
         assert "malformed psi JSON" in res.stderr
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (("--lambda", ""), "lambda must not be empty"),
+    (("--lambda", "3,3", "--m", ""), "m must not be empty"),
+], ids=["empty-lambda", "empty-m"])
+def test_psi_build_rejects_empty_lambda_and_m(tmp_path, argv, fragment):
+    out = tmp_path / "psi.json"
+    res = run_cli("psi", "build", "--k", "2", *argv, "--out", str(out))
+    assert_usage_error(res)
+    assert fragment in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["cyclicity", "exchange", "qkz"])
+def test_psi_verify_rejects_a_vector_with_no_slots(tmp_path, check):
+    # what `psi build --k 2 --lambda ''` wrote before empty lambdas were refused
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"entries": [{"label": [], "poly": {"terms": [[1, 1, 0]],
+                                "vars": 0}}], "k": 2, "lambda": [], "m": [], "schema": 1,
+                                "vars": 0}))
+    res = run_cli("psi", "verify", "--check", check, "--in", str(path))
+    assert_usage_error(res)
+    assert "no slots" in res.stderr
+
+
+# SHA-256 of small CLI outputs, recorded before the term writer replaced the
+# per-term text and JSON code; every output must keep its bytes.
+GOLDEN = [
+    (("psi", "build", "--k", "2", "--lambda", "3,2"),
+     "b2ea7c58c3fe6a5e782c12d586e6767c7a5dfe5a85736201a669e951ea029036"),
+    (("psi", "build", "--k", "2", "--lambda", "2,2", "--m", "2,2", "--format", "text"),
+     "bf149f4f7463f1c41e89b286a4814592e8fa75d11c9579a975d6fd316f007598"),
+    (("slice", "emit", "--m", "2,2,2", "--ell", "3,3", "--deform"),
+     "b19637fdf173520bbcccd5953373f993a5ffa31985cc557d20d1f7d4e9049570"),
+    (("slice", "emit", "--m", "2,2,2", "--ell", "3,3", "--deform", "--format", "json"),
+     "0c3b01ade6708e7aa6bfcce685ded181aa8345b550766559de436b0097e8f007"),
+    (("rmat", "show", "--k", "3", "--a", "1", "--b", "2"),
+     "ae352cfdadb02d29935a60e45c03d6c4371d95b0b7f966d84d7ee22f9a49d4de"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
+    "psi-json", "psi-fused-text", "slice-deformed-text", "slice-deformed-json", "rmat-text"])
+def test_output_bytes_are_golden(tmp_path, argv, digest):
+    out = tmp_path / "out"
+    res = run_cli(*argv, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -9,7 +9,9 @@ signed specializations afterwards.  ``stepwise_accumulate`` and
 sums brought to the lcm of two denominators by ``lcm_add``;
 ``multipass_reduce`` repeats its reduction pass until nothing divides.
 The ``tuple_*`` functions are the polynomial kernel on exponent tuples,
-{(e_1, ..., e_n): coeff}, as it was before monomials were packed into ints.
+{(e_1, ..., e_n): coeff}, as it was before monomials were packed into ints;
+``tuple_text`` and ``tuple_to_json`` also render terms one by one, as
+``Polynomial.text`` and ``to_json`` did before the cached ``TermWriter``.
 ``braid_every_source`` builds a fused R-matrix by braiding every source, as
 ``fused_rcheck`` did before it braided one source per S_k-orbit.
 ``built_closure`` certifies that the two routes of the qKZ step agree by
@@ -24,6 +26,7 @@ All of them live only here, as references.
 """
 
 import contextlib
+import json
 from fractions import Fraction
 from itertools import permutations, product, zip_longest
 from math import factorial
@@ -38,6 +41,7 @@ from qkzpsi.algebra import (
     LinearForm,
     Polynomial,
     RationalFunction,
+    TermWriter,
     spectral_context,
 )
 from qkzpsi.appendix import fixture_psi, fixture_rho, fixture_rmatrices
@@ -54,8 +58,9 @@ from qkzpsi.qkz import (
     extreme_component,
     fuse_psi,
 )
+from qkzpsi.reporting import json_parts
 from qkzpsi.rmatrix import fused_rcheck
-from qkzpsi.slice import SliceModel
+from qkzpsi.slice import SliceModel, emit_deformed_equations
 
 
 def oracle_fundamental(lam):
@@ -586,6 +591,51 @@ def test_packed_text_and_json_match_tuples(case):
     p = packed(ctx, a)
     assert p.text() == tuple_text(a, ctx.names, ctx.h_index)
     assert p.to_json() == tuple_to_json(a, ctx)
+
+
+def edge_polys(ctx):
+    """Zero, constants, a Fraction coefficient, exponents above 1 and, in a
+    spectral context, h powers that fold into the displayed coefficient."""
+    n, h = ctx.nvars, ctx.h_index
+    one = tuple(int(i == 0) for i in range(n))
+    top = tuple(3 if i in (0, n - 1) else 0 for i in range(n))
+    polys = [{}, {(0,) * n: 1}, {(0,) * n: Fraction(-1, 2), one: -1},
+             {top: Fraction(3, 4), one: 2, (0,) * n: -3}]
+    if h is not None:
+        polys.append({tuple(2 * (i == h) for i in range(n)): 6, one: Fraction(5, 2)})
+    return polys
+
+
+def dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contexts.flatmap(lambda ctx: st.tuples(
+    st.just(ctx), st.lists(tuple_polys(ctx, max_terms=8), min_size=1, max_size=8))))
+def test_one_writer_renders_a_sequence_like_tuples(case):
+    ctx, seq = case
+    writer = TermWriter(ctx)
+    for a in edge_polys(ctx) + seq + seq:
+        p = packed(ctx, a)
+        assert p.text(writer) == tuple_text(a, ctx.names, ctx.h_index)
+        want = tuple_to_json(a, ctx)
+        # rows at two depths: the writer rebuilds its row caches when the indent changes
+        assert "".join(json_parts(p.to_json(writer))) == dumps(want)
+        assert "".join(json_parts({"x": [p.to_json(writer)]})) == dumps({"x": [want]})
+
+
+STREAMED = {
+    "fundamental": lambda: build_psi_fundamental(3, (2, 2, 1)),
+    "fused": lambda: fuse_psi(build_psi_fundamental(3, (2, 2, 2)), (2, 2, 2)),
+    "slice": lambda: emit_deformed_equations((2, 2, 2), (3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_json_matches_json_dumps(name):
+    out = STREAMED[name]()
+    assert "".join(json_parts(out.to_json(TermWriter(out.ctx)))) == dumps(out.to_json())
 
 
 @st.composite

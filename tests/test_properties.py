@@ -152,9 +152,12 @@ def test_json_and_text_round_trip(p):
 @given(st.one_of(polys(CTX), polys(COORD)))
 def test_coeff_display_is_the_reduced_fraction(p):
     h = p.ctx.h_index
-    for e, c in p.terms.items():
-        want = Fraction(c) / 2 ** (0 if h is None else p.ctx.unpack(e)[h])
-        assert p._coeff_display(e, c) == (want.numerator, want.denominator)
+    rows = p.to_json()["terms"]
+    assert len(rows) == len(p.terms)
+    for (e, c), (num, den, *exps) in zip(p.sorted_terms(), rows):
+        want = Fraction(c) / 2 ** (0 if h is None else exps[h])
+        assert (num, den) == (want.numerator, want.denominator)
+        assert tuple(exps) == p.ctx.unpack(e)
 
 
 @st.composite

@@ -81,6 +81,35 @@ def test_exchange_negative_control():
     assert rep.witness
 
 
+def test_failing_checks_name_the_remainder():
+    psi = build_psi_fundamental(2, (2, 2))
+    ctx = psi.ctx
+    rho = sequence_rotation(psi.basis, psi.m, 4, 2)
+    assert check_exchange(psi, 1).witness is None
+    assert check_cyclicity(psi, rho).witness is None
+    lab = ((1,), (1,), (2,), (2,))
+
+    def perturbed(delta):
+        entries = {**psi.entries, lab: psi.entries[lab] + delta}
+        return PsiVector(psi.k, psi.lam, psi.m, ctx, entries)
+
+    # equal letters at slots 1, 2: R = (hb - u)/(hb + u) there, u = z1 - z2, so adding
+    # hb^2 leaves hb^2 (1 - R) = 2 hb^2 u / (hb + u) as lhs - rhs
+    assert check_exchange(perturbed(ctx.hbar() ** 2), 1).witness == (
+        "first offending label ({1},{1},{2},{2}): lhs - rhs = 2*z1*hb^2 - 2*z2*hb^2 (2 terms)")
+    # rho moves the label, so lhs - rhs is the cyclic shift of the symmetric s^2: (s + 3 hb)^2
+    s = sum(ctx.z(i) for i in range(1, 5))
+    assert check_cyclicity(perturbed(s ** 2), rho).witness == (
+        "first offending label ({1},{1},{2},{2}): lhs - rhs = z1^2 + 2*z1*z2 + 2*z1*z3 ..."
+        " (15 terms)")
+
+
+def test_cyclicity_without_rotation_is_skipped():
+    psi = build_psi_fundamental(2, (2, 2))
+    rep = check_cyclicity(psi, None)
+    assert (rep.status, rep.witness) == ("skipped", "no rotation")
+
+
 def test_fuse_identity_on_fundamental():
     psi = build_psi_fundamental(2, (2, 1))
     assert fuse_psi(psi, (1, 1, 1)) is psi
