@@ -853,16 +853,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if self.is_zero():
-            raise AlgebraError("inversion of the zero function")
-        const, factors = factor_linear_forms(self.num)
-        den = {}
-        for f in factors:
-            den[f] = den.get(f, 0) + 1
-        num = self.den_poly() * (Fraction(1) / Fraction(const))
-        return RationalFunction(num, den)
-
     def equals(self, other):
         other = _as_rf(other, self.ctx)
         if self.den == other.den:
@@ -884,26 +874,20 @@ class RationalFunction:
         return self.num.evaluate(values) / d
 
     def substitute_z(self, mapping, target_ctx=None):
-        """Substitute z-variables by linear forms (given as LinearForm images).
+        """Substitute z-variables by Polynomials of degree <= 1.
 
-        ``mapping`` maps 1-based z indices to (form, sign) pairs or
-        Polynomials of degree <= 1; denominator forms must stay linear.
+        ``mapping`` maps 1-based z indices to their images, over
+        ``target_ctx`` when given; denominator forms must stay linear.
         """
-        tctx = target_ctx or self.ctx
-        poly_map = {}
-        for zi, image in mapping.items():
-            if isinstance(image, Polynomial):
-                poly_map[zi - 1] = image
-            else:
-                form, sign = image
-                poly_map[zi - 1] = form.to_poly(tctx) * sign
+        poly_map = {zi - 1: image for zi, image in mapping.items()}
         if target_ctx is not None:
             # map h through unchanged, other z's must be covered
-            poly_map[self.ctx.h_index] = Polynomial(tctx, {tctx.units[tctx.h_index]: 1})
-        num = self.num.substitute(poly_map, tctx if target_ctx is not None else None)
+            h = target_ctx.h_index
+            poly_map[self.ctx.h_index] = Polynomial(target_ctx, {target_ctx.units[h]: 1})
+        num = self.num.substitute(poly_map, target_ctx)
         den = {}
         for f, m in self.den.items():
-            p = f.to_poly(self.ctx).substitute(poly_map, tctx if target_ctx is not None else None)
+            p = f.to_poly(self.ctx).substitute(poly_map, target_ctx)
             form, sign = _poly_to_form(p)
             if sign < 0 and m % 2:
                 num = -num
@@ -1014,90 +998,6 @@ def _poly_to_form(p):
     if hc != int(hc):
         raise AlgebraError("non-integral h coefficient in linear form")
     return LinearForm.make(int(hc), pos, neg)
-
-
-def factor_linear_forms(p):
-    """Factor a product of linear forms (times a constant).
-
-    Returns (constant, [forms]).  Raises AlgebraError if the polynomial does
-    not split completely into integer linear forms of the supported shapes.
-    Used for pretty display and for rational-function inversion; ordinary
-    reduction never needs it.
-    """
-    ctx = p.ctx
-    if ctx.h_index is None:
-        raise ContextError("factoring needs a spectral context")
-    if p.is_zero():
-        raise AlgebraError("cannot factor zero")
-    factors = []
-    cur = p
-    progress = True
-    while cur.degree() > 0 and progress:
-        progress = False
-        support = set()
-        for e in cur.terms:
-            for idx, exp in enumerate(ctx.unpack(e)):
-                if exp and idx != ctx.h_index:
-                    support.add(idx + 1)
-        support = sorted(support)
-        candidates = []
-        for a in range(len(support)):
-            for b in range(a + 1, len(support)):
-                candidates.append((support[a], support[b]))
-        for i, j in candidates:
-            for hc in _candidate_hcoefs(cur, ctx):
-                f, _ = LinearForm.make(hc, i, j)
-                try:
-                    cur = cur.exact_div(f)
-                except ExactDivisionError:
-                    continue
-                factors.append(f)
-                progress = True
-                break
-            if progress:
-                break
-        if progress:
-            continue
-        for i in support:
-            for hc in _candidate_hcoefs(cur, ctx):
-                f, _ = LinearForm.make(hc, i, None)
-                try:
-                    cur = cur.exact_div(f)
-                    factors.append(f)
-                    progress = True
-                    break
-                except ExactDivisionError:
-                    continue
-            if progress:
-                break
-        if progress:
-            continue
-        # pure-h factor
-        f = LinearForm(1)
-        try:
-            cur = cur.exact_div(f)
-            factors.append(f)
-            progress = True
-        except ExactDivisionError:
-            pass
-    if cur.degree() > 0:
-        raise AlgebraError("polynomial does not split into supported linear forms")
-    const = next(iter(cur.terms.values())) if cur.terms else 0
-    return const, factors
-
-
-def _candidate_hcoefs(p, ctx):
-    """Plausible h-coefficients for a linear-form factor of p: |c| bounded."""
-    bound = 0
-    for e, c in p.terms.items():
-        cc = abs(Fraction(c))
-        bound = max(bound, int(cc.numerator // max(1, cc.denominator)))
-    bound = max(bound, 8)
-    out = [0]
-    for c in range(1, 2 * bound + 1):
-        out.append(c)
-        out.append(-c)
-    return out
 
 
 # -- parsing -----------------------------------------------------------------

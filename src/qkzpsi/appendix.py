@@ -129,62 +129,65 @@ def fixture_rho(doc):
 # -- the eight checks ------------------------------------------------------------
 
 
+def _full_matrices(ctx, N):
+    """The full N x N matrices of the slice variables Aij and Bij."""
+    return {letter: [[ctx.var(f"{letter}{i}{j}") for j in range(1, N + 1)]
+                     for i in range(1, N + 1)]
+            for letter in ("A", "B")}
+
+
+def _coordinate_names(N):
+    """{(letter, i, j): "Lij"} for the letters A, B and 1 <= i < j <= N."""
+    return {(letter, i, j): f"{letter}{i}{j}" for letter in ("A", "B")
+            for i in range(1, N + 1) for j in range(i + 1, N + 1)}
+
+
+def _block_witness(eqs, prefix, mats, top, corner, combined):
+    """Where the emitted relations miss the printed block structure, or None.
+
+    At the first or last row and column of the Jordan blocks i, j, the
+    relation named ``prefix[r,c]`` must equal top, corner, corner*B and
+    top + corner*A (first/first, first/last, last/first, last/last); and
+    the printed ``combined`` relation must be top + corner*A - A*corner.
+    """
+    model = slicemod.SliceModel(eqs.m)
+    corner_B = slicemod._mat_mul_poly(corner, mats["B"])
+    corner_A = slicemod._mat_mul_poly(corner, mats["A"])
+    A_corner = slicemod._mat_mul_poly(mats["A"], corner)
+    X = dict(eqs.relations)
+    ends = [(s + 1, s + mi) for s, mi in zip(model.block_start, model.m)]  # 1-based
+    pairs = [(i, j) for i in range(model.N) for j in range(model.N)]
+    for i, j in pairs:
+        corners = [(0, 0, top[i][j], "upper-left"), (0, 1, corner[i][j], "upper-right"),
+                   (1, 0, corner_B[i][j], "lower-left"),
+                   (1, 1, top[i][j] + corner_A[i][j], "lower-right")]
+        for a, b, want, where in corners:
+            if X[f"{prefix}[{ends[i][a]},{ends[j][b]}]"] != want:
+                return f"{where} block entry ({i + 1},{j + 1})"
+    for i, j in pairs:
+        if combined[i][j] != top[i][j] + corner_A[i][j] - A_corner[i][j]:
+            return f"combined relation differs at ({i + 1},{j + 1})"
+    return None
+
+
 def check_equations(doc):
     """X^4 on the slice carries exactly the printed matrix relations."""
     with timer() as tm:
         m = tuple(doc["m"])
-        ell = tuple(x for x in doc["ell"])
-        eqs = slicemod.emit_equations(m, ell)
+        eqs = slicemod.emit_equations(m, tuple(doc["ell"]))
         ctx = eqs.ctx
         N = len(m)
-        mats = {}
-        for letter in ("A", "B"):
-            mats[letter] = [
-                [ctx.var(f"{letter}{i}{j}") for j in range(1, N + 1)]
-                for i in range(1, N + 1)
-            ]
+        mats = _full_matrices(ctx, N)
         by_name = {r["name"]: r["terms"] for r in doc["relations"]}
-        r_left = slicemod.matrix_relation_value(by_name["B(A^2+B)"], mats, ctx, N)
-        r_right = slicemod.matrix_relation_value(by_name["(A^2+B)B"], mats, ctx, N)
-        r_cubic = slicemod.matrix_relation_value(by_name["A^3+AB+BA"], mats, ctx, N)
-        cubic_B = slicemod._mat_mul_poly(r_cubic, mats["B"])
-        cubic_A = slicemod._mat_mul_poly(r_cubic, mats["A"])
-        A_cubic = slicemod._mat_mul_poly(mats["A"], r_cubic)
-        L = 4
-        X4 = {name: p for name, p in eqs.relations}
-        model = slicemod.SliceModel(m)
-        first = [model.block_start[i] for i in range(N)]
-        last = [model.block_start[i] + m[i] - 1 for i in range(N)]
-        for i in range(N):
-            for j in range(N):
-                pairs = [
-                    (X4[f"X^{L}[{first[i] + 1},{first[j] + 1}]"], r_right[i][j], "upper-left"),
-                    (X4[f"X^{L}[{first[i] + 1},{last[j] + 1}]"], r_cubic[i][j], "upper-right"),
-                    (X4[f"X^{L}[{last[i] + 1},{first[j] + 1}]"], cubic_B[i][j], "lower-left"),
-                    (
-                        X4[f"X^{L}[{last[i] + 1},{last[j] + 1}]"],
-                        r_right[i][j] + cubic_A[i][j],
-                        "lower-right",
-                    ),
-                ]
-                for got, want, where in pairs:
-                    if got != want:
-                        return report(
-                            "equations", "appendix", False,
-                            witness=f"{where} block entry ({i + 1},{j + 1})",
-                            elapsed=tm.elapsed,
-                        )
-        # the third printed relation is the explicit combination of the others
-        for i in range(N):
-            for j in range(N):
-                want = r_right[i][j] + cubic_A[i][j] - A_cubic[i][j]
-                if r_left[i][j] != want:
-                    return report(
-                        "equations", "appendix", False,
-                        witness=f"B(A^2+B) combination fails at ({i + 1},{j + 1})",
-                        elapsed=tm.elapsed,
-                    )
+        r_left, r_right, r_cubic = (
+            slicemod.matrix_relation_value(by_name[name], mats, ctx, N)
+            for name in ("B(A^2+B)", "(A^2+B)B", "A^3+AB+BA"))
+        # B(A^2+B) is the explicit combination of the other two relations
+        witness = _block_witness(eqs, "X^4", mats, r_right, r_cubic, r_left)
+        if witness is not None:
+            return report("equations", "appendix", False, witness=witness, elapsed=tm.elapsed)
         # torus homogeneity of every emitted relation
+        model = slicemod.SliceModel(m)
         for name, p in eqs.relations:
             if not model.relation_is_homogeneous(ctx, p):
                 return report(
@@ -194,19 +197,30 @@ def check_equations(doc):
     return report("equations", "appendix", True, elapsed=tm.elapsed)
 
 
+def _restricted_slice(doc):
+    """The restricted slice model of the fixture, its context and its
+    strictly upper-triangular A, B matrices."""
+    model_n = slicemod.intersect_with_n(slicemod.SliceModel(tuple(doc["m"])))
+    ctx = model_n.context()
+    N = len(doc["m"])
+    return model_n, ctx, slicemod.upper_triangular_matrices(ctx, N, _coordinate_names(N))
+
+
+def _constraint_values(comp, mats, ctx, N):
+    """The printed matrix constraints of a component, as polynomials."""
+    values = []
+    for constraint in comp["matrix_constraints"]:
+        r, c = constraint["entry"]
+        val = slicemod.matrix_relation_value(constraint["word_terms"], mats, ctx, N)
+        values.append(val[r - 1][c - 1])
+    return values
+
+
 def check_components(doc):
     """The three printed loci satisfy the matrix relations identically."""
     with timer() as tm:
-        m = tuple(doc["m"])
-        N = len(m)
-        model_n = slicemod.intersect_with_n(slicemod.SliceModel(m))
-        ctx = model_n.context()
-        names = {}
-        for letter in ("A", "B"):
-            for i in range(1, N + 1):
-                for j in range(i + 1, N + 1):
-                    names[(letter, i, j)] = f"{letter}{i}{j}"
-        mats = slicemod.upper_triangular_matrices(ctx, N, names)
+        N = len(doc["m"])
+        model_n, ctx, mats = _restricted_slice(doc)
         relations = [
             entry
             for r in doc["relations"]
@@ -215,18 +229,11 @@ def check_components(doc):
         ]
         half_dim = len(model_n.coords) - 4  # codim = sum lam_a(lam_a-1)/2 = 4
         for ci, comp in enumerate(doc["components"], start=1):
-            cvals = []
-            for constraint in comp["matrix_constraints"]:
-                val = slicemod.matrix_relation_value(
-                    constraint["word_terms"], mats, ctx, N
-                )
-                r, c = constraint["entry"]
-                cvals.append(val[r - 1][c - 1])
             rep = slicemod.verify_component_membership(
                 ctx,
                 len(model_n.coords),
                 comp["vanishing"],
-                cvals,
+                _constraint_values(comp, mats, ctx, N),
                 comp["solve_order"],
                 relations,
                 free_expected=half_dim,
@@ -391,55 +398,22 @@ def check_deformed(doc):
         ctx = eqs.ctx
         tnames = tuple(f"t{a}" for a in range(1, 5))
         es = slicemod.elementary_symmetric(ctx, tnames)
-        mats = {}
-        for letter in ("A", "B"):
-            mats[letter] = [
-                [ctx.var(f"{letter}{i}{j}") for j in range(1, N + 1)]
-                for i in range(1, N + 1)
-            ]
-        printed = [
+        mats = _full_matrices(ctx, N)
+        r1d, r0d, r2d = [
             slicemod.matrix_relation_value(r["terms"], mats, ctx, N, e_polys=es)
             for r in doc["deformed_relations"]
         ]
-        r1d, r0d, r2d = printed[0], printed[1], printed[2]
-        c_B = slicemod._mat_mul_poly(r2d, mats["B"])
-        c_A = slicemod._mat_mul_poly(r2d, mats["A"])
-        A_c = slicemod._mat_mul_poly(mats["A"], r2d)
-        model = slicemod.SliceModel(m)
-        first = [model.block_start[i] for i in range(N)]
-        last = [model.block_start[i] + m[i] - 1 for i in range(N)]
-        X = {name: p for name, p in eqs.relations}
-        for i in range(N):
-            for j in range(N):
-                quads = [
-                    (X[f"prod(X-t)[{first[i] + 1},{first[j] + 1}]"], r1d[i][j], "upper-left"),
-                    (X[f"prod(X-t)[{first[i] + 1},{last[j] + 1}]"], r2d[i][j], "upper-right"),
-                    (X[f"prod(X-t)[{last[i] + 1},{first[j] + 1}]"], c_B[i][j], "lower-left"),
-                    (X[f"prod(X-t)[{last[i] + 1},{last[j] + 1}]"], r1d[i][j] + c_A[i][j], "lower-right"),
-                ]
-                for got, want, where in quads:
-                    if got != want:
-                        return report(
-                            "deformed-equations", "appendix", False,
-                            witness=f"{where} block ({i + 1},{j + 1})", elapsed=tm.elapsed,
-                        )
-                want = r1d[i][j] + c_A[i][j] - A_c[i][j]
-                if r0d[i][j] != want:
-                    return report(
-                        "deformed-equations", "appendix", False,
-                        witness=f"second relation combination at ({i + 1},{j + 1})",
-                        elapsed=tm.elapsed,
-                    )
+        # the second printed relation is the explicit combination of the others
+        witness = _block_witness(eqs, "prod(X-t)", mats, r1d, r2d, r0d)
+        if witness is not None:
+            return report("deformed-equations", "appendix", False, witness=witness,
+                          elapsed=tm.elapsed)
         # t = 0 recovers the undeformed equations relation by relation
-        zero_map = {name: ctx.zero() for name in tnames}
+        zero_map = {ctx.index(t): ctx.zero() for t in tnames}
         undeformed = slicemod.emit_equations(m, ell)
-        emb = {nm: ctx.var(nm) for nm in undeformed.ctx.names}
+        embed = {undeformed.ctx.index(nm): ctx.var(nm) for nm in undeformed.ctx.names}
         for (name_d, pd), (name_u, pu) in zip(eqs.relations, undeformed.relations):
-            specialized = pd.substitute({ctx.index(t): ctx.zero() for t in tnames})
-            lifted = pu.substitute(
-                {undeformed.ctx.index(nm): emb[nm] for nm in undeformed.ctx.names}, ctx
-            )
-            if specialized != lifted:
+            if pd.substitute(zero_map) != pu.substitute(embed, ctx):
                 return report(
                     "deformed-equations", "appendix", False,
                     witness=f"t=0 limit differs at {name_d}", elapsed=tm.elapsed,
@@ -465,19 +439,10 @@ def _check_deformed_component(doc, printed_relations):
         N = len(m)
         dc = doc["deformed_component"]
         alpha = [tuple(s) for s in dc["alpha"]]
-        coord_names = []
-        for letter in ("A", "B"):
-            for i in range(1, N + 1):
-                for j in range(i + 1, N + 1):
-                    coord_names.append(f"{letter}{i}{j}")
+        names = _coordinate_names(N)
         tnames = tuple(f"t{a}" for a in range(1, 5))
-        ctx = slicemod.coordinate_context(tuple(coord_names) + tnames)
+        ctx = slicemod.coordinate_context(tuple(names.values()) + tnames)
         es = slicemod.elementary_symmetric(ctx, tnames)
-        names = {}
-        for letter in ("A", "B"):
-            for i in range(1, N + 1):
-                for j in range(i + 1, N + 1):
-                    names[(letter, i, j)] = f"{letter}{i}{j}"
         diagonal = {}
         for i, letters in enumerate(alpha, start=1):
             sa = ctx.zero()
@@ -501,7 +466,7 @@ def _check_deformed_component(doc, printed_relations):
         relations = [entry for val in rel_values for row in val for entry in row]
         rep = slicemod.verify_component_membership(
             ctx,
-            len(coord_names),
+            len(names),
             [],
             constraints,
             solve_order,
@@ -525,47 +490,21 @@ def sample_component_point(doc, comp_index, rng):
     Returns the full 8 x 8 slice matrix.
     """
     comp = doc["components"][comp_index]
-    N = len(doc["m"])
-    model_n = slicemod.intersect_with_n(slicemod.SliceModel(tuple(doc["m"])))
-    ctx = model_n.context()
-    names = {
-        (letter, i, j): f"{letter}{i}{j}"
-        for letter in "AB"
-        for i in range(1, N + 1)
-        for j in range(i + 1, N + 1)
-    }
-    mats = slicemod.upper_triangular_matrices(ctx, N, names)
-    cvals = []
-    for constraint in comp["matrix_constraints"]:
-        val = slicemod.matrix_relation_value(constraint["word_terms"], mats, ctx, N)
-        r, c = constraint["entry"]
-        cvals.append(val[r - 1][c - 1])
+    model_n, ctx, mats = _restricted_slice(doc)
+    cvals = _constraint_values(comp, mats, ctx, len(doc["m"]))
+    solutions = [(var, slicemod.linear_solve(cvals[cidx], var, ctx))
+                 for var, cidx in comp["solve_order"]]
     while True:
         point = {c.name: Fraction(rng.randrange(-9, 10)) for c in model_n.coords}
         for name in comp["vanishing"]:
             point[name] = Fraction(0)
-        ok = True
-        for var, cidx in comp["solve_order"]:
-            poly = cvals[cidx]
-            vidx = ctx.index(var)
-            c1 = c0 = Fraction(0)
-            for mono, coeff in poly.terms.items():
-                e = ctx.unpack(mono)
-                term = Fraction(coeff)
-                for idx, exp in enumerate(e):
-                    if idx == vidx:
-                        continue
-                    if exp:
-                        term *= point[ctx.names[idx]] ** exp
-                if e[vidx] == 0:
-                    c0 += term
-                else:
-                    c1 += term
-            if c1 == 0:
-                ok = False
+        for var, (num, den) in solutions:
+            values = [point[name] for name in ctx.names]
+            pivot = den.evaluate(values)
+            if pivot == 0:
                 break
-            point[var] = -c0 / c1
-        if ok:
+            point[var] = num.evaluate(values) / pivot
+        else:
             break
     model = slicemod.SliceModel(tuple(doc["m"]))
     M = model.M

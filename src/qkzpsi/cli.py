@@ -14,11 +14,15 @@ Bad input ends with one ``qkzpsi: error: ...`` line on stderr and exit
 status 2, with no traceback.  Bad input is: a malformed number list; an
 empty lambda or m, or one that does not fit k; a vector file that is
 missing, is not JSON, does not match the psi JSON schema, has no slots or
-holds exponents outside [0, 2**16); for ``slice emit`` an empty m or a
-non-positive block size, an ell with a negative entry or a sum other than
-sum(m), a slice larger than the desk-scale limit (12), or a non-rectangular
-ell with ``--deform``; for ``rmat`` wedge sizes a, b outside 1..k-1, and
-for ``rmat verify`` a != b (its checks act on the a-th wedge power alone).
+holds exponents outside [0, 2**16); for ``psi verify`` a --slot outside
+the vector's slots, wheel --positions that are not increasing, leave 1..N
+or have an m-sum of at most k, and a recurrence check of a fused vector or
+at an --insert-at outside the small vector's N+1 places; for ``slice
+emit`` an empty m or a non-positive block size, an ell with a negative
+entry or a sum other than sum(m), a slice larger than the desk-scale limit
+(12), or a non-rectangular ell with ``--deform``; for ``rmat`` wedge sizes
+a, b outside 1..k-1, and for ``rmat verify`` a != b (its checks act on the
+a-th wedge power alone).
 """
 
 from __future__ import annotations
@@ -125,39 +129,48 @@ def _load_psi(path):
         raise UsageError(f"{path}: {err}") from None
 
 
+def _slots(slot, last):
+    """[slot] if one is given, which must lie in 1..last; else every slot."""
+    if slot is None:
+        return range(1, last + 1)
+    if not 1 <= slot <= last:
+        raise UsageError(f"--slot must lie in 1..{last}, got {slot}")
+    return [slot]
+
+
 def cmd_psi_verify(args):
     psi = _load_psi(args.infile)
-    reports = []
-    if args.check == "exchange":
-        slots = [args.slot] if args.slot else range(1, psi.N)
-        reports = [check_exchange(psi, i) for i in slots]
-    elif args.check == "wheel":
-        placements = (
-            [_ints(args.positions)] if args.positions else wheel_positions(psi.m, psi.k)
-        )
-        reports = [check_wheel(psi, pos) for pos in placements]
-    elif args.check in ("cyclicity", "qkz"):
-        # the rotation is defined for homogeneous m only; both checks skip otherwise
-        rho = (sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
-               if len(set(psi.m)) == 1 else None)
-        if args.check == "cyclicity":
-            reports = [check_cyclicity(psi, rho)]
-        else:
-            slots = [args.slot] if args.slot else range(1, psi.N + 1)
-            reports = [qkz_step(psi, i, rho) for i in slots]
-    elif args.check == "recurrence":
-        p = args.insert_at
-        k = psi.k
-        n = (1,) * k
-        small_lam = tuple(x - 1 for x in psi.lam if x - 1 > 0)
-        small = build_psi_fundamental(k, small_lam)
-        reports = [check_recurrence(psi, small, p, n)]
-    else:
-        raise SystemExit(f"unknown check {args.check!r}")
+    try:
+        reports = _verify_reports(psi, args)
+    except PsiError as err:
+        raise UsageError(str(err)) from None
     _write({"schema": 1, "reports": [r.to_json() for r in reports]}, args.out)
     for r in reports:
         print(r.line(), file=sys.stderr)
     return 0 if all(r.passed or r.status == "skipped" for r in reports) else 1
+
+
+def _verify_reports(psi, args):
+    if args.check == "exchange":
+        return [check_exchange(psi, i) for i in _slots(args.slot, psi.N - 1)]
+    if args.check == "wheel":
+        placements = (
+            [_ints(args.positions)] if args.positions else wheel_positions(psi.m, psi.k)
+        )
+        return [check_wheel(psi, pos) for pos in placements]
+    if args.check in ("cyclicity", "qkz"):
+        # the rotation is defined for homogeneous m only; both checks skip otherwise
+        rho = (sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
+               if len(set(psi.m)) == 1 else None)
+        if args.check == "cyclicity":
+            return [check_cyclicity(psi, rho)]
+        return [qkz_step(psi, i, rho) for i in _slots(args.slot, psi.N)]
+    if args.check == "recurrence":
+        k = psi.k
+        small_lam = tuple(x - 1 for x in psi.lam if x - 1 > 0)
+        small = build_psi_fundamental(k, small_lam)
+        return [check_recurrence(psi, small, args.insert_at, (1,) * k)]
+    raise SystemExit(f"unknown check {args.check!r}")
 
 
 def cmd_slice_emit(args):
@@ -228,17 +241,17 @@ def cmd_rmat_verify(args):
     reports = []
     if args.check == "ybe":
         basis = product_basis(single, 3)
-        app1 = slot_applicator(rop, 0, 3)
-        app2 = slot_applicator(rop, 1, 3)
+        app1 = slot_applicator(rop, 0)
+        app2 = slot_applicator(rop, 1)
         reports.append(verify_ybe(app1, app2, basis, ctx3, f"fused k={k} a={a} b={b}"))
     elif args.check == "unitarity":
         basis = product_basis(single, 2)
-        app1 = slot_applicator(rop, 0, 2)
+        app1 = slot_applicator(rop, 0)
         reports.append(verify_unitarity(app1, basis, ctx3, f"fused k={k} a={a} b={b}"))
     elif args.check == "commutation":
         basis = product_basis(single, 4)
-        app1 = slot_applicator(rop, 0, 4)
-        app3 = slot_applicator(rop, 2, 4)
+        app1 = slot_applicator(rop, 0)
+        app3 = slot_applicator(rop, 2)
         reports.append(
             verify_commutation(app1, app3, basis, ctx3, f"fused k={k} a={a} b={b}")
         )

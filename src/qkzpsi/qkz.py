@@ -138,6 +138,12 @@ def label_text(lab):
     return "(" + ",".join("{" + ",".join(str(x) for x in S) + "}" for S in lab) + ")"
 
 
+def _difference(lhs, rhs):
+    """The numerator of lhs - rhs, for a Polynomial lhs and a RationalFunction
+    rhs; a missing rhs is zero."""
+    return lhs if rhs is None else (RationalFunction.from_poly(lhs) - rhs).num
+
+
 def _offending(lab, diff):
     """The witness of a failed identity at lab: the leading terms of diff = lhs - rhs."""
     terms = diff.sorted_terms()
@@ -421,10 +427,7 @@ def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
     form, sign = LinearForm.make(0, i, i + 1)
     with timer() as tm:
         sub = operator.substitute_spectral(form, sign, psi.ctx)
-        if slotwise:
-            applied = _rm.apply_at_slot(sub, psi.entries, i - 1)
-        else:
-            applied = sub.apply(psi.entries)
+        applied = sub.apply(psi.entries, i - 1 if slotwise else None)
         for lab in psi.basis:
             lhs = psi.entries[lab].swap_z(i, i + 1)
             rhs = applied.get(lab)
@@ -433,9 +436,8 @@ def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
             else:
                 ok = rhs.equals(lhs)
             if not ok:
-                diff = lhs if rhs is None else (RationalFunction.from_poly(lhs) - rhs).num
-                return report("exchange", name, False, witness=_offending(lab, diff),
-                              elapsed=tm.elapsed)
+                return report("exchange", name, False,
+                              witness=_offending(lab, _difference(lhs, rhs)), elapsed=tm.elapsed)
     return report("exchange", name, True, elapsed=tm.elapsed)
 
 
@@ -461,6 +463,8 @@ def check_wheel(psi, positions, instance=None):
     positions = tuple(positions)
     if list(positions) != sorted(set(positions)):
         raise PsiError("wheel positions must be strictly increasing")
+    if positions and not 1 <= positions[0] <= positions[-1] <= psi.N:
+        raise PsiError(f"wheel positions must lie in 1..{psi.N}, got {positions}")
     n = [psi.m[p - 1] for p in positions]
     if sum(n) <= psi.k:
         raise PsiError(
@@ -479,11 +483,8 @@ def check_wheel(psi, positions, instance=None):
         for lab in psi.basis:
             val = psi.entries[lab].substitute(mapping)
             if not val.is_zero():
-                return report(
-                    "wheel", name, False,
-                    witness=f"non-vanishing entry at {label_text(lab)}",
-                    elapsed=tm.elapsed,
-                )
+                return report("wheel", name, False, witness=_offending(lab, val),
+                              elapsed=tm.elapsed)
     return report("wheel", name, True, elapsed=tm.elapsed)
 
 
@@ -513,6 +514,8 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
         raise PsiError("recurrence requires sum(n) = k")
     m_small = psi_small.m
     N = len(m_small)
+    if not 1 <= p <= N + 1:
+        raise PsiError(f"insertion position must lie in 1..{N + 1}, got {p}")
     expect_big = m_small[:p - 1] + n + m_small[p - 1:]
     if psi_big.m != expect_big:
         raise PsiError(f"big m-sequence {psi_big.m} does not match insertion {expect_big}")
@@ -658,7 +661,7 @@ def _applicators(psi, full_ops=None):
     out = {}
     for j in range(1, psi.N):
         rop = _rm.pair_operator(psi.k, psi.m[j - 1], psi.m[j])
-        out[j] = _rm.slot_applicator(rop, j - 1, psi.N)
+        out[j] = _rm.slot_applicator(rop, j - 1)
     return out
 
 
@@ -709,10 +712,9 @@ def qkz_step(psi, i, rho_op, full_ops=None, instance=None):
         }
         ok, where = _rm._vec_equal(lhs, v)
         if not ok:
-            return report(
-                "qkz", name, False,
-                witness=f"route A mismatch at {label_text(where)}", elapsed=tm.elapsed,
-            )
+            diff = _difference(lhs[where], v.get(where))
+            return report("qkz", name, False, witness=f"route A: {_offending(where, diff)}",
+                          elapsed=tm.elapsed)
         # route B: move right, wrap via the inverse rotation
         v2 = _run_chain(apply_at, dict(psi.entries), steps_right)
         v2 = rho_op.inverse().apply(v2)
@@ -723,10 +725,9 @@ def qkz_step(psi, i, rho_op, full_ops=None, instance=None):
         }
         ok, where = _rm._vec_equal(lhs2, v2)
         if not ok:
-            return report(
-                "qkz", name, False,
-                witness=f"route B mismatch at {label_text(where)}", elapsed=tm.elapsed,
-            )
+            diff = _difference(lhs2[where], v2.get(where))
+            return report("qkz", name, False, witness=f"route B: {_offending(where, diff)}",
+                          elapsed=tm.elapsed)
         witness = closure_witness(psi, full_ops)
         if witness is not None:
             return report("qkz", name, False, witness=witness, elapsed=tm.elapsed)

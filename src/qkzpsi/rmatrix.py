@@ -77,18 +77,6 @@ def _accumulate(ctx, products):
     return {key: acc.result() for key, acc in sums.items()}
 
 
-def apply_at_slot(pair_op, vec, slot):
-    """Apply a pair operator to the factors (slot, slot+1), 0-based, of every label."""
-    by_source = pair_op.by_source()
-
-    def products():
-        for label, val in vec.items():
-            for (P, Q), rf in by_source.get((label[slot], label[slot + 1]), ()):
-                yield label[:slot] + (P, Q) + label[slot + 2:], rf, val
-
-    return _accumulate(pair_op.ctx, products())
-
-
 class ROperator:
     """Weight-preserving matrix of rational functions between labelled bases.
 
@@ -120,26 +108,33 @@ class ROperator:
             return _rf(self.ctx.zero())
         return rf
 
-    def apply(self, vec):
-        """Matrix-vector product; vec maps source labels to Polynomial/RF."""
+    def apply(self, vec, slot=None):
+        """Matrix-vector product; vec maps labels to Polynomial/RF.
+
+        Without ``slot`` the operator acts on whole labels.  With ``slot`` it
+        is a pair operator acting on the factors (slot, slot+1), 0-based, of
+        every label, so the rest of the label rides along.  Zero values of
+        vec contribute nothing and are skipped.
+        """
         by_source = self.by_source()
-        return _accumulate(self.ctx, (
-            (t, rf, val)
-            for s, val in vec.items() if not val.is_zero()
-            for t, rf in by_source.get(s, ())
-        ))
+
+        def products():
+            for label, val in vec.items():
+                if val.is_zero():
+                    continue
+                lo, hi = (0, len(label)) if slot is None else (slot, slot + 2)
+                for t, rf in by_source.get(label[lo:hi], ()):
+                    yield label[:lo] + t + label[hi:], rf, val
+
+        return _accumulate(self.ctx, products())
 
     def matmul(self, other):
         """self o other (apply other first), one result column at a time."""
         if self.ctx != other.ctx:
             raise RMatrixError("context mismatch in composition")
         entries = {}
-        mid = self.by_source()
         for s, column in other.by_source().items():
-            col = _accumulate(self.ctx, (
-                (t, rf2, rf1) for m, rf1 in column for t, rf2 in mid.get(m, ())
-            ))
-            for t, rf in col.items():
+            for t, rf in self.apply(dict(column)).items():
                 entries[(t, s)] = rf
         return ROperator(self.ctx, other.source, self.target, entries)
 
@@ -166,15 +161,6 @@ class ROperator:
             if not self.entry(*k).equals(other.entry(*k)):
                 return False
         return True
-
-    def evaluate_at_zero(self):
-        """Evaluate every entry at z = 0 (numeric matrix as nested dict)."""
-        point = [Fraction(0)] * self.ctx.nvars
-        point[self.ctx.h_index] = Fraction(1, 2)  # hb = 1
-        out = {}
-        for (t, s), rf in self.entries.items():
-            out[(t, s)] = rf.evaluate(point)
-        return out
 
     def to_json(self):
         writer = TermWriter(self.ctx)
@@ -348,7 +334,12 @@ def fused_rcheck(k, a, b):
     raw_extreme = top.get((T0, S0))
     if raw_extreme is None or raw_extreme.is_zero():
         raise RMatrixError("extreme matrix element vanished; cannot normalize")
-    scalar = normalization_factor(a, b) * raw_extreme.inverse()
+    # unitarity at the extreme weight makes raw(-z) the inverse of raw(z);
+    # checked exactly, it spares factoring raw's numerator
+    flipped = raw_extreme.substitute_z({1: -ctx.z(1)})
+    if not (raw_extreme * flipped).equals(ctx.one()):
+        raise RMatrixError("extreme matrix element is not unitary; cannot normalize")
+    scalar = normalization_factor(a, b) * flipped
     for _, col in reps.values():
         for key, rf in col.items():
             col[key] = scalar * rf
@@ -481,68 +472,50 @@ def pair_unitarity(k, a, b):
     return rep.passed, rep.witness
 
 
-def family_slot_applicator(k, slot):
-    """Applicator picking the fused operator from the current pair sizes.
+def _applicator(pick, slot=None):
+    """apply(vec, form, sign): each label's operator at argument sign*form.
 
-    Needed when adjacent factors have different wedge sizes (the operator
-    then changes the label shape at the slot)."""
-
+    ``pick(label)`` names the one-variable operator that acts on a label,
+    at ``slot`` (see ``ROperator.apply``).  Labels are grouped by operator
+    and each group is applied on its own: the images of two groups do not
+    overlap, since a family's operator maps the wedge sizes (a, b) at the
+    slot to (b, a).  Substituted operators are cached by (operator, form,
+    sign).
+    """
     cache = {}
 
     def apply(vec, form, sign):
-        if not vec:
-            return {}
-        ctx = next(iter(vec.values())).ctx
-
-        def products():
-            for label, val in vec.items():
-                a, b = len(label[slot]), len(label[slot + 1])
-                key = (a, b, form, sign)
-                sub = cache.get(key)
-                if sub is None:
-                    sub = pair_operator(k, a, b).substitute_spectral(form, sign, ctx)
-                    cache[key] = sub
-                pair = (label[slot], label[slot + 1])
-                for (P, Q), rf in sub.by_source().get(pair, ()):
-                    yield label[:slot] + (P, Q) + label[slot + 2:], rf, val
-
-        return _accumulate(ctx, products())
+        groups = {}
+        for label, val in vec.items():
+            groups.setdefault(pick(label), {})[label] = val
+        out = {}
+        for rop, part in groups.items():
+            key = (rop, form, sign)
+            sub = cache.get(key)
+            if sub is None:
+                ctx = next(iter(part.values())).ctx
+                sub = cache[key] = rop.substitute_spectral(form, sign, ctx)
+            out.update(sub.apply(part, slot))
+        return out
 
     return apply
 
 
-def slot_applicator(rop, slot, nslots):
-    """Make an applicator embedding a pair operator at (slot, slot+1), 0-based."""
+def family_slot_applicator(k, slot):
+    """Applicator picking the fused operator from the pair sizes at the slot;
+    adjacent factors of different wedge sizes swap shape under it."""
+    return _applicator(
+        lambda label: pair_operator(k, len(label[slot]), len(label[slot + 1])), slot)
 
-    cache = {}
 
-    def apply(vec, form, sign, _rop=rop, _slot=slot):
-        key = (form, sign)
-        sub = cache.get(key)
-        if sub is None:
-            ctx = next(iter(vec.values())).ctx if vec else None
-            sub = _rop.substitute_spectral(form, sign, ctx)
-            cache[key] = sub
-        return apply_at_slot(sub, vec, _slot)
-
-    return apply
+def slot_applicator(rop, slot):
+    """Applicator embedding a pair operator at (slot, slot+1), 0-based."""
+    return _applicator(lambda label: rop, slot)
 
 
 def matrix_applicator(rop_onevar):
     """Applicator for an operator acting on the whole labelled basis."""
-
-    cache = {}
-
-    def apply(vec, form, sign, _rop=rop_onevar):
-        key = (form, sign)
-        sub = cache.get(key)
-        if sub is None:
-            ctx = next(iter(vec.values())).ctx
-            sub = _rop.substitute_spectral(form, sign, ctx)
-            cache[key] = sub
-        return sub.apply(vec)
-
-    return apply
+    return _applicator(lambda label: rop_onevar)
 
 
 def product_basis(letters_or_labels, nslots, content=None):

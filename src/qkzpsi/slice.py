@@ -145,10 +145,6 @@ class SliceModel:
         return len(weights) <= 1
 
 
-def build_slice(m):
-    return SliceModel(m, restricted=False)
-
-
 def intersect_with_n(model):
     """Keep only coordinates strictly above the block diagonal.
 

@@ -84,13 +84,13 @@ def test_criterion_3_ybe_unitarity_commutation(appendix_doc):
         letters = [(a,) for a in range(1, k + 1)]
         b3 = product_basis(letters, 3)
         ok = ok and verify_ybe(
-            slot_applicator(R, 0, 3), slot_applicator(R, 1, 3), b3, CTX3, f"fund k={k}"
+            slot_applicator(R, 0), slot_applicator(R, 1), b3, CTX3, f"fund k={k}"
         ).passed
         b2 = product_basis(letters, 2)
-        ok = ok and verify_unitarity(slot_applicator(R, 0, 2), b2, CTX3).passed
+        ok = ok and verify_unitarity(slot_applicator(R, 0), b2, CTX3).passed
         b4 = product_basis(letters, 4)
         ok = ok and verify_commutation(
-            slot_applicator(R, 0, 4), slot_applicator(R, 2, 4), b4, CTX3
+            slot_applicator(R, 0), slot_applicator(R, 2), b4, CTX3
         ).passed
     # the printed matrices act on the whole component basis
     from qkzpsi.appendix import check_rmatrix_relations

@@ -9,9 +9,7 @@ from qkzpsi.algebra import (
     ExactDivisionError,
     LinearForm,
     Polynomial,
-    RationalFunction,
     RFSum,
-    factor_linear_forms,
     parse_polynomial,
     spectral_context,
 )
@@ -75,23 +73,6 @@ def test_swap_involution_and_fixed_points():
     assert (Z[1] + Z[2]).swap_z(1, 2) == Z[1] + Z[2]
     p = (HB + Z[1] - Z[3]) * (Z[2] + Z[4])
     assert p.swap_z(1, 3).swap_z(1, 3) == p
-
-
-def test_rational_function_inverse_pair():
-    ctx = spectral_context(1)
-    z, hb = ctx.z(1), ctx.hbar()
-    plus, _ = LinearForm.make(2, 1)
-    r1 = RationalFunction(hb - z, {plus: 1})
-    r2 = r1.inverse()
-    assert (r1 * r2).equals(ctx.one())
-    point = [Fraction(0), Fraction(1, 2)]  # z = 0, hb = 1
-    assert r1.evaluate(point) == 1
-
-
-def test_rational_function_inverse_of_zero():
-    ctx = spectral_context(1)
-    with pytest.raises(AlgebraError):
-        RationalFunction.from_poly(ctx.zero()).inverse()
 
 
 def test_context_mismatch_raises():
@@ -192,16 +173,6 @@ def test_parse_rejects_garbage():
         parse_polynomial("z1 +* z2", CTX4)
     with pytest.raises(ContextError):
         parse_polynomial("nope", CTX4)
-
-
-def test_factor_linear_forms():
-    p = (HB + Z[1] - Z[2]) * (2 * HB + Z[3] - Z[4]) * 3
-    const, forms = factor_linear_forms(p)
-    assert const == 3
-    rebuilt = CTX4.const(const)
-    for f in forms:
-        rebuilt = rebuilt * f.to_poly(CTX4)
-    assert rebuilt == p
 
 
 def test_canonical_form_sign():

@@ -262,6 +262,37 @@ def test_psi_verify_rejects_a_vector_with_no_slots(tmp_path, check):
     assert "no slots" in res.stderr
 
 
+@pytest.fixture(scope="module")
+def k2_22_files(tmp_path_factory):
+    """psi (2,(2,2)), fundamental and fused to m = (2,2)."""
+    root = tmp_path_factory.mktemp("k2_22")
+    paths = {"fundamental": root / "psi.json", "fused": root / "fused.json"}
+    for name, m in (("fundamental", ()), ("fused", ("--m", "2,2"))):
+        res = run_cli("psi", "build", "--k", "2", "--lambda", "2,2", *m,
+                      "--out", str(paths[name]))
+        assert res.returncode == 0, res.stderr
+    return paths
+
+
+@pytest.mark.parametrize("vector, argv, fragment", [
+    ("fundamental", ("exchange", "--slot", "9"), "--slot must lie in 1..3, got 9"),
+    ("fundamental", ("qkz", "--slot", "9"), "--slot must lie in 1..4, got 9"),
+    ("fundamental", ("exchange", "--slot", "-1"), "--slot must lie in 1..3, got -1"),
+    ("fundamental", ("exchange", "--slot", "0"), "--slot must lie in 1..3, got 0"),
+    ("fundamental", ("wheel", "--positions", "2,1"), "strictly increasing"),
+    ("fundamental", ("wheel", "--positions", "1,2"), "sum(1, 1) = 2 <= k = 2"),
+    ("fundamental", ("wheel", "--positions", "1,9"), "must lie in 1..4, got (1, 9)"),
+    ("fused", ("recurrence",), "does not match insertion"),
+    ("fundamental", ("recurrence", "--insert-at", "5"), "must lie in 1..3, got 5"),
+], ids=["exchange-slot-9", "qkz-slot-9", "slot-minus-1", "slot-0", "positions-decreasing",
+        "positions-sum-at-most-k", "positions-beyond-N", "recurrence-fused", "insert-at-5"])
+def test_bad_psi_verify_input_is_a_usage_error(k2_22_files, vector, argv, fragment):
+    res = run_cli("psi", "verify", "--in", str(k2_22_files[vector]), "--check", *argv)
+    assert_usage_error(res)
+    assert fragment in res.stderr
+    assert res.stdout == ""
+
+
 # SHA-256 of small CLI outputs, recorded before the term writer replaced the
 # per-term text and JSON code; every output must keep its bytes.
 GOLDEN = [

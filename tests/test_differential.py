@@ -13,7 +13,10 @@ The ``tuple_*`` functions are the polynomial kernel on exponent tuples,
 ``tuple_text`` and ``tuple_to_json`` also render terms one by one, as
 ``Polynomial.text`` and ``to_json`` did before the cached ``TermWriter``.
 ``braid_every_source`` builds a fused R-matrix by braiding every source, as
-``fused_rcheck`` did before it braided one source per S_k-orbit.
+``fused_rcheck`` did before it braided one source per S_k-orbit, and
+normalizes it by ``oracle_inverse``, which inverts the extreme entry by
+factoring its numerator into linear forms (``oracle_factor_linear_forms``)
+as ``fused_rcheck`` did before it substituted z -> -z.
 ``built_closure`` certifies that the two routes of the qKZ step agree by
 building both route composites and multiplying them, as ``qkz_step`` did
 before it certified the unitarity of each slot operator;
@@ -37,6 +40,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qkzpsi import rmatrix
 from qkzpsi.algebra import (
+    AlgebraError,
     ExactDivisionError,
     LinearForm,
     Polynomial,
@@ -224,6 +228,77 @@ def test_fused_rcheck_matches_stepwise_sums(stepwise, k, a, b):
     assert_same_operator(fused_rcheck(k, a, b), want)
 
 
+def oracle_factor_linear_forms(p):
+    """(constant, [forms]) with p = constant * prod(forms), by trial division.
+
+    Tries forms hc*h + z_i - z_j over the z-support, then hc*h + z_i, then
+    h, with |hc| up to twice the largest coefficient (at least 16).
+    """
+    ctx = p.ctx
+    if p.is_zero():
+        raise AlgebraError("cannot factor zero")
+    factors = []
+    cur = p
+    progress = True
+    while cur.degree() > 0 and progress:
+        progress = False
+        support = sorted({idx + 1 for e in cur.terms for idx, exp in enumerate(ctx.unpack(e))
+                          if exp and idx != ctx.h_index})
+        bound = max([8] + [int(abs(Fraction(c))) for c in cur.terms.values()])
+        hcoefs = [0] + [c * s for c in range(1, 2 * bound + 1) for s in (1, -1)]
+        candidates = [(i, j) for n, i in enumerate(support) for j in support[n + 1:]]
+        candidates += [(i, None) for i in support]
+        trials = [LinearForm.make(hc, i, j)[0] for i, j in candidates for hc in hcoefs]
+        for f in trials + [LinearForm(1)]:
+            try:
+                cur = cur.exact_div(f)
+            except ExactDivisionError:
+                continue
+            factors.append(f)
+            progress = True
+            break
+    if cur.degree() > 0:
+        raise AlgebraError("polynomial does not split into supported linear forms")
+    return next(iter(cur.terms.values())), factors
+
+
+def oracle_inverse(rf):
+    """1/rf, its numerator factored into the new denominator."""
+    if rf.is_zero():
+        raise AlgebraError("inversion of the zero function")
+    const, factors = oracle_factor_linear_forms(rf.num)
+    den = {}
+    for f in factors:
+        den[f] = den.get(f, 0) + 1
+    return RationalFunction(rf.den_poly() * (Fraction(1) / Fraction(const)), den)
+
+
+def test_oracle_inverse_pair():
+    ctx = spectral_context(1)
+    z, hb = ctx.z(1), ctx.hbar()
+    plus, _ = LinearForm.make(2, 1)
+    r1 = RationalFunction(hb - z, {plus: 1})
+    assert (r1 * oracle_inverse(r1)).equals(ctx.one())
+    assert r1.evaluate([Fraction(0), Fraction(1, 2)]) == 1  # z = 0, hb = 1
+
+
+def test_oracle_inverse_of_zero():
+    with pytest.raises(AlgebraError):
+        oracle_inverse(RationalFunction.from_poly(spectral_context(1).zero()))
+
+
+def test_oracle_factor_linear_forms():
+    ctx = spectral_context(4)
+    z, hb = [None] + [ctx.z(i) for i in range(1, 5)], ctx.hbar()
+    p = (hb + z[1] - z[2]) * (2 * hb + z[3] - z[4]) * 3
+    const, forms = oracle_factor_linear_forms(p)
+    assert const == 3
+    rebuilt = ctx.const(const)
+    for f in forms:
+        rebuilt = rebuilt * f.to_poly(ctx)
+    assert rebuilt == p
+
+
 def braid_every_source(k, a, b):
     """The fused operator with every source braided, projected and checked."""
     if a == 1 and b == 1:
@@ -256,7 +331,7 @@ def braid_every_source(k, a, b):
             entries[(key, (S, T))] = c
         if S == tuple(range(1, a + 1)) and T == tuple(range(1, b + 1)):
             raw_extreme = coeffs[(T, S)]
-    scalar = rmatrix.normalization_factor(a, b) * raw_extreme.inverse()
+    scalar = rmatrix.normalization_factor(a, b) * oracle_inverse(raw_extreme)
     entries = {key: scalar * rf for key, rf in entries.items()}
     return rmatrix.ROperator(ctx, source, target, entries)
 

@@ -16,6 +16,7 @@ from qkzpsi.qkz import (
     cyclic_shift,
     extreme_component,
     fuse_psi,
+    label_text,
     qkz_step,
     wheel_positions,
 )
@@ -102,6 +103,51 @@ def test_failing_checks_name_the_remainder():
     assert check_cyclicity(perturbed(s ** 2), rho).witness == (
         "first offending label ({1},{1},{2},{2}): lhs - rhs = z1^2 + 2*z1*z2 + 2*z1*z3 ..."
         " (15 terms)")
+
+
+class FlippedInverse:
+    """rho whose inverse carries the wrong sign; only route B of qkz_step uses it."""
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def apply(self, vec):
+        return self.rho.apply(vec)
+
+    def inverse(self):
+        inv = self.rho.inverse()
+        return SignedPermutationOp(inv.basis, inv.mapping, -inv.sign)
+
+
+def test_failing_wheel_and_qkz_routes_name_the_remainder():
+    # Psi for (2,(1,1)) is 1 at ({1},{2}) and -1 at ({2},{1})
+    psi = build_psi_fundamental(2, (1, 1))
+    ctx = psi.ctx
+    rho = sequence_rotation(psi.basis, psi.m, 2, 2)
+    assert [qkz_step(psi, i, rho).witness for i in (1, 2)] == [None, None]
+    sign = {((1,), (2,)): "", ((2,), (1,)): "-"}
+
+    def witnesses(route, value):
+        return {f"route {route}: first offending label {label_text(lab)}: "
+                f"lhs - rhs = {s}{value} (1 terms)" for lab, s in sign.items()}
+
+    # g = z1 + z2 commutes with every route operator, so for g*Psi both sides of
+    # route A differ by (g(z_i + 3 hb) - g) Psi = 3 hb Psi at every label
+    g = ctx.z(1) + ctx.z(2)
+    scaled = PsiVector(psi.k, psi.lam, psi.m, ctx, {lab: p * g for lab, p in psi.entries.items()})
+    for i in (1, 2):
+        assert qkz_step(scaled, i, rho).witness in witnesses("A", "3*hb")
+    # a sign-flipped inverse rotation negates route B's right side: lhs - rhs = 2 Psi
+    for i in (1, 2):
+        assert qkz_step(psi, i, FlippedInverse(rho)).witness in witnesses("B", "2")
+    # the wheel z2 = z1 + hb, z3 = z1 + 2 hb kills Psi (2,(2,2)) but not an added hb^2
+    psi = build_psi_fundamental(2, (2, 2))
+    lab = ((1,), (2,), (1,), (2,))
+    assert check_wheel(psi, (1, 2, 3)).witness is None
+    bad = PsiVector(psi.k, psi.lam, psi.m, psi.ctx,
+                    {**psi.entries, lab: psi.entries[lab] + psi.ctx.hbar() ** 2})
+    assert check_wheel(bad, (1, 2, 3)).witness == (
+        "first offending label ({1},{2},{1},{2}): lhs - rhs = hb^2 (1 terms)")
 
 
 def test_cyclicity_without_rotation_is_skipped():

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 import sympy
 
+from qkzpsi import rmatrix
 from qkzpsi.algebra import LinearForm, RationalFunction, spectral_context
 from qkzpsi.qkz import build_psi_fundamental
 from qkzpsi.rmatrix import (
@@ -29,9 +30,14 @@ def _letters(k):
     return [(a,) for a in range(1, k + 1)]
 
 
+def at_zero(R):
+    """Every entry of R at z = 0, hb = 1 (the h slot holds hb/2)."""
+    return {key: rf.evaluate([Fraction(0), Fraction(1, 2)]) for key, rf in R.entries.items()}
+
+
 def test_fundamental_at_zero_is_identity():
     R = fundamental_rcheck(3)
-    vals = R.evaluate_at_zero()
+    vals = at_zero(R)
     for (t, s), v in vals.items():
         assert v == (1 if t == s else 0)
 
@@ -46,7 +52,7 @@ def test_fundamental_diagonal_eigenvector():
 
 def test_fundamental_unitarity_k3():
     basis = product_basis(_letters(3), 2)
-    app = slot_applicator(fundamental_rcheck(3), 0, 2)
+    app = slot_applicator(fundamental_rcheck(3), 0)
     rep = verify_unitarity(app, basis, CTX3, "fund k=3")
     assert rep.passed
 
@@ -54,14 +60,14 @@ def test_fundamental_unitarity_k3():
 def test_fundamental_ybe_k2():
     basis = product_basis(_letters(2), 3)
     R = fundamental_rcheck(2)
-    rep = verify_ybe(slot_applicator(R, 0, 3), slot_applicator(R, 1, 3), basis, CTX3)
+    rep = verify_ybe(slot_applicator(R, 0), slot_applicator(R, 1), basis, CTX3)
     assert rep.passed
 
 
 def test_fundamental_commutation():
     basis = product_basis(_letters(2), 4)
     R = fundamental_rcheck(2)
-    rep = verify_commutation(slot_applicator(R, 0, 4), slot_applicator(R, 2, 4), basis, CTX3)
+    rep = verify_commutation(slot_applicator(R, 0), slot_applicator(R, 2), basis, CTX3)
     assert rep.passed
 
 
@@ -93,15 +99,25 @@ def test_fused_k4_22_normalization_and_weights():
         content_t = sorted(x for part in t for x in part)
         content_s = sorted(x for part in s for x in part)
         assert content_t == content_s
-    vals = R.evaluate_at_zero()
+    vals = at_zero(R)
     for (t, s), v in vals.items():
         assert v == (1 if t == s else 0)
+
+
+def test_fused_rcheck_refuses_an_extreme_entry_that_is_not_unitary(monkeypatch):
+    # twice the braid has the extreme eigenvalue 2 raw(z), whose product with its
+    # z -> -z image is 4: normalizing by that image would be wrong, so it raises
+    real = rmatrix._braid_column
+    monkeypatch.setattr(rmatrix, "_braid_column",
+                        lambda *args: {key: rf * 2 for key, rf in real(*args).items()})
+    with pytest.raises(RMatrixError, match="not unitary"):
+        fused_rcheck(4, 2, 2)
 
 
 def test_fused_k4_22_unitarity():
     wedges = [tuple(c) for c in combinations(range(1, 5), 2)]
     basis = product_basis(wedges, 2)
-    app = slot_applicator(pair_operator(4, 2, 2), 0, 2)
+    app = slot_applicator(pair_operator(4, 2, 2), 0)
     rep = verify_unitarity(app, basis, CTX3, "fused k=4 a=b=2")
     assert rep.passed
 
@@ -110,7 +126,7 @@ def test_fused_k3_22_ybe():
     wedges = [tuple(c) for c in combinations(range(1, 4), 2)]
     basis = product_basis(wedges, 3)
     R = pair_operator(3, 2, 2)
-    rep = verify_ybe(slot_applicator(R, 0, 3), slot_applicator(R, 1, 3), basis, CTX3)
+    rep = verify_ybe(slot_applicator(R, 0), slot_applicator(R, 1), basis, CTX3)
     assert rep.passed
 
 
@@ -120,7 +136,7 @@ def test_fused_k6_22_ybe_on_one_weight_space():
     wedges = [tuple(c) for c in combinations(range(1, 7), 2)]
     basis = product_basis(wedges, 3, content={2: 2, 4: 2, 5: 1, 6: 1})
     R = pair_operator(6, 2, 2)
-    rep = verify_ybe(slot_applicator(R, 0, 3), slot_applicator(R, 1, 3), basis, CTX3)
+    rep = verify_ybe(slot_applicator(R, 0), slot_applicator(R, 1), basis, CTX3)
     assert rep.passed
 
 

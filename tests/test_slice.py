@@ -8,7 +8,6 @@ from qkzpsi.combinatorics import spaltenstein_label
 from qkzpsi.slice import (
     SliceError,
     SliceModel,
-    build_slice,
     elementary_symmetric,
     emit_deformed_equations,
     emit_equations,
@@ -20,7 +19,7 @@ from qkzpsi.slice import (
 
 
 def test_build_slice_block_structure():
-    model = build_slice((2, 2, 2, 2))
+    model = SliceModel((2, 2, 2, 2))
     assert model.M == 8 and model.N == 4
     assert len(model.coords) == 32  # sum over 16 blocks of min = 2
     c = model.by_name["B12"]
@@ -33,7 +32,7 @@ def test_build_slice_block_structure():
 
 
 def test_slice_weights_single_boxes():
-    model = build_slice((1, 1))
+    model = SliceModel((1, 1))
     n_model = intersect_with_n(model)
     ctx = spectral_context(2)
     p = linear_component_multidegree(n_model, ["A12"])
@@ -42,7 +41,7 @@ def test_slice_weights_single_boxes():
 
 def test_slice_weight_perimeter_rule():
     # formula (m_i + m_j)/2 hb + z_i - z_j vs the perimeter count 2*2 = 4 half-units
-    model = build_slice((3, 1))
+    model = SliceModel((3, 1))
     c = model.by_name["A12"]
     perimeter = 3 + 1
     assert c.weight_h == perimeter - 2 * (c.col - 1) == 4  # = 2 hb
@@ -54,7 +53,7 @@ def test_slice_weight_perimeter_rule():
 
 
 def test_intersect_with_n_counts():
-    model = build_slice((2, 2, 2, 2))
+    model = SliceModel((2, 2, 2, 2))
     restricted = intersect_with_n(model)
     names = {c.name for c in restricted.coords}
     assert len(names) == 12
@@ -63,7 +62,7 @@ def test_intersect_with_n_counts():
     }
     m = (3, 1, 2)
     want = sum(min(m[i], m[j]) for i in range(3) for j in range(3) if i < j)
-    assert len(intersect_with_n(build_slice(m)).coords) == want
+    assert len(intersect_with_n(SliceModel(m)).coords) == want
 
 
 def test_emit_single_box():
@@ -134,7 +133,7 @@ def test_deformed_diagonalizable_point():
 
 
 def test_linear_component_multidegree_trivial_cases():
-    model = intersect_with_n(build_slice((2, 2, 2, 2)))
+    model = intersect_with_n(SliceModel((2, 2, 2, 2)))
     ctx = spectral_context(4)
     assert linear_component_multidegree(model, []) == ctx.one()
     full = linear_component_multidegree(model, [c.name for c in model.coords])
@@ -142,7 +141,7 @@ def test_linear_component_multidegree_trivial_cases():
 
 
 def test_linear_component_multidegree_appendix():
-    model = intersect_with_n(build_slice((2, 2, 2, 2)))
+    model = intersect_with_n(SliceModel((2, 2, 2, 2)))
     ctx = spectral_context(4)
     got = linear_component_multidegree(model, ["A12", "A34", "B12", "B34"])
     want = parse_polynomial("(hb+z1-z2)*(2*hb+z1-z2)*(hb+z3-z4)*(2*hb+z3-z4)", ctx)
@@ -237,3 +236,16 @@ def test_sampled_points_satisfy_relations():
         X4 = [[sum(X2[i][t] * X2[t][j] for t in range(8)) for j in range(8)] for i in range(8)]
         assert all(v == 0 for row in X4 for v in row)
         assert jordan_type(X) in {(4, 4), (4, 3, 1), (4, 2, 2), (3, 3, 2), (4, 4, 0)}
+
+
+def test_sampling_refuses_a_constraint_without_its_variable(appendix_doc):
+    # A14 occurs in no entry (1,4) of A^3 + AB + BA, so there is nothing to solve
+    # for; the sampler must say so rather than resample forever
+    import copy
+
+    from qkzpsi.appendix import sample_component_point
+
+    doc = copy.deepcopy(appendix_doc)
+    doc["components"][1]["solve_order"] = [["A14", 0]]
+    with pytest.raises(SliceError, match="does not involve A14"):
+        sample_component_point(doc, 1, random.Random(1))
