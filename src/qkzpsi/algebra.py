@@ -48,15 +48,36 @@ Rational functions are kept in the restricted form used throughout:
 a polynomial numerator over a multiset of integer linear forms
 a*hb + z_i - z_j.  That restriction makes reduction exact and cheap
 (repeated exact division) and matches every denominator that can occur.
+
+Most divisions that reduction could try fail, so it asks first for a
+certificate that they do (the cheap direction of Schwartz, J. ACM 27,
+1980, and Zippel, EUROSAM 1979).  A form L divides N only if N vanishes on
+the whole hyperplane L = 0; so if N is non-zero at one point of it, L does
+not divide N, and that one value is a complete proof.  ``_may_divide``
+evaluates N at h = 1, z_j = BETA, z_i = BETA - hcoef (every other
+variable 1) modulo the prime PRIME < 2**30.  Reduction mod PRIME is a ring
+map on the rationals whose denominators PRIME does not divide, so a
+non-zero residue means a non-zero value, and exact division is skipped.
+A zero residue proves nothing: ``exact_div`` then runs as before and
+either divides or fails.  A coefficient whose denominator PRIME divides
+leaves the test undecided, and exact division runs then too.  Pure-h
+forms divide exactly when every term has a positive h exponent, which is
+read off the terms.  The power tables of the point are cached per (form,
+number of variables and table length), in a bounded cache.
+
+Substituting z -> +-(z_a - z_b + c*h), h -> h into a one-variable rational
+function (``ROperator.substitute_spectral``) is an injective ring map, and
+the target ring is a polynomial ring over its image; so a reduced function
+stays reduced and distinct forms stay distinct, and no reduction is run.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
+from operator import itemgetter
 
 FIELD_BITS = 16
 DEGREE_LIMIT = 1 << FIELD_BITS
@@ -687,26 +708,37 @@ def _frac_str(f):
 # -- linear forms ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(tuple):
     """An integer linear form  (hcoef/2)*hb [+ z_i [- z_j]].
 
     ``hcoef`` counts internal half-units h = hb/2, so the paper-style form
     a*hb + z_i - z_j has hcoef = 2a.  The canonical representative keeps the
     z-part with a positive leading variable (i < j when both are present);
-    ``canonical`` returns the representative together with the sign that
+    ``make`` returns the representative together with the sign that
     relates it to the requested form.
+
+    A form is the immutable tuple (hcoef, i, j), so that denominator dicts
+    and ``RFSum`` group keys hash and compare it at C speed.
     """
 
-    hcoef: int
-    i: int | None = None
-    j: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i is None and self.j is None and self.hcoef == 0:
+    def __new__(cls, hcoef, i=None, j=None):
+        if i is None and j is None and hcoef == 0:
             raise AlgebraError("zero linear form")
-        if self.i is not None and self.i == self.j:
+        if i is not None and i == j:
             raise AlgebraError("linear form needs distinct indices")
+        return tuple.__new__(cls, (hcoef, i, j))
+
+    hcoef = property(itemgetter(0))
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"LinearForm(hcoef={self[0]!r}, i={self[1]!r}, j={self[2]!r})"
 
     @staticmethod
     def make(hcoef, i=None, j=None):
@@ -776,6 +808,16 @@ class RationalFunction:
     a sum of products reduced once (``RFSum``) comes out byte-identical to
     the same sum reduced after every step.
 
+    Reduction divides by a form only when ``_may_divide`` has no proof
+    that the division fails: a non-zero value of num, mod PRIME, at one
+    point of the form's hyperplane.  If L divided num, num would vanish on
+    all of L = 0, so that value proves that L does not divide num, and no
+    division is tried.  Only a zero value, which proves nothing, runs
+    ``exact_div``.  A numerator that an injective substitution such as
+    ``ROperator.substitute_spectral`` carries over needs no reduction at
+    all: if phi is injective and the target is a polynomial ring over
+    phi's image, phi(L) divides phi(num) only if L divides num.
+
     One caveat: the pure-h forms LinearForm(c) for different c are
     associates (c*h and c'*h differ by a unit).  A denominator holding two
     of them, say h and 2h, has more than one reduced representation, and
@@ -800,11 +842,14 @@ class RationalFunction:
             self._reduce()
 
     def _reduce(self):
-        """Divide num by each form until it stops dividing, in one pass."""
+        """Divide num by each form until it stops dividing, in one pass.
+
+        A division is tried only when ``_may_divide`` finds no proof that it
+        fails."""
         den = self.den
         for f in list(den):
             m = den[f]
-            while m:
+            while m and _may_divide(self.num, f):
                 try:
                     self.num = self.num.exact_div(f)
                 except ExactDivisionError:
@@ -964,6 +1009,63 @@ class RFSum:
             for e, c in (Polynomial(ctx, acc) * cofactor).terms.items():
                 total[e] = get(e, 0) + c
         return RationalFunction(Polynomial(ctx, total), lcm)
+
+
+# The non-divisibility certificate of ``_may_divide`` evaluates modulo
+# PRIME, the largest prime below 2**30, at the point of a form's hyperplane
+# where z_j = BETA.
+PRIME = (1 << 30) - 35
+BETA = 314159265
+
+
+@lru_cache(maxsize=1024)
+def _hyperplane(form, nvars, size):
+    """(offset, powers, offset, powers): the field offsets of z_i and z_j of a
+    form with z_i, in a context of nvars variables, and the powers 0..size-1
+    of their values mod PRIME at the point h = 1, z_j = BETA,
+    z_i = BETA - hcoef (z_i = -hcoef without z_j), every other variable 1.
+    A form without z_j reads the h field, at value 1, in its place."""
+    hc, i, j = form
+
+    def powers(value):
+        out = [1]
+        for _ in range(size - 1):
+            out.append(out[-1] * value % PRIME)
+        return tuple(out)
+
+    offset_i = FIELD_BITS * (nvars - i)
+    if j is None:
+        return offset_i, powers(-hc % PRIME), 0, powers(1)
+    return offset_i, powers((BETA - hc) % PRIME), FIELD_BITS * (nvars - j), powers(BETA)
+
+
+def _may_divide(num, form):
+    """False only if the LinearForm ``form`` provably does not divide the
+    non-zero ``num``: num is non-zero at a point of the form's hyperplane,
+    evaluated mod PRIME (see ``_hyperplane`` and the module docstring).
+
+    A pure-h form divides exactly when every term has a positive h exponent,
+    which is tested directly.  A Fraction coefficient whose denominator
+    PRIME divides leaves the test undecided, and the answer is True."""
+    terms = num.terms
+    if form[1] is None and form[2] is None:
+        return all(e & FIELD_MASK for e in terms)
+    ctx = num.ctx
+    degree = max(terms) >> ctx.shift  # bounds every exponent
+    oi, pi, oj, pj = _hyperplane(form, ctx.nvars, 16 if degree < 16 else 1 << degree.bit_length())
+    mask = FIELD_MASK
+    value = 0
+    for e, c in terms.items():
+        value += c * pi[e >> oi & mask] * pj[e >> oj & mask]
+    if type(value) is not int:  # a Fraction coefficient: reduce each mod PRIME
+        value = 0
+        for e, c in terms.items():
+            if type(c) is not int:
+                if not c.denominator % PRIME:
+                    return True
+                c = c.numerator * pow(c.denominator, -1, PRIME)
+            value += c * pi[e >> oi & mask] * pj[e >> oj & mask]
+    return not value % PRIME
 
 
 def _as_rf(x, ctx):

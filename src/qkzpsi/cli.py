@@ -23,6 +23,10 @@ entry or a sum other than sum(m), a slice larger than the desk-scale limit
 (12), or a non-rectangular ell with ``--deform``; for ``rmat`` wedge sizes
 a, b outside 1..k-1, and for ``rmat verify`` a != b (its checks act on the
 a-th wedge power alone).
+
+A check with nothing to check writes one ``skipped`` report that names the
+reason, and exits 0: ``psi verify --check exchange`` on a one-slot vector,
+and ``--check wheel`` when no placement has an m-sum above k.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .qkz import (
     qkz_step,
     wheel_positions,
 )
-from .reporting import dump_reports, json_parts
+from .reporting import Report, dump_reports, json_parts
 from .rmatrix import (
     fused_rcheck,
     product_basis,
@@ -152,11 +156,17 @@ def cmd_psi_verify(args):
 
 def _verify_reports(psi, args):
     if args.check == "exchange":
+        if psi.N == 1 and args.slot is None:
+            return [Report("exchange", psi.instance_name(), "skipped",
+                           witness="one slot: no adjacent pair to exchange")]
         return [check_exchange(psi, i) for i in _slots(args.slot, psi.N - 1)]
     if args.check == "wheel":
         placements = (
             [_ints(args.positions)] if args.positions else wheel_positions(psi.m, psi.k)
         )
+        if not placements:
+            return [Report("wheel", psi.instance_name(), "skipped",
+                           witness=f"no placement has an m-sum above k = {psi.k}")]
         return [check_wheel(psi, pos) for pos in placements]
     if args.check in ("cyclicity", "qkz"):
         # the rotation is defined for homogeneous m only; both checks skip otherwise

@@ -505,7 +505,9 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
 
     A single global sign relating the two constructions is allowed and must
     be consistent across all surviving entries.  The collapse branch is
-    implemented for singleton inserts (n = (1, ..., 1)).
+    implemented for singleton inserts (n = (1, ..., 1)).  A failing case
+    names its label and remainder lhs - rhs (``_offending``); when no sign
+    matches, the remainder is the one of the sign that leaves fewer terms.
     """
     r = len(n)
     n = tuple(n)
@@ -583,18 +585,19 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
                 if not lhs.is_zero():
                     return report(
                         "recurrence", name, False,
-                        witness=f"repeated-row entry {label_text(lab)} should vanish",
+                        witness=f"repeated-row entry does not vanish: {_offending(lab, lhs)}",
                         elapsed=tm.elapsed,
                     )
                 continue
             if kind == "collapse":
                 seen_collapse += 1
                 partner = lab[:p - 1] + srt + lab[p - 1 + r:]
-                if lhs != specialized[partner] * sign:
+                diff = lhs - specialized[partner] * sign
+                if diff:
                     return report(
                         "recurrence", name, False,
-                        witness=f"entry {label_text(lab)} does not collapse onto "
-                        f"{label_text(partner)} with sign {sign}",
+                        witness=f"no collapse onto {label_text(partner)} with sign {sign}: "
+                        f"{_offending(lab, diff)}",
                         elapsed=tm.elapsed,
                     )
                 continue
@@ -604,20 +607,21 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
             if lhs.is_zero() and rhs.is_zero():
                 continue
             if sigma == 0:
-                for s in (1, -1):
-                    if lhs == rhs * s:
-                        sigma = s
-                        break
+                diffs = [(lhs - rhs * s, s) for s in (1, -1)]
+                sigma = next((s for diff, s in diffs if not diff), 0)
                 if sigma == 0:
+                    diff, s = min(diffs, key=lambda d: len(d[0].terms))
                     return report(
                         "recurrence", name, False,
-                        witness=f"no global sign matches at {label_text(lab)}",
+                        witness=f"no global sign matches, nearest sign {s}: "
+                        f"{_offending(lab, diff)}",
                         elapsed=tm.elapsed,
                     )
             elif lhs != rhs * sigma:
                 return report(
                     "recurrence", name, False,
-                    witness=f"sign-inconsistent entry {label_text(lab)}",
+                    witness=f"sign-inconsistent, global sign {sigma}: "
+                    f"{_offending(lab, lhs - rhs * sigma)}",
                     elapsed=tm.elapsed,
                 )
         if seen_survive == 0:

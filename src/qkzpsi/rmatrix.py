@@ -141,16 +141,54 @@ class ROperator:
     def substitute_spectral(self, form, sign, target_ctx):
         """Reinterpret a one-variable operator at argument sign*(form).
 
-        ``form`` is a LinearForm over ``target_ctx``; entries become
-        rational functions over that context.
+        ``form`` is a LinearForm over ``target_ctx`` with a z-part; entries
+        become rational functions over that context.  The numerators expand
+        over one table of the powers of the image, shared by all entries,
+        and each denominator form maps to its image form directly.
+
+        The results are built as already reduced.  The map z -> sign*form,
+        h -> h is an injective ring map phi from Q[z, h], since form has a
+        z-part (a pure-h form is refused), and the target ring is a
+        polynomial ring over its image Q[phi(z), h] (the other variables
+        complete phi(z), h to a basis of linear forms).  Setting those
+        other variables to 0 retracts the target onto the image, so phi(L)
+        divides phi(N) only if L divides N: a reduced entry stays reduced.
+        Distinct forms hcoef*h + z map to distinct forms, and pure-h forms
+        to themselves, so no two denominator forms merge.
         """
-        if self.ctx.nz != 1:
+        ctx = self.ctx
+        if ctx.nz != 1:
             raise RMatrixError("substitution applies to one-variable operators")
+        if form[1] is None and form[2] is None:
+            raise RMatrixError("the spectral argument needs a z-part")
         image = form.to_poly(target_ctx) * sign
-        mapping = {1: image}
+        z_off = ctx.offset(0)
+        uh = target_ctx.units[target_ctx.h_index]
+        powers = [target_ctx.one().terms]  # powers[e]: the terms of image**e
+        images = {}  # denominator form -> (image form, sign)
         entries = {}
         for key, rf in self.entries.items():
-            entries[key] = rf.substitute_z(mapping, target_ctx)
+            acc = {}
+            get = acc.get
+            for e, c in rf.num.terms.items():
+                ez = e >> z_off & FIELD_MASK
+                while len(powers) <= ez:
+                    powers.append((Polynomial(target_ctx, powers[-1], _clean=True) * image).terms)
+                shift = (e & FIELD_MASK) * uh  # h -> h: the h exponent rides along
+                for e2, c2 in powers[ez].items():
+                    t = e2 + shift
+                    acc[t] = get(t, 0) + c * c2
+            num = Polynomial(target_ctx, acc)
+            den = {}
+            for f, m in rf.den.items():
+                mapped = images.get(f)
+                if mapped is None:
+                    mapped = images[f] = _image_form(f, form, sign)
+                g, s = mapped
+                if s < 0 and m % 2:
+                    num = -num
+                den[g] = m
+            entries[key] = RationalFunction(num, den, _reduced=True)
         return ROperator(target_ctx, self.source, self.target, entries)
 
     def equals(self, other):
@@ -195,6 +233,16 @@ class ROperator:
                 row.append("0" if rf is None else rf.text(writer))
             lines.append("[ " + " , ".join(row) + " ]")
         return "\n".join(lines)
+
+
+def _image_form(f, form, sign):
+    """(canonical form, sign) of a one-variable form f = hcoef*h [+ z] at
+    z -> sign*form, h -> h."""
+    hc, i, _ = f
+    if i is None:
+        return f, 1
+    fh, a, b = form
+    return LinearForm.make(hc + sign * fh, *((a, b) if sign > 0 else (b, a)))
 
 
 # -- fundamental and fused construction ---------------------------------------
@@ -538,7 +586,7 @@ def product_basis(letters_or_labels, nslots, content=None):
 # -- solving the exchange relation for the matrix -------------------------------
 #
 # The unknown entries are rational functions of the single difference
-# w = z_i - z_{i+1} and hb.  Substituting z_i = (u+w)/2, z_{i+1} = (u-w)/2
+# w = z_i - z_{i+1} and hb.  Substituting z_i = u + w, z_{i+1} = u
 # makes every other monomial a formal "row" whose coefficient is a
 # homogeneous polynomial in (w, h); each row gives one linear equation over
 # Q(w, h).  Homogeneity lets the solve set h = 1: a coefficient is kept as
@@ -699,6 +747,12 @@ def _content(label):
     return tuple(sorted(x for part in label for x in part))
 
 
+def _pair_images(u, w):
+    """The images u + w and u of z_i and z_{i+1}: their difference is w, and
+    integer coefficients stay integers."""
+    return u + w, u
+
+
 def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
     """Solve tau_i Psi = R(z_i - z_{i+1}) Psi for the matrix R, exactly.
 
@@ -716,13 +770,13 @@ def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
         raise RMatrixError("slot out of range")
     labels = list(psi.basis)
 
-    # substitution z_i -> (u + w)/2, z_{i+1} -> (u - w)/2 into a context
+    # substitution z_i -> u + w, z_{i+1} -> u into a context
     # (w, u, other z's, hb)
     rest = [t for t in range(1, N + 1) if t not in (i, i + 1)]
     names = ("w", "u", *[f"r{t}" for t in rest], "hb")
     sctx = type(ctx)(names, h_index=len(names) - 1)
-    u, w = sctx.var("u") * Fraction(1, 2), sctx.var("w") * Fraction(1, 2)
-    mapping = {i - 1: u + w, i: u - w, ctx.h_index: sctx.var("hb")}
+    zi, zj = _pair_images(sctx.var("u"), sctx.var("w"))
+    mapping = {i - 1: zi, i: zj, ctx.h_index: sctx.var("hb")}
     mapping.update((t - 1, sctx.var(f"r{t}")) for t in rest)
     w_off = sctx.offset(sctx.index("w"))
     # a rest-monomial keeps the fields of u and the r's: no w, h or degree,

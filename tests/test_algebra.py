@@ -244,3 +244,6 @@ def test_polynomials_pickle_and_deepcopy():
     for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         assert q == p and q.ctx == CTX4
         assert q.ctx.unpack(max(q.terms)) == CTX4.unpack(max(p.terms))
+    form = LinearForm(2, 1, 3)
+    for f in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
+        assert type(f) is LinearForm and (f.hcoef, f.i, f.j) == (2, 1, 3)

@@ -95,6 +95,27 @@ def test_psi_verify_skips_rotation_checks_for_inhomogeneous_m(inhomogeneous_psi,
         [(check, "skipped", "m not homogeneous")] * slots)
 
 
+@pytest.fixture(scope="module")
+def one_slot_psi(tmp_path_factory):
+    """k = 3, m = (2): one slot, and its m-sum 2 is not above k."""
+    out = tmp_path_factory.mktemp("one_slot") / "psi.json"
+    res = run_cli("psi", "build", "--k", "3", "--lambda", "1,1", "--m", "2", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    return out
+
+
+@pytest.mark.parametrize("check, witness", [
+    ("exchange", "one slot: no adjacent pair to exchange"),
+    ("wheel", "no placement has an m-sum above k = 3"),
+])
+def test_psi_verify_skips_a_check_with_nothing_to_check(one_slot_psi, check, witness):
+    res = run_cli("psi", "verify", "--check", check, "--in", str(one_slot_psi))
+    assert res.returncode == 0, res.stderr
+    reports = json.loads(res.stdout)["reports"]
+    assert [(r["check"], r["instance"], r["status"], r["witness"]) for r in reports] == [
+        (check, "k=3 lambda=(1,1) m=(2)", "skipped", witness)]
+
+
 def test_slice_emit_text():
     res = run_cli("slice", "emit", "--m", "2,2,2,2", "--ell", "4,4,0,0")
     assert res.returncode == 0, res.stderr

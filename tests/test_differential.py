@@ -24,7 +24,14 @@ before it certified the unitarity of each slot operator;
 as ``check_cyclicity`` did before it rotated the packed fields.
 ``oracle_solve_block`` solves the exchange relation's blocks by
 fraction-free elimination over univariate coefficient lists and Cramer's
-rule, as ``solve_rmatrix_from_exchange`` did before it sampled at integers.
+rule, as ``solve_rmatrix_from_exchange`` did before it sampled at integers;
+``half_sum_images`` are the coordinates z_i = (u+w)/2, z_{i+1} = (u-w)/2
+it substituted before it took u + w and u.
+``exact_div_reduce`` reduces a rational function by trying exact division
+by every denominator form, as ``RationalFunction._reduce`` did before it
+asked for a non-divisibility certificate first; ``substitute_then_reduce``
+substitutes and re-reduces every entry of an operator, as
+``ROperator.substitute_spectral`` did before it built its entries reduced.
 All of them live only here, as references.
 """
 
@@ -33,6 +40,7 @@ import json
 from fractions import Fraction
 from itertools import permutations, product, zip_longest
 from math import factorial
+from unittest import mock
 
 import pytest
 import sympy
@@ -45,6 +53,7 @@ from qkzpsi.algebra import (
     LinearForm,
     Polynomial,
     RationalFunction,
+    RFSum,
     TermWriter,
     spectral_context,
 )
@@ -1143,3 +1152,112 @@ def test_sampled_solve_rejects_an_underdetermined_block():
     right = [[{0: 1}], [{1: 1}]]
     with pytest.raises(rmatrix.RMatrixError, match="underdetermined"):
         rmatrix._solve_block(matrix, right, 2)
+
+
+def exact_div_reduce(self):
+    """Divide num by each form until exact division fails, in one pass, as
+    ``RationalFunction._reduce`` did before it asked for a certificate."""
+    den = self.den
+    for f in list(den):
+        m = den[f]
+        while m:
+            try:
+                self.num = self.num.exact_div(f)
+            except ExactDivisionError:
+                break
+            m -= 1
+        if m:
+            den[f] = m
+        else:
+            del den[f]
+
+
+CTX3 = spectral_context(3)
+FORM_POOL = [LinearForm.make(hc, i, j)[0] for hc, i, j in [
+    (0, 1, 2), (2, 1, 2), (-2, 1, 3), (4, 2, 3), (0, 2, None), (3, 3, None), (1, None, None)]]
+
+
+@st.composite
+def unreduced_rfs(draw):
+    """q * (planted forms) / (den forms) over CTX3, left unreduced; the only
+    pure-h form is h, so the reduced form is unique."""
+    exps = st.tuples(*[st.integers(0, 2)] * CTX3.nvars)
+    coeffs = st.one_of(st.integers(-5, 5).filter(bool),
+                       st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+    num = Polynomial(CTX3, {CTX3.pack(e): c for e, c in terms.items()})
+    for f in draw(st.lists(st.sampled_from(FORM_POOL), max_size=3)):
+        num = num * f.to_poly(CTX3)
+    den = draw(st.dictionaries(st.sampled_from(FORM_POOL), st.integers(1, 2), max_size=3))
+    return RationalFunction(num, den, _reduced=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(unreduced_rfs(), unreduced_rfs()), min_size=1, max_size=3))
+def test_certified_reduction_matches_exact_division(pairs):
+    acc = RFSum(CTX3)
+    for a, b in pairs:
+        acc.add_product(a, b)
+    got = acc.result()
+    with mock.patch.object(RationalFunction, "_reduce", exact_div_reduce):
+        want = acc.result()
+    assert got.num.terms == want.num.terms
+    assert list(got.den.items()) == list(want.den.items())
+
+
+def substitute_then_reduce(rop, form, sign, ctx):
+    """``ROperator.substitute_spectral`` by substituting each entry through
+    ``Polynomial.substitute`` and reducing it by exact division."""
+    image = form.to_poly(ctx) * sign
+    with mock.patch.object(RationalFunction, "_reduce", exact_div_reduce):
+        entries = {key: rf.substitute_z({1: image}, ctx) for key, rf in rop.entries.items()}
+    return rmatrix.ROperator(ctx, rop.source, rop.target, entries)
+
+
+# (hcoef, i, j, sign) of the argument sign*(hcoef*h + z_i - z_j) over CTX3;
+# the last two are qKZ-style shifts
+SPECTRAL_ARGUMENTS = [(0, 1, 2, 1), (0, 1, 2, -1), (0, 1, 3, 1), (0, 2, 3, -1),
+                      (-8, 2, 3, 1), (6, 3, 1, -1)]
+PAIRS_UP_TO_5 = [(k, a, b) for k in range(2, 6) for a in range(1, k) for b in range(1, k)]
+
+
+def assert_substitutes_as_reduced(rop):
+    for hc, i, j, sign in SPECTRAL_ARGUMENTS:
+        form, s = LinearForm.make(hc, i, j)
+        got = rop.substitute_spectral(form, sign * s, CTX3)
+        assert_same_operator(got, substitute_then_reduce(rop, form, sign * s, CTX3))
+
+
+@pytest.mark.parametrize("k, a, b", PAIRS_UP_TO_5, ids=str)
+def test_substitute_spectral_matches_substituting_then_reducing(k, a, b):
+    assert_substitutes_as_reduced(rmatrix.pair_operator(k, a, b))
+
+
+def test_substitute_spectral_matches_substituting_then_reducing_on_appendix(appendix_doc):
+    for rop in fixture_rmatrices(appendix_doc).values():
+        assert_substitutes_as_reduced(rop)
+
+
+def half_sum_images(u, w):
+    """z_i -> (u + w)/2 and z_{i+1} -> (u - w)/2, the images the exchange
+    solve substituted before it took u + w and u."""
+    return (u + w) * Fraction(1, 2), (u - w) * Fraction(1, 2)
+
+
+def assert_solve_matches_half_sums(monkeypatch, psi, slot, slotwise):
+    got = rmatrix.solve_rmatrix_from_exchange(psi, slot, slotwise=slotwise)
+    with monkeypatch.context() as patch:
+        patch.setattr(rmatrix, "_pair_images", half_sum_images)
+        want = rmatrix.solve_rmatrix_from_exchange(psi, slot, slotwise=slotwise)
+    assert operator_digest(got) == operator_digest(want)
+
+
+@pytest.mark.parametrize("slot", [1, 2, 3])
+def test_integral_solve_coordinates_match_half_sums_on_appendix(monkeypatch, appendix_doc, slot):
+    assert_solve_matches_half_sums(monkeypatch, fixture_psi(appendix_doc), slot, slotwise=False)
+
+
+@pytest.mark.parametrize("k, lam, slot", SLOTWISE_SOLVES, ids=str)
+def test_integral_solve_coordinates_match_half_sums_slotwise(monkeypatch, k, lam, slot):
+    assert_solve_matches_half_sums(monkeypatch, build_psi_fundamental(k, lam), slot,
+                                   slotwise=True)

@@ -234,6 +234,28 @@ def test_recurrence_single_tableau():
     assert check_recurrence(big, small, 1, (1, 1)).passed
 
 
+@pytest.mark.parametrize("label, case", [
+    (((1,), (1,), (2,), (2,)), "repeated-row entry does not vanish"),
+    (((2,), (1,), (1,), (2,)), "no collapse onto ({1},{2},{1},{2}) with sign -1"),
+    (((1,), (2,), (1,), (2,)), "no global sign matches, nearest sign -1"),
+    (((1,), (2,), (2,), (1,)), "sign-inconsistent, global sign -1"),
+], ids=["vanishing", "collapse", "no-global-sign", "sign-inconsistent"])
+def test_recurrence_witness_names_the_remainder(label, case):
+    # Inserting n = (1, 1) at p = 1 maps hb to hb, and the global sign of
+    # (2,(2,2)) against (2,(1,1)) is -1, read off the first surviving label
+    # ({1},{2},{1},{2}).  Adding 5*hb^2 to one entry moves that entry's
+    # specialization by 5*hb^2, so in each case lhs - rhs is exactly 5*hb^2.
+    big = build_psi_fundamental(2, (2, 2))
+    small = build_psi_fundamental(2, (1, 1))
+    entries = dict(big.entries)
+    entries[label] = entries[label] + big.ctx.hbar() ** 2 * 5
+    corrupted = PsiVector(2, (2, 2), (1, 1, 1, 1), big.ctx, entries)
+    rep = check_recurrence(corrupted, small, 1, (1, 1))
+    assert rep.status == "fail"
+    assert rep.witness == (f"{case}: first offending label {label_text(label)}: "
+                           "lhs - rhs = 5*hb^2 (1 terms)")
+
+
 def test_recurrence_requires_sum_k():
     big = build_psi_fundamental(2, (2, 2))
     small = build_psi_fundamental(2, (1, 1))

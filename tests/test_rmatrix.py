@@ -5,7 +5,13 @@ import pytest
 import sympy
 
 from qkzpsi import rmatrix
-from qkzpsi.algebra import LinearForm, RationalFunction, spectral_context
+from qkzpsi.algebra import (
+    ExactDivisionError,
+    LinearForm,
+    Polynomial,
+    RationalFunction,
+    spectral_context,
+)
 from qkzpsi.qkz import build_psi_fundamental
 from qkzpsi.rmatrix import (
     CTX1,
@@ -128,6 +134,34 @@ def test_fused_k3_22_ybe():
     R = pair_operator(3, 2, 2)
     rep = verify_ybe(slot_applicator(R, 0), slot_applicator(R, 1), basis, CTX3)
     assert rep.passed
+
+
+def test_ybe_k3_22_tries_no_division_that_fails(monkeypatch):
+    # every division that reduction tries, in the build and in the check, is
+    # one that the non-divisibility certificate could not rule out
+    exact_div = Polynomial.exact_div
+    failed = []
+
+    def counted(self, form):
+        try:
+            return exact_div(self, form)
+        except ExactDivisionError:
+            failed.append(form)
+            raise
+
+    monkeypatch.setattr(Polynomial, "exact_div", counted)
+    R = fused_rcheck(3, 2, 2)
+    wedges = [tuple(c) for c in combinations(range(1, 4), 2)]
+    rep = verify_ybe(slot_applicator(R, 0), slot_applicator(R, 1), product_basis(wedges, 3),
+                     CTX3, "fused k=3 a=2 b=2")
+    assert rep.passed
+    assert failed == []
+
+
+def test_substitute_spectral_refuses_a_pure_h_argument():
+    # z -> c*h is not injective, so the entries could need reducing
+    with pytest.raises(RMatrixError, match="z-part"):
+        fundamental_rcheck(2).substitute_spectral(LinearForm(2), 1, CTX3)
 
 
 def test_fused_k6_22_ybe_on_one_weight_space():
