@@ -258,7 +258,12 @@ def _mul_into(acc, a, b, shift):
 
 
 def sum_of_products(ctx, pairs):
-    """The polynomial sum of a*b over the pairs (a, b), accumulated in one dict."""
+    """The polynomial sum of a*b over the pairs (a, b), accumulated in one dict.
+
+    When every coefficient of the sum is an int, as it is whenever every
+    coefficient of the factors is, nothing needs normalizing: the result
+    is built clean, dropping its zeros in the same pass.
+    """
     acc = {}
     shift = ctx.shift
     for a, b in pairs:
@@ -266,7 +271,12 @@ def sum_of_products(ctx, pairs):
             raise ContextError("polynomials from different contexts")
         if a.terms and b.terms:
             _mul_into(acc, a.terms, b.terms, shift)
+    if all(map(_is_int, acc.values())):
+        return Polynomial(ctx, {e: c for e, c in acc.items() if c}, _clean=True)
     return Polynomial(ctx, acc)
+
+
+_is_int = int.__instancecheck__
 
 
 class Polynomial:

@@ -12,11 +12,12 @@ Subcommands:
 
 Bad input ends with one ``qkzpsi: error: ...`` line on stderr and exit
 status 2, with no traceback.  Bad input is: a malformed number list; an
-empty lambda or m, or one that does not fit k; a vector file that is
-missing, is not JSON, does not match the psi JSON schema, has no slots or
-holds exponents outside [0, 2**16); for ``psi verify`` a --slot outside
-the vector's slots, wheel --positions that are not increasing, leave 1..N
-or have an m-sum of at most k, and a recurrence check of a fused vector or
+empty lambda or m, or one that does not fit k; for ``psi build`` a lambda
+whose predicted term count is above ``qkz.MAX_PREDICTED_TERMS``; a vector
+file that is missing, is not JSON, does not match the psi JSON schema, has
+no slots or holds exponents outside [0, 2**16); for ``psi verify`` a --slot
+outside the vector's slots, wheel --positions that are not increasing, leave
+1..N or have an m-sum of at most k, and a recurrence check of a fused vector or
 at an --insert-at outside the small vector's N+1 places; for ``slice
 emit`` an empty m or a non-positive block size, an ell with a negative
 entry or a sum other than sum(m), a slice larger than the desk-scale limit
@@ -99,9 +100,9 @@ def _build_psi(args):
         raise UsageError(f"{'lambda' if not lam else 'm'} must not be empty")
     try:
         check_shape(k, lam, m)
+        psi = build_psi_fundamental(k, lam)
     except PsiError as err:
         raise UsageError(str(err)) from None
-    psi = build_psi_fundamental(k, lam)
     if m is not None and m != psi.m:
         psi = fuse_psi(psi, m)
     return psi

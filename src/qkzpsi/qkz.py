@@ -16,14 +16,35 @@ and d_i f = (f - tau_i f)/(z_i - z_{i+1}) is the Newton divided difference
 
 so each step is written down term by term, with no multiplication and no
 division.  The division by z_i - z_{i+1} on the left is exact for every f,
-so exactness certifies nothing; what the builder does check is that every
-derivation path agrees, and that the entries are homogeneous, divisible by
-hb + z_i - z_{i+1} at adjacent equal letters with a symmetric quotient.
+so exactness certifies nothing.  The step T_i f = hb*d_i f - tau_i f is an
+involution (d_i tau_i = -d_i, tau_i d_i = d_i and d_i^2 = 0 give
+T_i^2 f = f), so the relation on an edge {beta, s_i beta} of labels reads
+the same from either end.
+
+Letters with equal parts of lambda are interchangeable.  Let G be the
+product of the symmetric groups on the classes of letters a with equal
+lambda_a; it acts on labels by relabelling letters, and it acts freely,
+because every letter occurs in every label.  Relabelling a, b with
+lambda_a = lambda_b maps the weight-lambda space to itself and commutes
+with the gl_k-invariant R-matrix, so
+
+    entry(sigma beta) = chi(sigma) * entry(beta),
+    chi(sigma) = prod over classes of sign(sigma on the class) ** part,
+
+where part is the common lambda_a of the class.  The builder computes one
+entry per G-orbit and the rest by chi, and checks the exchange relation
+once per G-orbit of edges; see ``build_psi_fundamental`` for why that is
+the whole certificate.  It also checks that the entries are homogeneous and
+divisible by hb + z_i - z_{i+1} at adjacent equal letters with a symmetric
+quotient.
 
 Vectors for general m are produced from the fundamental one by the fusion
 specialization: group the variables into arithmetic progressions of step
-hb and contract with antisymmetrizers.  Specialization is linear, so each
-fused entry antisymmetrizes first and specializes once.
+hb and contract with antisymmetrizers.  Within a group consecutive
+variables differ by z_p - z_{p+1} = -hb, where the exchange relation
+specializes to entry(s_p beta) = -entry(beta); so the normalized
+antisymmetrizer acts as the identity, and each fused entry is the one
+specialization of the entry whose blocks are increasing.
 
 Verification operations cover the exchange relation, wheel conditions,
 the insertion recurrence, cyclicity under rotation of the factors, and the
@@ -34,6 +55,7 @@ cyclicity wrap.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .algebra import (
     FIELD_MASK,
@@ -276,61 +298,160 @@ def _exchange_step(f, i):
     return Polynomial(ctx, {e: c for e, c in out.items() if c}, _clean=True)
 
 
+MAX_PREDICTED_TERMS = 10_000_000
+"""The largest ``predicted_terms`` that ``build_psi_fundamental`` builds.
+
+Dense entries cost about 85 bytes a term at peak.  Measured on the ladder:
+(2,(4,4)) is predicted at 1.06M terms and has 1.31M; (3,(3,3,3)) is predicted
+at 5.67M and has 7.67M; (2,(5,4)) is predicted at 20.6M and (2,(5,5)) at
+445M, and both are refused.
+"""
+
+
+def _factor_terms(n, cap):
+    """Terms of prod_{i<j<=n} (hb + z_i - z_j), or cap + 1 as soon as a
+    partial product has more than cap terms."""
+    ctx = spectral_context(n)
+    p = ctx.one()
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            p = p * LinearForm(2, i, j).to_poly(ctx)
+            if len(p.terms) > cap:
+                return cap + 1
+    return len(p.terms)
+
+
+def predicted_terms(lam):
+    """The term count of the extreme entry times the number of entries.
+
+    The extreme entry is a product over letters a of the factor
+    prod_{i<j}(hb + z_i - z_j) in the lam_a positions of a.  It is
+    homogeneous, so a term is fixed by its z-part, and the z-parts of the
+    factors live in disjoint variables: its term count is the product of
+    the factors' counts, each taken in lam_a variables, so nothing of size
+    M is multiplied out.  A factor stops counting once the prediction
+    already passes ``MAX_PREDICTED_TERMS``.  On the instances measured the
+    prediction is at most the built term count (see the limit's note).
+    """
+    lam = tuple(lam)
+    count = factorial(sum(lam))
+    for part in lam:
+        count //= factorial(part)
+    cap = MAX_PREDICTED_TERMS // count
+    for part in lam:
+        count *= _factor_terms(part, cap)
+        if count > MAX_PREDICTED_TERMS:
+            break
+    return count
+
+
+def _letter_classes(lam):
+    """The letters with equal parts: (part, letters) for classes of two or more."""
+    classes = {}
+    for a, part in enumerate(lam, start=1):
+        classes.setdefault(part, []).append(a)
+    return tuple((part, tuple(letters)) for part, letters in classes.items() if len(letters) > 1)
+
+
+def _orbit_key(seq, classes):
+    """(key, chi): key = sigma seq, where sigma relabels each class of
+    letters in their order of first occurrence in seq, and chi = chi(sigma)."""
+    rename = {}
+    chi = 1
+    for part, letters in classes:
+        first = sorted(letters, key=seq.index)
+        rename.update(zip(first, letters))
+        if part % 2 and inversions(first) % 2:
+            chi = -chi
+    return tuple(rename.get(x, x) for x in seq), chi
+
+
 def build_psi_fundamental(k, lam):
     """Fundamental-case vector, seeded at the extreme entry and propagated.
 
-    Each label beta with a descent at position i is derived from its ascent
-    partner beta' = s_i beta via the exchange relation,
+    Each label beta with a descent at position i can be derived from its
+    ascent partner beta' = s_i beta via the exchange relation,
 
         entry(beta) = (hb*entry(beta') - (hb + z_i - z_{i+1}) * tau_i entry(beta'))
                       / (z_i - z_{i+1})
-                    = hb * d_i entry(beta') - tau_i entry(beta'),
+                    = hb * d_i entry(beta') - tau_i entry(beta') = T_i entry(beta'),
 
     computed in closed form by ``_exchange_step``.  The numerator equals
     hb*(f - tau_i f) - (z_i - z_{i+1}) tau_i f, which z_i - z_{i+1} always
     divides, so the division is exact for every f and checking it would
-    certify nothing.  The checks that can fail, each raising PsiError at
-    once, are: every descent of a label derives the same polynomial; every
-    entry is homogeneous of degree sum lam_a (lam_a - 1)/2; at adjacent
-    equal letters (i, i+1) every entry is divisible by hb + z_i - z_{i+1},
-    with a quotient symmetric in z_i, z_{i+1}.
+    certify nothing.
 
-    Every call builds a new vector; callers own what they get.
+    Labels are walked by (inversions, label).  G, the product of the
+    symmetric groups on letters with equal parts, acts freely on labels, as
+    every letter occurs.  ``_orbit_key`` names the orbit of each label and
+    the relabelling sigma that takes it to the key; the first label of an
+    orbit gets T_i of its partner at its first descent, and every later
+    label gets chi(sigma_rep) chi(sigma) times that entry, the same object
+    when the sign is +1.  So entry(sigma beta) = chi(sigma) entry(beta)
+    holds for every sigma in G by construction, chi being a character.
+
+    The checks that can fail, each raising PsiError at once, run on orbit
+    representatives: every entry is homogeneous of degree
+    sum lam_a (lam_a - 1)/2, and at adjacent equal letters (i, i+1) it is
+    divisible by hb + z_i - z_{i+1}, with a quotient symmetric in z_i,
+    z_{i+1}; relabelling keeps the degree and the positions of equal
+    letters.  Then the exchange relation is checked once per G-orbit of
+    edges {beta, s_i beta}, by applying T_i to the ascent end; an edge
+    used to derive an entry holds by definition.  This is the whole
+    certificate that every edge holds: G commutes with s_i, T_i is linear,
+    and when sigma takes the descent end of one edge to the ascent end of
+    another, T_i^2 = 1 turns the relation around.  The symmetry is checked,
+    not assumed: edges join every label to the seed, so only one vector
+    satisfies them all, and with a wrong chi some checked edge fails.
+
+    Before building, an instance whose ``predicted_terms`` exceeds
+    ``MAX_PREDICTED_TERMS`` is refused with PsiError.  Every call builds a
+    new vector; callers own what they get.
     """
     lam = tuple(lam)
     check_shape(k, lam)
+    terms = predicted_terms(lam)
+    if terms > MAX_PREDICTED_TERMS:
+        raise PsiError(
+            f"lambda {','.join(map(str, lam))} is predicted at {terms:,} terms or more, "
+            f"above the limit of {MAX_PREDICTED_TERMS:,} (qkz.MAX_PREDICTED_TERMS)"
+        )
     M = sum(lam)
     ctx = spectral_context(M)
-    base = []
-    for a, la in enumerate(lam, start=1):
-        base.extend([a] * la)
+    label, extreme = extreme_component(lam)
+    base = tuple(a for (a,) in label)
+    classes = _letter_classes(lam)
     seqs = _multiset_permutations(base)
     seqs.sort(key=lambda s: (inversions(s), s))
-    entries_seq = {}
-    _, extreme = extreme_component(lam)
-    entries_seq[tuple(base)] = extreme
 
+    def swap(seq, i):
+        return seq[:i - 1] + (seq[i], seq[i - 1]) + seq[i + 1:]
+
+    keys = {}      # label -> (orbit key, chi)
+    reps = {}      # orbit key -> (first label of the orbit, its chi)
+    entries = {}
+    held = set()   # (slot, least orbit key of the two ends): edge orbits that hold
     for seq in seqs:
-        if seq in entries_seq:
+        key, chi = keys[seq] = _orbit_key(seq, classes)
+        if key in reps:
+            rep, rep_chi = reps[key]
+            entries[seq] = entries[rep] if chi == rep_chi else -entries[rep]
             continue
-        descents = [i for i in range(1, M) if seq[i - 1] > seq[i]]
-        if not descents:
-            raise PsiError(f"no descent and no seed for {seq}")
-        value = None
-        for i in descents:
-            partner = seq[:i - 1] + (seq[i], seq[i - 1]) + seq[i + 1:]
-            cand = _exchange_step(entries_seq[partner], i)
-            if value is None:
-                value = cand
-            elif cand != value:
-                raise PsiError(f"propagation path mismatch at {seq}, slot {i}")
-        entries_seq[seq] = value
+        reps[key] = seq, chi
+        if seq == base:
+            entries[seq] = extreme
+            continue
+        i = next(i for i in range(1, M) if seq[i - 1] > seq[i])
+        partner = swap(seq, i)
+        entries[seq] = _exchange_step(entries[partner], i)
+        held.add((i, min(key, keys[partner][0])))
 
     want = sum(a * (a - 1) // 2 for a in lam)
-    for seq, p in entries_seq.items():
-        if p.homogeneous_degree() != want:
+    for seq, _ in reps.values():
+        if entries[seq].homogeneous_degree() != want:
             raise PsiError(f"entry {seq} is not homogeneous of degree {want}")
-    for seq, p in entries_seq.items():
+    for seq, _ in reps.values():
+        p = entries[seq]
         for i in range(1, M):
             if seq[i - 1] == seq[i]:
                 form = LinearForm(2, i, i + 1)
@@ -342,9 +463,19 @@ def build_psi_fundamental(k, lam):
                     ) from None
                 if q.swap_z(i, i + 1) != q:
                     raise PsiError(f"quotient at {seq}, slot {i} not symmetric")
+    for seq in seqs:
+        for i in range(1, M):
+            if seq[i - 1] > seq[i]:
+                partner = swap(seq, i)
+                edge = (i, min(keys[seq][0], keys[partner][0]))
+                if edge in held:
+                    continue
+                held.add(edge)
+                if _exchange_step(entries[partner], i) != entries[seq]:
+                    raise PsiError(f"propagation path mismatch at {seq}, slot {i}")
 
-    entries = {tuple((a,) for a in seq): p for seq, p in entries_seq.items()}
-    return PsiVector(k, lam, (1,) * M, ctx, entries)
+    return PsiVector(k, lam, (1,) * M, ctx,
+                     {tuple((a,) for a in seq): p for seq, p in entries.items()})
 
 
 # -- fusion ----------------------------------------------------------------------
@@ -360,13 +491,20 @@ def fuse_psi(psi1, m):
     each S_i of the specialized fundamental entries.  This scale makes the
     extreme entry a monic product of linear forms.
 
-    Specialization is linear, so the signed sum is taken first, over the
-    fundamental ring, and specialized once per fused label.  Each ordering
-    belongs to exactly one label, so no fundamental entry is visited twice.
-    """
-    from itertools import permutations, product
-    from math import factorial
+    Inside a group, positions p, p+1 specialize to z_p - z_{p+1} = -hb.
+    There the exchange relation entry(beta) = T_p entry(s_p beta), for the
+    distinct letters of a block, reads
 
+        -hb * entry(beta) = hb * g - (hb + z_p - z_{p+1}) * tau_p g = hb * g,
+
+    with g = entry(s_p beta): reordering a block flips the sign of the
+    specialized entry.  Every ordering in the signed sum therefore
+    contributes the specialized entry of the increasing blocks, prod(m_i!)
+    times over, and the normalized antisymmetrizer acts as the identity.
+    Each fused entry is the one specialization of the fundamental entry
+    whose blocks are increasing.  This needs psi1 to satisfy the exchange
+    relation, which ``build_psi_fundamental`` certifies.
+    """
     m = tuple(m)
     M = sum(m)
     if psi1.m != (1,) * M:
@@ -374,34 +512,21 @@ def fuse_psi(psi1, m):
     check_shape(psi1.k, psi1.lam, m)
     if m == psi1.m:
         return psi1
-    N = len(m)
-    k = psi1.k
-    ctx = spectral_context(N)
-    # variable mapping: big position (1-based) -> z_group + offset*h
+    ctx = spectral_context(len(m))
+    # variable mapping: big position (0-based) -> z_group + offset*h
     half = ctx.hbar() * Fraction(1, 2)
     mapping = {}
     pos = 0
     for gi, mi in enumerate(m, start=1):
         for t in range(mi):
+            mapping[pos] = ctx.z(gi) + half * (2 * t - mi + 1)
             pos += 1
-            mapping[pos - 1] = ctx.z(gi) + half * (2 * t - mi + 1)
-    mapping[psi1.ctx.h_index] = ctx.hbar() * Fraction(1, 2)
-    scale = Fraction(1)
-    for mi in m:
-        scale /= factorial(mi)
-    labels = content_labels(k, psi1.lam, m)
-    entries = {}
-    for lab in labels:
-        acc = {}
-        get = acc.get
-        for orderings in product(*[list(permutations(S)) for S in lab]):
-            sign = (-1) ** sum(map(inversions, orderings))
-            seq = tuple((x,) for block in orderings for x in block)
-            for e, c in psi1.entries[seq].terms.items():
-                acc[e] = get(e, 0) + sign * c
-        total = Polynomial(psi1.ctx, acc).substitute(mapping, ctx)
-        entries[lab] = total * scale
-    return PsiVector(k, psi1.lam, m, ctx, entries)
+    mapping[psi1.ctx.h_index] = half
+    entries = {
+        lab: psi1.entries[tuple((x,) for S in lab for x in S)].substitute(mapping, ctx)
+        for lab in content_labels(psi1.k, psi1.lam, m)
+    }
+    return PsiVector(psi1.k, psi1.lam, m, ctx, entries)
 
 
 # -- checks ----------------------------------------------------------------------

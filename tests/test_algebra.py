@@ -12,6 +12,7 @@ from qkzpsi.algebra import (
     RFSum,
     parse_polynomial,
     spectral_context,
+    sum_of_products,
 )
 
 CTX4 = spectral_context(4)
@@ -22,6 +23,19 @@ HB = CTX4.hbar()
 def test_addition_cancels():
     half = HB * Fraction(1, 2)
     assert (Z[1] + half) + (Z[1] - half) == 2 * Z[1]
+
+
+def test_sum_of_products_drops_zeros_and_collapses_integral_fractions():
+    ctx = Z[1].ctx
+    # integer factors whose products cancel: the clean path keeps no zero
+    p = sum_of_products(ctx, [(Z[1], Z[2]), (Z[2], -Z[1]), (Z[1], Z[1])])
+    assert p.terms == (Z[1] * Z[1]).terms
+    # Fraction factors with an integral sum still collapse to int coefficients
+    half = Z[1] * Fraction(1, 2)
+    assert any(type(c) is Fraction for c in half.terms.values())
+    q = sum_of_products(ctx, [(half, Z[2] * 2), (Z[1], Z[2])])
+    assert q == Z[1] * Z[2] * 2
+    assert all(type(c) is int for c in q.terms.values())
 
 
 def test_difference_of_squares():

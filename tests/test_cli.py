@@ -202,6 +202,23 @@ def test_psi_build_rejects_wedge_larger_than_k(tmp_path):
     assert not out.exists()
 
 
+def test_psi_build_refuses_an_instance_above_the_term_limit(monkeypatch, capsys, tmp_path):
+    # in process, so that building anything fails the test
+    from qkzpsi import cli, qkz
+
+    def built(*args):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr(qkz, "extreme_component", built)
+    monkeypatch.setattr(qkz, "_exchange_step", built)
+    out = tmp_path / "psi.json"
+    assert cli.main(["psi", "build", "--k", "2", "--lambda", "5,5", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qkzpsi: error: "), lines
+    assert "MAX_PREDICTED_TERMS" in lines[0]
+    assert not out.exists()
+
+
 def test_psi_build_rejects_bad_lambda_and_m_sum(tmp_path):
     out = tmp_path / "psi.json"
     res = run_cli("psi", "build", "--k", "2", "--lambda", "1,2", "--out", str(out))

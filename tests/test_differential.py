@@ -3,6 +3,9 @@ kernel against the algorithms they replaced.
 
 ``oracle_fundamental`` propagates the exchange relation by multiplying out
 the numerator and dividing it exactly by z_i - z_{i+1};
+``all_descents_fundamental`` derives every label from every descent and
+checks every entry, as ``build_psi_fundamental`` did before it built one
+entry per orbit of the letter symmetry;
 ``oracle_fuse`` specializes every fundamental entry first and sums the
 signed specializations afterwards.  ``stepwise_accumulate`` and
 ``stepwise_matmul`` reduce after every product and every partial sum, the
@@ -60,11 +63,15 @@ from qkzpsi.algebra import (
 from qkzpsi.appendix import fixture_psi, fixture_rho, fixture_rmatrices
 from qkzpsi.combinatorics import inversions, sequence_rotation
 from qkzpsi.qkz import (
+    PsiError,
+    PsiVector,
     _applicators,
+    _exchange_step,
     _multiset_permutations,
     _route_steps,
     _run_chain,
     build_psi_fundamental,
+    check_shape,
     closure_witness,
     content_labels,
     cyclic_shift,
@@ -94,6 +101,58 @@ def oracle_fundamental(lam):
         num = hb * f - shifted * f.swap_z(i, i + 1)
         entries[seq] = num.exact_div(LinearForm.make(0, i, i + 1)[0])
     return {tuple((a,) for a in seq): p for seq, p in entries.items()}
+
+
+def all_descents_fundamental(k, lam):
+    """Every label derived from every descent, every entry checked."""
+    lam = tuple(lam)
+    check_shape(k, lam)
+    M = sum(lam)
+    ctx = spectral_context(M)
+    base = []
+    for a, la in enumerate(lam, start=1):
+        base.extend([a] * la)
+    seqs = _multiset_permutations(base)
+    seqs.sort(key=lambda s: (inversions(s), s))
+    entries_seq = {}
+    _, extreme = extreme_component(lam)
+    entries_seq[tuple(base)] = extreme
+
+    for seq in seqs:
+        if seq in entries_seq:
+            continue
+        descents = [i for i in range(1, M) if seq[i - 1] > seq[i]]
+        if not descents:
+            raise PsiError(f"no descent and no seed for {seq}")
+        value = None
+        for i in descents:
+            partner = seq[:i - 1] + (seq[i], seq[i - 1]) + seq[i + 1:]
+            cand = _exchange_step(entries_seq[partner], i)
+            if value is None:
+                value = cand
+            elif cand != value:
+                raise PsiError(f"propagation path mismatch at {seq}, slot {i}")
+        entries_seq[seq] = value
+
+    want = sum(a * (a - 1) // 2 for a in lam)
+    for seq, p in entries_seq.items():
+        if p.homogeneous_degree() != want:
+            raise PsiError(f"entry {seq} is not homogeneous of degree {want}")
+    for seq, p in entries_seq.items():
+        for i in range(1, M):
+            if seq[i - 1] == seq[i]:
+                form = LinearForm(2, i, i + 1)
+                try:
+                    q = p.exact_div(form)
+                except ExactDivisionError:
+                    raise PsiError(
+                        f"entry {seq} not divisible by hb + z_{i} - z_{i+1}"
+                    ) from None
+                if q.swap_z(i, i + 1) != q:
+                    raise PsiError(f"quotient at {seq}, slot {i} not symmetric")
+
+    entries = {tuple((a,) for a in seq): p for seq, p in entries_seq.items()}
+    return PsiVector(k, lam, (1,) * M, ctx, entries)
 
 
 def oracle_fuse(psi1, m):
@@ -138,16 +197,29 @@ def assert_same_terms(got, want):
         assert got[lab].terms == want[lab].terms, lab
 
 
-@pytest.mark.parametrize("k, lam", [(3, (2, 2, 2)), (4, (2, 2, 2, 1)), (2, (4, 3))])
+@pytest.mark.parametrize("k, lam", [
+    (3, (2, 2, 2)), (4, (2, 2, 2, 1)), (2, (4, 3)),
+    (4, (2, 2, 1, 1)), (3, (2, 1, 1)), (2, (3, 3)), (4, (1, 1, 1, 1)), (2, (1, 1)),
+])
 def test_builder_matches_multiply_then_divide(k, lam):
+    # and the builder that derived every label from every descent
     psi = build_psi_fundamental(k, lam)
     assert_same_terms(psi.entries, oracle_fundamental(lam))
+    assert_same_terms(psi.entries, all_descents_fundamental(k, lam).entries)
+
+
+def test_builder_m8_matches_both_oracles(psi_m8):
+    assert_same_terms(psi_m8.entries, oracle_fundamental((2, 2, 2, 2)))
+    assert_same_terms(psi_m8.entries, all_descents_fundamental(4, (2, 2, 2, 2)).entries)
 
 
 @pytest.mark.parametrize("k, lam, m", [
     (3, (2, 2, 1), (2, 2, 1)),
     (2, (3, 3), (2, 2, 2)),
     (3, (3, 2, 1), (2, 2, 1, 1)),
+    (2, (4, 3), (2, 2, 2, 1)),
+    (4, (2, 2, 2, 1), (3, 2, 2)),
+    (3, (2, 2, 2), (1, 2, 3)),
 ])
 def test_fusion_matches_specialize_then_sum(k, lam, m):
     psi1 = build_psi_fundamental(k, lam)

@@ -1,6 +1,7 @@
 """Property tests of the polynomial kernel and of rational-function sums.
 
-Ring axioms, ``swap_z`` as an involution, exact division, substitution,
+Ring axioms, ``swap_z`` and the exchange step as involutions, the exchange
+step against multiply-then-divide, exact division, substitution,
 the JSON and text round trips, and ``RFSum`` against a fold that reduces
 after every product and every sum.
 """
@@ -19,17 +20,19 @@ from qkzpsi.algebra import (
     parse_polynomial,
     spectral_context,
 )
+from qkzpsi.qkz import _exchange_step
 
 CTX = spectral_context(3)    # z1, z2, z3, h
 TARGET = spectral_context(2)  # z1, z2, h
 
+int_coeffs = st.integers(-6, 6).filter(bool)
 coeffs = st.one_of(
-    st.integers(-6, 6).filter(bool),
+    int_coeffs,
     st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
 )
 
 
-def polys(ctx, max_terms=5, max_exp=3):
+def polys(ctx, max_terms=5, max_exp=3, coeffs=coeffs):
     exps = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda terms: Polynomial(ctx, {ctx.pack(e): c for e, c in terms.items()}))
@@ -81,6 +84,23 @@ def test_swap_z_is_an_involution(p, i, j):
     assert s.swap_z(j, i) == p
     assert s.homogeneous_degree() == p.homogeneous_degree()
     assert len(s.terms) == len(p.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(CTX, max_terms=6, max_exp=4, coeffs=int_coeffs), st.integers(1, 2))
+def test_exchange_step_is_an_involution(f, i):
+    # the builder checks one edge {beta, s_i beta} per orbit from whichever
+    # end is the ascent; that reads the relation both ways only if T_i^2 = 1
+    assert _exchange_step(_exchange_step(f, i), i) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(CTX, max_terms=6, max_exp=4, coeffs=int_coeffs), st.integers(1, 2))
+def test_exchange_step_is_hb_times_the_divided_difference_minus_the_swap(f, i):
+    tau = f.swap_z(i, i + 1)
+    form, sign = LinearForm.make(0, i, i + 1)
+    divided = (f - tau).exact_div(form) * sign
+    assert _exchange_step(f, i) == CTX.hbar() * divided - tau
 
 
 @settings(max_examples=200, deadline=None)

@@ -403,3 +403,60 @@ def test_build_checks_fire(monkeypatch, k, lam, slot, perturb, message):
     monkeypatch.setattr(qkz, "_exchange_step", step)
     with pytest.raises(PsiError, match=message):
         build_psi_fundamental(k, lam)
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (3, 3)])
+def test_build_checks_the_letter_symmetry_it_uses(monkeypatch, lam):
+    # chi(swap of letters 1, 2) is (-1)^3 = -1 here; forcing +1 must break an edge
+    import qkzpsi.qkz as qkz
+
+    real = qkz._orbit_key
+    monkeypatch.setattr(qkz, "_orbit_key", lambda seq, classes: (real(seq, classes)[0], 1))
+    with pytest.raises(PsiError, match="path mismatch"):
+        build_psi_fundamental(2, lam)
+
+
+def test_build_m8_does_the_work_of_one_label_per_orbit(monkeypatch):
+    # (4,(2,2,2,2)): 2,520 labels, 7,560 edges, and S_4 acts freely on both.
+    # Deriving and checking every label took 7,560 steps and 2,520 divisions.
+    import qkzpsi.qkz as qkz
+    from qkzpsi.algebra import Polynomial
+
+    calls = {"step": 0, "exact_div": 0}
+    step, exact_div = qkz._exchange_step, Polynomial.exact_div
+
+    def counted_step(f, i):
+        calls["step"] += 1
+        return step(f, i)
+
+    def counted_div(self, form):
+        calls["exact_div"] += 1
+        return exact_div(self, form)
+
+    monkeypatch.setattr(qkz, "_exchange_step", counted_step)
+    monkeypatch.setattr(Polynomial, "exact_div", counted_div)
+    build_psi_fundamental(4, (2, 2, 2, 2))
+    assert calls == {"step": 315, "exact_div": 105}
+
+
+@pytest.mark.parametrize("lam, predicted", [
+    ((2, 2, 2, 2), 204_120), ((4, 3), 64_575), ((4, 4), 1_059_030), ((3, 3, 3), 5_670_000),
+])
+def test_predicted_terms_is_the_extreme_entry_times_the_entries(lam, predicted):
+    from qkzpsi.qkz import MAX_PREDICTED_TERMS, predicted_terms
+
+    entries = len(content_labels(len(lam), lam, (1,) * sum(lam)))
+    assert predicted_terms(lam) == len(extreme_component(lam)[1].terms) * entries == predicted
+    assert predicted <= MAX_PREDICTED_TERMS
+
+
+def test_build_refuses_above_the_term_limit(monkeypatch):
+    import qkzpsi.qkz as qkz
+
+    def built(*args):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr(qkz, "extreme_component", built)
+    assert qkz.predicted_terms((5, 5)) > qkz.MAX_PREDICTED_TERMS
+    with pytest.raises(PsiError, match="MAX_PREDICTED_TERMS"):
+        build_psi_fundamental(2, (5, 5))
