@@ -301,10 +301,10 @@ def _exchange_step(f, i):
 MAX_PREDICTED_TERMS = 10_000_000
 """The largest ``predicted_terms`` that ``build_psi_fundamental`` builds.
 
-Dense entries cost about 85 bytes a term at peak.  Measured on the ladder:
-(2,(4,4)) is predicted at 1.06M terms and has 1.31M; (3,(3,3,3)) is predicted
-at 5.67M and has 7.67M; (2,(5,4)) is predicted at 20.6M and (2,(5,5)) at
-445M, and both are refused.
+Measured on the ladder: (2,(4,4)) is predicted at 1.06M terms and has
+1.31M; (3,(3,3,3)) is predicted at 5.67M and has 7.67M, built in 299 MB
+peak RSS (about 40 bytes a term); (2,(5,4)) is predicted at 20.6M and
+(2,(5,5)) at 445M, and both are refused.
 """
 
 
