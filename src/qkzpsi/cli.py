@@ -27,7 +27,10 @@ a-th wedge power alone).
 
 A check with nothing to check writes one ``skipped`` report that names the
 reason, and exits 0: ``psi verify --check exchange`` on a one-slot vector,
-and ``--check wheel`` when no placement has an m-sum above k.
+and ``--check wheel`` when no placement has an m-sum above k.  So do
+``--check cyclicity`` and ``--check qkz`` (one report per slot) unless m
+is homogeneous and lambda is the k-row rectangle (M/k)^k, the only shape
+the rotation is defined for.
 """
 
 from __future__ import annotations
@@ -170,12 +173,20 @@ def _verify_reports(psi, args):
                            witness=f"no placement has an m-sum above k = {psi.k}")]
         return [check_wheel(psi, pos) for pos in placements]
     if args.check in ("cyclicity", "qkz"):
-        # the rotation is defined for homogeneous m only; both checks skip otherwise
-        rho = (sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
-               if len(set(psi.m)) == 1 else None)
-        if args.check == "cyclicity":
-            return [check_cyclicity(psi, rho)]
-        return [qkz_step(psi, i, rho) for i in _slots(args.slot, psi.N)]
+        # the rotation is defined for homogeneous m and lambda = (M/k)^k only
+        slots = [None] if args.check == "cyclicity" else _slots(args.slot, psi.N)
+        if len(set(psi.m)) > 1:
+            why = "m not homogeneous"
+        elif psi.lam != (sum(psi.lam) // psi.k,) * psi.k:
+            why = f"lambda is not a {psi.k}-row rectangle (M/k)^k: no rotation"
+        else:
+            rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
+            if args.check == "cyclicity":
+                return [check_cyclicity(psi, rho)]
+            return [qkz_step(psi, i, rho) for i in slots]
+        name = psi.instance_name()
+        return [Report(args.check, name if i is None else f"{name} i={i}", "skipped", witness=why)
+                for i in slots]
     if args.check == "recurrence":
         k = psi.k
         small_lam = tuple(x - 1 for x in psi.lam if x - 1 > 0)

@@ -48,8 +48,31 @@ specialization of the entry whose blocks are increasing.
 
 Verification operations cover the exchange relation, wheel conditions,
 the insertion recurrence, cyclicity under rotation of the factors, and the
-difference (qKZ-type) step assembled from exchange moves plus one
-cyclicity wrap.
+level-1 difference (qKZ) step in each z_i, which reduces to the others:
+route A moves z_i to slot 1 by exchanges, wraps once by cyclicity at the
+permuted point and moves z_i + (k+1) hb back by exchanges, route B is the
+same argument in the other direction, and the unitarity R(u) R(-u) = 1 of
+every slot operator makes the routes agree (see ``qkz_step``).  So the
+step holds at every i or at none.  The paper has the qKZ equation hold
+"in some cases"; for homogeneous m the checks give
+
+    instance                                     qkz_step
+    (2,(1,1)), (2,(2,2)), (2,(3,3)), (2,(4,4))   pass
+    (3,(1,1,1)), (3,(2,2,2))                     pass
+    (4,(1,1,1,1)), (4,(2,2,2,2))                 pass
+    (5,(1,1,1,1,1))                              pass
+    (3,(2,2,2)) fused to m = (2,2,2)             pass
+    (4,(2,2,2,2)) fused to m = (2,2,2,2)         pass
+    (6,(1^6)) fused to m = (3,3)                 pass
+    the appendix, with its printed R1, R2, R3    pass
+    (4,(1^4)) fused to m = (2,2)                 fail: cyclicity
+    (6,(1^6)) fused to m = (2,2,2)               fail: cyclicity
+
+The two failing vectors are constant, and cyclicity fails by the global
+sign of ``sequence_rotation``.  A slot with m_i = k has no fused
+R-matrix, so the step raises there.  Inhomogeneous m is out of scope: the
+exchange at slot j then relates Psi_m to Psi_{s_j m}, and cyclicity
+relates Psi_m to the vector of the rotated m.
 """
 
 from __future__ import annotations
@@ -783,81 +806,50 @@ def check_cyclicity(psi, rho_op, instance=None):
 # -- the difference step ----------------------------------------------------------
 
 
-def _applicators(psi, full_ops=None):
-    """Per-slot applicators: apply(vec, form, sign) for slots 1..N-1."""
-    if full_ops is not None:
-        return {j: _rm.matrix_applicator(op) for j, op in full_ops.items()}
-    out = {}
-    for j in range(1, psi.N):
-        rop = _rm.pair_operator(psi.k, psi.m[j - 1], psi.m[j])
-        out[j] = _rm.slot_applicator(rop, j - 1)
-    return out
-
-
 def qkz_step(psi, i, rho_op, full_ops=None, instance=None):
-    """The difference step in z_i, assembled from exchange moves and one wrap.
+    """The difference step in z_i, certified by exchange, cyclicity and unitarity.
 
-    Route A moves slot i down to slot 1 implicitly: S_i is the composite
+    With s = (k+1) hb, route A of the step is Psi(..., z_i + s, ...) = S_i Psi,
 
-        R_i(z_{i+1} - z_i - s) ... R_{N-1}(z_N - z_i - s) rho
-            R_1(z_1 - z_i) ... R_{i-1}(z_{i-1} - z_i)
+        S_i = R_i(z_{i+1} - z_i - s) ... R_{N-1}(z_N - z_i - s) rho
+                  R_1(z_1 - z_i) ... R_{i-1}(z_{i-1} - z_i)
 
-    applied right to left, with s = (k+1) hb; the relation checked is
-    Psi(..., z_i + s, ...) = S_i Psi.  Route B wraps through the inverse
-    rotation and checks Psi(..., z_i - s, ...) = C_i Psi.  The routes agree
-    when S_i(z_i -> z_i - s) C_i = 1.  Written out, with u_j = z_j - z_i + s,
-    that product is
+    applied right to left, and route B is Psi(..., z_i - s, ...) = C_i Psi
+    through rho^-1.  Both follow from two identities (Frenkel-Reshetikhin,
+    CMP 146, 1992; Di Francesco-Zinn-Justin, J. Phys. A 38, 2005).  The
+    exchange relation at slot j is a polynomial identity, so it holds at
+    every permuted point: R_j(a - b) takes Psi with a, b in slots j, j+1 to
+    Psi with them swapped.  Route A moves z_i to slot 1 by such exchanges,
+    wraps once by cyclicity at the permuted point w,
+    rho Psi(w) = Psi(w_2, ..., w_N, w_1 + s), and moves z_i + s back from
+    slot N by exchanges.  Route B is the same argument in the other
+    direction, with cyclicity read at (w_N - s, w_1, ..., w_{N-1}) to
+    unwrap through rho^-1.  The routes' report also required
+    S_i(z_i - s) C_i = 1 as an operator identity; that product telescopes
+    to 1 once every slot operator satisfies R(u) R(-u) = 1, which
+    ``closure_witness`` checks.
 
-        R_i(z_{i+1} - z_i) ... R_{N-1}(z_N - z_i) rho
-            [R_1(u_1) ... R_{i-1}(u_{i-1}) R_{i-1}(-u_{i-1}) ... R_1(-u_1)]
-            rho^-1 R_{N-1}(z_i - z_N) ... R_i(z_i - z_{i+1}),
-
-    which telescopes from the middle out to the identity as soon as every
-    slot operator satisfies R(u) R(-u) = 1.  So route independence is
-    certified by that unitarity (``closure_witness``), once per distinct
-    slot operator, and neither composite is built.
-
-    Without ``full_ops`` an inhomogeneous m is skipped: the slot operators
-    are fixed per slot, and the rotation moves the wedge sizes along.
+    So the report runs ``check_exchange`` at slots 1..N-1 (slot j's
+    operator is ``full_ops[j]`` when given), ``check_cyclicity`` and
+    ``closure_witness``, and its witness is the first failure's: the
+    sub-check's after ``exchange at slot j: `` or ``cyclicity: ``, or the
+    closure witness.  The certificate does not depend on i.  An
+    inhomogeneous m is skipped, with or without ``full_ops``; so is a step
+    whose ``check_cyclicity`` skips, with its witness.
     """
     name = instance or f"{psi.instance_name()} i={i}"
-    if full_ops is None and len(set(psi.m)) > 1:
+    if len(set(psi.m)) > 1:
         return Report("qkz", name, "skipped", witness="m not homogeneous")
-    N = psi.N
-    k = psi.k
-    ctx = psi.ctx
-    s_h = 2 * (k + 1)  # shift in h-units
-    apply_at = _applicators(psi, full_ops)
-    half = ctx.hbar() * Fraction(1, 2)
-
-    steps_pre, steps_post, steps_right, steps_back = _route_steps(N, k, i)
     with timer() as tm:
-        v = _run_chain(apply_at, dict(psi.entries), steps_pre)
-        v = rho_op.apply(v)
-        v = _run_chain(apply_at, v, steps_post)
-        lhs = {
-            lab: psi.entries[lab].substitute({i - 1: ctx.z(i) + half * s_h})
-            for lab in psi.basis
-        }
-        ok, where = _rm._vec_equal(lhs, v)
-        if not ok:
-            diff = _difference(lhs[where], v.get(where))
-            return report("qkz", name, False, witness=f"route A: {_offending(where, diff)}",
-                          elapsed=tm.elapsed)
-        # route B: move right, wrap via the inverse rotation
-        v2 = _run_chain(apply_at, dict(psi.entries), steps_right)
-        v2 = rho_op.inverse().apply(v2)
-        v2 = _run_chain(apply_at, v2, steps_back)
-        lhs2 = {
-            lab: psi.entries[lab].substitute({i - 1: ctx.z(i) - half * s_h})
-            for lab in psi.basis
-        }
-        ok, where = _rm._vec_equal(lhs2, v2)
-        if not ok:
-            diff = _difference(lhs2[where], v2.get(where))
-            return report("qkz", name, False, witness=f"route B: {_offending(where, diff)}",
-                          elapsed=tm.elapsed)
-        witness = closure_witness(psi, full_ops)
+        for j in range(1, psi.N):
+            rep = check_exchange(psi, j, None if full_ops is None else full_ops[j])
+            if not rep.passed:
+                return report("qkz", name, False, witness=f"exchange at slot {j}: {rep.witness}",
+                              elapsed=tm.elapsed)
+        rep = check_cyclicity(psi, rho_op)
+        if rep.status == "skipped":
+            return Report("qkz", name, "skipped", witness=rep.witness)
+        witness = closure_witness(psi, full_ops) if rep.passed else f"cyclicity: {rep.witness}"
         if witness is not None:
             return report("qkz", name, False, witness=witness, elapsed=tm.elapsed)
     return report("qkz", name, True, elapsed=tm.elapsed)
@@ -882,26 +874,3 @@ def closure_witness(psi, full_ops=None):
         if not passed:
             return f"slot {j} pair ({a},{b}) is not unitary: {witness}"
     return None
-
-
-def _route_steps(N, k, i):
-    """Steps (slot, hcoef, a, b) of both routes of the step in z_i.
-
-    Route A applies steps_pre, rho, steps_post; route B applies
-    steps_right, the inverse rotation, steps_back.  A step applies the slot
-    operator at argument hcoef*h + z_a - z_b.
-    """
-    s_h = 2 * (k + 1)
-    # route A: v = R_{i-1}(z_{i-1}-z_i) ... then rho ... then R_{N-1}..R_i
-    steps_pre = [(j, 0, j, i) for j in range(i - 1, 0, -1)]
-    steps_post = [(j, -s_h, j + 1, i) for j in range(N - 1, i - 1, -1)]
-    steps_right = [(j, 0, i, j + 1) for j in range(i, N)]
-    steps_back = [(j, -s_h, i, j) for j in range(1, i)]
-    return steps_pre, steps_post, steps_right, steps_back
-
-
-def _run_chain(apply_at, vec, steps):
-    for (j, hcoef, a, b) in steps:
-        form, sign = LinearForm.make(hcoef, a, b)
-        vec = apply_at[j](vec, form, sign)
-    return vec

@@ -95,6 +95,27 @@ def test_psi_verify_skips_rotation_checks_for_inhomogeneous_m(inhomogeneous_psi,
         [(check, "skipped", "m not homogeneous")] * slots)
 
 
+@pytest.mark.parametrize("k, lam, m, slots", [
+    # M is not divisible by k: the rotation's sign raised a CombinatoricsError
+    (3, "1,1", "2", 1), (2, "4,3", None, 7), (3, "2,2", None, 4),
+    # M/k is a whole number, but lambda is not (M/k)^k: the checks ran and failed
+    (4, "2,2", None, 4), (2, "3,1", None, 4),
+], ids=["k3_11_m2", "k2_43", "k3_22", "k4_22", "k2_31"])
+def test_psi_verify_skips_rotation_checks_off_the_rectangle(tmp_path, capsys, k, lam, m, slots):
+    from qkzpsi import cli
+
+    vector = tmp_path / "psi.json"
+    build = ["psi", "build", "--k", str(k), "--lambda", lam, "--out", str(vector)]
+    assert cli.main(build + (["--m", m] if m else [])) == 0
+    why = f"lambda is not a {k}-row rectangle (M/k)^k: no rotation"
+    for check, count in (("cyclicity", 1), ("qkz", slots)):
+        out = tmp_path / f"{check}.json"
+        assert cli.main(["psi", "verify", "--check", check, "--in", str(vector),
+                         "--out", str(out)]) == 0
+        assert [(c, s, w) for c, _, s, w in report_keys(out)] == [(check, "skipped", why)] * count
+    capsys.readouterr()
+
+
 @pytest.fixture(scope="module")
 def one_slot_psi(tmp_path_factory):
     """k = 3, m = (2): one slot, and its m-sum 2 is not above k."""

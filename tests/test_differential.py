@@ -20,9 +20,12 @@ The ``tuple_*`` functions are the polynomial kernel on exponent tuples,
 normalizes it by ``oracle_inverse``, which inverts the extreme entry by
 factoring its numerator into linear forms (``oracle_factor_linear_forms``)
 as ``fused_rcheck`` did before it substituted z -> -z.
-``built_closure`` certifies that the two routes of the qKZ step agree by
-building both route composites and multiplying them, as ``qkz_step`` did
-before it certified the unitarity of each slot operator;
+``route_chains`` runs both routes of the qKZ step in z_i on Psi, route A
+through rho and route B through its inverse, one slot operator at a time,
+as ``qkz_step`` did before it reduced the step to the exchange relation at
+every slot, cyclicity and unitarity; ``built_closure`` certifies that the
+two routes agree by building both route composites and multiplying them,
+as ``qkz_step`` did before it certified the unitarity of each slot operator;
 ``substitute_cyclic_shift`` substitutes every argument of the cyclic shift,
 as ``check_cyclicity`` did before it rotated the packed fields.
 ``oracle_solve_block`` solves the exchange relation's blocks by
@@ -61,15 +64,14 @@ from qkzpsi.algebra import (
     spectral_context,
 )
 from qkzpsi.appendix import fixture_psi, fixture_rho, fixture_rmatrices
-from qkzpsi.combinatorics import inversions, sequence_rotation
+from qkzpsi.combinatorics import SignedPermutationOp, inversions, sequence_rotation
 from qkzpsi.qkz import (
     PsiError,
     PsiVector,
-    _applicators,
+    _difference,
     _exchange_step,
     _multiset_permutations,
-    _route_steps,
-    _run_chain,
+    _offending,
     build_psi_fundamental,
     check_shape,
     closure_witness,
@@ -77,6 +79,8 @@ from qkzpsi.qkz import (
     cyclic_shift,
     extreme_component,
     fuse_psi,
+    label_text,
+    qkz_step,
 )
 from qkzpsi.reporting import json_parts
 from qkzpsi.rmatrix import fused_rcheck
@@ -449,13 +453,69 @@ def test_one_flipped_transport_sign_is_caught(braided_every_source, monkeypatch,
     assert failed == [(4, 2, 2), (5, 2, 3), (5, 3, 2)]
 
 
+# -- the route chains of the qKZ step --------------------------------------------
+
+
+def applicators(psi, full_ops=None):
+    """Per-slot applicators: apply(vec, form, sign) for slots 1..N-1."""
+    if full_ops is not None:
+        return {j: rmatrix.matrix_applicator(op) for j, op in full_ops.items()}
+    return {j: rmatrix.slot_applicator(rmatrix.pair_operator(psi.k, psi.m[j - 1], psi.m[j]),
+                                       j - 1)
+            for j in range(1, psi.N)}
+
+
+def route_steps(N, k, i):
+    """Steps (slot, hcoef, a, b) of both routes of the step in z_i.
+
+    Route A applies steps_pre, rho, steps_post; route B applies
+    steps_right, the inverse rotation, steps_back.  A step applies the slot
+    operator at argument hcoef*h + z_a - z_b.
+    """
+    s_h = 2 * (k + 1)
+    steps_pre = [(j, 0, j, i) for j in range(i - 1, 0, -1)]
+    steps_post = [(j, -s_h, j + 1, i) for j in range(N - 1, i - 1, -1)]
+    steps_right = [(j, 0, i, j + 1) for j in range(i, N)]
+    steps_back = [(j, -s_h, i, j) for j in range(1, i)]
+    return steps_pre, steps_post, steps_right, steps_back
+
+
+def run_chain(apply_at, vec, steps):
+    for (j, hcoef, a, b) in steps:
+        form, sign = LinearForm.make(hcoef, a, b)
+        vec = apply_at[j](vec, form, sign)
+    return vec
+
+
+def route_chains(psi, i, rho, full_ops=None):
+    """None if both routes of the step in z_i hold on Psi, else the witness.
+
+    Route A checks Psi(..., z_i + s, ...) = S_i Psi and route B
+    Psi(..., z_i - s, ...) = C_i Psi, s = (k+1) hb, by running each chain
+    of operators on Psi itself, as ``qkz_step`` did before it reduced the
+    step to exchange, cyclicity and unitarity.
+    """
+    ctx = psi.ctx
+    apply_at = applicators(psi, full_ops)
+    pre, post, right, back = route_steps(psi.N, psi.k, i)
+    s = ctx.hbar() * (psi.k + 1)
+    for route, first, wrap, then, shift in (("A", pre, rho, post, s),
+                                            ("B", right, rho.inverse(), back, -s)):
+        v = run_chain(apply_at, wrap.apply(run_chain(apply_at, dict(psi.entries), first)), then)
+        lhs = {lab: p.substitute({i - 1: ctx.z(i) + shift}) for lab, p in psi.entries.items()}
+        ok, where = rmatrix._vec_equal(lhs, v)
+        if not ok:
+            return f"route {route}: {_offending(where, _difference(lhs[where], v.get(where)))}"
+    return None
+
+
 def materialize(psi, apply_at, steps1, rho_op, steps2):
     """The composite operator of a route, built column by column on the basis."""
     one = RationalFunction.from_poly(psi.ctx.one())
     entries = {}
     for src in psi.basis:
-        vec = _run_chain(apply_at, {src: one}, steps1)
-        vec = _run_chain(apply_at, rho_op.apply(vec), steps2)
+        vec = run_chain(apply_at, {src: one}, steps1)
+        vec = run_chain(apply_at, rho_op.apply(vec), steps2)
         for tgt, rf in vec.items():
             entries[(tgt, src)] = rf
     return rmatrix.ROperator(psi.ctx, psi.basis, psi.basis, entries)
@@ -477,8 +537,8 @@ def is_identity(rop):
 def qkz_composites(psi, i, rho, full_ops=None):
     """The route composites S_i and C_i of the step in z_i, and S_i(z_i -> z_i - s)."""
     ctx = psi.ctx
-    apply_at = _applicators(psi, full_ops)
-    pre, post, right, back = _route_steps(psi.N, psi.k, i)
+    apply_at = applicators(psi, full_ops)
+    pre, post, right, back = route_steps(psi.N, psi.k, i)
     S = materialize(psi, apply_at, pre, rho, post)
     C = materialize(psi, apply_at, right, rho.inverse(), back)
     shift = {i: ctx.z(i) - ctx.hbar() * Fraction(psi.k + 1)}
@@ -564,6 +624,166 @@ def test_a_non_unitary_full_operator_fails_both(appendix_case):
     witness = closure_witness(psi, bad_ops)
     assert witness.startswith("slot 2 operator is not unitary: column "), witness
     assert [built_closure(psi, i, rho, bad_ops) for i in range(1, 5)] == [False] * 4
+
+
+def oracle_qkz_status(psi, i, rho, full_ops=None, closure=built_closure):
+    """'pass' when both route chains hold and ``closure`` certifies that they close."""
+    ok = route_chains(psi, i, rho, full_ops) is None and closure(psi, i, rho, full_ops)
+    return "pass" if ok else "fail"
+
+
+def unitary_slots(psi, i, rho, full_ops=None):
+    """The closure by ``closure_witness``, which the tests above tie to ``built_closure``."""
+    return closure_witness(psi, full_ops) is None
+
+
+def fundamental_case(k, lam, m=None):
+    def make(request):
+        psi = build_psi_fundamental(k, lam)
+        psi = psi if m is None else fuse_psi(psi, m)
+        return psi, rotation(psi), None
+    return make
+
+
+def fused_m8_case(request):
+    psi = request.getfixturevalue("fused_example")
+    return psi, rotation(psi), None
+
+
+def appendix_qkz_case(request):
+    return request.getfixturevalue("appendix_case")
+
+
+# built_closure takes about 3.3 s per i on (3,(2,2,2)) and 22 s per i on
+# fused M=8 (2 cores, CPython 3.11.7), so those two close by unitary_slots
+QKZ_CASES = {
+    "(2,(2,2))": (fundamental_case(2, (2, 2)), built_closure),
+    "(2,(3,3))": (fundamental_case(2, (3, 3)), built_closure),
+    "(3,(2,2,2))": (fundamental_case(3, (2, 2, 2)), unitary_slots),
+    "(4,(1,1,1,1))": (fundamental_case(4, (1, 1, 1, 1)), built_closure),
+    "fused M=8": (fused_m8_case, unitary_slots),
+    "(3,(2,2,2))->(2,2,2)": (fundamental_case(3, (2, 2, 2), (2, 2, 2)), built_closure),
+    "appendix": (appendix_qkz_case, built_closure),
+}
+
+
+@pytest.mark.parametrize("case", QKZ_CASES)
+def test_qkz_step_matches_the_route_chains(request, case):
+    make, closure = QKZ_CASES[case]
+    psi, rho, full_ops = make(request)
+    for i in range(1, psi.N + 1):
+        rep = qkz_step(psi, i, rho, full_ops)
+        assert rep.status == oracle_qkz_status(psi, i, rho, full_ops, closure) == "pass", (
+            i, rep.witness)
+
+
+def test_qkz_step_and_the_route_chains_refuse_wedges_of_size_k():
+    # (2,(3,3)) fused to m = (2,2,2): every slot is the k-th wedge power, where
+    # no fused R-matrix is defined, and both raise before checking anything
+    psi = fuse_psi(build_psi_fundamental(2, (3, 3)), (2, 2, 2))
+    rho = rotation(psi)
+    for run in (qkz_step, route_chains):
+        with pytest.raises(rmatrix.RMatrixError, match="wedge sizes must lie in 1..k-1"):
+            run(psi, 1, rho)
+
+
+class FlippedInverse:
+    """rho whose inverse carries the wrong sign; only route B of the chains uses it."""
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def apply(self, vec):
+        return self.rho.apply(vec)
+
+    def inverse(self):
+        inv = self.rho.inverse()
+        return SignedPermutationOp(inv.basis, inv.mapping, -inv.sign)
+
+
+def inverse_rotation(rho):
+    """rho with the label map reversed: (rho v)_S = sign * v_(S_2..S_N, S_1)."""
+    return SignedPermutationOp(
+        rho.basis, {lab: (lab[-1],) + lab[:-1] for lab in rho.basis}, rho.sign)
+
+
+def sign_flipped(rho):
+    return SignedPermutationOp(rho.basis, rho.mapping, -rho.sign)
+
+
+def times_z1_plus_z2(psi):
+    g = psi.ctx.z(1) + psi.ctx.z(2)
+    return PsiVector(psi.k, psi.lam, psi.m, psi.ctx,
+                     {lab: p * g for lab, p in psi.entries.items()})
+
+
+@pytest.fixture(scope="module", params=[(2, (1, 1)), (2, (3, 3)), (3, (2, 2, 2))], ids=str)
+def control_case(request):
+    k, lam = request.param
+    psi = build_psi_fundamental(k, lam)
+    return psi, rotation(psi)
+
+
+def statuses(psi, rho):
+    """(qkz_step, oracle) status at every i; the operators stay unitary."""
+    return [(qkz_step(psi, i, rho).status, oracle_qkz_status(psi, i, rho, closure=unitary_slots))
+            for i in range(1, psi.N + 1)]
+
+
+def test_a_scaled_vector_fails_the_step_where_the_chains_cannot_see_it(control_case):
+    # g = z1 + z2 commutes with every route operator, so the chains of the step
+    # in z_i compare g(z) with g(..., z_i + s, ...): they tell them apart at
+    # i = 1, 2 only.  The step fails at every i, by cyclicity when N = 2 and
+    # by exchange at slot 2 otherwise (g is not symmetric in z2, z3).
+    psi, rho = control_case
+    got = statuses(times_z1_plus_z2(psi), rho)
+    assert all(oracle == "pass" for new, oracle in got if new == "pass"), got
+    assert got == [("fail", "fail")] * 2 + [("fail", "pass")] * (psi.N - 2)
+
+
+@pytest.mark.parametrize("wrong", [inverse_rotation, sign_flipped])
+def test_a_wrong_rotation_fails_the_step_and_the_chains_everywhere(control_case, wrong):
+    psi, rho = control_case
+    bad = wrong(rho)
+    if psi.N == 2 and wrong is inverse_rotation:
+        # a rotation of two slots is its own inverse: nothing is wrong
+        assert bad.mapping == rho.mapping
+        assert statuses(psi, bad) == [("pass", "pass")] * 2
+    else:
+        assert statuses(psi, bad) == [("fail", "fail")] * psi.N
+
+
+def test_the_step_is_stronger_than_the_chains_on_a_scaled_k2_33():
+    # the documented strengthening: at i = 3..6 the chains pass g*Psi (above),
+    # and the step names exchange at slot 2, where lhs - rhs at the first label
+    # is (tau_2 g - g) tau_2 Psi = (z3 - z2) tau_2 Psi
+    psi = build_psi_fundamental(2, (3, 3))
+    lab = ((1,), (1,), (1,), (2,), (2,), (2,))
+    remainder = (psi.ctx.z(3) - psi.ctx.z(2)) * psi.entries[lab].swap_z(2, 3)
+    want = "exchange at slot 2: " + _offending(lab, remainder)
+    scaled, rho = times_z1_plus_z2(psi), rotation(psi)
+    assert [qkz_step(scaled, i, rho).witness for i in range(3, 7)] == [want] * 4
+
+
+def test_the_chains_name_the_route_that_fails():
+    # Psi for (2,(1,1)) is 1 at ({1},{2}) and -1 at ({2},{1})
+    psi = build_psi_fundamental(2, (1, 1))
+    rho = rotation(psi)
+    sign = {((1,), (2,)): "", ((2,), (1,)): "-"}
+
+    def witnesses(route, value):
+        return {f"route {route}: first offending label {label_text(lab)}: "
+                f"lhs - rhs = {s}{value} (1 terms)" for lab, s in sign.items()}
+
+    # g = z1 + z2 commutes with every route operator, so for g*Psi both sides of
+    # route A differ by (g(z_i + 3 hb) - g) Psi = 3 hb Psi at every label
+    for i in (1, 2):
+        assert route_chains(times_z1_plus_z2(psi), i, rho) in witnesses("A", "3*hb")
+    # a sign-flipped inverse rotation negates route B's right side: lhs - rhs = 2 Psi,
+    # and qkz_step, which never inverts rho, still passes
+    for i in (1, 2):
+        assert route_chains(psi, i, FlippedInverse(rho)) in witnesses("B", "2")
+        assert qkz_step(psi, i, FlippedInverse(rho)).passed
 
 
 def substitute_cyclic_shift(p, k):

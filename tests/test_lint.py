@@ -1,7 +1,9 @@
 """Static checks on the package source, in place of a linter.
 
 Every module of ``src/qkzpsi`` except ``__init__.py`` (whose imports are
-re-exports) must use each name it imports.
+re-exports) must use each name it imports, and every module-level private
+name (``_name``) defined in the package must be read somewhere in it: a
+helper that only tests still call belongs in the tests.
 """
 
 import ast
@@ -35,3 +37,51 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree):
+    """Names of the module-level functions, classes and assignments that start with one _."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(tree):
+    """Every name the tree loads, reads as an attribute, or imports from a module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources):
+    """(module, name) of each private module-level name that no source reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*(names_read(tree) for tree in trees.values()))
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in private_definitions(tree) if name not in read)
+
+
+def test_detector_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_seen: set = set()\ndef _used(): pass\ndef _left(): pass\n"
+                "class _Kept: pass\ndef __dir__(): pass\n",
+        "b.py": "from .a import _used\nimport a\n_used(a._Kept)\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_LIMIT"), ("a.py", "_left"),
+                                             ("a.py", "_seen")]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -105,49 +105,83 @@ def test_failing_checks_name_the_remainder():
         " (15 terms)")
 
 
-class FlippedInverse:
-    """rho whose inverse carries the wrong sign; only route B of qkz_step uses it."""
-
-    def __init__(self, rho):
-        self.rho = rho
-
-    def apply(self, vec):
-        return self.rho.apply(vec)
-
-    def inverse(self):
-        inv = self.rho.inverse()
-        return SignedPermutationOp(inv.basis, inv.mapping, -inv.sign)
-
-
 def test_failing_wheel_and_qkz_routes_name_the_remainder():
-    # Psi for (2,(1,1)) is 1 at ({1},{2}) and -1 at ({2},{1})
+    # Psi for (2,(1,1)) is 1 at ({1},{2}) and -1 at ({2},{1}); rho maps Psi to
+    # its cyclic shift, 1 at ({1},{2})
     psi = build_psi_fundamental(2, (1, 1))
     ctx = psi.ctx
     rho = sequence_rotation(psi.basis, psi.m, 2, 2)
     assert [qkz_step(psi, i, rho).witness for i in (1, 2)] == [None, None]
-    sign = {((1,), (2,)): "", ((2,), (1,)): "-"}
-
-    def witnesses(route, value):
-        return {f"route {route}: first offending label {label_text(lab)}: "
-                f"lhs - rhs = {s}{value} (1 terms)" for lab, s in sign.items()}
-
-    # g = z1 + z2 commutes with every route operator, so for g*Psi both sides of
-    # route A differ by (g(z_i + 3 hb) - g) Psi = 3 hb Psi at every label
+    first = "cyclicity: first offending label ({1},{2}): lhs - rhs ="
+    # g = z1 + z2 is symmetric, so g*Psi keeps the exchange relation; its cyclic
+    # shift is (g + 3 hb) Psi-shifted, and rho(g Psi) = g rho Psi: lhs - rhs = 3 hb * 1
     g = ctx.z(1) + ctx.z(2)
     scaled = PsiVector(psi.k, psi.lam, psi.m, ctx, {lab: p * g for lab, p in psi.entries.items()})
-    for i in (1, 2):
-        assert qkz_step(scaled, i, rho).witness in witnesses("A", "3*hb")
-    # a sign-flipped inverse rotation negates route B's right side: lhs - rhs = 2 Psi
-    for i in (1, 2):
-        assert qkz_step(psi, i, FlippedInverse(rho)).witness in witnesses("B", "2")
-    # the wheel z2 = z1 + hb, z3 = z1 + 2 hb kills Psi (2,(2,2)) but not an added hb^2
+    assert [qkz_step(scaled, i, rho).witness for i in (1, 2)] == [f"{first} 3*hb (1 terms)"] * 2
+    # a sign-flipped rotation negates the right side: lhs - rhs = 1 - (-1)
+    flipped = SignedPermutationOp(rho.basis, rho.mapping, -rho.sign)
+    assert [qkz_step(psi, i, flipped).witness for i in (1, 2)] == [f"{first} 2 (1 terms)"] * 2
+    # adding hb^2 to one entry of (2,(2,2)) breaks exchange at slot 1 first, with the
+    # remainder that test_failing_checks_name_the_remainder derives
     psi = build_psi_fundamental(2, (2, 2))
+    lab = ((1,), (1,), (2,), (2,))
+    bad = PsiVector(psi.k, psi.lam, psi.m, psi.ctx,
+                    {**psi.entries, lab: psi.entries[lab] + psi.ctx.hbar() ** 2})
+    assert qkz_step(bad, 2, sequence_rotation(psi.basis, psi.m, 4, 2)).witness == (
+        "exchange at slot 1: first offending label ({1},{1},{2},{2}): "
+        "lhs - rhs = 2*z1*hb^2 - 2*z2*hb^2 (2 terms)")
+    # the wheel z2 = z1 + hb, z3 = z1 + 2 hb kills Psi (2,(2,2)) but not an added hb^2
     lab = ((1,), (2,), (1,), (2,))
     assert check_wheel(psi, (1, 2, 3)).witness is None
     bad = PsiVector(psi.k, psi.lam, psi.m, psi.ctx,
                     {**psi.entries, lab: psi.entries[lab] + psi.ctx.hbar() ** 2})
     assert check_wheel(bad, (1, 2, 3)).witness == (
         "first offending label ({1},{2},{1},{2}): lhs - rhs = hb^2 (1 terms)")
+
+
+def test_qkz_step_is_exchange_at_every_slot_and_one_cyclicity(monkeypatch):
+    import qkzpsi.qkz as qkz
+
+    psi = build_psi_fundamental(4, (1, 1, 1, 1))
+    rho = sequence_rotation(psi.basis, psi.m, 4, 4)
+    calls = []
+
+    def counted(name):
+        real = getattr(qkz, name)
+
+        def check(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return check
+
+    for name in ("check_exchange", "check_cyclicity"):
+        monkeypatch.setattr(qkz, name, counted(name))
+
+    def no_inverse(self):
+        raise AssertionError("qkz_step inverted the rotation")
+
+    monkeypatch.setattr(SignedPermutationOp, "inverse", no_inverse)
+    for i in range(1, 5):
+        calls.clear()
+        assert qkz_step(psi, i, rho).passed
+        assert calls == ["check_exchange"] * 3 + ["check_cyclicity"], i
+
+
+def test_a_non_unitary_operator_that_keeps_exchange_fails_the_closure():
+    # R + P on the weight space of (2,(1,1)), P = [[1, 1], [1, 1]]: P kills
+    # Psi = (1, -1), so exchange and cyclicity hold, but (R + P)(u) is not unitary
+    from qkzpsi.algebra import RationalFunction
+    from qkzpsi.rmatrix import ROperator, pair_operator
+
+    psi = build_psi_fundamental(2, (1, 1))
+    rho = sequence_rotation(psi.basis, psi.m, 2, 2)
+    R = pair_operator(2, 1, 1)
+    one, zero = (RationalFunction.from_poly(p) for p in (R.ctx.one(), R.ctx.zero()))
+    op = ROperator(R.ctx, psi.basis, psi.basis, {
+        (t, s): R.entries.get((t, s), zero) + one for t in psi.basis for s in psi.basis})
+    assert check_exchange(psi, 1, op).passed
+    assert [qkz_step(psi, i, rho, {1: op}).witness for i in (1, 2)] == [
+        "slot 1 operator is not unitary: column ((1,), (2,)), entry ((1,), (2,))"] * 2
 
 
 def test_cyclicity_without_rotation_is_skipped():
@@ -350,14 +384,32 @@ def test_qkz_step_fused_m8(fused_example):
         assert rep.passed, (i, rep.witness)
 
 
+@pytest.mark.parametrize("k, lam, m, status", [
+    (3, (1, 1, 1), None, "pass"),
+    (5, (1, 1, 1, 1, 1), None, "pass"),
+    (6, (1, 1, 1, 1, 1, 1), (3, 3), "pass"),
+    # constant vectors, off by the global sign of the rotation
+    (4, (1, 1, 1, 1), (2, 2), "fail"),
+    (6, (1, 1, 1, 1, 1, 1), (2, 2, 2), "fail"),
+], ids=str)
+def test_qkz_step_scope(k, lam, m, status):
+    # rows of the table in the qkz module docstring that no other test covers
+    psi = build_psi_fundamental(k, lam)
+    psi = fuse_psi(psi, m) if m else psi
+    rho = sequence_rotation(psi.basis, psi.m, sum(lam), k)
+    reports = [qkz_step(psi, i, rho) for i in range(1, psi.N + 1)]
+    assert [r.status for r in reports] == [status] * psi.N
+    assert all(r.passed or r.witness.startswith("cyclicity: ") for r in reports)
+
+
 def test_qkz_route_composites_are_inverse_k2_33():
     psi = build_psi_fundamental(2, (3, 3))
     assert qkz_step(psi, 1, sequence_rotation(psi.basis, psi.m, 6, 2)).passed
 
 
 def test_cyclicity_k2_44():
-    # 64 of its 70 labels fail under the inverse rotation; its qKZ routes
-    # take minutes and are left out
+    # 64 of its 70 labels fail under the inverse rotation; its qKZ step is
+    # left out, as the exchange checks at its 7 slots take about 50 s
     psi = build_psi_fundamental(2, (4, 4))
     assert check_cyclicity(psi, sequence_rotation(psi.basis, psi.m, 8, 2)).passed
 
