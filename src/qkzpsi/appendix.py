@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .algebra import LinearForm, RationalFunction, parse_polynomial, spectral_context
@@ -28,7 +29,7 @@ from .combinatorics import (
     rho_matrix,
 )
 from .qkz import PsiVector, check_cyclicity, check_wheel, label_text, wheel_positions
-from .reporting import Report, report, timer
+from .reporting import Report, checking, run_reports
 from .rmatrix import (
     CTX1,
     ROperator,
@@ -172,7 +173,7 @@ def _block_witness(eqs, prefix, mats, top, corner, combined):
 
 def check_equations(doc):
     """X^4 on the slice carries exactly the printed matrix relations."""
-    with timer() as tm:
+    with checking("equations", "appendix") as outcome:
         m = tuple(doc["m"])
         eqs = slicemod.emit_equations(m, tuple(doc["ell"]))
         ctx = eqs.ctx
@@ -185,16 +186,13 @@ def check_equations(doc):
         # B(A^2+B) is the explicit combination of the other two relations
         witness = _block_witness(eqs, "X^4", mats, r_right, r_cubic, r_left)
         if witness is not None:
-            return report("equations", "appendix", False, witness=witness, elapsed=tm.elapsed)
+            outcome.fail(witness)
         # torus homogeneity of every emitted relation
         model = slicemod.SliceModel(m)
         for name, p in eqs.relations:
             if not model.relation_is_homogeneous(ctx, p):
-                return report(
-                    "equations", "appendix", False,
-                    witness=f"inhomogeneous relation {name}", elapsed=tm.elapsed,
-                )
-    return report("equations", "appendix", True, elapsed=tm.elapsed)
+                outcome.fail(f"inhomogeneous relation {name}")
+    return outcome.report
 
 
 def _restricted_slice(doc):
@@ -218,7 +216,7 @@ def _constraint_values(comp, mats, ctx, N):
 
 def check_components(doc):
     """The three printed loci satisfy the matrix relations identically."""
-    with timer() as tm:
+    with checking("components", "appendix") as outcome:
         N = len(doc["m"])
         model_n, ctx, mats = _restricted_slice(doc)
         relations = [
@@ -240,16 +238,13 @@ def check_components(doc):
                 instance=f"component {ci}",
             )
             if not rep.passed:
-                return report(
-                    "components", "appendix", False,
-                    witness=f"component {ci}: {rep.witness}", elapsed=tm.elapsed,
-                )
-    return report("components", "appendix", True, elapsed=tm.elapsed)
+                outcome.fail(f"component {ci}: {rep.witness}")
+    return outcome.report
 
 
 def check_multidegrees(doc):
     """The linear component's weight product equals its printed multidegree."""
-    with timer() as tm:
+    with checking("multidegrees", "appendix") as outcome:
         m = tuple(doc["m"])
         model_n = slicemod.intersect_with_n(slicemod.SliceModel(m))
         psi = fixture_psi(doc)
@@ -257,51 +252,36 @@ def check_multidegrees(doc):
         labels = fixture_labels(doc)
         product = slicemod.linear_component_multidegree(model_n, comp1["vanishing"])
         if product != psi.entries[labels[0]]:
-            return report(
-                "multidegrees", "appendix", False,
-                witness="weight product differs from the printed polynomial",
-                elapsed=tm.elapsed,
-            )
+            outcome.fail("weight product differs from the printed polynomial")
         want = psi.expected_degree()
         for lab in labels:
             if psi.entries[lab].homogeneous_degree() != want:
-                return report(
-                    "multidegrees", "appendix", False,
-                    witness=f"printed entry {label_text(lab)} not of degree {want}",
-                    elapsed=tm.elapsed,
-                )
+                outcome.fail(f"printed entry {label_text(lab)} not of degree {want}")
         # translation invariance: only differences of z's occur
         ctx = psi.ctx
         shift = {t: ctx.z(t + 1) + ctx.hbar() for t in range(ctx.nz)}
         for lab in labels:
             if psi.entries[lab].substitute(shift) != psi.entries[lab]:
-                return report(
-                    "multidegrees", "appendix", False,
-                    witness=f"entry {label_text(lab)} not translation invariant",
-                    elapsed=tm.elapsed,
-                )
-    return report("multidegrees", "appendix", True, elapsed=tm.elapsed)
+                outcome.fail(f"entry {label_text(lab)} not translation invariant")
+    return outcome.report
 
 
 def check_rmatrix_solve(doc):
     """Solving the exchange relation returns the printed matrices."""
-    with timer() as tm:
+    with checking("rmatrix-solve", "appendix") as outcome:
         psi = fixture_psi(doc)
         printed = fixture_rmatrices(doc)
         want = {1: printed["R1"], 2: printed["R2"], 3: printed["R3"]}
         for i in (1, 2, 3):
             solved = solve_rmatrix_from_exchange(psi, i)
             if not solved.equals(want[i]):
-                return report(
-                    "rmatrix-solve", "appendix", False,
-                    witness=f"solved matrix at slot {i} differs", elapsed=tm.elapsed,
-                )
-    return report("rmatrix-solve", "appendix", True, elapsed=tm.elapsed)
+                outcome.fail(f"solved matrix at slot {i} differs")
+    return outcome.report
 
 
 def check_rmatrix_relations(doc):
     """YBE, unitarity and far commutation for the printed matrices."""
-    with timer() as tm:
+    with checking("ybe-unitarity", "appendix") as outcome:
         printed = fixture_rmatrices(doc)
         labels = tuple(fixture_labels(doc))
         ctx3 = spectral_context(3)
@@ -317,21 +297,18 @@ def check_rmatrix_relations(doc):
         ]
         for rep in checks:
             if not rep.passed:
-                return report(
-                    "ybe-unitarity", "appendix", False,
-                    witness=f"{rep.instance}: {rep.witness}", elapsed=tm.elapsed,
-                )
-    return report("ybe-unitarity", "appendix", True, elapsed=tm.elapsed)
+                outcome.fail(f"{rep.instance}: {rep.witness}")
+    return outcome.report
 
 
 def check_cyclicity_fixture(doc):
     """Printed rotation: cyclicity holds, the matrix is promotion, sign is +1."""
-    with timer() as tm:
+    with checking("cyclicity", "appendix") as outcome:
         psi = fixture_psi(doc)
         rho = fixture_rho(doc)
         rep = check_cyclicity(psi, rho, instance="appendix")
         if not rep.passed:
-            return Report("cyclicity", "appendix", "fail", rep.witness, tm.elapsed)
+            outcome.fail(rep.witness)
         # promotion-derived operator matches the printed matrix
         tabs = [Tableau(tuple(tuple(r) for r in c["tableau"])) for c in doc["components"]]
         labels = fixture_labels(doc)
@@ -344,53 +321,35 @@ def check_cyclicity_fixture(doc):
             want = rho.mapping[lab]
             got = lab_of[derived.mapping[tab_of[lab]]]
             if want != got:
-                return report(
-                    "cyclicity", "appendix", False,
-                    witness="promotion disagrees with the printed matrix",
-                    elapsed=tm.elapsed,
-                )
+                outcome.fail("promotion disagrees with the printed matrix")
         eps = epsilon_sign(M, 4)
         if eps != -1 or derived.sign != 1 or rho.sign != 1:
-            return report(
-                "cyclicity", "appendix", False,
-                witness=f"sign bookkeeping: eps={eps}, derived={derived.sign}",
-                elapsed=tm.elapsed,
-            )
+            outcome.fail(f"sign bookkeeping: eps={eps}, derived={derived.sign}")
         # closure: four applications of the printed rotation give the identity
         comp = rho
         for _ in range(3):
             comp = comp.compose(rho)
         if not comp.is_identity():
-            return report(
-                "cyclicity", "appendix", False,
-                witness="rho^4 is not the identity", elapsed=tm.elapsed,
-            )
-    return report("cyclicity", "appendix", True, elapsed=tm.elapsed)
+            outcome.fail("rho^4 is not the identity")
+    return outcome.report
 
 
 def check_wheel_fixture(doc):
-    with timer() as tm:
+    with checking("wheel", "appendix") as outcome:
         psi = fixture_psi(doc)
         placements = wheel_positions(psi.m, psi.k)
         if len(placements) != 4:
-            return report(
-                "wheel", "appendix", False,
-                witness=f"expected 4 placements, found {len(placements)}",
-                elapsed=tm.elapsed,
-            )
+            outcome.fail(f"expected 4 placements, found {len(placements)}")
         for pos in placements:
             rep = check_wheel(psi, pos, instance=f"appendix positions={pos}")
             if not rep.passed:
-                return report(
-                    "wheel", "appendix", False,
-                    witness=f"positions {pos}: {rep.witness}", elapsed=tm.elapsed,
-                )
-    return report("wheel", "appendix", True, elapsed=tm.elapsed)
+                outcome.fail(f"positions {pos}: {rep.witness}")
+    return outcome.report
 
 
 def check_deformed(doc):
     """Deformed relations: printed shape, t = 0 limit, component membership."""
-    with timer() as tm:
+    with checking("deformed-equations", "appendix") as outcome:
         m = tuple(doc["m"])
         N = len(m)
         ell = tuple(doc["ell"])
@@ -406,23 +365,19 @@ def check_deformed(doc):
         # the second printed relation is the explicit combination of the others
         witness = _block_witness(eqs, "prod(X-t)", mats, r1d, r2d, r0d)
         if witness is not None:
-            return report("deformed-equations", "appendix", False, witness=witness,
-                          elapsed=tm.elapsed)
+            outcome.fail(witness)
         # t = 0 recovers the undeformed equations relation by relation
         zero_map = {ctx.index(t): ctx.zero() for t in tnames}
         undeformed = slicemod.emit_equations(m, ell)
         embed = {undeformed.ctx.index(nm): ctx.var(nm) for nm in undeformed.ctx.names}
         for (name_d, pd), (name_u, pu) in zip(eqs.relations, undeformed.relations):
             if pd.substitute(zero_map) != pu.substitute(embed, ctx):
-                return report(
-                    "deformed-equations", "appendix", False,
-                    witness=f"t=0 limit differs at {name_d}", elapsed=tm.elapsed,
-                )
+                outcome.fail(f"t=0 limit differs at {name_d}")
         # membership of the printed deformed component
         rep = _check_deformed_component(doc, printed_relations=doc["deformed_relations"])
         if not rep.passed:
-            return Report("deformed-equations", "appendix", "fail", rep.witness, tm.elapsed)
-    return report("deformed-equations", "appendix", True, elapsed=tm.elapsed)
+            outcome.fail(rep.witness)
+    return outcome.report
 
 
 def _check_deformed_component(doc, printed_relations):
@@ -434,7 +389,7 @@ def _check_deformed_component(doc, printed_relations):
     and every printed quadratic must vanish identically and the number of
     free coordinates must equal half the ambient dimension.
     """
-    with timer() as tm:
+    with checking("deformed-component", "appendix") as outcome:
         m = tuple(doc["m"])
         N = len(m)
         dc = doc["deformed_component"]
@@ -475,11 +430,8 @@ def _check_deformed_component(doc, printed_relations):
             instance="deformed component",
         )
         if not rep.passed:
-            return report(
-                "deformed-component", "appendix", False,
-                witness=rep.witness, elapsed=tm.elapsed,
-            )
-    return report("deformed-component", "appendix", True, elapsed=tm.elapsed)
+            outcome.fail(rep.witness)
+    return outcome.report
 
 
 def sample_component_point(doc, comp_index, rng):
@@ -529,7 +481,7 @@ def check_labelling(doc, seed=1, samples=10):
 
     from .combinatorics import label_of_tableau, spaltenstein_label
 
-    with timer() as tm:
+    with checking("labelling", "appendix") as outcome:
         m = tuple(doc["m"])
         rng = _random.Random(seed)
         for ci, comp in enumerate(doc["components"]):
@@ -545,19 +497,11 @@ def check_labelling(doc, seed=1, samples=10):
                 else:
                     minority.append(label)
             if hits < samples - 1:
-                return report(
-                    "labelling", "appendix", False,
-                    witness=f"component {ci + 1}: only {hits}/{samples} generic",
-                    elapsed=tm.elapsed,
-                )
+                outcome.fail(f"component {ci + 1}: only {hits}/{samples} generic")
             for label in minority:
                 if not (label.dominance_leq(printed) and label != printed):
-                    return report(
-                        "labelling", "appendix", False,
-                        witness=f"component {ci + 1}: minority label not below the printed one",
-                        elapsed=tm.elapsed,
-                    )
-    return report("labelling", "appendix", True, elapsed=tm.elapsed)
+                    outcome.fail(f"component {ci + 1}: minority label not below the printed one")
+    return outcome.report
 
 
 SUITE = (
@@ -575,11 +519,11 @@ SUITE = (
 def cmd_appendix_suite(corrupt=None):
     """Run all eight checks; returns the list of reports."""
     doc = load_fixture(corrupt=corrupt)
-    reports = []
-    for name, fn in SUITE:
-        try:
-            rep = fn(doc)
-        except Exception as exc:  # a failure inside a check is a failing report
-            rep = Report(name, "appendix", "fail", witness=f"{type(exc).__name__}: {exc}")
-        reports.append(rep)
-    return reports
+    return run_reports([partial(_run_guarded, name, fn, doc) for name, fn in SUITE])
+
+
+def _run_guarded(name, fn, doc):
+    try:
+        return fn(doc)
+    except Exception as exc:  # a failure inside a check is a failing report
+        return Report(name, "appendix", "fail", witness=f"{type(exc).__name__}: {exc}")

@@ -30,7 +30,9 @@ reason, and exits 0: ``psi verify --check exchange`` on a one-slot vector,
 and ``--check wheel`` when no placement has an m-sum above k.  So do
 ``--check cyclicity`` and ``--check qkz`` (one report per slot) unless m
 is homogeneous and lambda is the k-row rectangle (M/k)^k, the only shape
-the rotation is defined for.
+the rotation is defined for.  ``--check exchange`` skips a slot with
+m_i = k, whose k-th wedge power has no fused R-matrix, and ``--check qkz``
+skips every slot of such a vector.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .qkz import (
     qkz_step,
     wheel_positions,
 )
-from .reporting import Report, dump_reports, json_parts
+from .reporting import Report, dump_reports, json_parts, run_reports
 from .rmatrix import (
     fused_rcheck,
     product_basis,
@@ -90,9 +92,15 @@ def _write(doc, path):
     _write_parts(json_parts(doc) + ["\n"], path)
 
 
-def run_reports(jobs):
-    """Run report-producing callables one after another, in order."""
-    return [job() for job in jobs]
+def _report_tail(reports, json_path):
+    """Print one line per report, dump them to ``json_path`` when given, and
+    return the exit status: 0 if every report passed, else 1."""
+    for r in reports:
+        print(r.line())
+    if json_path:
+        with open(json_path, "w") as fh:
+            dump_reports(reports, fh)
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _build_psi(args):
@@ -222,13 +230,7 @@ def cmd_slice_verify_appendix(args):
         lambda: appendixmod.check_multidegrees(doc),
         lambda: appendixmod.check_deformed(doc),
     ]
-    reports = run_reports(jobs)
-    for r in reports:
-        print(r.line())
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            dump_reports(reports, fh)
-    return 0 if all(r.passed for r in reports) else 1
+    return _report_tail(run_reports(jobs), args.json_out)
 
 
 def _check_wedges(k, a, b):
@@ -260,43 +262,28 @@ def cmd_rmat_verify(args):
 
     single = [tuple(c) for c in combinations(range(1, k + 1), a)]
     ctx3 = spectral_context(3)
-    reports = []
+    name = f"fused k={k} a={a} b={b}"
     if args.check == "ybe":
         basis = product_basis(single, 3)
         app1 = slot_applicator(rop, 0)
         app2 = slot_applicator(rop, 1)
-        reports.append(verify_ybe(app1, app2, basis, ctx3, f"fused k={k} a={a} b={b}"))
+        rep = verify_ybe(app1, app2, basis, ctx3, name)
     elif args.check == "unitarity":
         basis = product_basis(single, 2)
         app1 = slot_applicator(rop, 0)
-        reports.append(verify_unitarity(app1, basis, ctx3, f"fused k={k} a={a} b={b}"))
+        rep = verify_unitarity(app1, basis, ctx3, name)
     elif args.check == "commutation":
         basis = product_basis(single, 4)
         app1 = slot_applicator(rop, 0)
         app3 = slot_applicator(rop, 2)
-        reports.append(
-            verify_commutation(app1, app3, basis, ctx3, f"fused k={k} a={a} b={b}")
-        )
+        rep = verify_commutation(app1, app3, basis, ctx3, name)
     else:
         raise SystemExit(f"unknown check {args.check!r}")
-    for r in reports:
-        print(r.line())
-    if args.out:
-        with open(args.out, "w") as fh:
-            dump_reports(reports, fh)
-    return 0 if all(r.passed for r in reports) else 1
+    return _report_tail([rep], args.out)
 
 
 def cmd_appendix_suite(args):
-    doc = appendixmod.load_fixture()
-    jobs = [(name, fn) for name, fn in appendixmod.SUITE]
-    reports = run_reports([lambda fn=fn: fn(doc) for _, fn in jobs])
-    for r in reports:
-        print(r.line())
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            dump_reports(reports, fh)
-    return 0 if all(r.passed for r in reports) else 1
+    return _report_tail(appendixmod.cmd_appendix_suite(), args.json_out)
 
 
 def main(argv=None):

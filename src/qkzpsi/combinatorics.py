@@ -353,13 +353,14 @@ def sequence_rotation(basis, m, M, k):
 
     Acts by (rho v)_{(S_1..S_N)} = sign * v_{(S_N, S_1, ..., S_{N-1})}, the
     direction of the identity Psi(z_2, ..., z_N, z_1 + (k+1) hb) = rho Psi(z).
-    The scalar is eps^{m_1} times the parity (-1)^(M - M/k) of moving the
-    first group past the rest, matching the convention in which the vectors
-    are built by exchange propagation.  Defined for full-height rectangles,
+    The scalar is s^{m_1}, where s = eps * (-1)^(M - M/k) is the sign of the
+    fundamental case m = (1, ..., 1), in the convention in which the vectors
+    are built by exchange propagation: a first group of m_1 fused factors
+    rotates as m_1 fundamental ones.  Defined for full-height rectangles,
     where every letter appears M/k times.
     """
-    eps = epsilon_sign(M, k)
-    sign = (eps if m[0] % 2 else 1) * (-1 if (M - M // k) % 2 else 1)
+    s = epsilon_sign(M, k) * (-1 if (M - M // k) % 2 else 1)
+    sign = s ** m[0]
     mapping = {}
     for lab in basis:
         mapping[lab] = lab[1:] + (lab[0],)

@@ -63,14 +63,14 @@ step holds at every i or at none.  The paper has the qKZ equation hold
     (5,(1,1,1,1,1))                              pass
     (3,(2,2,2)) fused to m = (2,2,2)             pass
     (4,(2,2,2,2)) fused to m = (2,2,2,2)         pass
-    (6,(1^6)) fused to m = (3,3)                 pass
+    (6,(1^6)) fused to m = (3,3), (2,2,2)        pass
+    (4,(1^4)) fused to m = (2,2)                 pass
     the appendix, with its printed R1, R2, R3    pass
-    (4,(1^4)) fused to m = (2,2)                 fail: cyclicity
-    (6,(1^6)) fused to m = (2,2,2)               fail: cyclicity
+    (2,(3,3)) fused to m = (2,2,2)               skipped: exchange
 
-The two failing vectors are constant, and cyclicity fails by the global
-sign of ``sequence_rotation``.  A slot with m_i = k has no fused
-R-matrix, so the step raises there.  Inhomogeneous m is out of scope: the
+A slot with m_i = k has no fused R-matrix (the k-th wedge power is
+one-dimensional), so ``check_exchange`` and the step skip there; the
+cyclicity of that vector passes.  Inhomogeneous m is out of scope: the
 exchange at slot j then relates Psi_m to Psi_{s_j m}, and cyclicity
 relates Psi_m to the vector of the rotated m.
 """
@@ -90,7 +90,7 @@ from .algebra import (
     spectral_context,
 )
 from .combinatorics import inversions
-from .reporting import Report, report, timer
+from .reporting import checking
 from . import rmatrix as _rm
 
 
@@ -124,18 +124,14 @@ class PsiVector:
     def degree_report(self, instance=""):
         """Every entry homogeneous of degree sum lam_a (lam_a - 1)/2."""
         want = self.expected_degree()
-        with timer() as tm:
+        with checking("degree", instance or self.instance_name()) as outcome:
             for lab, p in self.entries.items():
                 if p.is_zero():
                     continue
                 d = p.homogeneous_degree()
                 if d != want:
-                    return report(
-                        "degree", instance or self.instance_name(), False,
-                        witness=f"label {label_text(lab)} has degree {d}, want {want}",
-                        elapsed=tm.elapsed,
-                    )
-        return report("degree", instance or self.instance_name(), True, elapsed=tm.elapsed)
+                    outcome.fail(f"label {label_text(lab)} has degree {d}, want {want}")
+        return outcome.report
 
     def instance_name(self):
         lam = ",".join(str(x) for x in self.lam)
@@ -555,25 +551,26 @@ def fuse_psi(psi1, m):
 # -- checks ----------------------------------------------------------------------
 
 
-def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
+def check_exchange(psi, i, operator=None, instance=None):
     """Verify tau_i Psi = R_i(z_i - z_{i+1}) Psi, exactly.
 
-    With ``slotwise`` (default when no operator is given) the pair operator
-    for (m_i, m_{i+1}) acts on factors i, i+1; otherwise ``operator`` acts
-    on the whole basis.  Requires m_i == m_{i+1} so that both sides live in
-    the same space.
+    An ``operator`` whose source is the basis of psi acts on the whole
+    basis; any other operator, and the pair operator for (m_i, m_{i+1})
+    used when none is given, acts on factors i, i+1.  Skips unless
+    m_i == m_{i+1}, so that both sides live in the same space, and, with no
+    operator given, when m_i = k, since the k-th wedge power has no fused
+    R-matrix.
     """
-    name = instance or f"{psi.instance_name()} i={i}"
     m = psi.m
-    if m[i - 1] != m[i]:
-        return Report("exchange", name, "skipped", witness="inhomogeneous adjacent m")
-    if operator is None:
-        operator = _rm.pair_operator(psi.k, m[i - 1], m[i])
-    if slotwise is None:
-        # a full-basis operator carries the psi labels themselves
+    with checking("exchange", instance or f"{psi.instance_name()} i={i}") as outcome:
+        if m[i - 1] != m[i]:
+            outcome.skip("inhomogeneous adjacent m")
+        if operator is None:
+            if m[i - 1] == psi.k:
+                outcome.skip(f"m_{i} = k = {psi.k}: the k-th wedge power has no fused R-matrix")
+            operator = _rm.pair_operator(psi.k, m[i - 1], m[i])
         slotwise = tuple(operator.source) != tuple(psi.basis)
-    form, sign = LinearForm.make(0, i, i + 1)
-    with timer() as tm:
+        form, sign = LinearForm.make(0, i, i + 1)
         sub = operator.substitute_spectral(form, sign, psi.ctx)
         applied = sub.apply(psi.entries, i - 1 if slotwise else None)
         for lab in psi.basis:
@@ -584,9 +581,8 @@ def check_exchange(psi, i, operator=None, slotwise=None, instance=None):
             else:
                 ok = rhs.equals(lhs)
             if not ok:
-                return report("exchange", name, False,
-                              witness=_offending(lab, _difference(lhs, rhs)), elapsed=tm.elapsed)
-    return report("exchange", name, True, elapsed=tm.elapsed)
+                outcome.fail(_offending(lab, _difference(lhs, rhs)))
+    return outcome.report
 
 
 def wheel_positions(m, k):
@@ -627,13 +623,12 @@ def check_wheel(psi, positions, instance=None):
     for t in range(1, len(positions)):
         offset += n[t - 1] + n[t]  # in h-units
         mapping[positions[t] - 1] = base + half * offset
-    with timer() as tm:
+    with checking("wheel", name) as outcome:
         for lab in psi.basis:
             val = psi.entries[lab].substitute(mapping)
             if not val.is_zero():
-                return report("wheel", name, False, witness=_offending(lab, val),
-                              elapsed=tm.elapsed)
-    return report("wheel", name, True, elapsed=tm.elapsed)
+                outcome.fail(_offending(lab, val))
+    return outcome.report
 
 
 def check_recurrence(psi_big, psi_small, p, n, instance=None):
@@ -718,36 +713,26 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
         srt = tuple((x,) for x in sorted(letters))
         return ("collapse", srt, sign)
 
-    with timer() as tm:
+    with checking("recurrence", name) as outcome:
         sigma = 0
         specialized = {}
         for lab in psi_big.basis:
             specialized[lab] = psi_big.entries[lab].substitute(mapping, ctx)
-        seen_zero = seen_collapse = seen_survive = 0
+        seen_survive = 0
         for lab in psi_big.basis:
             inserted = lab[p - 1:p - 1 + r]
             lhs = specialized[lab]
             kind, srt, sign = classify(inserted)
             if kind == "zero":
-                seen_zero += 1
                 if not lhs.is_zero():
-                    return report(
-                        "recurrence", name, False,
-                        witness=f"repeated-row entry does not vanish: {_offending(lab, lhs)}",
-                        elapsed=tm.elapsed,
-                    )
+                    outcome.fail(f"repeated-row entry does not vanish: {_offending(lab, lhs)}")
                 continue
             if kind == "collapse":
-                seen_collapse += 1
                 partner = lab[:p - 1] + srt + lab[p - 1 + r:]
                 diff = lhs - specialized[partner] * sign
                 if diff:
-                    return report(
-                        "recurrence", name, False,
-                        witness=f"no collapse onto {label_text(partner)} with sign {sign}: "
-                        f"{_offending(lab, diff)}",
-                        elapsed=tm.elapsed,
-                    )
+                    outcome.fail(f"no collapse onto {label_text(partner)} with sign {sign}: "
+                                 f"{_offending(lab, diff)}")
                 continue
             seen_survive += 1
             small_lab = lab[:p - 1] + lab[p - 1 + r:]
@@ -759,25 +744,14 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
                 sigma = next((s for diff, s in diffs if not diff), 0)
                 if sigma == 0:
                     diff, s = min(diffs, key=lambda d: len(d[0].terms))
-                    return report(
-                        "recurrence", name, False,
-                        witness=f"no global sign matches, nearest sign {s}: "
-                        f"{_offending(lab, diff)}",
-                        elapsed=tm.elapsed,
-                    )
+                    outcome.fail(f"no global sign matches, nearest sign {s}: "
+                                 f"{_offending(lab, diff)}")
             elif lhs != rhs * sigma:
-                return report(
-                    "recurrence", name, False,
-                    witness=f"sign-inconsistent, global sign {sigma}: "
-                    f"{_offending(lab, lhs - rhs * sigma)}",
-                    elapsed=tm.elapsed,
-                )
+                outcome.fail(f"sign-inconsistent, global sign {sigma}: "
+                             f"{_offending(lab, lhs - rhs * sigma)}")
         if seen_survive == 0:
-            return report(
-                "recurrence", name, False,
-                witness="no surviving entries at all", elapsed=tm.elapsed,
-            )
-    return report("recurrence", name, True, elapsed=tm.elapsed)
+            outcome.fail("no surviving entries at all")
+    return outcome.report
 
 
 def cyclic_shift(p, k):
@@ -788,19 +762,17 @@ def cyclic_shift(p, k):
 
 def check_cyclicity(psi, rho_op, instance=None):
     """Psi(z_2, ..., z_N, z_1 + (k+1) hb) = rho Psi(z_1, ..., z_N), exactly."""
-    name = instance or psi.instance_name()
-    if len(set(psi.m)) > 1:
-        return Report("cyclicity", name, "skipped", witness="m not homogeneous")
-    if rho_op is None:
-        return Report("cyclicity", name, "skipped", witness="no rotation")
-    with timer() as tm:
+    with checking("cyclicity", instance or psi.instance_name()) as outcome:
+        if len(set(psi.m)) > 1:
+            outcome.skip("m not homogeneous")
+        if rho_op is None:
+            outcome.skip("no rotation")
         rhs = rho_op.apply(psi.entries)
         for lab in psi.basis:
             lhs, image = cyclic_shift(psi.entries[lab], psi.k), rhs.get(lab, psi.ctx.zero())
             if lhs != image:
-                return report("cyclicity", name, False, witness=_offending(lab, lhs - image),
-                              elapsed=tm.elapsed)
-    return report("cyclicity", name, True, elapsed=tm.elapsed)
+                outcome.fail(_offending(lab, lhs - image))
+    return outcome.report
 
 
 # -- the difference step ----------------------------------------------------------
@@ -835,24 +807,28 @@ def qkz_step(psi, i, rho_op, full_ops=None, instance=None):
     sub-check's after ``exchange at slot j: `` or ``cyclicity: ``, or the
     closure witness.  The certificate does not depend on i.  An
     inhomogeneous m is skipped, with or without ``full_ops``; so is a step
-    whose ``check_cyclicity`` skips, with its witness.
+    whose ``check_exchange`` skips at some slot (a slot with m_j = k),
+    after ``exchange at slot j: ``, or whose ``check_cyclicity`` skips, with
+    its witness.
     """
-    name = instance or f"{psi.instance_name()} i={i}"
-    if len(set(psi.m)) > 1:
-        return Report("qkz", name, "skipped", witness="m not homogeneous")
-    with timer() as tm:
+    with checking("qkz", instance or f"{psi.instance_name()} i={i}") as outcome:
+        if len(set(psi.m)) > 1:
+            outcome.skip("m not homogeneous")
         for j in range(1, psi.N):
             rep = check_exchange(psi, j, None if full_ops is None else full_ops[j])
+            if rep.status == "skipped":
+                outcome.skip(f"exchange at slot {j}: {rep.witness}")
             if not rep.passed:
-                return report("qkz", name, False, witness=f"exchange at slot {j}: {rep.witness}",
-                              elapsed=tm.elapsed)
+                outcome.fail(f"exchange at slot {j}: {rep.witness}")
         rep = check_cyclicity(psi, rho_op)
         if rep.status == "skipped":
-            return Report("qkz", name, "skipped", witness=rep.witness)
-        witness = closure_witness(psi, full_ops) if rep.passed else f"cyclicity: {rep.witness}"
+            outcome.skip(rep.witness)
+        if not rep.passed:
+            outcome.fail(f"cyclicity: {rep.witness}")
+        witness = closure_witness(psi, full_ops)
         if witness is not None:
-            return report("qkz", name, False, witness=witness, elapsed=tm.elapsed)
-    return report("qkz", name, True, elapsed=tm.elapsed)
+            outcome.fail(witness)
+    return outcome.report
 
 
 def closure_witness(psi, full_ops=None):

@@ -1,5 +1,9 @@
 """Structured pass/fail reports shared by all verification operations, and
-the JSON writer of every JSON output."""
+the JSON writer of every JSON output.
+
+Every check runs in one ``checking`` block, which times it and turns its
+end, ``fail`` or ``skip`` into its Report; no other module reads the clock.
+"""
 
 from __future__ import annotations
 
@@ -38,31 +42,46 @@ class Report:
         return f"{mark}  {self.check}  {self.instance}{extra}"
 
 
-class timer:
-    """Context manager measuring wall time via `.elapsed` (usable mid-block)."""
+class _Stop(BaseException):
+    """Ends a ``checking`` block.  Not an Exception, so that no ``except
+    Exception`` in a check body can swallow it."""
+
+
+class checking:
+    """``with checking(check, instance) as outcome:`` times one check's block.
+
+    Inside it ``outcome.fail(witness)`` and ``outcome.skip(reason)`` end the
+    block; after it ``outcome.report`` is the Report, a pass if the body
+    reached its end.  Any other exception propagates and leaves no report.
+    """
+
+    def __init__(self, check, instance):
+        self.check, self.instance = check, instance
+        self.status, self.witness, self.report = "pass", None, None
+
+    def fail(self, witness):
+        self.status, self.witness = "fail", witness
+        raise _Stop
+
+    def skip(self, reason):
+        self.status, self.witness = "skipped", reason
+        raise _Stop
 
     def __enter__(self):
         self._t0 = time.perf_counter()
-        self._t1 = None
         return self
 
-    def __exit__(self, *exc):
-        self._t1 = time.perf_counter()
-        return False
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type not in (None, _Stop):
+            return False
+        self.report = Report(self.check, self.instance, self.status, self.witness,
+                             time.perf_counter() - self._t0)
+        return True
 
-    @property
-    def elapsed(self):
-        return (self._t1 or time.perf_counter()) - self._t0
 
-
-def report(check, instance, ok, witness=None, elapsed=0.0):
-    return Report(
-        check=check,
-        instance=instance,
-        status="pass" if ok else "fail",
-        witness=None if ok else witness,
-        wall_time=elapsed,
-    )
+def run_reports(jobs):
+    """Run report-producing callables one after another, in order."""
+    return [job() for job in jobs]
 
 
 def dump_reports(reports, fh=None):

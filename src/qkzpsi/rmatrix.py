@@ -47,7 +47,7 @@ from .algebra import (
     spectral_context,
 )
 from .combinatorics import inversions
-from .reporting import report, timer
+from .reporting import checking
 
 
 class RMatrixError(Exception):
@@ -447,39 +447,30 @@ def verify_ybe(apply_i, apply_j, basis, ctx, instance=""):
     fu, _ = LinearForm.make(0, 1, 2)
     fv, _ = LinearForm.make(0, 2, 3)
     fuv, _ = LinearForm.make(0, 1, 3)
-    with timer() as tm:
+    with checking("ybe", instance) as outcome:
         for lab, e in _unit_vectors(basis, ctx):
             lhs = apply_i(apply_j(apply_i(e, fv, 1), fuv, 1), fu, 1)
             rhs = apply_j(apply_i(apply_j(e, fu, 1), fuv, 1), fv, 1)
             ok, where = _vec_equal(lhs, rhs)
             if not ok:
-                return report(
-                    "ybe", instance, False,
-                    witness=f"column {lab}, entry {where}", elapsed=tm.elapsed,
-                )
-    return report("ybe", instance, True, elapsed=tm.elapsed)
+                outcome.fail(f"column {lab}, entry {where}")
+    return outcome.report
 
 
 def verify_unitarity(apply_i, basis, ctx, instance=""):
     """Check A_i(u) A_i(-u) = identity."""
     fu, _ = LinearForm.make(0, 1, 2)
     one = ctx.one()
-    with timer() as tm:
+    with checking("unitarity", instance) as outcome:
         for lab, e in _unit_vectors(basis, ctx):
             out = apply_i(apply_i(e, fu, -1), fu, 1)
             for t, rf in out.items():
                 want = one if t == lab else ctx.zero()
                 if not rf.equals(want):
-                    return report(
-                        "unitarity", instance, False,
-                        witness=f"column {lab}, entry {t}", elapsed=tm.elapsed,
-                    )
+                    outcome.fail(f"column {lab}, entry {t}")
             if lab not in out:
-                return report(
-                    "unitarity", instance, False,
-                    witness=f"column {lab} lost", elapsed=tm.elapsed,
-                )
-    return report("unitarity", instance, True, elapsed=tm.elapsed)
+                outcome.fail(f"column {lab} lost")
+    return outcome.report
 
 
 def verify_commutation(apply_i, apply_j, basis, ctx, instance=""):
@@ -490,17 +481,14 @@ def verify_commutation(apply_i, apply_j, basis, ctx, instance=""):
     argument-swap identity A(u)A(v) = A(v)A(u)."""
     fu, _ = LinearForm.make(0, 1, 2)
     fv, _ = LinearForm.make(0, 2, 3)
-    with timer() as tm:
+    with checking("commutation", instance) as outcome:
         for lab, e in _unit_vectors(basis, ctx):
             lhs = apply_i(apply_j(e, fv, 1), fu, 1)
             rhs = apply_j(apply_i(e, fu, 1), fv, 1)
             ok, where = _vec_equal(lhs, rhs)
             if not ok:
-                return report(
-                    "commutation", instance, False,
-                    witness=f"column {lab}, entry {where}", elapsed=tm.elapsed,
-                )
-    return report("commutation", instance, True, elapsed=tm.elapsed)
+                outcome.fail(f"column {lab}, entry {where}")
+    return outcome.report
 
 
 @lru_cache(maxsize=None)
@@ -841,7 +829,7 @@ def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
         rop = ROperator(CTX1, tuple(labels), tuple(labels), entries)
     from .qkz import check_exchange  # qkz imports this module
 
-    rep = check_exchange(psi, i, operator=rop, slotwise=slotwise)
+    rep = check_exchange(psi, i, operator=rop)
     if not rep.passed:
         raise RMatrixError(f"exchange system inconsistent: {rep.witness}")
     return rop

@@ -28,6 +28,7 @@ from .algebra import (
     sum_of_products,
 )
 from .combinatorics import inversions
+from .reporting import checking
 
 
 class SliceError(Exception):
@@ -423,9 +424,7 @@ def verify_component_membership(
     identically in the remaining free symbols.  Exact throughout: the
     generic point uses fresh symbols, not random numbers.
     """
-    from .reporting import report, timer
-
-    with timer() as tm:
+    with checking("membership", instance) as outcome:
         assignment = {}
         zero, one = ctx.zero(), ctx.one()
         for name in vanishing:
@@ -441,29 +440,18 @@ def verify_component_membership(
                 continue
             num, _ = eval_rational(c, assignment, ctx)
             if not num.is_zero():
-                return report(
-                    "membership", instance, False,
-                    witness=f"constraint {cidx} does not vanish on the locus",
-                    elapsed=tm.elapsed,
-                )
+                outcome.fail(f"constraint {cidx} does not vanish on the locus")
         if free_expected is not None:
             free = n_coords - len(assignment)
             if free != free_expected:
-                return report(
-                    "membership", instance, False,
-                    witness=f"dimension {free}, want {free_expected}",
-                    elapsed=tm.elapsed,
-                )
+                outcome.fail(f"dimension {free}, want {free_expected}")
         for ri, rel in enumerate(relations):
             if rel.is_zero():
                 continue
             num, _ = eval_rational(rel, assignment, ctx)
             if not num.is_zero():
-                return report(
-                    "membership", instance, False,
-                    witness=f"relation {ri} does not vanish", elapsed=tm.elapsed,
-                )
-    return report("membership", instance, True, elapsed=tm.elapsed)
+                outcome.fail(f"relation {ri} does not vanish")
+    return outcome.report
 
 
 def inserted_block_weight_product(m, p, block_size, ctx):

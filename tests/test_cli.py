@@ -116,6 +116,27 @@ def test_psi_verify_skips_rotation_checks_off_the_rectangle(tmp_path, capsys, k,
     capsys.readouterr()
 
 
+def test_psi_verify_skips_slots_of_the_kth_wedge_power(tmp_path, capsys):
+    # k = 2, m = (2,2,2): every slot is the k-th wedge power, which has no
+    # fused R-matrix; exchange and qkz raised an RMatrixError there
+    from qkzpsi import cli
+
+    vector = tmp_path / "psi.json"
+    assert cli.main(["psi", "build", "--k", "2", "--lambda", "3,3", "--m", "2,2,2",
+                     "--out", str(vector)]) == 0
+    found = {}
+    for check in ("exchange", "qkz", "cyclicity"):
+        out = tmp_path / f"{check}.json"
+        assert cli.main(["psi", "verify", "--check", check, "--in", str(vector),
+                         "--out", str(out)]) == 0
+        found[check] = [(s, w) for _, _, s, w in report_keys(out)]
+    why = "m_{} = k = 2: the k-th wedge power has no fused R-matrix".format
+    assert found["exchange"] == [("skipped", why(1)), ("skipped", why(2))]
+    assert found["qkz"] == [("skipped", f"exchange at slot 1: {why(1)}")] * 3
+    assert found["cyclicity"] == [("pass", None)]
+    capsys.readouterr()
+
+
 @pytest.fixture(scope="module")
 def one_slot_psi(tmp_path_factory):
     """k = 3, m = (2): one slot, and its m-sum 2 is not above k."""

@@ -679,12 +679,14 @@ def test_qkz_step_matches_the_route_chains(request, case):
 
 def test_qkz_step_and_the_route_chains_refuse_wedges_of_size_k():
     # (2,(3,3)) fused to m = (2,2,2): every slot is the k-th wedge power, where
-    # no fused R-matrix is defined, and both raise before checking anything
+    # no fused R-matrix is defined; the chains raise, and the step skips
     psi = fuse_psi(build_psi_fundamental(2, (3, 3)), (2, 2, 2))
     rho = rotation(psi)
-    for run in (qkz_step, route_chains):
-        with pytest.raises(rmatrix.RMatrixError, match="wedge sizes must lie in 1..k-1"):
-            run(psi, 1, rho)
+    with pytest.raises(rmatrix.RMatrixError, match="wedge sizes must lie in 1..k-1"):
+        route_chains(psi, 1, rho)
+    rep = qkz_step(psi, 1, rho)
+    assert (rep.status, rep.witness) == (
+        "skipped", "exchange at slot 1: m_1 = k = 2: the k-th wedge power has no fused R-matrix")
 
 
 class FlippedInverse:

@@ -3,7 +3,9 @@
 Every module of ``src/qkzpsi`` except ``__init__.py`` (whose imports are
 re-exports) must use each name it imports, and every module-level private
 name (``_name``) defined in the package must be read somewhere in it: a
-helper that only tests still call belongs in the tests.
+helper that only tests still call belongs in the tests.  Reports go through
+one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
+outside it passes the status ``"pass"`` (a pass comes from ``checking``).
 """
 
 import ast
@@ -85,3 +87,41 @@ def test_detector_finds_an_unread_private_name():
 def test_every_private_name_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def time_imports(source):
+    """Lines that import the ``time`` module or a name from it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and any(a.name == "time" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "time")
+
+
+def passing_report_calls(source):
+    """Lines of each ``Report(...)`` call whose status argument is the constant ``"pass"``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "Report":
+            continue
+        status = node.args[2] if len(node.args) > 2 else next(
+            (kw.value for kw in node.keywords if kw.arg == "status"), None)
+        if isinstance(status, ast.Constant) and status.value == "pass":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detectors_find_a_clock_and_a_hand_built_pass():
+    source = ("import os, time\nfrom time import perf_counter\nimport timeit\n"
+              "Report('wheel', 'k=2', 'pass')\nreporting.Report('x', 'y', status='pass')\n"
+              "Report('x', 'y', 'fail', 'pass')\nReport('x', 'y', 'skipped', 'why')\n")
+    assert time_imports(source) == [1, 2]
+    assert passing_report_calls(source) == [4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "reporting.py"],
+                         ids=lambda p: p.name)
+def test_only_reporting_reads_the_clock_and_builds_a_pass(path):
+    source = path.read_text()
+    assert (time_imports(source), passing_report_calls(source)) == ([], [])

@@ -388,9 +388,9 @@ def test_qkz_step_fused_m8(fused_example):
     (3, (1, 1, 1), None, "pass"),
     (5, (1, 1, 1, 1, 1), None, "pass"),
     (6, (1, 1, 1, 1, 1, 1), (3, 3), "pass"),
-    # constant vectors, off by the global sign of the rotation
-    (4, (1, 1, 1, 1), (2, 2), "fail"),
-    (6, (1, 1, 1, 1, 1, 1), (2, 2, 2), "fail"),
+    # constant vectors, with m_1 even and M - M/k odd in the rotation's sign
+    (4, (1, 1, 1, 1), (2, 2), "pass"),
+    (6, (1, 1, 1, 1, 1, 1), (2, 2, 2), "pass"),
 ], ids=str)
 def test_qkz_step_scope(k, lam, m, status):
     # rows of the table in the qkz module docstring that no other test covers

@@ -1,10 +1,51 @@
-"""The JSON writer against ``json.dumps(indent=2, sort_keys=True)``."""
+"""The ``checking`` helper, and the JSON writer against
+``json.dumps(indent=2, sort_keys=True)``."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkzpsi.reporting import json_text
+from qkzpsi.reporting import checking, json_text
+
+
+def test_a_block_that_reaches_its_end_passes():
+    with checking("wheel", "k=2") as outcome:
+        pass
+    rep = outcome.report
+    assert (rep.check, rep.instance, rep.status, rep.witness) == ("wheel", "k=2", "pass", None)
+    assert rep.wall_time >= 0
+
+
+def test_fail_keeps_its_witness_and_ends_the_block():
+    reached = []
+    with checking("exchange", "k=2 i=1") as outcome:
+        outcome.fail("label (1|2): lhs - rhs = 1")
+        reached.append(True)
+    assert reached == []
+    assert (outcome.report.status, outcome.report.witness) == ("fail", "label (1|2): lhs - rhs = 1")
+
+
+def test_skip_gives_a_skipped_report():
+    with checking("cyclicity", "k=2") as outcome:
+        outcome.skip("no rotation")
+    assert (outcome.report.status, outcome.report.witness) == ("skipped", "no rotation")
+
+
+def test_fail_inside_except_exception_still_fails():
+    with checking("ybe", "k=3") as outcome:
+        try:
+            outcome.fail("column 1")
+        except Exception:
+            pass
+    assert (outcome.report.status, outcome.report.witness) == ("fail", "column 1")
+
+
+def test_any_other_exception_propagates():
+    with pytest.raises(ZeroDivisionError):
+        with checking("degree", "k=2") as outcome:
+            1 / 0
+    assert outcome.report is None
 
 scalars = st.one_of(
     st.none(),
