@@ -21,9 +21,9 @@ outside the vector's slots, wheel --positions that are not increasing, leave
 at an --insert-at outside the small vector's N+1 places; for ``slice
 emit`` an empty m or a non-positive block size, an ell with a negative
 entry or a sum other than sum(m), a slice larger than the desk-scale limit
-(12), or a non-rectangular ell with ``--deform``; for ``rmat`` wedge sizes
-a, b outside 1..k-1, and for ``rmat verify`` a != b (its checks act on the
-a-th wedge power alone).
+``slice.MAX_SLICE_SIZE`` (12), or a non-rectangular ell with ``--deform``;
+for ``rmat`` wedge sizes a, b outside 1..k-1, and for ``rmat verify``
+a != b (its checks act on the a-th wedge power alone).
 
 A check with nothing to check writes one ``skipped`` report that names the
 reason, and exits 0: ``psi verify --check exchange`` on a one-slot vector,
@@ -223,13 +223,7 @@ def cmd_slice_emit(args):
 
 
 def cmd_slice_verify_appendix(args):
-    doc = appendixmod.load_fixture()
-    jobs = [
-        lambda: appendixmod.check_equations(doc),
-        lambda: appendixmod.check_components(doc),
-        lambda: appendixmod.check_multidegrees(doc),
-        lambda: appendixmod.check_deformed(doc),
-    ]
+    jobs = appendixmod.guarded_jobs(appendixmod.load_fixture(), appendixmod.SLICE_CHECKS)
     return _report_tail(run_reports(jobs), args.json_out)
 
 

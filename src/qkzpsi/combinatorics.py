@@ -49,13 +49,12 @@ def _column_heights(weight):
     return tuple(sum(1 for r in weight if r >= c) for c in range(1, weight[0] + 1))
 
 
-def weights_from_quiver(k, w, v, m_order=None):
+def weights_from_quiver(k, w, v):
     """Build the combinatorial package attached to dimension vectors (w, v).
 
     mu_j = sum_{a>=j} w_a (j < k) with mu_k = 0; lam = mu - sum v_a alpha_a.
     Rejects non-dominant lam, reporting the offending adjacent pair of rows.
-    ``m_order`` optionally fixes the order of the column-height sequence m
-    (constructions for different orders are isomorphic but distinct).
+    m lists the column heights of mu in decreasing order.
     """
     if k < 2:
         raise CombinatoricsError("k must be at least 2")
@@ -81,13 +80,7 @@ def weights_from_quiver(k, w, v, m_order=None):
         raise CombinatoricsError("lambda has a negative row")
     N = sum(w)
     M = sum((a + 1) * w[a] for a in range(k - 1))
-    m_default = tuple(sorted(_column_heights(mu), reverse=True))
-    if m_order is None:
-        m = m_default
-    else:
-        m = tuple(int(x) for x in m_order)
-        if tuple(sorted(m, reverse=True)) != m_default:
-            raise CombinatoricsError("m_order is not a permutation of the column heights")
+    m = tuple(sorted(_column_heights(mu), reverse=True))
     ell = _column_heights(lam)
     if len(ell) > N:
         raise CombinatoricsError("lambda has more columns than N")

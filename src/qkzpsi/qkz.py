@@ -180,8 +180,8 @@ def label_text(lab):
 
 
 def _difference(lhs, rhs):
-    """The numerator of lhs - rhs, for a Polynomial lhs and a RationalFunction
-    rhs; a missing rhs is zero."""
+    """The numerator of lhs - rhs, for a Polynomial lhs and a Polynomial or
+    RationalFunction rhs; a missing rhs is zero."""
     return lhs if rhs is None else (RationalFunction.from_poly(lhs) - rhs).num
 
 
@@ -190,6 +190,14 @@ def _offending(lab, diff):
     terms = diff.sorted_terms()
     head = Polynomial(diff.ctx, dict(terms[:3]), _clean=True).text() + " ..." * (len(terms) > 3)
     return f"first offending label {label_text(lab)}: lhs - rhs = {head} ({len(terms)} terms)"
+
+
+def _require_equal(outcome, lhs, rhs, zero):
+    """Fail the check with the ``_offending`` witness at the first difference
+    of the labelled vectors lhs (of Polynomials) and rhs, if they differ."""
+    lab = _rm.first_difference(lhs, rhs)
+    if lab is not None:
+        outcome.fail(_offending(lab, _difference(lhs.get(lab, zero), rhs.get(lab))))
 
 
 def check_shape(k, lam, m=None):
@@ -573,15 +581,8 @@ def check_exchange(psi, i, operator=None, instance=None):
         form, sign = LinearForm.make(0, i, i + 1)
         sub = operator.substitute_spectral(form, sign, psi.ctx)
         applied = sub.apply(psi.entries, i - 1 if slotwise else None)
-        for lab in psi.basis:
-            lhs = psi.entries[lab].swap_z(i, i + 1)
-            rhs = applied.get(lab)
-            if rhs is None:
-                ok = lhs.is_zero()
-            else:
-                ok = rhs.equals(lhs)
-            if not ok:
-                outcome.fail(_offending(lab, _difference(lhs, rhs)))
+        lhs = {lab: psi.entries[lab].swap_z(i, i + 1) for lab in psi.basis}
+        _require_equal(outcome, lhs, applied, psi.ctx.zero())
     return outcome.report
 
 
@@ -624,10 +625,8 @@ def check_wheel(psi, positions, instance=None):
         offset += n[t - 1] + n[t]  # in h-units
         mapping[positions[t] - 1] = base + half * offset
     with checking("wheel", name) as outcome:
-        for lab in psi.basis:
-            val = psi.entries[lab].substitute(mapping)
-            if not val.is_zero():
-                outcome.fail(_offending(lab, val))
+        values = {lab: psi.entries[lab].substitute(mapping) for lab in psi.basis}
+        _require_equal(outcome, values, {}, ctx.zero())
     return outcome.report
 
 
@@ -767,11 +766,8 @@ def check_cyclicity(psi, rho_op, instance=None):
             outcome.skip("m not homogeneous")
         if rho_op is None:
             outcome.skip("no rotation")
-        rhs = rho_op.apply(psi.entries)
-        for lab in psi.basis:
-            lhs, image = cyclic_shift(psi.entries[lab], psi.k), rhs.get(lab, psi.ctx.zero())
-            if lhs != image:
-                outcome.fail(_offending(lab, lhs - image))
+        lhs = {lab: cyclic_shift(psi.entries[lab], psi.k) for lab in psi.basis}
+        _require_equal(outcome, lhs, rho_op.apply(psi.entries), psi.ctx.zero())
     return outcome.report
 
 

@@ -7,7 +7,11 @@ powers of the vector representation with spectral parameters shifted along
 an arithmetic progression of step hb, braid the two groups past each other
 with fundamental operators, project back, and normalize so that the
 eigenvalue on the extreme weight vector is prod_c (c*hb - z)/(c*hb + z)
-(equivalently so that unitarity holds).
+(equivalently so that unitarity holds).  A word is a label of single
+letters, so each braid step is the fundamental operator, substituted at
+its shifted argument, applied by ``ROperator.apply`` at two adjacent slots:
+``apply`` is the one loop that applies an operator to a labelled vector,
+and ``first_difference`` the one comparison of two labelled vectors.
 
 The fundamental operator sees letters only through whether two are equal,
 so the braid commutes with every relabelling sigma in S_k of the letters,
@@ -21,8 +25,11 @@ sorted wedge words onto itself, so an image that lies in it for the
 representative lies in it for every source of the orbit.
 
 The module also solves for an R-matrix directly from the exchange relation
-satisfied by a vector of polynomials.  The unknowns are rational functions
-of w = z_i - z_{i+1} and hb; each block of n of them is solved over
+satisfied by a vector of polynomials.  The solved operator acts on a window
+of each label that follows from the basis: the factors (i, i+1) on the
+standard basis, the whole label on any other (such as the appendix's
+component basis).  The unknowns are rational functions of
+w = z_i - z_{i+1} and hb; each block of n of them is solved over
 Fraction at integers w and interpolated.  If column j of a block has
 w-degree at most c_j and the right-hand sides at most c_b, no Cramer
 determinant has degree above D = sum c_j + max(0, c_b - min c_j), so D+1
@@ -192,13 +199,8 @@ class ROperator:
         return ROperator(target_ctx, self.source, self.target, entries)
 
     def equals(self, other):
-        if self.source != other.source or self.target != other.target:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        for k in keys:
-            if not self.entry(*k).equals(other.entry(*k)):
-                return False
-        return True
+        return (self.source == other.source and self.target == other.target
+                and first_difference(self.entries, other.entries) is None)
 
     def to_json(self):
         writer = TermWriter(self.ctx)
@@ -288,61 +290,36 @@ def normalization_factor(mi, mj):
 
 
 def _wedge_embed(S):
-    """Unnormalized antisymmetrizer image of the wedge vector of S."""
-    return {perm: (-1) ** inversions(perm) for perm in permutations(S)}
+    """Unnormalized antisymmetrizer image of the wedge vector of S, its words
+    held as labels of single letters."""
+    return {tuple((x,) for x in perm): (-1) ** inversions(perm) for perm in permutations(S)}
 
 
-def _apply_fundamental_slot(vec, slot, arg_hcoef, ctx):
-    """Apply the fundamental operator at word positions (slot, slot+1).
-
-    The argument is z + arg_hcoef * h; entries over words keep a common
-    handling of the equal/unequal letter cases.
-    """
-    z = ctx.z(1)
-    hb = ctx.hbar()
-    half = ctx.hbar() * Fraction(1, 2)
-    arg = z + half * arg_hcoef
-    den_form, den_sign = LinearForm.make(2 + arg_hcoef, 1)  # hb + z + c*h
-    eq = RationalFunction((hb - arg) * den_sign, {den_form: 1})
-    stay = RationalFunction(hb * den_sign, {den_form: 1})
-    swap = RationalFunction(-arg * den_sign, {den_form: 1})
-
-    def products():
-        for word, coeff in vec.items():
-            x, y = word[slot], word[slot + 1]
-            if x == y:
-                yield word, coeff, eq
-            else:
-                yield word, coeff, stay
-                yield word[:slot] + (y, x) + word[slot + 2:], coeff, swap
-
-    out = _accumulate(ctx, products())
-    return {w: v for w, v in out.items() if not v.is_zero()}
-
-
-def _braid_column(S, T, target, ctx):
+def _braid_column(S, T, target, steps):
     """Column (S, T) of the unnormalized fused operator: {(P, Q): entry}.
 
     Embeds e_S x e_T into words, braids the a = |S| left letters past the
-    b = |T| right ones (factor arguments u_p - v_q = z + (2p - 2q + b - a) h),
+    b = |T| right ones (factor arguments u_p - v_q = z + c h with
+    c = 2p - 2q + b - a; ``steps[c]`` is the fundamental operator there),
     reads the coefficients of the sorted target words, and checks that the
     image is the wedge vector those coefficients rebuild.
     """
     a, b = len(S), len(T)
-    vec = {ws + wt: _rf(ctx.const(cs * ct))
+    vec = {ws + wt: _rf(CTX1.const(cs * ct))
            for ws, cs in _wedge_embed(S).items() for wt, ct in _wedge_embed(T).items()}
     for p in range(a, 0, -1):
         for q in range(1, b + 1):
-            vec = _apply_fundamental_slot(vec, p + q - 2, 2 * p - 2 * q + b - a, ctx)
-    coeffs = {(P, Q): vec[P + Q] for (P, Q) in target if P + Q in vec}
-    rebuilt = _accumulate(ctx, (
+            vec = steps[2 * p - 2 * q + b - a].apply(vec, p + q - 2)
+    words = {(P, Q): tuple((x,) for x in P + Q) for (P, Q) in target}
+    coeffs = {key: vec[word] for key, word in words.items() if word in vec}
+    rebuilt = _accumulate(CTX1, (
         (wp + wq, c, cp * cq)
         for (P, Q), c in coeffs.items()
         for wp, cp in _wedge_embed(P).items()
         for wq, cq in _wedge_embed(Q).items()
     ))
-    ok, w = _vec_equal(vec, rebuilt)
-    if not ok:
+    w = first_difference(vec, rebuilt)
+    if w is not None:
         raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
     return coeffs
 
@@ -374,10 +351,13 @@ def fused_rcheck(k, a, b):
     source = _pair_labels(k, a, b)
     target = _pair_labels(k, b, a)
     S0 = tuple(range(1, a + 1))
+    fundamental = fundamental_rcheck(k)
+    steps = {c: fundamental.substitute_spectral(LinearForm(c, 1), 1, ctx)
+             for c in range(2 - a - b, a + b - 1, 2)}
     reps = {}
     for r in range(max(0, a + b - k), min(a, b) + 1):
         T0 = tuple(range(1, r + 1)) + tuple(range(a + 1, a + b - r + 1))
-        reps[r] = T0, _braid_column(S0, T0, target, ctx)
+        reps[r] = T0, _braid_column(S0, T0, target, steps)
     T0, top = reps[min(a, b)]
     raw_extreme = top.get((T0, S0))
     if raw_extreme is None or raw_extreme.is_zero():
@@ -412,29 +392,33 @@ def fused_rcheck(k, a, b):
 # -- relation verification -----------------------------------------------------
 
 
-def _unit_vectors(basis, ctx):
-    one = ctx.one()
-    return [(lab, {lab: _rf(one)}) for lab in basis]
+def first_difference(lhs, rhs):
+    """The first key at which two labelled vectors differ, or None.
 
-
-def _vec_equal(v1, v2):
-    """Compare two sparse vectors of Polynomials or RationalFunctions.
-
-    A missing key reads as zero.  Returns (True, None), or (False, key) for
-    the first differing key in the iteration order of set(v1) | set(v2).
+    Values are Polynomials or RationalFunctions, mixed; a missing key reads
+    as zero.  The keys of lhs are walked in order, then the keys only rhs
+    has, so the key a failure names does not depend on hashing.
     """
-    for key in set(v1) | set(v2):
-        a = v1.get(key)
-        b = v2.get(key)
-        if a is None or b is None:
-            if not (b if a is None else a).is_zero():
-                return False, key
-        elif isinstance(a, Polynomial):
-            if not (a == b if isinstance(b, Polynomial) else b.equals(a)):
-                return False, key
-        elif not a.equals(b):
-            return False, key
-    return True, None
+    for key, a in lhs.items():
+        b = rhs.get(key)
+        if isinstance(a, Polynomial):
+            a = RationalFunction.from_poly(a)
+        if not (a.is_zero() if b is None else a.equals(b)):
+            return key
+    return next((key for key, b in rhs.items() if key not in lhs and not b.is_zero()), None)
+
+
+def _check_columns(check, instance, basis, ctx, lhs, rhs):
+    """Report whether lhs(e) = rhs(e) for every unit vector e of the basis; a
+    failure names the column and its first differing entry."""
+    one = _rf(ctx.one())
+    with checking(check, instance) as outcome:
+        for lab in basis:
+            e = {lab: one}
+            where = first_difference(lhs(e), rhs(e))
+            if where is not None:
+                outcome.fail(f"column {lab}, entry {where}")
+    return outcome.report
 
 
 def verify_ybe(apply_i, apply_j, basis, ctx, instance=""):
@@ -447,30 +431,17 @@ def verify_ybe(apply_i, apply_j, basis, ctx, instance=""):
     fu, _ = LinearForm.make(0, 1, 2)
     fv, _ = LinearForm.make(0, 2, 3)
     fuv, _ = LinearForm.make(0, 1, 3)
-    with checking("ybe", instance) as outcome:
-        for lab, e in _unit_vectors(basis, ctx):
-            lhs = apply_i(apply_j(apply_i(e, fv, 1), fuv, 1), fu, 1)
-            rhs = apply_j(apply_i(apply_j(e, fu, 1), fuv, 1), fv, 1)
-            ok, where = _vec_equal(lhs, rhs)
-            if not ok:
-                outcome.fail(f"column {lab}, entry {where}")
-    return outcome.report
+    return _check_columns(
+        "ybe", instance, basis, ctx,
+        lambda e: apply_i(apply_j(apply_i(e, fv, 1), fuv, 1), fu, 1),
+        lambda e: apply_j(apply_i(apply_j(e, fu, 1), fuv, 1), fv, 1))
 
 
 def verify_unitarity(apply_i, basis, ctx, instance=""):
     """Check A_i(u) A_i(-u) = identity."""
     fu, _ = LinearForm.make(0, 1, 2)
-    one = ctx.one()
-    with checking("unitarity", instance) as outcome:
-        for lab, e in _unit_vectors(basis, ctx):
-            out = apply_i(apply_i(e, fu, -1), fu, 1)
-            for t, rf in out.items():
-                want = one if t == lab else ctx.zero()
-                if not rf.equals(want):
-                    outcome.fail(f"column {lab}, entry {t}")
-            if lab not in out:
-                outcome.fail(f"column {lab} lost")
-    return outcome.report
+    return _check_columns("unitarity", instance, basis, ctx,
+                          lambda e: apply_i(apply_i(e, fu, -1), fu, 1), lambda e: e)
 
 
 def verify_commutation(apply_i, apply_j, basis, ctx, instance=""):
@@ -481,14 +452,9 @@ def verify_commutation(apply_i, apply_j, basis, ctx, instance=""):
     argument-swap identity A(u)A(v) = A(v)A(u)."""
     fu, _ = LinearForm.make(0, 1, 2)
     fv, _ = LinearForm.make(0, 2, 3)
-    with checking("commutation", instance) as outcome:
-        for lab, e in _unit_vectors(basis, ctx):
-            lhs = apply_i(apply_j(e, fv, 1), fu, 1)
-            rhs = apply_j(apply_i(e, fu, 1), fv, 1)
-            ok, where = _vec_equal(lhs, rhs)
-            if not ok:
-                outcome.fail(f"column {lab}, entry {where}")
-    return outcome.report
+    return _check_columns("commutation", instance, basis, ctx,
+                          lambda e: apply_i(apply_j(e, fv, 1), fu, 1),
+                          lambda e: apply_j(apply_i(e, fu, 1), fv, 1))
 
 
 @lru_cache(maxsize=None)
@@ -741,16 +707,22 @@ def _pair_images(u, w):
     return u + w, u
 
 
-def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
+def solve_rmatrix_from_exchange(psi, slot):
     """Solve tau_i Psi = R(z_i - z_{i+1}) Psi for the matrix R, exactly.
 
-    With ``slotwise`` the unknown operator acts on the two factors at
-    (slot, slot+1) only, which is what makes the fundamental-case system
-    determined (full weight-space entries can satisfy linear relations);
-    otherwise the matrix acts on the whole basis, as appropriate for a
-    component-basis vector.  Raises if the system is underdetermined; the
-    solution is verified against the full relation before returning.
+    The unknown operator acts on a window of each label, as in
+    ``ROperator.apply``: on the standard basis (``content_labels``) the
+    window is the factors (i, i+1), which is what makes the fundamental-case
+    system determined (full weight-space entries can satisfy linear
+    relations); on any other basis, such as the appendix's component basis,
+    it is the whole label.  Windows of one content share the rests of their
+    labels, so each content gives one block, with rows (rest, monomial) and
+    one right-hand side per target window.  Raises if the system is
+    underdetermined; the solution is verified against the full relation
+    before returning.
     """
+    from .qkz import check_exchange, content_labels  # qkz imports this module
+
     ctx = psi.ctx
     N = ctx.nz
     i = slot
@@ -783,52 +755,34 @@ def solve_rmatrix_from_exchange(psi, slot, slotwise=False):
     sub_cache = {lab: split(psi.entries[lab].substitute(mapping, sctx)) for lab in labels}
     tau_cache = {lab: split(psi.entries[lab].swap_z(i, i + 1).substitute(mapping, sctx))
                  for lab in labels}
+    standard = psi.basis == tuple(content_labels(psi.k, psi.lam, psi.m))
+    lo, hi = (i - 1, i + 1) if standard else (0, N)
+    blocks = {}  # content -> (its windows, the rests of their labels)
+    for lab in labels:
+        windows, rests = blocks.setdefault(_content(lab[lo:hi]), (set(), set()))
+        windows.add(lab[lo:hi])
+        rests.add(lab[:lo] + lab[hi:])
     entries = {}
-    if slotwise:
-        pairs = sorted({(lab[i - 1], lab[i]) for lab in labels})
-        by_content = {}
-        for pair in pairs:
-            by_content.setdefault(_content(pair), []).append(pair)
-        rest_of = {}
-        for lab in labels:
-            rest_of.setdefault((lab[i - 1], lab[i]), []).append(lab[:i - 1] + lab[i + 1:])
-        for target_pair in pairs:
-            block = by_content[_content(target_pair)]
-            rows = {}
-            rhs = {}
-            for rest_lab in rest_of[target_pair]:
-                target = rest_lab[:i - 1] + target_pair + rest_lab[i - 1:]
-                for key, uni in tau_cache[target].items():
-                    rhs[(rest_lab, key)] = uni
-                for col, src_pair in enumerate(block):
-                    src = rest_lab[:i - 1] + src_pair + rest_lab[i - 1:]
-                    for key, uni in sub_cache.get(src, {}).items():
-                        rows.setdefault((rest_lab, key), [{} for _ in block])[col] = uni
-            row_keys = sorted(set(rows) | set(rhs))
-            A = [rows.get(k, [{} for _ in block]) for k in row_keys]
-            B = [[rhs.get(k, {})] for k in row_keys]
-            for src_pair, sol in zip(block, _solve_block(A, B, len(block))):
+    for windows, rests in blocks.values():
+        block = sorted(windows)
+        empty = [{}] * len(block)
+        rows, rhs = {}, {}
+        for rest_lab in rests:
+            for col, win in enumerate(block):
+                lab = rest_lab[:lo] + win + rest_lab[lo:]
+                for cache, out in ((sub_cache, rows), (tau_cache, rhs)):
+                    for key, uni in cache.get(lab, {}).items():
+                        out.setdefault((rest_lab, key), list(empty))[col] = uni
+        row_keys = sorted(set(rows) | set(rhs))
+        x = iter(_solve_block([rows.get(k, empty) for k in row_keys],
+                              [rhs.get(k, empty) for k in row_keys], len(block)))
+        for target in block:
+            for src in block:
+                sol = next(x)
                 if sol is not None:
-                    entries[(target_pair, src_pair)] = sol
-        rop = ROperator(CTX1, tuple(pairs), tuple(pairs), entries)
-    else:
-        blocks = {}
-        for lab in labels:
-            blocks.setdefault(_content(lab), []).append(lab)
-        for block in blocks.values():
-            cols = [sub_cache[lab] for lab in block]
-            row_keys = sorted({k for col in cols for k in col})
-            A = [[col.get(k, {}) for col in cols] for k in row_keys]
-            B = [[tau_cache[target].get(k, {}) for target in block] for k in row_keys]
-            x = iter(_solve_block(A, B, len(block)))
-            for target in block:
-                for lab in block:
-                    sol = next(x)
-                    if sol is not None:
-                        entries[(target, lab)] = sol
-        rop = ROperator(CTX1, tuple(labels), tuple(labels), entries)
-    from .qkz import check_exchange  # qkz imports this module
-
+                    entries[(target, src)] = sol
+    windows = sorted({lab[lo:hi] for lab in labels})
+    rop = ROperator(CTX1, windows, windows, entries)
     rep = check_exchange(psi, i, operator=rop)
     if not rep.passed:
         raise RMatrixError(f"exchange system inconsistent: {rep.witness}")

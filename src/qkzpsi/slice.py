@@ -204,7 +204,19 @@ def _check_ell(ell, M):
     return ell
 
 
-def emit_equations(m, ell, restricted=False, max_size=12):
+# The desk-scale limit on the matrix size M = sum(m) of an emitted slice.
+MAX_SLICE_SIZE = 12
+
+
+def _desk_model(m):
+    """The (unrestricted) slice model of m, refused above ``MAX_SLICE_SIZE``."""
+    model = SliceModel(m)
+    if model.M > MAX_SLICE_SIZE:
+        raise SliceError(f"slice size {model.M} exceeds the desk-scale limit {MAX_SLICE_SIZE}")
+    return model
+
+
+def emit_equations(m, ell):
     """Orbit-closure relations for Jordan type at most ell on the slice.
 
     Rectangular ell (all nonzero parts equal L): the entries of X^L.
@@ -212,9 +224,7 @@ def emit_equations(m, ell, restricted=False, max_size=12):
     emitted as vanishing minors of the powers.  Relations come back in a
     fixed row-major order.
     """
-    model = SliceModel(m, restricted=restricted)
-    if model.M > max_size:
-        raise SliceError(f"slice size {model.M} exceeds the desk-scale limit {max_size}")
+    model = _desk_model(m)
     ell = _check_ell(ell, model.M)
     parts = [x for x in ell if x > 0]
     ctx, X = model.generic_matrix()
@@ -291,15 +301,13 @@ def elementary_symmetric(ctx, tnames):
     ]
 
 
-def emit_deformed_equations(m, ell, max_size=12):
+def emit_deformed_equations(m, ell):
     """Entries of prod_a (X - t_a) on the slice; rectangular ell only.
 
     The deformation moves the nilpotent orbit to the regular orbit with
     eigenvalues t_1..t_k; at t = 0 this reproduces emit_equations exactly.
     """
-    model = SliceModel(m, restricted=False)
-    if model.M > max_size:
-        raise SliceError(f"slice size {model.M} exceeds the desk-scale limit {max_size}")
+    model = _desk_model(m)
     ell = _check_ell(ell, model.M)
     parts = [x for x in ell if x > 0]
     if len(set(parts)) > 1:

@@ -177,6 +177,25 @@ def test_slice_verify_appendix():
     assert res.stdout.count("PASS") == 4
 
 
+def test_slice_verify_appendix_reports_a_raising_check(monkeypatch, capsys, tmp_path):
+    # in process, with the equations check replaced by one that raises
+    from qkzpsi import appendix, cli
+
+    def boom(doc):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(appendix, "SUITE", tuple(
+        (name, boom if name == "equations" else fn) for name, fn in appendix.SUITE))
+    out = tmp_path / "reports.json"
+    assert cli.main(["slice", "verify-appendix", "--json-out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL  equations  appendix  [ValueError: boom]"
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["PASS", "components"], ["PASS", "multidegrees"], ["PASS", "deformed-equations"]]
+    assert [r["status"] for r in json.loads(out.read_text())["reports"]] == [
+        "fail", "pass", "pass", "pass"]
+
+
 def test_rmat_show_flip_form():
     res = run_cli("rmat", "show", "--k", "2", "--a", "1", "--b", "1")
     assert res.returncode == 0, res.stderr
@@ -386,11 +405,17 @@ GOLDEN = [
      "0c3b01ade6708e7aa6bfcce685ded181aa8345b550766559de436b0097e8f007"),
     (("rmat", "show", "--k", "3", "--a", "1", "--b", "2"),
      "ae352cfdadb02d29935a60e45c03d6c4371d95b0b7f966d84d7ee22f9a49d4de"),
+    # recorded before the fused braid went through ROperator.apply
+    (("rmat", "show", "--k", "6", "--a", "3", "--b", "3", "--format", "json"),
+     "c036534b832157b905b55a29a93251025bd213aa203adc9f273f7bac39a7b321"),
+    (("rmat", "show", "--k", "4", "--a", "2", "--b", "2"),
+     "bfaaa13c2a4b4ac73904ce58d94fffa67266c679b7ddb96f4804961eb94384f4"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
-    "psi-json", "psi-fused-text", "slice-deformed-text", "slice-deformed-json", "rmat-text"])
+    "psi-json", "psi-fused-text", "slice-deformed-text", "slice-deformed-json", "rmat-text",
+    "rmat-fused-json", "rmat-fused-text"])
 def test_output_bytes_are_golden(tmp_path, argv, digest):
     out = tmp_path / "out"
     res = run_cli(*argv, "--out", str(out))

@@ -16,10 +16,12 @@ The ``tuple_*`` functions are the polynomial kernel on exponent tuples,
 ``tuple_text`` and ``tuple_to_json`` also render terms one by one, as
 ``Polynomial.text`` and ``to_json`` did before the cached ``TermWriter``.
 ``braid_every_source`` builds a fused R-matrix by braiding every source, as
-``fused_rcheck`` did before it braided one source per S_k-orbit, and
-normalizes it by ``oracle_inverse``, which inverts the extreme entry by
-factoring its numerator into linear forms (``oracle_factor_linear_forms``)
-as ``fused_rcheck`` did before it substituted z -> -z.
+``fused_rcheck`` did before it braided one source per S_k-orbit, with
+``apply_fundamental_slot`` for each step, as the braid did before it went
+through ``ROperator.apply``, and normalizes it by ``oracle_inverse``, which
+inverts the extreme entry by factoring its numerator into linear forms
+(``oracle_factor_linear_forms``) as ``fused_rcheck`` did before it
+substituted z -> -z.
 ``route_chains`` runs both routes of the qKZ step in z_i on Psi, route A
 through rho and route B through its inverse, one slot operator at a time,
 as ``qkz_step`` did before it reduced the step to the exchange relation at
@@ -384,6 +386,29 @@ def test_oracle_factor_linear_forms():
     assert rebuilt == p
 
 
+def apply_fundamental_slot(vec, slot, arg_hcoef, ctx):
+    """The fundamental operator at word positions (slot, slot+1) and argument
+    z + arg_hcoef * h, on words of letters, with the equal and unequal letter
+    cases written out, as ``_braid_column`` applied it before it went
+    through ``ROperator.apply``; terms that cancel are dropped."""
+    z = ctx.z(1)
+    hb = ctx.hbar()
+    arg = z + hb * Fraction(arg_hcoef, 2)
+    den_form, den_sign = LinearForm.make(2 + arg_hcoef, 1)  # hb + z + c*h
+    eq = RationalFunction((hb - arg) * den_sign, {den_form: 1})
+    stay = RationalFunction(hb * den_sign, {den_form: 1})
+    swap = RationalFunction(-arg * den_sign, {den_form: 1})
+    products = []
+    for word, coeff in vec.items():
+        x, y = word[slot], word[slot + 1]
+        if x == y:
+            products.append((word, coeff, eq))
+        else:
+            products.append((word, coeff, stay))
+            products.append((word[:slot] + (y, x) + word[slot + 2:], coeff, swap))
+    return {w: v for w, v in stepwise_accumulate(ctx, products).items() if not v.is_zero()}
+
+
 def braid_every_source(k, a, b):
     """The fused operator with every source braided, projected and checked."""
     if a == 1 and b == 1:
@@ -402,16 +427,16 @@ def braid_every_source(k, a, b):
                for ws, cs in embed(S).items() for wt, ct in embed(T).items()}
         for p in range(a, 0, -1):
             for q in range(1, b + 1):
-                vec = rmatrix._apply_fundamental_slot(vec, p + q - 2, 2 * p - 2 * q + b - a, ctx)
+                vec = apply_fundamental_slot(vec, p + q - 2, 2 * p - 2 * q + b - a, ctx)
         coeffs = {(P, Q): vec[P + Q] for (P, Q) in target
                   if P + Q in vec and not vec[P + Q].is_zero()}
-        rebuilt = rmatrix._accumulate(ctx, (
+        rebuilt = stepwise_accumulate(ctx, [
             (wp + wq, c, cp * cq)
             for (P, Q), c in coeffs.items()
             for wp, cp in embed(P).items()
             for wq, cq in embed(Q).items()
-        ))
-        assert rmatrix._vec_equal(vec, rebuilt)[0], (S, T)
+        ])
+        assert rmatrix.first_difference(vec, rebuilt) is None, (S, T)
         for key, c in coeffs.items():
             entries[(key, (S, T))] = c
         if S == tuple(range(1, a + 1)) and T == tuple(range(1, b + 1)):
@@ -503,8 +528,8 @@ def route_chains(psi, i, rho, full_ops=None):
                                             ("B", right, rho.inverse(), back, -s)):
         v = run_chain(apply_at, wrap.apply(run_chain(apply_at, dict(psi.entries), first)), then)
         lhs = {lab: p.substitute({i - 1: ctx.z(i) + shift}) for lab, p in psi.entries.items()}
-        ok, where = rmatrix._vec_equal(lhs, v)
-        if not ok:
+        where = rmatrix.first_difference(lhs, v)
+        if where is not None:
             return f"route {route}: {_offending(where, _difference(lhs[where], v.get(where)))}"
     return None
 
@@ -1305,25 +1330,33 @@ SLOTWISE_SOLVES = [(k, lam, slot)
                    for slot in range(1, sum(lam))]
 
 
-def assert_same_solve(monkeypatch, psi, slot, slotwise):
-    got = rmatrix.solve_rmatrix_from_exchange(psi, slot, slotwise=slotwise)
+def slot_pairs(psi, slot):
+    """The pairs of factors (slot, slot+1) that occur in the labels of psi."""
+    return tuple(sorted({lab[slot - 1:slot + 1] for lab in psi.basis}))
+
+
+def assert_same_solve(monkeypatch, psi, slot):
+    got = rmatrix.solve_rmatrix_from_exchange(psi, slot)
     with monkeypatch.context() as patch:
         patch.setattr(rmatrix, "_solve_block", oracle_solve_block)
-        want = rmatrix.solve_rmatrix_from_exchange(psi, slot, slotwise=slotwise)
+        want = rmatrix.solve_rmatrix_from_exchange(psi, slot)
     assert operator_digest(got) == operator_digest(want)
     assert got.text_matrix() == want.text_matrix()
+    return got
 
 
 @pytest.mark.parametrize("slot", [1, 2, 3])
 def test_sampled_solve_matches_univariate_elimination_on_appendix(monkeypatch, appendix_doc, slot):
-    assert_same_solve(monkeypatch, fixture_psi(appendix_doc), slot, slotwise=False)
+    psi = fixture_psi(appendix_doc)
+    assert assert_same_solve(monkeypatch, psi, slot).source == psi.basis
 
 
 @pytest.mark.parametrize("k, lam, slot", SLOTWISE_SOLVES, ids=str)
 def test_sampled_solve_matches_univariate_elimination_slotwise(monkeypatch, k, lam, slot):
     # slot 3 of (2,(3,2)): the determinant carries z^2 - 20 hb^2, which
     # does not split and cancels against every Cramer numerator
-    assert_same_solve(monkeypatch, build_psi_fundamental(k, lam), slot, slotwise=True)
+    psi = build_psi_fundamental(k, lam)
+    assert assert_same_solve(monkeypatch, psi, slot).source == slot_pairs(psi, slot)
 
 
 def evaluate_list(coeffs, w):
@@ -1538,20 +1571,22 @@ def half_sum_images(u, w):
     return (u + w) * Fraction(1, 2), (u - w) * Fraction(1, 2)
 
 
-def assert_solve_matches_half_sums(monkeypatch, psi, slot, slotwise):
-    got = rmatrix.solve_rmatrix_from_exchange(psi, slot, slotwise=slotwise)
+def assert_solve_matches_half_sums(monkeypatch, psi, slot):
+    got = rmatrix.solve_rmatrix_from_exchange(psi, slot)
     with monkeypatch.context() as patch:
         patch.setattr(rmatrix, "_pair_images", half_sum_images)
-        want = rmatrix.solve_rmatrix_from_exchange(psi, slot, slotwise=slotwise)
+        want = rmatrix.solve_rmatrix_from_exchange(psi, slot)
     assert operator_digest(got) == operator_digest(want)
+    return got
 
 
 @pytest.mark.parametrize("slot", [1, 2, 3])
 def test_integral_solve_coordinates_match_half_sums_on_appendix(monkeypatch, appendix_doc, slot):
-    assert_solve_matches_half_sums(monkeypatch, fixture_psi(appendix_doc), slot, slotwise=False)
+    psi = fixture_psi(appendix_doc)
+    assert assert_solve_matches_half_sums(monkeypatch, psi, slot).source == psi.basis
 
 
 @pytest.mark.parametrize("k, lam, slot", SLOTWISE_SOLVES, ids=str)
 def test_integral_solve_coordinates_match_half_sums_slotwise(monkeypatch, k, lam, slot):
-    assert_solve_matches_half_sums(monkeypatch, build_psi_fundamental(k, lam), slot,
-                                   slotwise=True)
+    psi = build_psi_fundamental(k, lam)
+    assert assert_solve_matches_half_sums(monkeypatch, psi, slot).source == slot_pairs(psi, slot)

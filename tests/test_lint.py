@@ -6,6 +6,9 @@ name (``_name``) defined in the package must be read somewhere in it: a
 helper that only tests still call belongs in the tests.  Reports go through
 one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
 outside it passes the status ``"pass"`` (a pass comes from ``checking``).
+Operators reach labelled vectors through one applicator: in ``rmatrix.py``
+only ``ROperator.apply``, and ``_braid_column`` for its projection check,
+call ``_accumulate``.
 """
 
 import ast
@@ -125,3 +128,36 @@ def test_detectors_find_a_clock_and_a_hand_built_pass():
 def test_only_reporting_reads_the_clock_and_builds_a_pass(path):
     source = path.read_text()
     assert (time_imports(source), passing_report_calls(source)) == ([], [])
+
+
+def callers(source, name):
+    """Sorted qualified names (``f``, ``Class.method``, or ``<module>``) of the
+    top-level definitions whose code calls ``name``, nested functions
+    included."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{item.name}", item) for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes = [(node.name, node)]
+        else:
+            scopes = [("<module>", node)]
+        for qualname, scope in scopes:
+            for call in ast.walk(scope):
+                if isinstance(call, ast.Call) and name in (
+                        getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                    found.add(qualname)
+    return sorted(found)
+
+
+def test_detector_finds_every_caller():
+    source = ("class Op:\n    def apply(self): return _acc(1)\n    def other(self): pass\n"
+              "def outer():\n    def inner(): return m._acc(2)\n    return inner\n"
+              "def bystander(): return _acc\nVALUE = _acc(3)\n")
+    assert callers(source, "_acc") == ["<module>", "Op.apply", "outer"]
+
+
+def test_only_the_applicator_accumulates_operator_products():
+    source = (SRC / "rmatrix.py").read_text()
+    assert callers(source, "_accumulate") == ["ROperator.apply", "_braid_column"]

@@ -17,6 +17,7 @@ from qkzpsi.rmatrix import (
     CTX1,
     RMatrixError,
     family_slot_applicator,
+    first_difference,
     fundamental_rcheck,
     fused_rcheck,
     normalization_factor,
@@ -200,7 +201,8 @@ def test_solve_fundamental_matches_flip_form():
     psi = build_psi_fundamental(2, (2, 1))
     F = fundamental_rcheck(2)
     for slot in (1, 2):
-        R = solve_rmatrix_from_exchange(psi, slot, slotwise=True)
+        R = solve_rmatrix_from_exchange(psi, slot)
+        assert R.source == tuple(sorted({lab[slot - 1:slot + 1] for lab in psi.basis}))
         assert set(R.source) < set(F.source)
         for t in R.target:
             for s in R.source:
@@ -214,7 +216,8 @@ def test_solve_three_letters_matches_flip_form(lam, slot):
     # falsely singular subsystem
     psi = build_psi_fundamental(3, lam)
     F = fundamental_rcheck(3)
-    R = solve_rmatrix_from_exchange(psi, slot, slotwise=True)
+    R = solve_rmatrix_from_exchange(psi, slot)
+    assert R.source == tuple(sorted({lab[slot - 1:slot + 1] for lab in psi.basis}))
     assert set(R.source) <= set(F.source)
     for t in R.target:
         for s in R.source:
@@ -231,7 +234,25 @@ def test_solve_rejects_perturbed_family():
 
     broken = PsiVector(psi.k, psi.lam, psi.m, psi.ctx, bad)
     with pytest.raises(RMatrixError):
-        solve_rmatrix_from_exchange(broken, 1, slotwise=True)
+        solve_rmatrix_from_exchange(broken, 1)
+
+
+def test_first_difference_walks_lhs_then_rhs_and_reads_missing_as_zero():
+    z, hb = CTX1.z(1), CTX1.hbar()
+    half = RationalFunction(z * z - hb * hb, {LinearForm.make(2, 1)[0]: 1})  # z - hb
+    assert first_difference({"a": z - hb, "b": z}, {"b": z, "a": half}) is None
+    # lhs's keys in order, then the keys only rhs has
+    assert first_difference({"c": z, "b": hb, "a": z}, {"a": hb, "b": z}) == "c"
+    assert first_difference({"b": z, "a": z}, {"a": hb, "b": hb}) == "b"
+    assert first_difference({"a": z}, {"a": z, "y": hb, "x": z}) == "y"
+    # a zero entry and a missing one agree, on either side
+    zero_rf = RationalFunction.from_poly(CTX1.zero())
+    assert first_difference({"a": CTX1.zero(), "b": z}, {"b": z, "c": zero_rf}) is None
+    assert first_difference({"a": z}, {}) == "a"
+    assert first_difference({}, {"a": RationalFunction.from_poly(z)}) == "a"
+    # a Polynomial against a RationalFunction, both ways round
+    assert first_difference({"a": half}, {"a": z}) == "a"
+    assert first_difference({"a": z + hb}, {"a": half}) == "a"
 
 
 def test_cached_pair_operator_entries_are_read_only():

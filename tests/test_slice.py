@@ -73,11 +73,6 @@ def test_emit_single_box():
     assert nz[0][1] == ctx.var("A11")
 
 
-def test_emit_vacuous_after_restriction():
-    eqs = emit_equations((1, 1), (2, 0), restricted=True)
-    assert eqs.nonzero() == []
-
-
 def test_emit_rectangular_vs_matrix_power():
     # m=(2,2), ell=(2,2): X^2 entries over 8 coordinates
     eqs = emit_equations((2, 2), (2, 2))
