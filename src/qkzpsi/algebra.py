@@ -46,29 +46,12 @@ of its polynomials, as most reuse is across them; the caches die with it.
 
 Rational functions are kept in the restricted form used throughout:
 a polynomial numerator over a multiset of integer linear forms
-a*hb + z_i - z_j.  That restriction makes reduction exact and cheap
-(repeated exact division) and matches every denominator that can occur.
-
-Most divisions that reduction could try fail, so it asks first for a
-certificate that they do (the cheap direction of Schwartz, J. ACM 27,
-1980, and Zippel, EUROSAM 1979).  A form L divides N only if N vanishes on
-the whole hyperplane L = 0; so if N is non-zero at one point of it, L does
-not divide N, and that one value is a complete proof.  ``_may_divide``
-evaluates N at h = 1, z_j = BETA, z_i = BETA - hcoef (every other
-variable 1) modulo the prime PRIME < 2**30.  Reduction mod PRIME is a ring
-map on the rationals whose denominators PRIME does not divide, so a
-non-zero residue means a non-zero value, and exact division is skipped.
-A zero residue proves nothing: ``exact_div`` then runs as before and
-either divides or fails.  A coefficient whose denominator PRIME divides
-leaves the test undecided, and exact division runs then too.  Pure-h
-forms divide exactly when every term has a positive h exponent, which is
-read off the terms.  The power tables of the point are cached per (form,
-number of variables and table length), in a bounded cache.
-
-Substituting z -> +-(z_a - z_b + c*h), h -> h into a one-variable rational
-function (``ROperator.substitute_spectral``) is an injective ring map, and
-the target ring is a polynomial ring over its image; so a reduced function
-stays reduced and distinct forms stay distinct, and no reduction is run.
+a*hb + z_i - z_j, which matches every denominator that can occur.  A value
+is kept as built: products, sums and substitutions collect denominators
+and never divide, and ``RationalFunction.equals`` decides an identity by
+cross-multiplying, with no value in lowest terms.  Only code that builds
+an operator (and a failed check, for its witness) calls ``reduced()``; the
+restriction makes that exact and cheap (repeated exact division).
 """
 
 from __future__ import annotations
@@ -76,7 +59,7 @@ from __future__ import annotations
 import re
 import struct
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from operator import itemgetter
 
 FIELD_BITS = 16
@@ -338,6 +321,8 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.const(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented  # a RationalFunction adds itself
         self._check(other)
         if not self.terms:
             return other
@@ -358,9 +343,9 @@ class Polynomial:
         return Polynomial(self.ctx, {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.const(other)
-        return self + (-other)
+        if isinstance(other, (Polynomial, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -374,6 +359,8 @@ class Polynomial:
             return Polynomial(
                 self.ctx, {e: _norm_coeff(c * other) for e, c in self.terms.items()}, _clean=True
             )
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         if not self.terms or not other.terms:
             return self.ctx.zero()
@@ -807,72 +794,58 @@ class LinearForm(tuple):
 
 
 class RationalFunction:
-    """num / prod(forms), reduced by exact cancellation of denominator forms.
+    """num / prod(forms), kept as built.
 
-    ``den`` maps canonical LinearForms to multiplicities.  The reduced form
-    is num / prod(forms) with no denominator form dividing num.  Distinct
-    canonical forms are coprime irreducibles of Q[z, h], so that form is
-    unique: two reduced representations of one function have the same
-    ``den`` and the same ``num``, term for term.  Hence reduction needs one
-    pass (dividing by one form never makes num divisible by another), and
-    a sum of products reduced once (``RFSum``) comes out byte-identical to
-    the same sum reduced after every step.
-
-    Reduction divides by a form only when ``_may_divide`` has no proof
-    that the division fails: a non-zero value of num, mod PRIME, at one
-    point of the form's hyperplane.  If L divided num, num would vanish on
-    all of L = 0, so that value proves that L does not divide num, and no
-    division is tried.  Only a zero value, which proves nothing, runs
-    ``exact_div``.  A numerator that an injective substitution such as
-    ``ROperator.substitute_spectral`` carries over needs no reduction at
-    all: if phi is injective and the target is a polynomial ring over
-    phi's image, phi(L) divides phi(num) only if L divides num.
+    ``den`` maps canonical LinearForms to multiplicities.  The constructor,
+    the arithmetic and ``substitute_z`` never divide: a value keeps the
+    denominator its construction gave it, and ``equals`` compares two
+    values by cross-multiplying.  ``reduced()`` returns the function in
+    lowest terms, num / prod(forms) with no denominator form dividing num;
+    only code that builds an operator calls it.  Distinct canonical forms
+    are coprime irreducibles of Q[z, h], so that form is unique: two
+    reduced representations of one function have the same ``den`` and the
+    same ``num``, term for term.  Hence reduction needs one pass (dividing
+    by one form never makes num divisible by another), and a value reduced
+    once at the end comes out byte-identical to the same computation
+    reduced after every step.
 
     One caveat: the pure-h forms LinearForm(c) for different c are
     associates (c*h and c'*h differ by a unit).  A denominator holding two
     of them, say h and 2h, has more than one reduced representation, and
     which one comes out depends on the order in which ``den`` is divided.
-    No computation of the package builds such a denominator; the forms of
-    ``den`` are divided in insertion order.
+    No computation of the package builds such a denominator; ``reduced``
+    divides the forms of ``den`` in insertion order.
     """
 
     __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, num, den=None, _reduced=False):
+    def __init__(self, num, den=None):
         self.ctx = num.ctx
         self.num = num
         den = dict(den or {})
         for f, m in den.items():
             if m <= 0:
                 raise AlgebraError("denominator multiplicities must be positive")
-        if num.is_zero():
-            den = {}
-        self.den = den
-        if not _reduced:
-            self._reduce()
+        self.den = {} if num.is_zero() else den
 
-    def _reduce(self):
-        """Divide num by each form until it stops dividing, in one pass.
-
-        A division is tried only when ``_may_divide`` finds no proof that it
-        fails."""
-        den = self.den
-        for f in list(den):
-            m = den[f]
-            while m and _may_divide(self.num, f):
+    def reduced(self):
+        """The same function in lowest terms: num divided by each form of
+        ``den``, in insertion order, until exact division fails."""
+        num, den = self.num, {}
+        for f, m in self.den.items():
+            while m:
                 try:
-                    self.num = self.num.exact_div(f)
+                    num = num.exact_div(f)
                 except ExactDivisionError:
                     break
                 m -= 1
             if m:
                 den[f] = m
-            else:
-                del den[f]
+        return RationalFunction(num, den)
 
     @staticmethod
     def from_poly(p):
-        return RationalFunction(p, {}, _reduced=True)
+        return RationalFunction(p)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -884,7 +857,7 @@ class RationalFunction:
         return p
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _reduced=True)
+        return RationalFunction(-self.num, self.den)
 
     def __add__(self, other):
         acc = RFSum(self.ctx)
@@ -896,6 +869,9 @@ class RationalFunction:
 
     def __sub__(self, other):
         return self + (-_as_rf(other, self.ctx))
+
+    def __rsub__(self, other):
+        return _as_rf(other, self.ctx) - self
 
     def __mul__(self, other):
         other = _as_rf(other, self.ctx)
@@ -909,10 +885,11 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def equals(self, other):
+        """Equality as functions, by cross-multiplying: each numerator times
+        the forms the other denominator has more of, so equal denominators
+        compare numerators alone."""
         other = _as_rf(other, self.ctx)
-        if self.den == other.den:
-            return self.num == other.num
-        return (self.num * other.den_poly()) == (other.num * self.den_poly())
+        return _lift(self.num, self.den, other.den) == _lift(other.num, other.den, self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
@@ -962,13 +939,27 @@ class RationalFunction:
         return f"<RatFun {self.text()}>"
 
 
+def _lift(num, den, target):
+    """The numerator of num / den over lcm(den, target): num times
+    f**(target[f] - den[f]) for each form f that target has more of.  No
+    product is formed when target has more of none."""
+    cofactor = None
+    for f, m in target.items():
+        extra = m - den.get(f, 0)
+        if extra > 0:
+            power = f.to_poly(num.ctx) ** extra
+            cofactor = power if cofactor is None else cofactor * power
+    return num if cofactor is None else num * cofactor
+
+
 class RFSum:
-    """A sum of products of rational functions, reduced once.
+    """A sum of products of rational functions, over one common denominator.
 
     ``add_product(a, b)`` multiplies the numerators of a and b term by term
     into one dict per distinct denominator; ``result()`` brings the groups
-    to their lcm and builds one RationalFunction, which reduces once.  The
-    factors may be RationalFunctions, Polynomials or rational constants.
+    to their lcm and builds one RationalFunction, kept as built like every
+    value (see ``RationalFunction``).  The factors may be RationalFunctions,
+    Polynomials or rational constants.
     """
 
     __slots__ = ("ctx", "groups")
@@ -1011,71 +1002,9 @@ class RFSum:
         total = {}
         get = total.get
         for den, acc in groups:
-            cofactor = ctx.one()
-            for f, m in lcm.items():
-                extra = m - den.get(f, 0)
-                if extra:
-                    cofactor = cofactor * f.to_poly(ctx) ** extra
-            for e, c in (Polynomial(ctx, acc) * cofactor).terms.items():
+            for e, c in _lift(Polynomial(ctx, acc), den, lcm).terms.items():
                 total[e] = get(e, 0) + c
         return RationalFunction(Polynomial(ctx, total), lcm)
-
-
-# The non-divisibility certificate of ``_may_divide`` evaluates modulo
-# PRIME, the largest prime below 2**30, at the point of a form's hyperplane
-# where z_j = BETA.
-PRIME = (1 << 30) - 35
-BETA = 314159265
-
-
-@lru_cache(maxsize=1024)
-def _hyperplane(form, nvars, size):
-    """(offset, powers, offset, powers): the field offsets of z_i and z_j of a
-    form with z_i, in a context of nvars variables, and the powers 0..size-1
-    of their values mod PRIME at the point h = 1, z_j = BETA,
-    z_i = BETA - hcoef (z_i = -hcoef without z_j), every other variable 1.
-    A form without z_j reads the h field, at value 1, in its place."""
-    hc, i, j = form
-
-    def powers(value):
-        out = [1]
-        for _ in range(size - 1):
-            out.append(out[-1] * value % PRIME)
-        return tuple(out)
-
-    offset_i = FIELD_BITS * (nvars - i)
-    if j is None:
-        return offset_i, powers(-hc % PRIME), 0, powers(1)
-    return offset_i, powers((BETA - hc) % PRIME), FIELD_BITS * (nvars - j), powers(BETA)
-
-
-def _may_divide(num, form):
-    """False only if the LinearForm ``form`` provably does not divide the
-    non-zero ``num``: num is non-zero at a point of the form's hyperplane,
-    evaluated mod PRIME (see ``_hyperplane`` and the module docstring).
-
-    A pure-h form divides exactly when every term has a positive h exponent,
-    which is tested directly.  A Fraction coefficient whose denominator
-    PRIME divides leaves the test undecided, and the answer is True."""
-    terms = num.terms
-    if form[1] is None and form[2] is None:
-        return all(e & FIELD_MASK for e in terms)
-    ctx = num.ctx
-    degree = max(terms) >> ctx.shift  # bounds every exponent
-    oi, pi, oj, pj = _hyperplane(form, ctx.nvars, 16 if degree < 16 else 1 << degree.bit_length())
-    mask = FIELD_MASK
-    value = 0
-    for e, c in terms.items():
-        value += c * pi[e >> oi & mask] * pj[e >> oj & mask]
-    if type(value) is not int:  # a Fraction coefficient: reduce each mod PRIME
-        value = 0
-        for e, c in terms.items():
-            if type(c) is not int:
-                if not c.denominator % PRIME:
-                    return True
-                c = c.numerator * pow(c.denominator, -1, PRIME)
-            value += c * pi[e >> oi & mask] * pj[e >> oj & mask]
-    return not value % PRIME
 
 
 def _as_rf(x, ctx):

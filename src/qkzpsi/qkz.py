@@ -180,9 +180,9 @@ def label_text(lab):
 
 
 def _difference(lhs, rhs):
-    """The numerator of lhs - rhs, for a Polynomial lhs and a Polynomial or
-    RationalFunction rhs; a missing rhs is zero."""
-    return lhs if rhs is None else (RationalFunction.from_poly(lhs) - rhs).num
+    """The numerator of lhs - rhs in lowest terms, for a Polynomial lhs and a
+    Polynomial or RationalFunction rhs; a missing rhs is zero."""
+    return lhs if rhs is None else (RationalFunction.from_poly(lhs) - rhs).reduced().num
 
 
 def _offending(lab, diff):

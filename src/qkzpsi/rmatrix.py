@@ -65,12 +65,8 @@ CTX1 = spectral_context(1)
 CTX2 = spectral_context(2)
 
 
-def _rf(num, den=None):
-    return RationalFunction(num, den or {})
-
-
 def _accumulate(ctx, products):
-    """Sum products (key, a, b) into {key: sum of a*b}, each sum reduced once.
+    """Sum products (key, a, b) into {key: sum of a*b}, each sum over one denominator.
 
     Keys come out in order of first appearance, including keys whose sum
     cancels to zero.
@@ -112,7 +108,7 @@ class ROperator:
     def entry(self, t, s):
         rf = self.entries.get((t, s))
         if rf is None:
-            return _rf(self.ctx.zero())
+            return RationalFunction.from_poly(self.ctx.zero())
         return rf
 
     def apply(self, vec, slot=None):
@@ -151,17 +147,9 @@ class ROperator:
         ``form`` is a LinearForm over ``target_ctx`` with a z-part; entries
         become rational functions over that context.  The numerators expand
         over one table of the powers of the image, shared by all entries,
-        and each denominator form maps to its image form directly.
-
-        The results are built as already reduced.  The map z -> sign*form,
-        h -> h is an injective ring map phi from Q[z, h], since form has a
-        z-part (a pure-h form is refused), and the target ring is a
-        polynomial ring over its image Q[phi(z), h] (the other variables
-        complete phi(z), h to a basis of linear forms).  Setting those
-        other variables to 0 retracts the target onto the image, so phi(L)
-        divides phi(N) only if L divides N: a reduced entry stays reduced.
-        Distinct forms hcoef*h + z map to distinct forms, and pure-h forms
-        to themselves, so no two denominator forms merge.
+        and each denominator form maps to its image form directly.  A
+        pure-h argument is refused: it can send a denominator form to zero
+        (hb + z at z = -hb).
         """
         ctx = self.ctx
         if ctx.nz != 1:
@@ -195,7 +183,7 @@ class ROperator:
                 if s < 0 and m % 2:
                     num = -num
                 den[g] = m
-            entries[key] = RationalFunction(num, den, _reduced=True)
+            entries[key] = RationalFunction(num, den)
         return ROperator(target_ctx, self.source, self.target, entries)
 
     def equals(self, other):
@@ -305,7 +293,7 @@ def _braid_column(S, T, target, steps):
     image is the wedge vector those coefficients rebuild.
     """
     a, b = len(S), len(T)
-    vec = {ws + wt: _rf(CTX1.const(cs * ct))
+    vec = {ws + wt: RationalFunction.from_poly(CTX1.const(cs * ct))
            for ws, cs in _wedge_embed(S).items() for wt, ct in _wedge_embed(T).items()}
     for p in range(a, 0, -1):
         for q in range(1, b + 1):
@@ -340,8 +328,10 @@ def fused_rcheck(k, a, b):
     that maps the blocks 1..r, r+1..a, a+1..a+b-r, a+b-r+1..k of the
     representative in order onto S & T, S - T, T - S and the rest, and
         R[(sigma P, sigma Q), (S, T)] = e(S0) e(T0) e(P) e(Q) R[(P, Q), (S0, T0)],
-    e(X) being the sign of sorting sigma(X).  Entries come out column by
-    column in the order of ``source``, each column in the order of ``target``.
+    e(X) being the sign of sorting sigma(X).  The braided values are kept
+    as built; each entry is brought to lowest terms once, after the
+    rescaling.  Entries come out column by column in the order of
+    ``source``, each column in the order of ``target``.
     """
     if not (1 <= a <= k - 1 and 1 <= b <= k - 1):
         raise RMatrixError("wedge sizes must lie in 1..k-1")
@@ -370,7 +360,7 @@ def fused_rcheck(k, a, b):
     scalar = normalization_factor(a, b) * flipped
     for _, col in reps.values():
         for key, rf in col.items():
-            col[key] = scalar * rf
+            col[key] = (scalar * rf).reduced()
     row = {lab: n for n, lab in enumerate(target)}
     entries = {}
     for (S, T) in source:
@@ -411,7 +401,7 @@ def first_difference(lhs, rhs):
 def _check_columns(check, instance, basis, ctx, lhs, rhs):
     """Report whether lhs(e) = rhs(e) for every unit vector e of the basis; a
     failure names the column and its first differing entry."""
-    one = _rf(ctx.one())
+    one = RationalFunction.from_poly(ctx.one())
     with checking(check, instance) as outcome:
         for lab in basis:
             e = {lab: one}
@@ -648,7 +638,8 @@ def _solve_block(A, B, n):
 
     A has n columns and B one per target, their entries polynomials
     {w-exponent: coefficient}.  Returns x_j for each target in turn (t-major)
-    as a RationalFunction over CTX1 with z for w, or None for zero.
+    as a RationalFunction over CTX1 with z for w, in lowest terms, or None
+    for zero.
     """
     col = [max(_degree(row[j]) for row in A) for j in range(n)]
     for w in range(sum(col) + 1):
@@ -692,7 +683,7 @@ def _solve_block(A, B, n):
         if degree > split:
             den[LinearForm(1)] = degree - split
         num = Polynomial(CTX1, {CTX1.pack((e, degree - e)): c for e, c in enumerate(q)})
-        out.append(RationalFunction(num, den))
+        out.append(RationalFunction(num, den).reduced())
     return out
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from qkzpsi import rmatrix
 from qkzpsi.appendix import load_fixture
 from qkzpsi.qkz import build_psi_fundamental, fuse_psi
 
@@ -18,3 +19,11 @@ def fused_example(psi_m8):
 @pytest.fixture(scope="session")
 def appendix_doc():
     return load_fixture()
+
+
+@pytest.fixture
+def fresh_unitarity():
+    """pair_unitarity forgets its results before and after the test."""
+    rmatrix.pair_unitarity.cache_clear()
+    yield
+    rmatrix.pair_unitarity.cache_clear()

@@ -8,7 +8,10 @@ one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
 outside it passes the status ``"pass"`` (a pass comes from ``checking``).
 Operators reach labelled vectors through one applicator: in ``rmatrix.py``
 only ``ROperator.apply``, and ``_braid_column`` for its projection check,
-call ``_accumulate``.
+call ``_accumulate``.  Rational functions are brought to lowest terms only
+where an operator is built (``fused_rcheck``, ``_solve_block``) and where a
+failed check names its remainder (``_difference``), and no name of the
+retired mod-prime non-divisibility certificate comes back.
 """
 
 import ast
@@ -161,3 +164,45 @@ def test_detector_finds_every_caller():
 def test_only_the_applicator_accumulates_operator_products():
     source = (SRC / "rmatrix.py").read_text()
     assert callers(source, "_accumulate") == ["ROperator.apply", "_braid_column"]
+
+
+def test_only_operator_builders_and_witnesses_reduce():
+    found = [(path.name, caller) for path in MODULES
+             for caller in callers(path.read_text(), "reduced")]
+    assert sorted(found) == [("qkz.py", "_difference"), ("rmatrix.py", "_solve_block"),
+                             ("rmatrix.py", "fused_rcheck")]
+
+
+RETIRED = {"_may_divide", "_hyperplane", "PRIME", "BETA", "_reduced"}
+
+
+def identifiers(source):
+    """Every name the source defines, reads, imports, takes as a parameter or
+    passes as a keyword."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_detector_finds_every_kind_of_identifier():
+    source = ("import a.b as c\nfrom d import e\ndef f(g, *, h=1): return i.j(k=2)\n"
+              "class L: pass\nM = 3\n")
+    assert identifiers(source) == {"c", "e", "f", "g", "h", "i", "j", "k", "L", "M"}
+    assert identifiers("RationalFunction(num, den, _reduced=True)\n") & RETIRED == {"_reduced"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_name_of_the_retired_certificate_remains(path):
+    assert identifiers(path.read_text()) & RETIRED == set()

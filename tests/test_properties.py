@@ -2,8 +2,9 @@
 
 Ring axioms, ``swap_z`` and the exchange step as involutions, the exchange
 step against multiply-then-divide, exact division, substitution,
-the JSON and text round trips, and ``RFSum`` against a fold that reduces
-after every product and every sum.
+the JSON and text round trips, ``RFSum`` against a fold that reduces
+after every product and every sum, and sums, differences and products of
+a RationalFunction with a Polynomial or a number.
 """
 
 from fractions import Fraction
@@ -182,7 +183,7 @@ def test_coeff_display_is_the_reduced_fraction(p):
 
 @st.composite
 def rational_functions(draw):
-    """num / prod(forms) over CTX, with z-forms and at most the pure-h form h.
+    """num / prod(forms) over CTX, as built, with z-forms and at most the pure-h form h.
 
     Distinct pure-h forms are associates, so they are left out here; see
     test_associate_pure_h_forms_reduce_in_insertion_order.
@@ -212,20 +213,21 @@ def lcm_add(x, y):
         for f, m in lcm.items():
             num = num * f.to_poly(CTX) ** (m - r.den.get(f, 0))
         return num
-    return RationalFunction(lift(x) + lift(y), lcm)
+    return RationalFunction(lift(x) + lift(y), lcm).reduced()
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(rational_functions(), rational_functions()), max_size=3))
 def test_rfsum_matches_the_stepwise_fold(pairs):
+    # the sum reduced once at the end is the fold reduced after every step
     acc = RFSum(CTX)
     folded = RationalFunction.from_poly(CTX.zero())
     for a, b in pairs:
         acc.add_product(a, b)
-        folded = lcm_add(folded, a * b)
-    assert same_rf(acc.result(), folded)
-    assert same_rf(sum((a * b for a, b in pairs), RationalFunction.from_poly(CTX.zero())),
-                   folded)
+        folded = lcm_add(folded, (a * b).reduced())
+    assert same_rf(acc.result().reduced(), folded)
+    assert same_rf(sum((a * b for a, b in pairs),
+                       RationalFunction.from_poly(CTX.zero())).reduced(), folded)
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,6 +240,19 @@ def test_rfsum_that_cancels_is_zero_over_an_empty_den(a, b):
     assert out.is_zero() and out.den == {}
 
 
+@settings(max_examples=100, deadline=None)
+@given(polys(CTX, max_terms=3, max_exp=2), rational_functions(), int_coeffs)
+def test_mixed_arithmetic_matches_the_from_poly_path(p, x, c):
+    # a Polynomial or a number on either side of a RationalFunction
+    lift, const = RationalFunction.from_poly(p), RationalFunction.from_poly(CTX.const(c))
+    cases = [(p + x, lift + x), (x + p, x + lift), (p - x, lift - x), (x - p, x - lift),
+             (p * x, lift * x), (x * p, x * lift),
+             (c + x, const + x), (c - x, const - x), (x - c, x - const), (c * x, const * x)]
+    for got, want in cases:
+        assert isinstance(got, RationalFunction)
+        assert same_rf(got, want)
+
+
 def cross_equal(x, y):
     return x.num * y.den_poly() == y.num * x.den_poly()
 
@@ -245,15 +260,16 @@ def cross_equal(x, y):
 @settings(max_examples=150, deadline=None)
 @given(rational_functions(), polys(CTX, max_terms=3, max_exp=2), forms())
 def test_equals_agrees_with_cross_multiplication(x, q, f):
-    same_den = RationalFunction(q, x.den, _reduced=True)
+    same_den = RationalFunction(q, x.den)
     other_den = RationalFunction(q, {f: 1})
     # x times f/f: the same function over a different, unreduced denominator
-    widened = RationalFunction(x.num * f.to_poly(CTX), {**x.den, f: x.den.get(f, 0) + 1},
-                               _reduced=True)
-    for y in (x, same_den, other_den, widened):
+    widened = RationalFunction(x.num * f.to_poly(CTX), {**x.den, f: x.den.get(f, 0) + 1})
+    # x as built against x in lowest terms
+    reduced = x.reduced()
+    for y in (x, same_den, other_den, widened, reduced):
         assert x.equals(y) == cross_equal(x, y)
         assert y.equals(x) == cross_equal(y, x)
-    assert x.equals(widened)
+    assert x.equals(widened) and x.equals(reduced) and widened.equals(reduced)
 
 
 def test_associate_pure_h_forms_reduce_in_insertion_order():
@@ -265,13 +281,12 @@ def test_associate_pure_h_forms_reduce_in_insertion_order():
     """
     h, h2 = LinearForm(1), LinearForm(2)
     num = Polynomial(CTX, {CTX.pack((1, 0, 0, 2)): 1})  # h^2 * z1
-    first_h = RationalFunction(num, {h: 2, h2: 1})
-    first_2h = RationalFunction(num, {h2: 1, h: 2})
+    first_h = RationalFunction(num, {h: 2, h2: 1}).reduced()
+    first_2h = RationalFunction(num, {h2: 1, h: 2}).reduced()
     assert first_h.den == {h2: 1} and first_h.num == CTX.var(0)
     assert first_2h.den == {h: 1} and first_2h.num == CTX.var(0) * Fraction(1, 2)
     assert first_h.equals(first_2h)
-    # a sum over that den reduces the same way as the constructor
+    # a sum over that den reduces the same way
     acc = RFSum(CTX)
-    acc.add_product(RationalFunction(num, {h: 2}, _reduced=True),
-                    RationalFunction(CTX.one(), {h2: 1}, _reduced=True))
-    assert same_rf(acc.result(), first_h)
+    acc.add_product(RationalFunction(num, {h: 2}), RationalFunction(CTX.one(), {h2: 1}))
+    assert same_rf(acc.result().reduced(), first_h)

@@ -6,13 +6,13 @@ import sympy
 
 from qkzpsi import rmatrix
 from qkzpsi.algebra import (
-    ExactDivisionError,
     LinearForm,
     Polynomial,
     RationalFunction,
     spectral_context,
 )
-from qkzpsi.qkz import build_psi_fundamental
+from qkzpsi.combinatorics import sequence_rotation
+from qkzpsi.qkz import build_psi_fundamental, check_cyclicity, check_exchange, closure_witness
 from qkzpsi.rmatrix import (
     CTX1,
     RMatrixError,
@@ -137,26 +137,51 @@ def test_fused_k3_22_ybe():
     assert rep.passed
 
 
-def test_ybe_k3_22_tries_no_division_that_fails(monkeypatch):
-    # every division that reduction tries, in the build and in the check, is
-    # one that the non-divisibility certificate could not rule out
+@pytest.fixture
+def count_divisions(monkeypatch):
+    """Counts the calls of ``Polynomial.exact_div`` from the moment it is requested."""
     exact_div = Polynomial.exact_div
-    failed = []
+    calls = []
 
     def counted(self, form):
-        try:
-            return exact_div(self, form)
-        except ExactDivisionError:
-            failed.append(form)
-            raise
+        calls.append(form)
+        return exact_div(self, form)
 
     monkeypatch.setattr(Polynomial, "exact_div", counted)
-    R = fused_rcheck(3, 2, 2)
+    return calls
+
+
+def test_passing_checks_divide_nothing(request, fused_example, fresh_unitarity):
+    # the checks compare by cross-multiplying; only building an operator
+    # (here before counting) brings rational functions to lowest terms
+    psi = fused_example
+    rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
+    R = pair_operator(3, 2, 2)
+    pair_operator(psi.k, 2, 2)
     wedges = [tuple(c) for c in combinations(range(1, 4), 2)]
-    rep = verify_ybe(slot_applicator(R, 0), slot_applicator(R, 1), product_basis(wedges, 3),
-                     CTX3, "fused k=3 a=2 b=2")
-    assert rep.passed
-    assert failed == []
+    basis = product_basis(wedges, 3)
+    calls = request.getfixturevalue("count_divisions")
+    for slot in range(1, psi.N):
+        assert check_exchange(psi, slot).passed
+        assert calls == [], slot
+    assert check_cyclicity(psi, rho).passed and calls == []
+    assert closure_witness(psi) is None and calls == []
+    assert verify_ybe(slot_applicator(R, 0), slot_applicator(R, 1), basis, CTX3).passed
+    assert verify_unitarity(slot_applicator(R, 0), basis, CTX3).passed
+    assert calls == []
+
+
+def test_a_corrupted_operator_names_the_remainder_in_lowest_terms(fused_example):
+    # the witness reduces lhs - rhs, so it reads as when every value was reduced
+    real = pair_operator(4, 2, 2)
+    entries = dict(real.entries)
+    key = list(entries)[7]
+    entries[key] = entries[key] * 2
+    bad = rmatrix.ROperator(real.ctx, real.source, real.target, entries)
+    rep = check_exchange(fused_example, 2, operator=bad)
+    assert (rep.status, rep.witness) == (
+        "fail", "first offending label ({1,3},{1,2},{2,4},{3,4}): lhs - rhs = "
+        "z1^2*z2*z3*hb - z1^2*z2*z4*hb + 2*z1^2*z2*hb^2 ... (46 terms)")
 
 
 def test_substitute_spectral_refuses_a_pure_h_argument():
