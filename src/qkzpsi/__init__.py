@@ -1,11 +1,12 @@
 """Exact multidegree vectors of type-A tensor product quiver varieties.
 
 The package constructs the polynomial vectors attached to irreducible
-components of tensor product quiver varieties (type A), the rational
-R-matrices tied to them by the exchange relation, and checks the full set
-of functional identities they satisfy: exchange, Yang-Baxter, unitarity,
-fusion, wheel conditions, recurrence, cyclicity, and the rational qKZ
-difference step.  Everything is exact; there is no floating point anywhere.
+components of tensor product quiver varieties (type A), named by their
+weight data (k, lambda, m), the rational R-matrices tied to them by the
+exchange relation, and checks the full set of functional identities they
+satisfy: exchange, Yang-Baxter, unitarity, fusion, wheel conditions,
+recurrence, cyclicity, and the rational qKZ difference step.  Everything is
+exact; there is no floating point anywhere.
 """
 
 from .algebra import (
@@ -21,15 +22,12 @@ from .algebra import (
     spectral_context,
 )
 from .combinatorics import (
-    QuiverData,
     Tableau,
     enumerate_tableaux,
-    multiplicity_check,
     phi_map,
     promotion,
     rho_matrix,
     spaltenstein_label,
-    weights_from_quiver,
 )
 
 __all__ = [
@@ -43,13 +41,10 @@ __all__ = [
     "coordinate_context",
     "parse_polynomial",
     "spectral_context",
-    "QuiverData",
     "Tableau",
     "enumerate_tableaux",
-    "multiplicity_check",
     "phi_map",
     "promotion",
     "rho_matrix",
     "spaltenstein_label",
-    "weights_from_quiver",
 ]

@@ -203,20 +203,18 @@ class PolyContext:
         return f"PolyContext({self.names!r}, h_index={self.h_index})"
 
 
-def spectral_context(n, zeta=0):
-    """Context with z_1..z_n (plus zeta_1.. if requested) and the h slot.
+def spectral_context(n, zeta=False):
+    """Context with z_1..z_n (plus one ``zeta`` if requested) and the h slot.
 
     For n == 1 the single spectral variable is called plain ``z``, which is
     how one-variable R-matrix entries are displayed.
     """
-    if n == 1 and zeta == 0:
+    if n == 1 and not zeta:
         names = ("z",)
     else:
         names = tuple(f"z{i}" for i in range(1, n + 1))
-    if zeta == 1:
+    if zeta:
         names = names + ("zeta",)
-    elif zeta > 1:
-        names = names + tuple(f"zeta{t}" for t in range(1, zeta + 1))
     names = names + ("hb",)
     return PolyContext(names, h_index=len(names) - 1)
 

@@ -15,15 +15,22 @@ status 2, with no traceback.  Bad input is: a malformed number list; an
 empty lambda or m, or one that does not fit k; for ``psi build`` a lambda
 whose predicted term count is above ``qkz.MAX_PREDICTED_TERMS``; a vector
 file that is missing, is not JSON, does not match the psi JSON schema, has
-no slots or holds exponents outside [0, 2**16); for ``psi verify`` a --slot
-outside the vector's slots, wheel --positions that are not increasing, leave
-1..N or have an m-sum of at most k, and a recurrence check of a fused vector or
-at an --insert-at outside the small vector's N+1 places; for ``slice
+no slots or holds exponents outside [0, 2**16); for ``psi verify`` a flag
+that its check does not read (--slot outside exchange and qkz, --positions
+outside wheel, --insert-at outside recurrence), a --slot outside the
+vector's slots, wheel --positions that are not increasing, leave 1..N or
+have an m-sum of at most k, and a recurrence check of a lambda with fewer
+than k rows (no column of k boxes to remove), of a fused vector, or at an
+--insert-at outside the small vector's N+1 places; for ``slice
 emit`` an empty m or a non-positive block size, an ell with a negative
 entry or a sum other than sum(m), a slice larger than the desk-scale limit
 ``slice.MAX_SLICE_SIZE`` (12), or a non-rectangular ell with ``--deform``;
 for ``rmat`` wedge sizes a, b outside 1..k-1, and for ``rmat verify``
 a != b (its checks act on the a-th wedge power alone).
+
+``psi verify --check qkz`` runs one certificate, which does not depend on
+the slot (``qkz.qkz_step``), and writes its result once per slot i, with
+`` i=<i>`` after the instance.
 
 A check with nothing to check writes one ``skipped`` report that names the
 reason, and exits 0: ``psi verify --check exchange`` on a one-slot vector,
@@ -40,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .algebra import TermWriter, spectral_context
 from .combinatorics import sequence_rotation
@@ -154,7 +162,19 @@ def _slots(slot, last):
     return [slot]
 
 
+# The optional flags of ``psi verify`` and the checks that read them.
+_VERIFY_FLAGS = (
+    ("slot", "--slot", ("exchange", "qkz")),
+    ("positions", "--positions", ("wheel",)),
+    ("insert_at", "--insert-at", ("recurrence",)),
+)
+
+
 def cmd_psi_verify(args):
+    for attr, flag, checks in _VERIFY_FLAGS:
+        if getattr(args, attr) is not None and args.check not in checks:
+            raise UsageError(f"{flag} applies to --check {' and '.join(checks)} only, "
+                             f"not to {args.check}")
     psi = _load_psi(args.infile)
     try:
         reports = _verify_reports(psi, args)
@@ -191,15 +211,24 @@ def _verify_reports(psi, args):
             rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
             if args.check == "cyclicity":
                 return [check_cyclicity(psi, rho)]
-            return [qkz_step(psi, i, rho) for i in slots]
+            # one certificate covers the step in every z_i; one report per slot
+            step = qkz_step(psi, rho)
+            return [replace(step, instance=f"{step.instance} i={i}") for i in slots]
         name = psi.instance_name()
         return [Report(args.check, name if i is None else f"{name} i={i}", "skipped", witness=why)
                 for i in slots]
     if args.check == "recurrence":
         k = psi.k
+        if len(psi.lam) < k:
+            raise UsageError(f"lambda {psi.lam} has {len(psi.lam)} rows, fewer than k = {k}: "
+                             f"no column of k boxes to remove")
+        if psi.m != (1,) * psi.N:
+            raise UsageError(f"the recurrence check takes a fundamental vector, "
+                             f"m = (1, ..., 1); got m = {psi.m}")
         small_lam = tuple(x - 1 for x in psi.lam if x - 1 > 0)
         small = build_psi_fundamental(k, small_lam)
-        return [check_recurrence(psi, small, args.insert_at, (1,) * k)]
+        insert_at = 1 if args.insert_at is None else args.insert_at
+        return [check_recurrence(psi, small, insert_at, (1,) * k)]
     raise SystemExit(f"unknown check {args.check!r}")
 
 
@@ -303,7 +332,8 @@ def main(argv=None):
     pv.add_argument("--out", default=None)
     pv.add_argument("--slot", type=int, default=None)
     pv.add_argument("--positions", default=None, help="wheel positions, e.g. 1,2,3")
-    pv.add_argument("--insert-at", dest="insert_at", type=int, default=1)
+    pv.add_argument("--insert-at", dest="insert_at", type=int, default=None,
+                    help="recurrence insertion place (default 1)")
     pv.set_defaults(fn=cmd_psi_verify)
 
     p_slice = sub.add_parser("slice", help="slice models and equations")

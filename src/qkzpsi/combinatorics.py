@@ -1,10 +1,9 @@
-"""Weight, diagram and tableau combinatorics.
+"""Diagram and tableau combinatorics of the weight data (k, lambda, m).
 
-Covers the translation from quiver dimension data (k, w, v) to weight
-data (mu, lambda, m, ell), the enumeration of the column-strict tableaux
-indexing irreducible components, the subset-sequence picture and the map
-between the two, tableau promotion and the rotation operator built from it,
-tensor-product multiplicities, and the Jordan-chain labelling of points.
+Covers the enumeration of the column-strict tableaux indexing irreducible
+components, the subset-sequence picture and the map between the two,
+tableau promotion and the rotation operator built from it, and the
+Jordan-chain labelling of points.
 """
 
 from __future__ import annotations
@@ -24,73 +23,6 @@ def inversions(seq):
     ``(-1) ** inversions(seq)``.
     """
     return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
-
-
-# -- quiver data -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuiverData:
-    k: int
-    w: tuple
-    v: tuple
-    mu: tuple       # GL(k) weight, length k, last entry 0
-    lam: tuple      # GL(k) weight, length k, weakly decreasing
-    N: int          # number of framing vectors = len(m)
-    M: int          # total number of boxes
-    m: tuple        # column heights of mu's diagram, in the chosen order
-    ell: tuple      # column heights of lam's diagram, zero-padded to length N
-
-
-def _column_heights(weight):
-    """Column heights of the box diagram of a weakly decreasing weight."""
-    if not weight or weight[0] == 0:
-        return ()
-    return tuple(sum(1 for r in weight if r >= c) for c in range(1, weight[0] + 1))
-
-
-def weights_from_quiver(k, w, v):
-    """Build the combinatorial package attached to dimension vectors (w, v).
-
-    mu_j = sum_{a>=j} w_a (j < k) with mu_k = 0; lam = mu - sum v_a alpha_a.
-    Rejects non-dominant lam, reporting the offending adjacent pair of rows.
-    m lists the column heights of mu in decreasing order.
-    """
-    if k < 2:
-        raise CombinatoricsError("k must be at least 2")
-    w = tuple(int(x) for x in w)
-    v = tuple(int(x) for x in v)
-    if len(w) != k - 1 or len(v) != k - 1:
-        raise CombinatoricsError("w and v must have length k-1")
-    if any(x < 0 for x in w) or any(x < 0 for x in v):
-        raise CombinatoricsError("w and v must be non-negative")
-    mu = tuple(sum(w[a] for a in range(j, k - 1)) for j in range(k))
-    lam = list(mu)
-    for a in range(k - 1):
-        # alpha_a = e_a - e_{a+1} (1-based simple root a)
-        lam[a] -= v[a]
-        lam[a + 1] += v[a]
-    lam = tuple(lam)
-    for a in range(k - 1):
-        if lam[a] < lam[a + 1]:
-            raise CombinatoricsError(
-                f"lambda is not dominant: rows {a + 1},{a + 2} are ({lam[a]},{lam[a + 1]})"
-            )
-    if lam[-1] < 0:
-        raise CombinatoricsError("lambda has a negative row")
-    N = sum(w)
-    M = sum((a + 1) * w[a] for a in range(k - 1))
-    m = tuple(sorted(_column_heights(mu), reverse=True))
-    ell = _column_heights(lam)
-    if len(ell) > N:
-        raise CombinatoricsError("lambda has more columns than N")
-    ell = ell + (0,) * (N - len(ell))
-    if sum(m) != M or sum(ell) != M:
-        raise CombinatoricsError("internal inconsistency: box counts disagree")
-    for mi in m:
-        if not (1 <= mi <= k - 1):
-            raise CombinatoricsError("m entries must lie in 1..k-1")
-    return QuiverData(k=k, w=w, v=v, mu=mu, lam=lam, N=N, M=M, m=m, ell=ell)
 
 
 # -- tableaux ----------------------------------------------------------------
@@ -284,23 +216,12 @@ def promotion(t, m):
 class SignedPermutationOp:
     """A constant operator: basis label -> (image label, sign)."""
 
-    def __init__(self, basis, mapping, sign=1, name="rho"):
+    def __init__(self, basis, mapping, sign=1):
         self.basis = tuple(basis)
         self.mapping = dict(mapping)  # label -> label (the permutation p)
         self.sign = sign
-        self.name = name
         if set(self.mapping) != set(self.basis) or set(self.mapping.values()) != set(self.basis):
             raise CombinatoricsError("mapping is not a permutation of the basis")
-
-    def matrix(self):
-        """Entries rho[a][b] so that (rho v)_a = sum_b rho[a][b] v_b."""
-        n = len(self.basis)
-        idx = {lab: t for t, lab in enumerate(self.basis)}
-        mat = [[0] * n for _ in range(n)]
-        for b_lab in self.basis:
-            a_lab = self.mapping[b_lab]
-            mat[idx[a_lab]][idx[b_lab]] = self.sign
-        return mat
 
     def apply(self, entries):
         """Apply to a vector given as {label: value}: (rho v)_{p(b)} = sign * v_b."""
@@ -311,7 +232,7 @@ class SignedPermutationOp:
 
     def inverse(self):
         inv = {v: k for k, v in self.mapping.items()}
-        return SignedPermutationOp(self.basis, inv, self.sign, name=self.name + "^-1")
+        return SignedPermutationOp(self.basis, inv, self.sign)
 
     def compose(self, other):
         mapping = {lab: self.mapping[other.mapping[lab]] for lab in self.basis}
@@ -358,55 +279,6 @@ def sequence_rotation(basis, m, M, k):
     for lab in basis:
         mapping[lab] = lab[1:] + (lab[0],)
     return SignedPermutationOp(tuple(basis), mapping, sign)
-
-
-# -- tensor multiplicities -----------------------------------------------------
-
-
-def _add_vertical_strip(p, a, k):
-    """All partitions (length <= k) obtained from p by adding a vertical a-strip."""
-    from itertools import combinations
-
-    p = tuple(p) + (0,) * (k - len(p))
-    out = []
-    for rows in combinations(range(k), a):
-        q = list(p)
-        for r in rows:
-            q[r] += 1
-        if all(q[i] >= q[i + 1] for i in range(k - 1)):
-            out.append(tuple(q))
-    return out
-
-
-def tensor_multiplicity(lam, m, k):
-    """Multiplicity of the weight lam in the product of column reps omega_{m_i}.
-
-    Iterated Pieri rule for elementary symmetric functions: tensoring with a
-    column of height a adds a vertical a-strip in all possible ways.
-    """
-    lam = tuple(lam) + (0,) * (k - len(lam))
-    state = {(0,) * k: 1}
-    for a in m:
-        new = {}
-        for p, mult in state.items():
-            for q in _add_vertical_strip(p, a, k):
-                new[q] = new.get(q, 0) + mult
-        state = new
-    return state.get(lam, 0)
-
-
-def multiplicity_check(qd):
-    """Component count cross-check: tableau enumeration vs Pieri multiplicity.
-
-    Returns the common value; raises if the two independent routes disagree.
-    """
-    count = len(enumerate_tableaux(qd.lam, qd.m))
-    mult = tensor_multiplicity(qd.lam, qd.m, qd.k)
-    if count != mult:
-        raise CombinatoricsError(
-            f"tableau count {count} != tensor multiplicity {mult} for {qd}"
-        )
-    return count
 
 
 # -- Jordan chains and point labelling -----------------------------------------
@@ -537,27 +409,6 @@ def label_of_tableau(t):
         )
         chain.append(conjugate_partition(tuple(x for x in rows if x)))
     return MVyLabel(tuple(chain))
-
-
-def sweep_instances(max_k=4, max_M=10):
-    """Every valid quiver datum with k <= max_k and M <= max_M."""
-    from itertools import product as iproduct
-
-    out = []
-    for k in range(2, max_k + 1):
-        ranges = [range(0, max_M // a + 1) for a in range(1, k)]
-        for w in iproduct(*ranges):
-            M = sum((a + 1) * w[a] for a in range(k - 1))
-            if M == 0 or M > max_M:
-                continue
-            vranges = [range(0, M + 1) for _ in range(k - 1)]
-            for v in iproduct(*vranges):
-                try:
-                    qd = weights_from_quiver(k, w, v)
-                except CombinatoricsError:
-                    continue
-                out.append(qd)
-    return out
 
 
 def spaltenstein_label(X, m):

@@ -121,18 +121,6 @@ class PsiVector:
     def expected_degree(self):
         return sum(a * (a - 1) // 2 for a in self.lam)
 
-    def degree_report(self, instance=""):
-        """Every entry homogeneous of degree sum lam_a (lam_a - 1)/2."""
-        want = self.expected_degree()
-        with checking("degree", instance or self.instance_name()) as outcome:
-            for lab, p in self.entries.items():
-                if p.is_zero():
-                    continue
-                d = p.homogeneous_degree()
-                if d != want:
-                    outcome.fail(f"label {label_text(lab)} has degree {d}, want {want}")
-        return outcome.report
-
     def instance_name(self):
         lam = ",".join(str(x) for x in self.lam)
         m = ",".join(str(x) for x in self.m)
@@ -666,7 +654,7 @@ def check_recurrence(psi_big, psi_small, p, n, instance=None):
     name = instance or (
         f"k={k} insert n={n} at p={p}: m={psi_big.m} -> m={m_small}"
     )
-    ctx = spectral_context(N, zeta=1)
+    ctx = spectral_context(N, zeta=True)
     zeta = ctx.var("zeta")
     half = ctx.hbar() * Fraction(1, 2)
     # variable mapping from the big context
@@ -774,8 +762,8 @@ def check_cyclicity(psi, rho_op, instance=None):
 # -- the difference step ----------------------------------------------------------
 
 
-def qkz_step(psi, i, rho_op, full_ops=None, instance=None):
-    """The difference step in z_i, certified by exchange, cyclicity and unitarity.
+def qkz_step(psi, rho_op, full_ops=None, instance=None):
+    """The difference step in every z_i, certified by exchange, cyclicity and unitarity.
 
     With s = (k+1) hb, route A of the step is Psi(..., z_i + s, ...) = S_i Psi,
 
@@ -801,13 +789,13 @@ def qkz_step(psi, i, rho_op, full_ops=None, instance=None):
     operator is ``full_ops[j]`` when given), ``check_cyclicity`` and
     ``closure_witness``, and its witness is the first failure's: the
     sub-check's after ``exchange at slot j: `` or ``cyclicity: ``, or the
-    closure witness.  The certificate does not depend on i.  An
-    inhomogeneous m is skipped, with or without ``full_ops``; so is a step
+    closure witness.  The certificate does not depend on i, so one report
+    covers the step in every z_i.  An inhomogeneous m is skipped, with or without ``full_ops``; so is a step
     whose ``check_exchange`` skips at some slot (a slot with m_j = k),
     after ``exchange at slot j: ``, or whose ``check_cyclicity`` skips, with
     its witness.
     """
-    with checking("qkz", instance or f"{psi.instance_name()} i={i}") as outcome:
+    with checking("qkz", instance or psi.instance_name()) as outcome:
         if len(set(psi.m)) > 1:
             outcome.skip("m not homogeneous")
         for j in range(1, psi.N):

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, lcm, prod
 from types import MappingProxyType
 
@@ -510,21 +510,9 @@ def matrix_applicator(rop_onevar):
     return _applicator(lambda label: rop_onevar)
 
 
-def product_basis(letters_or_labels, nslots, content=None):
-    """All words of single-factor labels of given length (optionally fixed content)."""
-    from itertools import product as iproduct
-
-    out = []
-    for word in iproduct(letters_or_labels, repeat=nslots):
-        if content is not None:
-            counts = {}
-            for lab in word:
-                for x in lab:
-                    counts[x] = counts.get(x, 0) + 1
-            if counts != content:
-                continue
-        out.append(tuple(word))
-    return out
+def product_basis(letters_or_labels, nslots):
+    """All words of single-factor labels of given length."""
+    return list(product(letters_or_labels, repeat=nslots))
 
 
 # -- solving the exchange relation for the matrix -------------------------------

@@ -462,36 +462,6 @@ def verify_component_membership(
     return outcome.report
 
 
-def inserted_block_weight_product(m, p, block_size, ctx):
-    """Weight product of the coordinates wiped out by a full-block insertion.
-
-    Inserting a Jordan block of size ``block_size`` at position p pins the
-    coordinates of the enlarged slice that sit in the new block's row and
-    column strips; their torus weights multiply to the linear-factor
-    prefactor of the insertion recurrence.  ``ctx`` must carry z_1..z_N and
-    a ``zeta`` variable for the inserted spectral parameter.
-    """
-    m = tuple(m)
-    N = len(m)
-    m_big = m[:p - 1] + (block_size,) + m[p - 1:]
-    model = SliceModel(m_big, restricted=True)
-    ins = p  # block index of the insertion in the enlarged model
-    zeta_idx = ctx.index("zeta") + 1  # 1-based for linear forms
-
-    def zvar(block):
-        if block == ins:
-            return zeta_idx
-        return block if block < ins else block - 1
-
-    product = ctx.one()
-    for c in model.coords:
-        if ins not in (c.i, c.j):
-            continue
-        form, sign = LinearForm.make(c.weight_h, zvar(c.i), zvar(c.j))
-        product = product * (form.to_poly(ctx) * sign)
-    return product
-
-
 def upper_triangular_matrices(ctx, N, names, diagonal=None):
     """Symbolic N x N upper-triangular matrices from coordinate names.
 

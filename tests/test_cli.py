@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -238,13 +239,23 @@ def test_appendix_suite_threads_env(tmp_path):
         assert report_keys(out) == report_keys(unset)
 
 
-def test_corrupted_fixture_exactly_one_fail():
-    from qkzpsi.appendix import cmd_appendix_suite
+def flip_rho_entry(doc):
+    doc["rho"][1][1] = -doc["rho"][1][1]
 
-    for corruption in ("rho", "deformed"):
-        reports = cmd_appendix_suite(corrupt=corruption)
-        fails = [r for r in reports if not r.passed]
-        assert len(fails) == 1, (corruption, [r.check for r in fails])
+
+def double_a_deformed_coefficient(doc):
+    doc["deformed_relations"][0]["terms"][0]["c"] = 2
+
+
+def test_corrupted_fixture_exactly_one_fail(appendix_doc):
+    from qkzpsi.appendix import SUITE, guarded_jobs
+
+    for corrupt, check in ((flip_rho_entry, "cyclicity"),
+                           (double_a_deformed_coefficient, "deformed-equations")):
+        doc = copy.deepcopy(appendix_doc)
+        corrupt(doc)
+        reports = [job() for job in guarded_jobs(doc, dict(SUITE))]
+        assert [r.check for r in reports if not r.passed] == [check], corrupt.__name__
 
 
 def assert_usage_error(res):
@@ -362,13 +373,14 @@ def test_psi_verify_rejects_a_vector_with_no_slots(tmp_path, check):
 
 
 @pytest.fixture(scope="module")
-def k2_22_files(tmp_path_factory):
-    """psi (2,(2,2)), fundamental and fused to m = (2,2)."""
-    root = tmp_path_factory.mktemp("k2_22")
-    paths = {"fundamental": root / "psi.json", "fused": root / "fused.json"}
-    for name, m in (("fundamental", ()), ("fused", ("--m", "2,2"))):
-        res = run_cli("psi", "build", "--k", "2", "--lambda", "2,2", *m,
-                      "--out", str(paths[name]))
+def verify_files(tmp_path_factory):
+    """psi (2,(2,2)), fundamental and fused to m = (2,2), and psi (3,(2,2)),
+    whose lambda has fewer than k rows."""
+    root = tmp_path_factory.mktemp("verify")
+    builds = {"fundamental": ("2", ()), "fused": ("2", ("--m", "2,2")), "k3_22": ("3", ())}
+    paths = {name: root / f"{name}.json" for name in builds}
+    for name, (k, m) in builds.items():
+        res = run_cli("psi", "build", "--k", k, "--lambda", "2,2", *m, "--out", str(paths[name]))
         assert res.returncode == 0, res.stderr
     return paths
 
@@ -381,15 +393,58 @@ def k2_22_files(tmp_path_factory):
     ("fundamental", ("wheel", "--positions", "2,1"), "strictly increasing"),
     ("fundamental", ("wheel", "--positions", "1,2"), "sum(1, 1) = 2 <= k = 2"),
     ("fundamental", ("wheel", "--positions", "1,9"), "must lie in 1..4, got (1, 9)"),
-    ("fused", ("recurrence",), "does not match insertion"),
+    ("fused", ("recurrence",), "takes a fundamental vector, m = (1, ..., 1); got m = (2, 2)"),
+    ("k3_22", ("recurrence",),
+     "lambda (2, 2) has 2 rows, fewer than k = 3: no column of k boxes to remove"),
     ("fundamental", ("recurrence", "--insert-at", "5"), "must lie in 1..3, got 5"),
+    # a flag that the check does not read
+    ("fundamental", ("cyclicity", "--slot", "9"),
+     "--slot applies to --check exchange and qkz only, not to cyclicity"),
+    ("fundamental", ("wheel", "--slot", "1"),
+     "--slot applies to --check exchange and qkz only, not to wheel"),
+    ("fundamental", ("recurrence", "--slot", "1"),
+     "--slot applies to --check exchange and qkz only, not to recurrence"),
+    ("fundamental", ("exchange", "--positions", "1,2,3"),
+     "--positions applies to --check wheel only, not to exchange"),
+    ("fundamental", ("qkz", "--positions", "1,2,3"),
+     "--positions applies to --check wheel only, not to qkz"),
+    ("fundamental", ("cyclicity", "--insert-at", "1"),
+     "--insert-at applies to --check recurrence only, not to cyclicity"),
+    ("fundamental", ("wheel", "--insert-at", "2"),
+     "--insert-at applies to --check recurrence only, not to wheel"),
 ], ids=["exchange-slot-9", "qkz-slot-9", "slot-minus-1", "slot-0", "positions-decreasing",
-        "positions-sum-at-most-k", "positions-beyond-N", "recurrence-fused", "insert-at-5"])
-def test_bad_psi_verify_input_is_a_usage_error(k2_22_files, vector, argv, fragment):
-    res = run_cli("psi", "verify", "--in", str(k2_22_files[vector]), "--check", *argv)
+        "positions-sum-at-most-k", "positions-beyond-N", "recurrence-fused",
+        "recurrence-no-k-column", "insert-at-5",
+        "cyclicity-slot", "wheel-slot", "recurrence-slot", "exchange-positions",
+        "qkz-positions", "cyclicity-insert-at", "wheel-insert-at"])
+def test_bad_psi_verify_input_is_a_usage_error(verify_files, vector, argv, fragment):
+    res = run_cli("psi", "verify", "--in", str(verify_files[vector]), "--check", *argv)
     assert_usage_error(res)
     assert fragment in res.stderr
     assert res.stdout == ""
+
+
+def test_psi_verify_qkz_runs_one_certificate_for_every_slot(tmp_path, monkeypatch, capsys):
+    # the certificate does not depend on the slot: one exchange check per
+    # adjacent pair (3 for N = 4, not 3 per slot), and one report per slot
+    from qkzpsi import cli, qkz
+
+    vector = tmp_path / "psi.json"
+    assert cli.main(["psi", "build", "--k", "4", "--lambda", "1,1,1,1", "--out", str(vector)]) == 0
+    real, slots = qkz.check_exchange, []
+
+    def counted(psi, i, *args, **kwargs):
+        slots.append(i)
+        return real(psi, i, *args, **kwargs)
+
+    monkeypatch.setattr(qkz, "check_exchange", counted)
+    out = tmp_path / "qkz.json"
+    assert cli.main(["psi", "verify", "--check", "qkz", "--in", str(vector),
+                     "--out", str(out)]) == 0
+    assert slots == [1, 2, 3]
+    name = "k=4 lambda=(1,1,1,1) m=(1,1,1,1)"
+    assert report_keys(out) == [("qkz", f"{name} i={i}", "pass", None) for i in range(1, 5)]
+    capsys.readouterr()
 
 
 # SHA-256 of small CLI outputs, recorded before the term writer replaced the

@@ -11,46 +11,15 @@ from qkzpsi.combinatorics import (
     enumerate_tableaux,
     epsilon_sign,
     jordan_type,
-    multiplicity_check,
     partition_dominance_leq,
     phi_map,
     promotion,
     rho_matrix,
     sequence_rotation,
     spaltenstein_label,
-    tensor_multiplicity,
-    weights_from_quiver,
 )
 
-
-def test_weights_example_mixed():
-    qd = weights_from_quiver(4, (2, 1, 3), (1, 0, 1))
-    assert qd.mu == (6, 4, 3, 0)
-    assert qd.lam == (5, 5, 2, 1)
-    assert qd.N == 6 and qd.M == 13
-    assert tuple(sorted(qd.m, reverse=True)) == (3, 3, 3, 2, 1, 1)
-    assert qd.ell == (4, 3, 2, 2, 2, 0)
-
-
-def test_weights_worked_example():
-    qd = weights_from_quiver(4, (0, 4, 0), (2, 4, 2))
-    assert qd.mu == (4, 4, 0, 0)
-    assert qd.lam == (2, 2, 2, 2)
-    assert qd.m == (2, 2, 2, 2)
-    # ell is zero-padded to length N and must sum to M
-    assert qd.ell == (4, 4, 0, 0)
-    assert sum(qd.ell) == qd.M == 8
-
-
-def test_weights_highest_weight_case():
-    qd = weights_from_quiver(2, (3,), (0,))
-    assert qd.lam == qd.mu == (3, 0)
-    assert len(enumerate_tableaux(qd.lam, qd.m)) == 1
-
-
-def test_weights_reject_nondominant():
-    with pytest.raises(CombinatoricsError, match="dominant"):
-        weights_from_quiver(2, (2,), (2,))
+from oracles import tensor_multiplicity
 
 
 def _ballot_count(n_pairs):
@@ -116,13 +85,16 @@ def test_phi_subset_sizes():
 
 
 def test_multiplicity_worked_example():
-    qd = weights_from_quiver(4, (0, 4, 0), (2, 4, 2))
-    assert multiplicity_check(qd) == 3
+    # the worked example: lambda = m = (2,2,2,2), k = 4
+    lam = m = (2, 2, 2, 2)
+    assert tensor_multiplicity(lam, m, 4) == len(enumerate_tableaux(lam, m)) == 3
 
 
 def test_multiplicity_highest_weight():
-    qd = weights_from_quiver(3, (1, 1), (0, 0))
-    assert multiplicity_check(qd) == 1
+    # lambda = mu, the highest weight of omega_2 (x) omega_1 in k = 3: one
+    # tableau, and likewise one for the single column (3,) of k = 2
+    assert tensor_multiplicity((2, 1), (2, 1), 3) == len(enumerate_tableaux((2, 1), (2, 1))) == 1
+    assert tensor_multiplicity((3,), (1, 1, 1), 2) == len(enumerate_tableaux((3,), (1, 1, 1))) == 1
 
 
 def test_multiplicity_matches_ballot_oracle():
@@ -176,8 +148,8 @@ def test_epsilon_and_rho_matrix():
     tabs = enumerate_tableaux((2, 2, 2, 2), (2, 2, 2, 2))
     rho = rho_matrix(tabs, (2, 2, 2, 2), 8, 4)
     assert rho.sign == 1  # eps^2
-    mat = rho.matrix()
-    assert mat == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    # promotion swaps the first and last tableaux and fixes the middle one
+    assert [tabs.index(rho.mapping[t]) for t in tabs] == [2, 1, 0]
     assert rho.compose(rho).is_identity()
 
 

@@ -1,8 +1,9 @@
 """Static checks on the package source, in place of a linter.
 
 Every module of ``src/qkzpsi`` except ``__init__.py`` (whose imports are
-re-exports) must use each name it imports, and every module-level private
-name (``_name``) defined in the package must be read somewhere in it: a
+re-exports) must use each name it imports, and every module-level name
+defined in the package, private (``_name``) or public, must be read
+somewhere in it, a re-export by ``__init__.py`` counting as a read: a
 helper that only tests still call belongs in the tests.  Reports go through
 one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
 outside it passes the status ``"pass"`` (a pass comes from ``checking``).
@@ -47,8 +48,8 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def private_definitions(tree):
-    """Names of the module-level functions, classes and assignments that start with one _."""
+def definitions(tree):
+    """Names of the module-level functions, classes and assignments, dunders left out."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -56,7 +57,7 @@ def private_definitions(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return {n for n in names if not n.startswith("__")}
 
 
 def names_read(tree):
@@ -72,12 +73,22 @@ def names_read(tree):
     return read
 
 
-def unread_private_names(sources):
-    """(module, name) of each private module-level name that no source reads."""
+def unread_names(sources, private):
+    """(module, name) of each private (or, with ``private`` false, public)
+    module-level name that no source reads."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set().union(*(names_read(tree) for tree in trees.values()))
     return sorted((module, name) for module, tree in trees.items()
-                  for name in private_definitions(tree) if name not in read)
+                  for name in definitions(tree)
+                  if name.startswith("_") == private and name not in read)
+
+
+def unread_private_names(sources):
+    return unread_names(sources, private=True)
+
+
+def unread_public_names(sources):
+    return unread_names(sources, private=False)
 
 
 def test_detector_finds_an_unread_private_name():
@@ -93,6 +104,27 @@ def test_detector_finds_an_unread_private_name():
 def test_every_private_name_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_detector_finds_an_unread_public_name():
+    sources = {
+        "__init__.py": "from .a import Exported\n",
+        "a.py": "LIMIT = 3\nclass Exported: pass\ndef used(): pass\ndef left(): pass\n"
+                "_private = 1\ndef __getattr__(name): pass\n",
+        "b.py": "from .a import used\nused()\n",
+    }
+    assert unread_public_names(sources) == [("a.py", "LIMIT"), ("a.py", "left")]
+
+
+# The one public name that no module reads yet: the labelling check is run by
+# tests/test_acceptance.py (criterion 10) and is to become the ninth check of
+# appendix.SUITE, a change to the appendix oracle that the benchmark records.
+UNREAD_PUBLIC = [("appendix.py", "check_labelling")]
+
+
+def test_every_public_name_is_read_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_public_names(sources) == UNREAD_PUBLIC
 
 
 def time_imports(source):

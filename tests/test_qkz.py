@@ -21,6 +21,8 @@ from qkzpsi.qkz import (
     wheel_positions,
 )
 
+from oracles import degree_witness
+
 
 def test_extreme_component_cases():
     lab, p = extreme_component((1, 1))
@@ -53,7 +55,7 @@ def test_build_k2_m4():
     want = (ctx.hbar() + ctx.z(1) - ctx.z(2)) * (ctx.hbar() + ctx.z(3) - ctx.z(4))
     assert psi.entries[((1,), (1,), (2,), (2,))] == want
     assert len(psi.basis) == 6
-    assert psi.degree_report().passed
+    assert degree_witness(psi) is None
 
 
 def test_adjacent_equal_divisibility():
@@ -111,23 +113,23 @@ def test_failing_wheel_and_qkz_routes_name_the_remainder():
     psi = build_psi_fundamental(2, (1, 1))
     ctx = psi.ctx
     rho = sequence_rotation(psi.basis, psi.m, 2, 2)
-    assert [qkz_step(psi, i, rho).witness for i in (1, 2)] == [None, None]
+    assert qkz_step(psi, rho).witness is None
     first = "cyclicity: first offending label ({1},{2}): lhs - rhs ="
     # g = z1 + z2 is symmetric, so g*Psi keeps the exchange relation; its cyclic
     # shift is (g + 3 hb) Psi-shifted, and rho(g Psi) = g rho Psi: lhs - rhs = 3 hb * 1
     g = ctx.z(1) + ctx.z(2)
     scaled = PsiVector(psi.k, psi.lam, psi.m, ctx, {lab: p * g for lab, p in psi.entries.items()})
-    assert [qkz_step(scaled, i, rho).witness for i in (1, 2)] == [f"{first} 3*hb (1 terms)"] * 2
+    assert qkz_step(scaled, rho).witness == f"{first} 3*hb (1 terms)"
     # a sign-flipped rotation negates the right side: lhs - rhs = 1 - (-1)
     flipped = SignedPermutationOp(rho.basis, rho.mapping, -rho.sign)
-    assert [qkz_step(psi, i, flipped).witness for i in (1, 2)] == [f"{first} 2 (1 terms)"] * 2
+    assert qkz_step(psi, flipped).witness == f"{first} 2 (1 terms)"
     # adding hb^2 to one entry of (2,(2,2)) breaks exchange at slot 1 first, with the
     # remainder that test_failing_checks_name_the_remainder derives
     psi = build_psi_fundamental(2, (2, 2))
     lab = ((1,), (1,), (2,), (2,))
     bad = PsiVector(psi.k, psi.lam, psi.m, psi.ctx,
                     {**psi.entries, lab: psi.entries[lab] + psi.ctx.hbar() ** 2})
-    assert qkz_step(bad, 2, sequence_rotation(psi.basis, psi.m, 4, 2)).witness == (
+    assert qkz_step(bad, sequence_rotation(psi.basis, psi.m, 4, 2)).witness == (
         "exchange at slot 1: first offending label ({1},{1},{2},{2}): "
         "lhs - rhs = 2*z1*hb^2 - 2*z2*hb^2 (2 terms)")
     # the wheel z2 = z1 + hb, z3 = z1 + 2 hb kills Psi (2,(2,2)) but not an added hb^2
@@ -161,10 +163,8 @@ def test_qkz_step_is_exchange_at_every_slot_and_one_cyclicity(monkeypatch):
         raise AssertionError("qkz_step inverted the rotation")
 
     monkeypatch.setattr(SignedPermutationOp, "inverse", no_inverse)
-    for i in range(1, 5):
-        calls.clear()
-        assert qkz_step(psi, i, rho).passed
-        assert calls == ["check_exchange"] * 3 + ["check_cyclicity"], i
+    assert qkz_step(psi, rho).passed
+    assert calls == ["check_exchange"] * 3 + ["check_cyclicity"]
 
 
 def test_a_non_unitary_operator_that_keeps_exchange_fails_the_closure():
@@ -180,8 +180,8 @@ def test_a_non_unitary_operator_that_keeps_exchange_fails_the_closure():
     op = ROperator(R.ctx, psi.basis, psi.basis, {
         (t, s): R.entries.get((t, s), zero) + one for t in psi.basis for s in psi.basis})
     assert check_exchange(psi, 1, op).passed
-    assert [qkz_step(psi, i, rho, {1: op}).witness for i in (1, 2)] == [
-        "slot 1 operator is not unitary: column ((1,), (2,)), entry ((1,), (2,))"] * 2
+    assert qkz_step(psi, rho, {1: op}).witness == (
+        "slot 1 operator is not unitary: column ((1,), (2,)), entry ((1,), (2,))")
 
 
 def test_cyclicity_without_rotation_is_skipped():
@@ -212,7 +212,7 @@ def test_fused_appendix_extreme_entry(fused_example):
 
 def test_fused_appendix_basis_size(fused_example):
     assert len(fused_example.basis) == 90
-    assert fused_example.degree_report().passed
+    assert degree_witness(fused_example) is None
 
 
 def test_fused_exchange(fused_example):
@@ -343,8 +343,7 @@ def test_cyclicity_iterated_closure():
 def test_qkz_step_fundamental():
     psi = build_psi_fundamental(2, (2, 2))
     rho = sequence_rotation(psi.basis, psi.m, 4, 2)
-    for i in range(1, 5):
-        assert qkz_step(psi, i, rho).passed
+    assert qkz_step(psi, rho).passed
 
 
 def inverse_rotation(rho):
@@ -364,24 +363,21 @@ def rotated(request):
 def test_cyclicity_and_both_qkz_routes(rotated):
     psi, rho = rotated
     assert check_cyclicity(psi, rho).passed
-    for i in range(1, psi.N + 1):
-        rep = qkz_step(psi, i, rho)
-        assert rep.passed, (i, rep.witness)
+    rep = qkz_step(psi, rho)
+    assert rep.passed, rep.witness
 
 
 def test_inverse_rotation_fails_cyclicity_and_both_qkz_routes(rotated):
     psi, rho = rotated
     wrong = inverse_rotation(rho)
     assert check_cyclicity(psi, wrong).status == "fail"
-    for i in range(1, psi.N + 1):
-        assert qkz_step(psi, i, wrong).status == "fail", i
+    assert qkz_step(psi, wrong).status == "fail"
 
 
 def test_qkz_step_fused_m8(fused_example):
     rho = sequence_rotation(fused_example.basis, fused_example.m, 8, 4)
-    for i in range(1, 5):
-        rep = qkz_step(fused_example, i, rho)
-        assert rep.passed, (i, rep.witness)
+    rep = qkz_step(fused_example, rho)
+    assert rep.passed, rep.witness
 
 
 @pytest.mark.parametrize("k, lam, m, status", [
@@ -397,14 +393,14 @@ def test_qkz_step_scope(k, lam, m, status):
     psi = build_psi_fundamental(k, lam)
     psi = fuse_psi(psi, m) if m else psi
     rho = sequence_rotation(psi.basis, psi.m, sum(lam), k)
-    reports = [qkz_step(psi, i, rho) for i in range(1, psi.N + 1)]
-    assert [r.status for r in reports] == [status] * psi.N
-    assert all(r.passed or r.witness.startswith("cyclicity: ") for r in reports)
+    rep = qkz_step(psi, rho)
+    assert rep.status == status
+    assert rep.passed or rep.witness.startswith("cyclicity: ")
 
 
 def test_qkz_route_composites_are_inverse_k2_33():
     psi = build_psi_fundamental(2, (3, 3))
-    assert qkz_step(psi, 1, sequence_rotation(psi.basis, psi.m, 6, 2)).passed
+    assert qkz_step(psi, sequence_rotation(psi.basis, psi.m, 6, 2)).passed
 
 
 def test_cyclicity_k2_44():
@@ -417,7 +413,7 @@ def test_cyclicity_k2_44():
 def test_degree_invariant_selection():
     for k, lam in ((2, (2, 1)), (3, (2, 1, 1)), (3, (2, 2, 2)), (4, (2, 1, 1))):
         psi = build_psi_fundamental(k, lam)
-        assert psi.degree_report().passed
+        assert degree_witness(psi) is None
 
 
 def test_psi_json_roundtrip():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkzpsi.algebra import parse_polynomial, spectral_context
+from qkzpsi.algebra import LinearForm, parse_polynomial, spectral_context
 from qkzpsi.combinatorics import spaltenstein_label
 from qkzpsi.slice import (
     SliceError,
@@ -174,14 +174,40 @@ def test_oversize_guard():
         emit_equations((4, 4, 4, 4), (4,) * 4)
 
 
+def inserted_block_weight_product(m, p, block_size, ctx):
+    """Weight product of the coordinates wiped out by a full-block insertion.
+
+    Inserting a Jordan block of size ``block_size`` at position p pins the
+    coordinates of the enlarged slice that sit in the new block's row and
+    column strips; their torus weights multiply to the linear-factor
+    prefactor of the insertion recurrence.  ``ctx`` must carry z_1..z_N and
+    a ``zeta`` variable for the inserted spectral parameter.
+    """
+    m_big = tuple(m[:p - 1]) + (block_size,) + tuple(m[p - 1:])
+    model = SliceModel(m_big, restricted=True)
+    zeta_idx = ctx.index("zeta") + 1  # 1-based for linear forms
+
+    def zvar(block):
+        # block p is the inserted one; the blocks after it shift down by one
+        if block == p:
+            return zeta_idx
+        return block if block < p else block - 1
+
+    product = ctx.one()
+    for c in model.coords:
+        if p in (c.i, c.j):
+            form, sign = LinearForm.make(c.weight_h, zvar(c.i), zvar(c.j))
+            product = product * (form.to_poly(ctx) * sign)
+    return product
+
+
 def test_inserted_block_weight_product_matches_formula():
     # the coordinates pinned by inserting a full block carry exactly the
-    # torus weights of the recurrence prefactor; two independent routes
-    from qkzpsi.slice import inserted_block_weight_product
-
+    # torus weights of the recurrence prefactor (the one check_recurrence
+    # multiplies by); two independent routes
     for m, p, K in (((1, 1), 1, 2), ((1, 1), 2, 2), ((2, 1, 2), 2, 4), ((2, 2), 1, 3)):
         N = len(m)
-        ctx = spectral_context(N, zeta=1)
+        ctx = spectral_context(N, zeta=True)
         got = inserted_block_weight_product(m, p, K, ctx)
         half = ctx.hbar() * Fraction(1, 2)
         zeta = ctx.var("zeta")
