@@ -18,8 +18,9 @@ file that is missing, is not JSON, does not match the psi JSON schema, has
 no slots or holds exponents outside [0, 2**16); for ``psi verify`` a flag
 that its check does not read (--slot outside exchange and qkz, --positions
 outside wheel, --insert-at outside recurrence), a --slot outside the
-vector's slots, wheel --positions that are not increasing, leave 1..N or
-have an m-sum of at most k, and a recurrence check of a lambda with fewer
+vector's slots (any --slot of exchange on a one-slot vector), wheel
+--positions that are empty, are not increasing, leave 1..N or have an
+m-sum of at most k, and a recurrence check of a lambda with fewer
 than k rows (no column of k boxes to remove), of a fused vector, or at an
 --insert-at outside the small vector's N+1 places; for ``slice
 emit`` an empty m or a non-positive block size, an ell with a negative
@@ -40,14 +41,20 @@ is homogeneous and lambda is the k-row rectangle (M/k)^k, the only shape
 the rotation is defined for.  ``--check exchange`` skips a slot with
 m_i = k, whose k-th wedge power has no fused R-matrix, and ``--check qkz``
 skips every slot of such a vector.
+
+Every output is written to its file part by part as it is produced, so a
+job holds one polynomial's text at a time, never the whole output; a job
+that fails while writing leaves no file (stdout is written as it goes).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
+from itertools import chain
 
 from .algebra import TermWriter, spectral_context
 from .combinatorics import sequence_rotation
@@ -64,7 +71,7 @@ from .qkz import (
     qkz_step,
     wheel_positions,
 )
-from .reporting import Report, dump_reports, json_parts, run_reports
+from .reporting import Report, json_parts, run_reports
 from .rmatrix import (
     fused_rcheck,
     product_basis,
@@ -89,25 +96,38 @@ def _ints(text):
 
 
 def _write_parts(parts, path):
+    """Write the text parts of one output, any iterable of strings, to
+    ``path`` (stdout for None or "-") as they are produced.  The only code
+    that opens a file for writing.  If producing a part raises, a regular
+    file is removed and the error re-raised, so no truncated output is left."""
     if path in (None, "-"):
         sys.stdout.writelines(parts)
-    else:
-        with open(path, "w") as fh:
+        return
+    fh = open(path, "w")
+    try:
+        with fh:
             fh.writelines(parts)
+    except BaseException:
+        if os.path.isfile(path):  # not a device such as /dev/null, nor a pipe
+            os.remove(path)
+        raise
 
 
 def _write(doc, path):
-    _write_parts(json_parts(doc) + ["\n"], path)
+    _write_parts(chain(json_parts(doc), ("\n",)), path)
+
+
+def _reports_doc(reports):
+    return {"schema": 1, "reports": [r.to_json() for r in reports]}
 
 
 def _report_tail(reports, json_path):
-    """Print one line per report, dump them to ``json_path`` when given, and
+    """Print one line per report, write them to ``json_path`` when given, and
     return the exit status: 0 if every report passed, else 1."""
     for r in reports:
         print(r.line())
     if json_path:
-        with open(json_path, "w") as fh:
-            dump_reports(reports, fh)
+        _write(_reports_doc(reports), json_path)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -131,11 +151,11 @@ def cmd_psi_build(args):
     psi = _build_psi(args)
     writer = TermWriter(psi.ctx)
     if args.format == "text":
-        lines = []
-        for lab in psi.basis:
-            pretty = ",".join("{" + ",".join(map(str, S)) + "}" for S in lab)
-            lines.append(f"({pretty}) : {psi.entries[lab].text(writer)}\n")
-        _write_parts(lines, args.out)
+        def lines():
+            for lab in psi.basis:
+                pretty = ",".join("{" + ",".join(map(str, S)) + "}" for S in lab)
+                yield f"({pretty}) : {psi.entries[lab].text(writer)}\n"
+        _write_parts(lines(), args.out)
     else:
         _write(psi.to_json(writer), args.out)
     return 0
@@ -180,7 +200,7 @@ def cmd_psi_verify(args):
         reports = _verify_reports(psi, args)
     except PsiError as err:
         raise UsageError(str(err)) from None
-    _write({"schema": 1, "reports": [r.to_json() for r in reports]}, args.out)
+    _write(_reports_doc(reports), args.out)
     for r in reports:
         print(r.line(), file=sys.stderr)
     return 0 if all(r.passed or r.status == "skipped" for r in reports) else 1
@@ -188,14 +208,21 @@ def cmd_psi_verify(args):
 
 def _verify_reports(psi, args):
     if args.check == "exchange":
-        if psi.N == 1 and args.slot is None:
+        if psi.N == 1:
+            if args.slot is not None:
+                raise UsageError(f"--slot {args.slot}: the vector has one slot and no "
+                                 f"adjacent pair to exchange")
             return [Report("exchange", psi.instance_name(), "skipped",
                            witness="one slot: no adjacent pair to exchange")]
         return [check_exchange(psi, i) for i in _slots(args.slot, psi.N - 1)]
     if args.check == "wheel":
-        placements = (
-            [_ints(args.positions)] if args.positions else wheel_positions(psi.m, psi.k)
-        )
+        if args.positions is None:
+            placements = wheel_positions(psi.m, psi.k)
+        else:
+            positions = _ints(args.positions)
+            if not positions:
+                raise UsageError("--positions must not be empty")
+            placements = [positions]
         if not placements:
             return [Report("wheel", psi.instance_name(), "skipped",
                            witness=f"no placement has an m-sum above k = {psi.k}")]
@@ -244,10 +271,9 @@ def cmd_slice_emit(args):
     if args.format == "json":
         _write(eqs.to_json(writer), args.out)
     else:
-        lines = [f"# slice m={m} ell={ell}" + (" (deformed)" if args.deform else "") + "\n"]
-        for name, p in eqs.nonzero():
-            lines.append(f"{name} : {p.text(writer)} = 0\n")
-        _write_parts(lines, args.out)
+        header = f"# slice m={m} ell={ell}" + (" (deformed)" if args.deform else "") + "\n"
+        lines = (f"{name} : {p.text(writer)} = 0\n" for name, p in eqs.nonzero())
+        _write_parts(chain((header,), lines), args.out)
     return 0
 
 

@@ -84,81 +84,68 @@ def run_reports(jobs):
     return [job() for job in jobs]
 
 
-def dump_reports(reports, fh=None):
-    doc = {"schema": 1, "reports": [r.to_json() for r in reports]}
-    text = json_text(doc)
-    if fh is not None:
-        fh.write(text + "\n")
-    return text
-
-
-def json_text(doc):
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
-    return "".join(json_parts(doc))
-
-
 def json_parts(doc):
-    """The text of ``json_text(doc)`` as a list of parts, for ``writelines``.
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, byte for
+    byte, as a generator of parts, for ``writelines``.
 
     On CPython ``indent`` sends json.dumps to its pure-Python encoder; this
     writer emits the same text with fewer steps, and writes a list of plain
-    ints with a single join.  Dict keys must be strings.  A callable value
-    writes its own text: it is called with the newline and indent that
-    precede it and returns that text (``Polynomial.to_json`` with a
-    ``TermWriter`` puts its term rows there).
+    ints with a single join.  Parts are produced as the writer asks for
+    them, so the whole text is never held at once.  Dict keys must be
+    strings.  A callable value writes its own text: it is called with the
+    newline and indent that precede it and returns that text as one part
+    (``Polynomial.to_json`` with a ``TermWriter`` puts its term rows there).
     """
-    out = []
-    _emit(doc, "\n", out)
-    return out
+    return _emit(doc, "\n")
 
 
-def _emit(x, nl, out):
-    """Append the text of x to out; ``nl`` is a newline plus x's indent."""
+def _emit(x, nl):
+    """Yield the text of x in parts; ``nl`` is a newline plus x's indent."""
     if isinstance(x, str):
-        out.append(encode_basestring_ascii(x))
+        yield encode_basestring_ascii(x)
     elif x is None:
-        out.append("null")
+        yield "null"
     elif x is True:
-        out.append("true")
+        yield "true"
     elif x is False:
-        out.append("false")
+        yield "false"
     elif isinstance(x, int):
-        out.append(int.__repr__(x))
+        yield int.__repr__(x)
     elif isinstance(x, float):
         if x != x:
-            out.append("NaN")
+            yield "NaN"
         elif x in (_INF, -_INF):
-            out.append("Infinity" if x > 0 else "-Infinity")
+            yield "Infinity" if x > 0 else "-Infinity"
         else:
-            out.append(float.__repr__(x))
+            yield float.__repr__(x)
     elif isinstance(x, (list, tuple)):
         if not x:
-            out.append("[]")
+            yield "[]"
             return
         inner = nl + "  "
         if set(map(type, x)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
             return
         sep = "[" + inner
         for item in x:
-            out.append(sep)
-            _emit(item, inner, out)
+            yield sep
+            yield from _emit(item, inner)
             sep = "," + inner
-        out.append(nl + "]")
+        yield nl + "]"
     elif isinstance(x, dict):
         if not x:
-            out.append("{}")
+            yield "{}"
             return
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(x.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _emit(value, inner, out)
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _emit(value, inner)
             sep = "," + inner
-        out.append(nl + "}")
+        yield nl + "}"
     elif callable(x):
-        out.append(x(nl))
+        yield x(nl)
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

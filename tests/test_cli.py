@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,59 @@ def test_psi_build_deterministic(tmp_path):
         res = run_cli("psi", "build", "--k", "2", "--lambda", "2,2", "--out", str(path))
         assert res.returncode == 0, res.stderr
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_psi_build_holds_less_than_its_output(tmp_path):
+    # the output is written as it is produced, so the job's traced peak
+    # (vector and writer included) stays below the size of the file it writes
+    from qkzpsi import cli
+    out = tmp_path / "psi.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["psi", "build", "--k", "4", "--lambda", "2,2,2,1", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
+
+
+@pytest.mark.parametrize("argv, owner, method", [
+    (("psi", "build", "--k", "2", "--lambda", "2,2"), "TermWriter", "json_rows"),
+    (("slice", "emit", "--m", "2,2,2", "--ell", "3,3"), "Polynomial", "text"),
+], ids=["psi-build-json", "slice-emit-text"])
+def test_a_job_that_fails_while_writing_leaves_no_file(tmp_path, monkeypatch, argv, owner,
+                                                       method):
+    from qkzpsi import algebra, cli
+    out = tmp_path / "out"
+    render = getattr(getattr(algebra, owner), method)
+    open_when_called = []
+
+    def render_once(*args):
+        open_when_called.append(out.exists())
+        if len(open_when_called) > 1:
+            raise RuntimeError("render failed")
+        return render(*args)
+
+    monkeypatch.setattr(getattr(algebra, owner), method, render_once)
+    with pytest.raises(RuntimeError, match="render failed"):
+        cli.main([*argv, "--out", str(out)])
+    # the first entry was written to an open file before the second one failed
+    assert open_when_called == [True, True]
+    assert not out.exists()
+
+
+def test_a_job_that_fails_while_writing_to_a_device_removes_nothing(monkeypatch):
+    from qkzpsi import algebra, cli
+
+    def fail(*args):
+        raise RuntimeError("render failed")
+
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    monkeypatch.setattr(algebra.TermWriter, "json_rows", fail)
+    with pytest.raises(RuntimeError, match="render failed"):
+        cli.main(["psi", "build", "--k", "2", "--lambda", "1,1", "--out", os.devnull])
+    assert removed == []
 
 
 def test_psi_verify_wheel_roundtrip(tmp_path):
@@ -157,6 +211,13 @@ def test_psi_verify_skips_a_check_with_nothing_to_check(one_slot_psi, check, wit
     reports = json.loads(res.stdout)["reports"]
     assert [(r["check"], r["instance"], r["status"], r["witness"]) for r in reports] == [
         (check, "k=3 lambda=(1,1) m=(2)", "skipped", witness)]
+
+
+def test_psi_verify_rejects_a_slot_of_a_one_slot_vector(one_slot_psi):
+    res = run_cli("psi", "verify", "--check", "exchange", "--slot", "1", "--in", str(one_slot_psi))
+    assert_usage_error(res)
+    assert "--slot 1: the vector has one slot and no adjacent pair to exchange" in res.stderr
+    assert res.stdout == ""
 
 
 def test_slice_emit_text():
@@ -393,6 +454,8 @@ def verify_files(tmp_path_factory):
     ("fundamental", ("wheel", "--positions", "2,1"), "strictly increasing"),
     ("fundamental", ("wheel", "--positions", "1,2"), "sum(1, 1) = 2 <= k = 2"),
     ("fundamental", ("wheel", "--positions", "1,9"), "must lie in 1..4, got (1, 9)"),
+    # an explicitly empty list is not the default placements
+    ("fundamental", ("wheel", "--positions", ""), "--positions must not be empty"),
     ("fused", ("recurrence",), "takes a fundamental vector, m = (1, ..., 1); got m = (2, 2)"),
     ("k3_22", ("recurrence",),
      "lambda (2, 2) has 2 rows, fewer than k = 3: no column of k boxes to remove"),
@@ -413,7 +476,7 @@ def verify_files(tmp_path_factory):
     ("fundamental", ("wheel", "--insert-at", "2"),
      "--insert-at applies to --check recurrence only, not to wheel"),
 ], ids=["exchange-slot-9", "qkz-slot-9", "slot-minus-1", "slot-0", "positions-decreasing",
-        "positions-sum-at-most-k", "positions-beyond-N", "recurrence-fused",
+        "positions-sum-at-most-k", "positions-beyond-N", "positions-empty", "recurrence-fused",
         "recurrence-no-k-column", "insert-at-5",
         "cyclicity-slot", "wheel-slot", "recurrence-slot", "exchange-positions",
         "qkz-positions", "cyclicity-insert-at", "wheel-insert-at"])

@@ -7,6 +7,8 @@ somewhere in it, a re-export by ``__init__.py`` counting as a read: a
 helper that only tests still call belongs in the tests.  Reports go through
 one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
 outside it passes the status ``"pass"`` (a pass comes from ``checking``).
+Every output file is written by one writer: only ``cli._write_parts``
+opens a file for writing.
 Operators reach labelled vectors through one applicator: in ``rmatrix.py``
 only ``ROperator.apply``, and ``_braid_column`` for its projection check,
 call ``_accumulate``.  Rational functions are brought to lowest terms only
@@ -165,11 +167,10 @@ def test_only_reporting_reads_the_clock_and_builds_a_pass(path):
     assert (time_imports(source), passing_report_calls(source)) == ([], [])
 
 
-def callers(source, name):
-    """Sorted qualified names (``f``, ``Class.method``, or ``<module>``) of the
-    top-level definitions whose code calls ``name``, nested functions
-    included."""
-    found = set()
+def calls(source):
+    """(qualified name, call) of every call in the source; the qualified name
+    (``f``, ``Class.method``, or ``<module>``) is that of the top-level
+    definition whose code makes the call, nested functions included."""
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
             scopes = [(f"{node.name}.{item.name}", item) for item in node.body
@@ -180,10 +181,43 @@ def callers(source, name):
             scopes = [("<module>", node)]
         for qualname, scope in scopes:
             for call in ast.walk(scope):
-                if isinstance(call, ast.Call) and name in (
-                        getattr(call.func, "id", None), getattr(call.func, "attr", None)):
-                    found.add(qualname)
-    return sorted(found)
+                if isinstance(call, ast.Call):
+                    yield qualname, call
+
+
+def called_name(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def callers(source, name):
+    """Sorted qualified names of the top-level definitions whose code calls ``name``."""
+    return sorted({qualname for qualname, call in calls(source) if called_name(call) == name})
+
+
+def opens_for_writing(call):
+    """Whether the call writes a file: ``write_text``/``write_bytes``, or an
+    ``open`` whose mode is not a constant read-only mode.  The mode is the
+    ``mode`` keyword, else the second positional argument, else (for a
+    method ``.open``, as ``Path.open``) the only one."""
+    name = called_name(call)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > 1:
+        mode = call.args[1]
+    elif mode is None and call.args and isinstance(call.func, ast.Attribute):
+        mode = call.args[0]
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def file_writers(source):
+    """Sorted qualified names of the top-level definitions that open a file for writing."""
+    return sorted({qualname for qualname, call in calls(source) if opens_for_writing(call)})
 
 
 def test_detector_finds_every_caller():
@@ -191,6 +225,20 @@ def test_detector_finds_every_caller():
               "def outer():\n    def inner(): return m._acc(2)\n    return inner\n"
               "def bystander(): return _acc\nVALUE = _acc(3)\n")
     assert callers(source, "_acc") == ["<module>", "Op.apply", "outer"]
+
+
+def test_detector_finds_every_file_writer():
+    source = ("def a(p): return open(p)\ndef b(p): return open(p, 'rb')\n"
+              "def c(p): return open(p, 'w')\ndef d(p, m): return io.open(p, m)\n"
+              "def e(p): return p.open('a')\ndef f(p): return p.open()\n"
+              "def g(p): return open(p, mode='r+')\ndef h(p): p.write_text('x')\n"
+              "class W:\n    def put(self): return Path('x.json').open(encoding='ascii')\n")
+    assert file_writers(source) == ["c", "d", "e", "g", "h"]
+
+
+def test_only_the_cli_writer_opens_a_file_for_writing():
+    found = [(path.name, writer) for path in MODULES for writer in file_writers(path.read_text())]
+    assert found == [("cli.py", "_write_parts")]
 
 
 def test_only_the_applicator_accumulates_operator_products():

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkzpsi.reporting import checking, json_text
+from qkzpsi.reporting import checking, json_parts
 
 
 def test_a_block_that_reaches_its_end_passes():
@@ -68,10 +68,23 @@ documents = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(documents)
 def test_json_text_matches_json_dumps(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert "".join(json_parts(doc)) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_json_text_fixed_cases():
     for doc in ({}, [], [[]], {"a": {}}, [1, True, None], {"b": [1, 2], "a": "é\n\""},
                 {"terms": [[1, 2, 0, 3]], "vars": 2}, (1, 2), 1.5, -0.0):
-        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert "".join(json_parts(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_parts_renders_a_callable_value_only_when_it_is_reached():
+    calls = []
+
+    def rows(nl):
+        calls.append(nl)
+        return "[]"
+
+    parts = json_parts({"a": rows, "b": [rows]})
+    assert calls == [] and next(parts) == '{\n  "a": ' and calls == []
+    assert "".join(parts) == '[],\n  "b": [\n    []\n  ]\n}'
+    assert calls == ["\n  ", "\n    "]
