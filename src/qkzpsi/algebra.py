@@ -32,9 +32,10 @@ coefficients.
   from a field it has read as positive, so no field ever borrows.
 * Degree guard.  No exponent exceeds the total degree, so no field can
   carry while every degree stays below 2**16 (``DEGREE_LIMIT``).
-  ``__mul__``, ``__pow__``, ``substitute`` and ``RFSum.add_product`` bound
-  the degree of their result before their loop (the top field of the
-  largest key is the degree) and raise AlgebraError instead of carrying.
+  ``_mul_into`` (every product of two polynomials), ``__pow__`` and
+  ``substitute`` bound the degree of their result before their loop (the
+  top field of the largest key is the degree) and raise AlgebraError
+  instead of carrying.
   ``ctx.pack``, and through it ``from_json``, rejects exponents outside
   [0, 2**16) and degrees of 2**16 or more; ``parse_polynomial`` reaches
   the guard of ``__pow__``.  Every other operation keeps or lowers degrees.
@@ -48,7 +49,8 @@ Rational functions are kept in the restricted form used throughout:
 a polynomial numerator over a multiset of integer linear forms
 a*hb + z_i - z_j, which matches every denominator that can occur.  A value
 is kept as built: products, sums and substitutions collect denominators
-and never divide, and ``RationalFunction.equals`` decides an identity by
+and never divide (a sum is taken over the lcm of its terms' denominators,
+``over_one_den``), and ``RationalFunction.equals`` decides an identity by
 cross-multiplying, with no value in lowest terms.  Only code that builds
 an operator (and a failed check, for its witness) calls ``reduced()``; the
 restriction makes that exact and cheap (repeated exact division).
@@ -56,7 +58,7 @@ restriction makes that exact and cheap (repeated exact division).
 
 from __future__ import annotations
 
-import re
+import ast
 import struct
 from fractions import Fraction
 from functools import cache, partial
@@ -239,12 +241,7 @@ def _mul_into(acc, a, b, shift):
 
 
 def sum_of_products(ctx, pairs):
-    """The polynomial sum of a*b over the pairs (a, b), accumulated in one dict.
-
-    When every coefficient of the sum is an int, as it is whenever every
-    coefficient of the factors is, nothing needs normalizing: the result
-    is built clean, dropping its zeros in the same pass.
-    """
+    """The polynomial sum of a*b over the pairs (a, b), accumulated in one dict."""
     acc = {}
     shift = ctx.shift
     for a, b in pairs:
@@ -252,8 +249,6 @@ def sum_of_products(ctx, pairs):
             raise ContextError("polynomials from different contexts")
         if a.terms and b.terms:
             _mul_into(acc, a.terms, b.terms, shift)
-    if all(map(_is_int, acc.values())):
-        return Polynomial(ctx, {e: c for e, c in acc.items() if c}, _clean=True)
     return Polynomial(ctx, acc)
 
 
@@ -264,7 +259,9 @@ class Polynomial:
     """Sparse exact polynomial: map from packed monomials to rational coeffs.
 
     Instances are treated as immutable; no method mutates ``terms`` after
-    construction.  Zero coefficients are never stored.
+    construction.  Zero coefficients are never stored.  Terms whose
+    coefficients are all ints, as sums and products of int polynomials
+    give, need no normalizing: only their zeros are dropped.
     """
 
     __slots__ = ("ctx", "terms")
@@ -273,6 +270,8 @@ class Polynomial:
         self.ctx = ctx
         if _clean:
             self.terms = terms
+        elif all(map(_is_int, terms.values())):
+            self.terms = {e: c for e, c in terms.items() if c}
         else:
             self.terms = {e: _norm_coeff(c) for e, c in terms.items() if c != 0}
 
@@ -359,12 +358,7 @@ class Polynomial:
             )
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
-        if not self.terms or not other.terms:
-            return self.ctx.zero()
-        out = {}
-        _mul_into(out, self.terms, other.terms, self.ctx.shift)
-        return Polynomial(self.ctx, out)
+        return sum_of_products(self.ctx, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -713,7 +707,7 @@ class LinearForm(tuple):
     relates it to the requested form.
 
     A form is the immutable tuple (hcoef, i, j), so that denominator dicts
-    and ``RFSum`` group keys hash and compare it at C speed.
+    hash and compare it at C speed.
     """
 
     __slots__ = ()
@@ -858,10 +852,8 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __add__(self, other):
-        acc = RFSum(self.ctx)
-        acc.add_product(self, 1)
-        acc.add_product(other, 1)
-        return acc.result()
+        den, (a, b) = over_one_den((self, _as_rf(other, self.ctx)))
+        return RationalFunction(a + b, den)
 
     __radd__ = __add__
 
@@ -950,59 +942,24 @@ def _lift(num, den, target):
     return num if cofactor is None else num * cofactor
 
 
-class RFSum:
-    """A sum of products of rational functions, over one common denominator.
+def over_one_den(values):
+    """(den, numerators) of values over den, the lcm of their denominators.
 
-    ``add_product(a, b)`` multiplies the numerators of a and b term by term
-    into one dict per distinct denominator; ``result()`` brings the groups
-    to their lcm and builds one RationalFunction, kept as built like every
-    value (see ``RationalFunction``).  The factors may be RationalFunctions,
-    Polynomials or rational constants.
+    ``values`` holds Polynomials and RationalFunctions, as a mapping (the
+    numerators come as a dict with its keys) or a sequence (as a list in its
+    order).  ``den`` lists the forms in order of first appearance.  A value
+    whose denominator is already den keeps its numerator.
     """
-
-    __slots__ = ("ctx", "groups")
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.groups = {}  # frozenset of den items -> (den, numerator terms)
-
-    def _parts(self, x):
-        x = _as_rf(x, self.ctx)
-        if x.ctx is not self.ctx and x.ctx != self.ctx:
-            raise ContextError("rational functions from different contexts")
-        return x.num.terms, x.den
-
-    def add_product(self, a, b):
-        a_terms, a_den = self._parts(a)
-        b_terms, b_den = self._parts(b)
-        if not a_terms or not b_terms:
-            return
-        den = dict(a_den)
-        for f, m in b_den.items():
-            den[f] = den.get(f, 0) + m
-        key = frozenset(den.items())
-        group = self.groups.get(key)
-        if group is None:
-            group = self.groups[key] = (den, {})
-        _mul_into(group[1], a_terms, b_terms, self.ctx.shift)
-
-    def result(self):
-        ctx = self.ctx
-        groups = list(self.groups.values())
-        if len(groups) == 1:
-            den, acc = groups[0]
-            return RationalFunction(Polynomial(ctx, acc), den)
-        lcm = {}
-        for den, _ in groups:
-            for f, m in den.items():
-                if lcm.get(f, 0) < m:
-                    lcm[f] = m
-        total = {}
-        get = total.get
-        for den, acc in groups:
-            for e, c in _lift(Polynomial(ctx, acc), den, lcm).terms.items():
-                total[e] = get(e, 0) + c
-        return RationalFunction(Polynomial(ctx, total), lcm)
+    keyed = hasattr(values, "values")
+    parts = [(v.num, v.den) if isinstance(v, RationalFunction) else (v, {})
+             for v in (values.values() if keyed else values)]
+    den = {}
+    for _, d in parts:
+        for f, m in d.items():
+            if den.get(f, 0) < m:
+                den[f] = m
+    nums = [_lift(num, d, den) for num, d in parts]
+    return den, dict(zip(values, nums)) if keyed else nums
 
 
 def _as_rf(x, ctx):
@@ -1041,100 +998,63 @@ def _poly_to_form(p):
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
+_BINARY = {ast.Add: Polynomial.__add__, ast.Sub: Polynomial.__sub__,
+           ast.Mult: Polynomial.__mul__}
 
 
 def parse_polynomial(text, ctx):
-    """Parse the canonical text form (and ordinary +,-,*,^ expressions).
+    """Parse a polynomial written in Python's expression grammar, ``^`` for ``**``.
 
-    The token ``hb`` denotes the displayed equivariant parameter, i.e. two
-    internal half-units.  Explicit ``*`` is required between factors.
+    The grammar accepts int constants and the variable names of ctx, the
+    name ``hb`` denoting the displayed equivariant parameter (two internal
+    half-units); binary ``+ - *`` and unary ``+ -``; ``**`` by an int
+    constant; and ``/`` by a nonzero int constant, which Python applies to
+    the factor on its left (``-1/2*z`` reads as ``((-1)/2)*z``).  So the
+    canonical text form parses, and explicit ``*`` is required between
+    factors.  Anything else raises AlgebraError.
+
+    Python's parser nests one level per binary operator, which would cap a
+    sum at a few thousand terms; so the top-level sum is cut before each
+    + or - outside brackets that follows an operand, and each summand is
+    parsed on its own.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise AlgebraError(f"bad token at {text[pos:pos+10]!r}")
-            break
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", int(m.group("num"))))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
-    state = {"pos": 0}
+    text = text.replace("^", "**")
+    cuts, depth, prev = [0], 0, ""
+    for i, ch in enumerate(text):
+        depth += (ch in "([{") - (ch in ")]}")
+        if ch in "+-" and not depth and (prev.isalnum() or prev in ("_", ")")):
+            cuts.append(i)
+        prev = prev if ch.isspace() else ch
+    acc = {}
+    for start, end in zip(cuts, cuts[1:] + [len(text)]):
+        summand = text[start:end].strip()
+        try:
+            p = _polynomial(ast.parse(summand, mode="eval").body, ctx)
+        except (SyntaxError, RecursionError):
+            raise AlgebraError(f"cannot parse {summand!r} as a polynomial") from None
+        for e, c in p.terms.items():
+            acc[e] = acc.get(e, 0) + c
+    return Polynomial(ctx, acc)
 
-    def peek():
-        return tokens[state["pos"]]
 
-    def advance():
-        t = tokens[state["pos"]]
-        state["pos"] += 1
-        return t
-
-    def expect(op):
-        kind, val = advance()
-        if kind != "op" or val != op:
-            raise AlgebraError(f"expected {op!r}")
-
-    def parse_expr():
-        node = parse_term()
-        while peek() == ("op", "+") or peek() == ("op", "-"):
-            _, op = advance()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term():
-        node = parse_factor()
-        while peek() == ("op", "*"):
-            advance()
-            node = node * parse_factor()
-        return node
-
-    def parse_factor():
-        sign = 1
-        while peek() in (("op", "-"), ("op", "+")):
-            _, op = advance()
-            if op == "-":
-                sign = -sign
-        node = parse_atom()
-        if peek() == ("op", "^"):
-            advance()
-            kind, val = advance()
-            if kind != "num":
-                raise AlgebraError("exponent must be a number")
-            node = node ** val
-        return node * sign
-
-    def parse_atom():
-        kind, val = advance()
-        if kind == "num":
-            if peek() == ("op", "/"):
-                advance()
-                k2, v2 = advance()
-                if k2 != "num":
-                    raise AlgebraError("expected denominator")
-                return ctx.const(Fraction(val, v2))
-            return ctx.const(val)
-        if kind == "name":
-            if val == "hb":
-                return ctx.hbar()
-            return ctx.var(val)
-        if kind == "op" and val == "(":
-            node = parse_expr()
-            expect(")")
-            return node
-        raise AlgebraError(f"unexpected token {val!r}")
-
-    node = parse_expr()
-    kind, _ = peek()
-    if kind != "end":
-        raise AlgebraError("trailing input")
-    return node
+def _polynomial(node, ctx):
+    """The polynomial of one node of ``parse_polynomial``'s grammar."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return ctx.const(node.value)
+    if isinstance(node, ast.Name):
+        return ctx.hbar() if node.id == "hb" else ctx.var(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        p = _polynomial(node.operand, ctx)
+        return -p if isinstance(node.op, ast.USub) else p
+    if isinstance(node, ast.BinOp):
+        op, right = type(node.op), node.right
+        if op in _BINARY:
+            return _BINARY[op](_polynomial(node.left, ctx), _polynomial(right, ctx))
+        if isinstance(right, ast.Constant) and type(right.value) is int:
+            if op is ast.Pow:
+                return _polynomial(node.left, ctx) ** right.value
+            if op is ast.Div:
+                if not right.value:
+                    raise AlgebraError("division by zero")
+                return _polynomial(node.left, ctx) * Fraction(1, right.value)
+    raise AlgebraError(f"unsupported polynomial syntax {ast.unparse(node)!r}")

@@ -45,6 +45,8 @@ skips every slot of such a vector.
 Every output is written to its file part by part as it is produced, so a
 job holds one polynomial's text at a time, never the whole output; a job
 that fails while writing leaves no file (stdout is written as it goes).
+An output path of ``-`` is stdout, and then the output is all that stdout
+holds: PASS/FAIL report lines go to stderr.
 """
 
 from __future__ import annotations
@@ -123,9 +125,10 @@ def _reports_doc(reports):
 
 def _report_tail(reports, json_path):
     """Print one line per report, write them to ``json_path`` when given, and
-    return the exit status: 0 if every report passed, else 1."""
+    return the exit status: 0 if every report passed, else 1.  The lines go
+    to stderr when the JSON goes to stdout ("-"), as for ``psi verify``."""
     for r in reports:
-        print(r.line())
+        print(r.line(), file=sys.stderr if json_path == "-" else sys.stdout)
     if json_path:
         _write(_reports_doc(reports), json_path)
     return 0 if all(r.passed for r in reports) else 1

@@ -13,6 +13,13 @@ its shifted argument, applied by ``ROperator.apply`` at two adjacent slots:
 ``apply`` is the one loop that applies an operator to a labelled vector,
 and ``first_difference`` the one comparison of two labelled vectors.
 
+Both work over one common denominator (``algebra.over_one_den``).  An
+operator's entries are brought to theirs, D, once; a vector's values to
+theirs, d, once per application; and every value of the image is one sum
+of products over D + d.  So the images of ``apply`` share one denominator
+and feed the next application without a lift.  ``first_difference``
+brings both vectors to one denominator and compares numerators.
+
 The fundamental operator sees letters only through whether two are equal,
 so the braid commutes with every relabelling sigma in S_k of the letters,
 applied letter by letter to words.  Relabelling a wedge vector gives
@@ -46,11 +53,14 @@ from types import MappingProxyType
 
 from .algebra import (
     FIELD_MASK,
+    ContextError,
     LinearForm,
     Polynomial,
     RationalFunction,
-    RFSum,
     TermWriter,
+    _lift,
+    _mul_into,
+    over_one_den,
     spectral_context,
 )
 from .combinatorics import inversions
@@ -63,21 +73,6 @@ class RMatrixError(Exception):
 
 CTX1 = spectral_context(1)
 CTX2 = spectral_context(2)
-
-
-def _accumulate(ctx, products):
-    """Sum products (key, a, b) into {key: sum of a*b}, each sum over one denominator.
-
-    Keys come out in order of first appearance, including keys whose sum
-    cancels to zero.
-    """
-    sums = {}
-    for key, a, b in products:
-        acc = sums.get(key)
-        if acc is None:
-            acc = sums[key] = RFSum(ctx)
-        acc.add_product(a, b)
-    return {key: acc.result() for key, acc in sums.items()}
 
 
 class ROperator:
@@ -98,11 +93,14 @@ class ROperator:
         self._by_source = None
 
     def by_source(self):
+        """(D, {source: [(target, numerator over D)]}), D the entries' common
+        denominator; built once per operator."""
         if self._by_source is None:
+            den, nums = over_one_den(self.entries)
             idx = {}
-            for (t, s), rf in self.entries.items():
-                idx.setdefault(s, []).append((t, rf))
-            self._by_source = idx
+            for (t, s), num in nums.items():
+                idx.setdefault(s, []).append((t, num))
+            self._by_source = den, idx
         return self._by_source
 
     def entry(self, t, s):
@@ -117,27 +115,42 @@ class ROperator:
         Without ``slot`` the operator acts on whole labels.  With ``slot`` it
         is a pair operator acting on the factors (slot, slot+1), 0-based, of
         every label, so the rest of the label rides along.  Zero values of
-        vec contribute nothing and are skipped.
+        vec contribute nothing and are skipped; the rest are brought to
+        their common denominator d.  Each image value is one sum of
+        products of numerators, over D + d for the operator's common
+        denominator D, so every nonzero value of the image has that
+        denominator.  Image labels come out in order of first appearance,
+        including labels whose sum cancels to zero.
         """
-        by_source = self.by_source()
-
-        def products():
-            for label, val in vec.items():
-                if val.is_zero():
-                    continue
-                lo, hi = (0, len(label)) if slot is None else (slot, slot + 2)
-                for t, rf in by_source.get(label[lo:hi], ()):
-                    yield label[:lo] + t + label[hi:], rf, val
-
-        return _accumulate(self.ctx, products())
+        ctx, shift = self.ctx, self.ctx.shift
+        den, by_source = self.by_source()
+        vec_den, nums = over_one_den({k: v for k, v in vec.items() if not v.is_zero()})
+        sums = {}
+        for label, num in nums.items():
+            if num.ctx is not ctx and num.ctx != ctx:
+                raise ContextError("operator and vector from different contexts")
+            lo, hi = (0, len(label)) if slot is None else (slot, slot + 2)
+            for t, entry in by_source.get(label[lo:hi], ()):
+                key = label[:lo] + t + label[hi:]
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = {}
+                _mul_into(acc, entry.terms, num.terms, shift)
+        den = dict(den)
+        for f, m in vec_den.items():
+            den[f] = den.get(f, 0) + m
+        return {key: RationalFunction(Polynomial(ctx, acc), den) for key, acc in sums.items()}
 
     def matmul(self, other):
         """self o other (apply other first), one result column at a time."""
         if self.ctx != other.ctx:
             raise RMatrixError("context mismatch in composition")
+        columns = {}
+        for (t, s), rf in other.entries.items():
+            columns.setdefault(s, {})[t] = rf
         entries = {}
-        for s, column in other.by_source().items():
-            for t, rf in self.apply(dict(column)).items():
+        for s, column in columns.items():
+            for t, rf in self.apply(column).items():
                 entries[(t, s)] = rf
         return ROperator(self.ctx, other.source, self.target, entries)
 
@@ -293,19 +306,19 @@ def _braid_column(S, T, target, steps):
     image is the wedge vector those coefficients rebuild.
     """
     a, b = len(S), len(T)
-    vec = {ws + wt: RationalFunction.from_poly(CTX1.const(cs * ct))
+    vec = {ws + wt: CTX1.const(cs * ct)
            for ws, cs in _wedge_embed(S).items() for wt, ct in _wedge_embed(T).items()}
     for p in range(a, 0, -1):
         for q in range(1, b + 1):
             vec = steps[2 * p - 2 * q + b - a].apply(vec, p + q - 2)
     words = {(P, Q): tuple((x,) for x in P + Q) for (P, Q) in target}
     coeffs = {key: vec[word] for key, word in words.items() if word in vec}
-    rebuilt = _accumulate(CTX1, (
-        (wp + wq, c, cp * cq)
-        for (P, Q), c in coeffs.items()
-        for wp, cp in _wedge_embed(P).items()
-        for wq, cq in _wedge_embed(Q).items()
-    ))
+    # a word wp + wq names its (P, Q) and both permutations: no two products share it
+    den, nums = over_one_den(coeffs)
+    rebuilt = {wp + wq: RationalFunction(num * (cp * cq), den)
+               for (P, Q), num in nums.items()
+               for wp, cp in _wedge_embed(P).items()
+               for wq, cq in _wedge_embed(Q).items()}
     w = first_difference(vec, rebuilt)
     if w is not None:
         raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
@@ -386,25 +399,25 @@ def first_difference(lhs, rhs):
     """The first key at which two labelled vectors differ, or None.
 
     Values are Polynomials or RationalFunctions, mixed; a missing key reads
-    as zero.  The keys of lhs are walked in order, then the keys only rhs
+    as zero.  Each vector is brought to its own common denominator, and at
+    each key the two numerators are lifted to the lcm of the two and
+    compared.  The keys of lhs are walked in order, then the keys only rhs
     has, so the key a failure names does not depend on hashing.
     """
-    for key, a in lhs.items():
-        b = rhs.get(key)
-        if isinstance(a, Polynomial):
-            a = RationalFunction.from_poly(a)
-        if not (a.is_zero() if b is None else a.equals(b)):
+    (lden, left), (rden, right) = over_one_den(lhs), over_one_den(rhs)
+    for key, a in left.items():
+        b = right.get(key)
+        if not (a.is_zero() if b is None else _lift(a, lden, rden) == _lift(b, rden, lden)):
             return key
-    return next((key for key, b in rhs.items() if key not in lhs and not b.is_zero()), None)
+    return next((key for key, b in right.items() if key not in left and b), None)
 
 
 def _check_columns(check, instance, basis, ctx, lhs, rhs):
     """Report whether lhs(e) = rhs(e) for every unit vector e of the basis; a
     failure names the column and its first differing entry."""
-    one = RationalFunction.from_poly(ctx.one())
     with checking(check, instance) as outcome:
         for lab in basis:
-            e = {lab: one}
+            e = {lab: ctx.one()}
             where = first_difference(lhs(e), rhs(e))
             if where is not None:
                 outcome.fail(f"column {lab}, entry {where}")

@@ -9,11 +9,13 @@ from qkzpsi.algebra import (
     ExactDivisionError,
     LinearForm,
     Polynomial,
-    RFSum,
+    RationalFunction,
+    over_one_den,
     parse_polynomial,
     spectral_context,
     sum_of_products,
 )
+from qkzpsi.rmatrix import ROperator
 
 CTX4 = spectral_context(4)
 Z = [None] + [CTX4.z(i) for i in range(1, 5)]
@@ -189,6 +191,46 @@ def test_parse_rejects_garbage():
         parse_polynomial("nope", CTX4)
 
 
+@pytest.mark.parametrize("text", ["2 z1", "z1^-1", "z1^z2", "f(z1)", "z1[0]", "", "  ",
+                                  "z1/0", "z1/z2", "1.5*z1", "z1 if z2 else z3", "z1 % 2",
+                                  "2^(1/2)", "z1 == z2"])
+def test_parse_rejects_what_the_grammar_leaves_out(text):
+    with pytest.raises(AlgebraError):
+        parse_polynomial(text, CTX4)
+
+
+def test_parse_reads_python_precedence():
+    # / by an int applies to the factor on its left: -1/2*z1 is ((-1)/2)*z1
+    assert parse_polynomial("-1/2*z1", CTX4) == Z[1] * Fraction(-1, 2)
+    assert parse_polynomial("(z1 - z2)/2 + +hb", CTX4) == (Z[1] - Z[2]) * Fraction(1, 2) + HB
+    assert parse_polynomial("-z1^2", CTX4) == -(Z[1] ** 2)
+    assert parse_polynomial(" 3*z1**2 - - z2 ", CTX4) == 3 * Z[1] ** 2 + Z[2]
+
+
+def test_parse_reads_a_sum_longer_than_pythons_parser_nests():
+    # ast.parse alone gives up on a sum of about 3,000 terms
+    p = Polynomial(CTX4, {CTX4.pack((i, j, 1, 0, 1)): (-1) ** i * (i + j + 1)
+                          for i in range(100) for j in range(60)})
+    assert parse_polynomial(p.text(), CTX4) == p
+    with pytest.raises(AlgebraError):
+        parse_polynomial("*".join(["z1"] * 5000), CTX4)
+
+
+def test_over_one_den_lifts_to_the_lcm_and_leaves_a_value_over_it_alone():
+    f, g = LinearForm.make(2, 1, 2)[0], LinearForm.make(0, 3, 4)[0]
+    x = RationalFunction(Z[1], {f: 1, g: 1})
+    y = RationalFunction(Z[2], {g: 2})
+    den, nums = over_one_den({"x": x, "y": y, "p": Z[3]})
+    assert den == {f: 1, g: 2}
+    assert list(den) == [f, g]  # forms in order of first appearance
+    assert nums == {"x": Z[1] * g.to_poly(CTX4), "y": Z[2] * f.to_poly(CTX4),
+                    "p": Z[3] * f.to_poly(CTX4) * g.to_poly(CTX4) ** 2}
+    same = RationalFunction(Z[4], den)
+    den2, nums2 = over_one_den([same, RationalFunction(Z[1], {f: 1})])
+    assert den2 == den and nums2[0] is Z[4]
+    assert over_one_den([Z[1], 3 * Z[2]]) == ({}, [Z[1], 3 * Z[2]])
+
+
 def test_canonical_form_sign():
     form, sign = LinearForm.make(2, None, 1)  # hb - z1
     assert sign == -1
@@ -208,9 +250,9 @@ def test_degree_guard_raises_instead_of_carrying():
         (x * Z[2]) ** 40000
     with pytest.raises(AlgebraError):
         half.substitute({0: x * x})
-    acc = RFSum(CTX4)
+    op = ROperator(CTX4, [("a",)], [("a",)], {(("a",), ("a",)): RationalFunction(half)})
     with pytest.raises(AlgebraError):
-        acc.add_product(half, half)
+        op.apply({("a",): half})
     with pytest.raises(AlgebraError):
         parse_polynomial("z1^65536", CTX4)
 

@@ -286,6 +286,21 @@ def test_appendix_suite_cli(tmp_path):
     assert len(doc["reports"]) == 8
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("rmat", "verify", "--check", "unitarity", "--k", "3", "--out", "-"), 1),
+    (("appendix-suite", "--json-out", "-"), 8),
+    (("slice", "verify-appendix", "--json-out", "-"), 4),
+], ids=["rmat-verify", "appendix-suite", "slice-verify-appendix"])
+def test_reports_to_stdout_leave_the_lines_to_stderr(argv, count):
+    res = run_cli(*argv)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)  # the whole of stdout is the document
+    assert [r["status"] for r in doc["reports"]] == ["pass"] * count
+    lines = res.stderr.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", r["check"]] for r in doc["reports"]]
+
+
 def test_appendix_suite_threads_env(tmp_path):
     """QKZ_THREADS is no longer read: setting it changes no report."""
     unset = tmp_path / "unset.json"

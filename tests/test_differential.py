@@ -7,9 +7,11 @@ the numerator and dividing it exactly by z_i - z_{i+1};
 checks every entry, as ``build_psi_fundamental`` did before it built one
 entry per orbit of the letter symmetry;
 ``oracle_fuse`` specializes every fundamental entry first and sums the
-signed specializations afterwards.  ``stepwise_accumulate`` and
-``stepwise_matmul`` reduce after every product and every partial sum, the
-sums brought to the lcm of two denominators by ``lcm_add``;
+signed specializations afterwards.  ``stepwise_accumulate``,
+``stepwise_apply`` and ``stepwise_matmul`` reduce after every product and
+every partial sum, the sums brought to the lcm of two denominators by
+``lcm_add``, as operator sums were formed before ``ROperator.apply`` took
+each one over a single common denominator;
 ``multipass_reduce`` repeats its reduction pass until nothing divides.
 The ``tuple_*`` functions are the polynomial kernel on exponent tuples,
 {(e_1, ..., e_n): coeff}, as it was before monomials were packed into ints;
@@ -62,7 +64,6 @@ from qkzpsi.algebra import (
     LinearForm,
     Polynomial,
     RationalFunction,
-    RFSum,
     TermWriter,
     spectral_context,
 )
@@ -260,14 +261,28 @@ def stepwise_accumulate(ctx, products):
     return out
 
 
+def stepwise_apply(rop, vec, slot=None):
+    """``ROperator.apply`` from the operator's entries as stored, each image
+    value summed stepwise; image labels in order of first appearance."""
+    products = []
+    for label, val in vec.items():
+        if val.is_zero():
+            continue
+        lo, hi = (0, len(label)) if slot is None else (slot, slot + 2)
+        for (t, s), rf in rop.entries.items():
+            if s == label[lo:hi]:
+                products.append((label[:lo] + t + label[hi:], rf, val))
+    return stepwise_accumulate(rop.ctx, products)
+
+
 def stepwise_matmul(left, right):
     """left o right, entry sums accumulated stepwise in right's entry order."""
     entries = {}
-    mid = left.by_source()
+    den, mid = left.by_source()
     for (m, s), rf1 in right.entries.items():
-        for t, rf2 in mid.get(m, ()):
+        for t, num in mid.get(m, ()):
             key = (t, s)
-            term = (rf2 * rf1).reduced()
+            term = (RationalFunction(num, den) * rf1).reduced()
             entries[key] = lcm_add(entries[key], term) if key in entries else term
     return rmatrix.ROperator(left.ctx, right.source, left.target, entries)
 
@@ -297,7 +312,7 @@ def stepwise(monkeypatch):
     @contextlib.contextmanager
     def block():
         with monkeypatch.context() as mp:
-            mp.setattr(rmatrix, "_accumulate", stepwise_accumulate)
+            mp.setattr(rmatrix.ROperator, "apply", stepwise_apply)
             mp.setattr(RationalFunction, "reduced", multipass_reduce)
             yield
     return block
@@ -1527,13 +1542,64 @@ def unreduced_rfs(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(unreduced_rfs(), unreduced_rfs()), min_size=1, max_size=3))
 def test_reduction_matches_exact_division(pairs):
-    acc = RFSum(CTX3)
-    for a, b in pairs:
-        acc.add_product(a, b)
-    got = acc.result().reduced()
-    want = exact_div_reduce(acc.result())
+    total = sum((a * b for a, b in pairs), RationalFunction.from_poly(CTX3.zero()))
+    got = total.reduced()
+    want = exact_div_reduce(total)
     assert got.num.terms == want.num.terms
     assert list(got.den.items()) == list(want.den.items())
+
+
+WINDOWS = [("a", "b"), ("b", "a"), ("a", "a"), ("b", "b")]
+
+
+@st.composite
+def apply_cases(draw):
+    """(operator, vector, slot, cancelling label or None) over CTX3.
+
+    The operator acts on the windows of WINDOWS, on whole labels (slot None)
+    or at slot 1 of labels with one leading letter.  Vector values are
+    unreduced rational functions with mixed denominators, Polynomials and
+    zeros.  Optionally the window ("c", "c") receives c*v from ("p", "q")
+    and -c*v from ("q", "p"), so its image value cancels.
+    """
+    slot = draw(st.sampled_from([None, 1]))
+    rests = [()] if slot is None else [("x",), ("y",)]
+    keys = st.tuples(st.sampled_from(WINDOWS), st.sampled_from(WINDOWS))
+    entries = draw(st.dictionaries(keys, unreduced_rfs(), max_size=6))
+    vec = {}
+    for rest in rests:
+        for w in WINDOWS:
+            kind = draw(st.sampled_from(["rf", "poly", "zero", "absent"]))
+            if kind == "rf":
+                vec[rest + w] = draw(unreduced_rfs())
+            elif kind == "poly":
+                vec[rest + w] = draw(unreduced_rfs()).num
+            elif kind == "zero":
+                vec[rest + w] = RationalFunction.from_poly(CTX3.zero())
+    cancel = None
+    if draw(st.booleans()):
+        c, v = draw(unreduced_rfs()), draw(unreduced_rfs())
+        entries[(("c", "c"), ("p", "q"))], entries[(("c", "c"), ("q", "p"))] = c, -c
+        for rest in rests:
+            vec[rest + ("p", "q")] = vec[rest + ("q", "p")] = v
+        cancel = rests[0] + ("c", "c")
+    labels = WINDOWS + [("c", "c"), ("p", "q"), ("q", "p")]
+    return rmatrix.ROperator(CTX3, labels, labels, entries), vec, slot, cancel
+
+
+@settings(max_examples=150, deadline=None)
+@given(apply_cases())
+def test_apply_over_one_denominator_matches_the_stepwise_sums(case):
+    op, vec, slot, cancel = case
+    got = op.apply(vec, slot)
+    want = stepwise_apply(op, vec, slot)
+    assert list(got) == list(want)  # the same labels in the same order, cancelled ones too
+    for key, rf in want.items():
+        reduced = got[key].reduced()
+        assert (reduced.num.terms, reduced.den) == (rf.num.terms, rf.den), key
+    assert cancel is None or got[cancel].is_zero()
+    dens = [rf.den for rf in got.values() if not rf.is_zero()]
+    assert all(den == dens[0] for den in dens)
 
 
 def substitute_then_reduce(rop, form, sign, ctx):

@@ -3,7 +3,8 @@
 Products, substitution of linear images and exact division by a linear form
 are recomputed in sympy from the terms alone.  One sympy symbol stands for
 each packed field of the context (z1, z2, z3 and the h slot), so the check
-does not depend on how h is displayed.
+does not depend on how h is displayed.  ``parse_polynomial`` is checked
+against sympy's own parser on generated expression texts, hb read as 2*h.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from qkzpsi.algebra import (
     ExactDivisionError,
     LinearForm,
     Polynomial,
+    parse_polynomial,
     spectral_context,
 )
 
@@ -94,3 +96,41 @@ def test_exact_div_raises_exactly_when_sympy_leaves_a_remainder(q, r, form, plan
     except ExactDivisionError:
         divides = False
     assert divides == (sympy.expand(remainder) == 0)
+
+
+def _binary(children):
+    ops = st.sampled_from(["+", " + ", "-", " - ", "*", " * "])
+    return st.tuples(children, ops, children).map("".join)
+
+
+def _unary(children):
+    return st.tuples(st.sampled_from(["-", "+", "- "]), children).map("".join)
+
+
+def _power(children):
+    return st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}")
+
+
+def _quotient(children):
+    return st.tuples(children, st.integers(1, 6)).map(lambda t: f"{t[0]}/{t[1]}")
+
+
+def _grouped(children):
+    return children.map(lambda text: f"({text})")
+
+
+# texts in parse_polynomial's grammar, left to Python's precedence where unparenthesized
+expression_texts = st.recursive(
+    st.one_of(st.integers(0, 12).map(str), st.sampled_from(["z1", "z2", "z3", "hb"])),
+    lambda children: st.one_of(_binary(children), _unary(children), _power(children),
+                               _quotient(children), _grouped(children)),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_texts)
+def test_parse_polynomial_matches_sympy(text):
+    z1, z2, z3, h = GENS
+    want = sympy.parse_expr(text.replace("^", "**"),
+                            local_dict={"z1": z1, "z2": z2, "z3": z3, "hb": 2 * h})
+    assert same(parse_polynomial(text, CTX), want)

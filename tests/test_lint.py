@@ -10,11 +10,12 @@ outside it passes the status ``"pass"`` (a pass comes from ``checking``).
 Every output file is written by one writer: only ``cli._write_parts``
 opens a file for writing.
 Operators reach labelled vectors through one applicator: in ``rmatrix.py``
-only ``ROperator.apply``, and ``_braid_column`` for its projection check,
-call ``_accumulate``.  Rational functions are brought to lowest terms only
-where an operator is built (``fused_rcheck``, ``_solve_block``) and where a
-failed check names its remainder (``_difference``), and no name of the
-retired mod-prime non-divisibility certificate comes back.
+only ``ROperator.apply`` multiplies term dicts into sums (``_mul_into``).
+Rational functions are brought to lowest terms only where an operator is
+built (``fused_rcheck``, ``_solve_block``) and where a failed check names
+its remainder (``_difference``).  No name of the retired mod-prime
+non-divisibility certificate comes back, nor of the retired per-denominator
+operator sums (``RFSum``, ``_accumulate``) and hand-written tokenizer.
 """
 
 import ast
@@ -241,9 +242,9 @@ def test_only_the_cli_writer_opens_a_file_for_writing():
     assert found == [("cli.py", "_write_parts")]
 
 
-def test_only_the_applicator_accumulates_operator_products():
+def test_only_the_applicator_multiplies_into_term_dicts():
     source = (SRC / "rmatrix.py").read_text()
-    assert callers(source, "_accumulate") == ["ROperator.apply", "_braid_column"]
+    assert callers(source, "_mul_into") == ["ROperator.apply"]
 
 
 def test_only_operator_builders_and_witnesses_reduce():
@@ -254,6 +255,8 @@ def test_only_operator_builders_and_witnesses_reduce():
 
 
 RETIRED = {"_may_divide", "_hyperplane", "PRIME", "BETA", "_reduced"}
+# the sums kept one term dict per denominator; the parser had its own tokenizer
+RETIRED_SUMS_AND_TOKENIZER = {"RFSum", "_accumulate", "_TOKEN"}
 
 
 def identifiers(source):
@@ -286,3 +289,8 @@ def test_detector_finds_every_kind_of_identifier():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_name_of_the_retired_certificate_remains(path):
     assert identifiers(path.read_text()) & RETIRED == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_name_of_the_retired_sums_or_tokenizer_remains(path):
+    assert identifiers(path.read_text()) & RETIRED_SUMS_AND_TOKENIZER == set()

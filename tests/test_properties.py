@@ -2,9 +2,10 @@
 
 Ring axioms, ``swap_z`` and the exchange step as involutions, the exchange
 step against multiply-then-divide, exact division, substitution,
-the JSON and text round trips, ``RFSum`` against a fold that reduces
-after every product and every sum, and sums, differences and products of
-a RationalFunction with a Polynomial or a number.
+the JSON and text round trips, operator sums (``ROperator.apply`` and
+``RationalFunction.__add__``) against a fold that reduces after every
+product and every sum, and sums, differences and products of a
+RationalFunction with a Polynomial or a number.
 """
 
 from fractions import Fraction
@@ -16,12 +17,12 @@ from qkzpsi.algebra import (
     LinearForm,
     Polynomial,
     RationalFunction,
-    RFSum,
     coordinate_context,
     parse_polynomial,
     spectral_context,
 )
 from qkzpsi.qkz import _exchange_step
+from qkzpsi.rmatrix import ROperator
 
 CTX = spectral_context(3)    # z1, z2, z3, h
 TARGET = spectral_context(2)  # z1, z2, h
@@ -216,28 +217,33 @@ def lcm_add(x, y):
     return RationalFunction(lift(x) + lift(y), lcm).reduced()
 
 
+def sum_by_apply(pairs):
+    """The sum of a*b over the pairs, as the one image value of the operator
+    with entry a at (t, s_n) applied to the vector with value b at s_n."""
+    sources = [(n,) for n in range(len(pairs))]
+    op = ROperator(CTX, sources, [("t",)],
+                   {(("t",), s): a for s, (a, _) in zip(sources, pairs)})
+    image = op.apply({s: b for s, (_, b) in zip(sources, pairs)})
+    return image.get(("t",), RationalFunction.from_poly(CTX.zero()))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(rational_functions(), rational_functions()), max_size=3))
-def test_rfsum_matches_the_stepwise_fold(pairs):
+def test_operator_sums_match_the_stepwise_fold(pairs):
     # the sum reduced once at the end is the fold reduced after every step
-    acc = RFSum(CTX)
     folded = RationalFunction.from_poly(CTX.zero())
     for a, b in pairs:
-        acc.add_product(a, b)
         folded = lcm_add(folded, (a * b).reduced())
-    assert same_rf(acc.result().reduced(), folded)
+    assert same_rf(sum_by_apply(pairs).reduced(), folded)
     assert same_rf(sum((a * b for a, b in pairs),
                        RationalFunction.from_poly(CTX.zero())).reduced(), folded)
 
 
 @settings(max_examples=100, deadline=None)
 @given(rational_functions(), rational_functions())
-def test_rfsum_that_cancels_is_zero_over_an_empty_den(a, b):
-    acc = RFSum(CTX)
-    acc.add_product(a, b)
-    acc.add_product(-a, b)
-    out = acc.result()
-    assert out.is_zero() and out.den == {}
+def test_a_sum_that_cancels_is_zero_over_an_empty_den(a, b):
+    for out in (a * b + (-a) * b, sum_by_apply([(a, b), (-a, b)])):
+        assert out.is_zero() and out.den == {}
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,7 +292,7 @@ def test_associate_pure_h_forms_reduce_in_insertion_order():
     assert first_h.den == {h2: 1} and first_h.num == CTX.var(0)
     assert first_2h.den == {h: 1} and first_2h.num == CTX.var(0) * Fraction(1, 2)
     assert first_h.equals(first_2h)
-    # a sum over that den reduces the same way
-    acc = RFSum(CTX)
-    acc.add_product(RationalFunction(num, {h: 2}), RationalFunction(CTX.one(), {h2: 1}))
-    assert same_rf(acc.result().reduced(), first_h)
+    # an operator sum over that den (the operator's forms first) reduces the same way
+    got = sum_by_apply([(RationalFunction(num, {h: 2}), RationalFunction(CTX.one(), {h2: 1}))])
+    assert list(got.den) == [h, h2]
+    assert same_rf(got.reduced(), first_h)

@@ -6,6 +6,7 @@ import sympy
 
 from qkzpsi import rmatrix
 from qkzpsi.algebra import (
+    ContextError,
     LinearForm,
     Polynomial,
     RationalFunction,
@@ -261,6 +262,12 @@ def test_solve_rejects_perturbed_family():
     broken = PsiVector(psi.k, psi.lam, psi.m, psi.ctx, bad)
     with pytest.raises(RMatrixError):
         solve_rmatrix_from_exchange(broken, 1)
+
+
+def test_apply_refuses_a_vector_from_another_context():
+    R = fundamental_rcheck(2)
+    with pytest.raises(ContextError):
+        R.apply({((1,), (2,)): CTX3.one()})
 
 
 def test_first_difference_walks_lhs_then_rhs_and_reads_missing_as_zero():
