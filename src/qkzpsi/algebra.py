@@ -80,8 +80,10 @@ class ContextError(AlgebraError):
 class ExactDivisionError(AlgebraError):
     """Division was not exact.  Carries the offending remainder.
 
-    This error is a test signal for the exchange-propagation machinery and
-    must never be swallowed silently.
+    Two callers catch it, and neither hides it: ``RationalFunction.reduced``
+    stops dividing by a form at the first inexact division (that is its
+    stopping rule), and ``qkz.build_psi_fundamental`` turns it into a
+    PsiError naming the entry that an equal-letter form does not divide.
     """
 
     def __init__(self, message, remainder=None):

@@ -182,7 +182,7 @@ def check_equations(doc):
 def _restricted_slice(doc):
     """The restricted slice model of the fixture, its context and its
     strictly upper-triangular A, B matrices."""
-    model_n = slicemod.intersect_with_n(slicemod.SliceModel(tuple(doc["m"])))
+    model_n = slicemod.SliceModel(tuple(doc["m"]), restricted=True)
     ctx = model_n.context()
     N = len(doc["m"])
     return model_n, ctx, slicemod.upper_triangular_matrices(ctx, N, _coordinate_names(N))
@@ -230,7 +230,7 @@ def check_multidegrees(doc):
     """The linear component's weight product equals its printed multidegree."""
     with checking("multidegrees", "appendix") as outcome:
         m = tuple(doc["m"])
-        model_n = slicemod.intersect_with_n(slicemod.SliceModel(m))
+        model_n = slicemod.SliceModel(m, restricted=True)
         psi = fixture_psi(doc)
         comp1 = doc["components"][0]
         labels = fixture_labels(doc)

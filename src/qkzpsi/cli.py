@@ -46,7 +46,8 @@ Every output is written to its file part by part as it is produced, so a
 job holds one polynomial's text at a time, never the whole output; a job
 that fails while writing leaves no file (stdout is written as it goes).
 An output path of ``-`` is stdout, and then the output is all that stdout
-holds: PASS/FAIL report lines go to stderr.
+holds: PASS/FAIL report lines go to stderr.  A reader that closes stdout
+early (``| head``) ends the job with exit status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -91,8 +92,12 @@ class UsageError(Exception):
 
 
 def _ints(text):
+    """The integers of a comma-separated list, () for an empty text; an
+    empty item, as in ``2,,2`` or ``2,2,``, is malformed."""
+    if not text:
+        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -101,9 +106,17 @@ def _write_parts(parts, path):
     """Write the text parts of one output, any iterable of strings, to
     ``path`` (stdout for None or "-") as they are produced.  The only code
     that opens a file for writing.  If producing a part raises, a regular
-    file is removed and the error re-raised, so no truncated output is left."""
+    file is removed and the error re-raised, so no truncated output is left.
+    If the reader closes stdout, stdout is pointed at devnull, so that the
+    flush at exit raises nothing more (the recipe in Python's ``signal``
+    docs), and the BrokenPipeError is re-raised."""
     if path in (None, "-"):
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
         return
     fh = open(path, "w")
     try:
@@ -127,8 +140,11 @@ def _report_tail(reports, json_path):
     """Print one line per report, write them to ``json_path`` when given, and
     return the exit status: 0 if every report passed, else 1.  The lines go
     to stderr when the JSON goes to stdout ("-"), as for ``psi verify``."""
-    for r in reports:
-        print(r.line(), file=sys.stderr if json_path == "-" else sys.stdout)
+    lines = [r.line() + "\n" for r in reports]
+    if json_path == "-":
+        sys.stderr.writelines(lines)
+    else:
+        _write_parts(lines, None)
     if json_path:
         _write(_reports_doc(reports), json_path)
     return 0 if all(r.passed for r in reports) else 1
@@ -258,7 +274,7 @@ def _verify_reports(psi, args):
         small_lam = tuple(x - 1 for x in psi.lam if x - 1 > 0)
         small = build_psi_fundamental(k, small_lam)
         insert_at = 1 if args.insert_at is None else args.insert_at
-        return [check_recurrence(psi, small, insert_at, (1,) * k)]
+        return [check_recurrence(psi, small, insert_at)]
     raise SystemExit(f"unknown check {args.check!r}")
 
 
@@ -405,6 +421,8 @@ def main(argv=None):
     except UsageError as err:
         print(f"qkzpsi: error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return 1  # the reader closed stdout early; _write_parts quieted it
 
 
 if __name__ == "__main__":

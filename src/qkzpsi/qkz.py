@@ -158,7 +158,7 @@ class PsiVector:
             raise PsiError(f"psi JSON lacks the field {err}") from None
         except (TypeError, ValueError, ZeroDivisionError, AlgebraError) as err:
             raise PsiError(f"malformed psi JSON: {err}") from None
-        if sorted(entries) != content_labels(k, lam, m):
+        if sorted(entries) != content_labels(lam, m):
             raise PsiError("psi JSON labels are not the content labels of (k, lambda, m)")
         return PsiVector(k, lam, m, ctx, entries)
 
@@ -207,22 +207,20 @@ def check_shape(k, lam, m=None):
         raise PsiError(f"sum(m) = {sum(m)} differs from sum(lambda) = {sum(lam)}")
 
 
-def content_labels(k, lam, m):
-    """All subset sequences with |S_i| = m_i and letter a used lam_a times."""
+def content_labels(lam, m):
+    """All subset sequences with |S_i| = m_i and letter a used lam_a times,
+    in increasing order (the depth-first walk meets them in that order)."""
     from itertools import combinations
 
-    lam_full = tuple(lam) + (0,) * (k - len(lam))
     out = []
+    if sum(lam) != sum(m):
+        return out
 
     def rec(slot, remaining, acc):
         if slot == len(m):
-            if all(r == 0 for r in remaining):
-                out.append(tuple(acc))
+            out.append(tuple(acc))
             return
-        tail = sum(m[slot:])
-        if sum(remaining) != tail:
-            return
-        letters = [a for a in range(1, k + 1) if remaining[a - 1] > 0]
+        letters = [a for a, r in enumerate(remaining, start=1) if r]
         for S in combinations(letters, m[slot]):
             nxt = list(remaining)
             for a in S:
@@ -233,8 +231,7 @@ def content_labels(k, lam, m):
                 rec(slot + 1, nxt, acc)
                 acc.pop()
 
-    rec(0, list(lam_full), [])
-    out.sort()
+    rec(0, list(lam), [])
     return out
 
 
@@ -260,25 +257,6 @@ def extreme_component(lam):
                 p = p * LinearForm(2, i + 1, j + 1).to_poly(ctx)
     label = tuple((a,) for a in seq)
     return label, p
-
-
-def _multiset_permutations(items):
-    items = sorted(items)
-    out = []
-
-    def rec(remaining, acc):
-        if not remaining:
-            out.append(tuple(acc))
-            return
-        seen = set()
-        for idx, x in enumerate(remaining):
-            if x in seen:
-                continue
-            seen.add(x)
-            rec(remaining[:idx] + remaining[idx + 1:], acc + [x])
-
-    rec(items, [])
-    return out
 
 
 def _exchange_step(f, i):
@@ -436,8 +414,8 @@ def build_psi_fundamental(k, lam):
     label, extreme = extreme_component(lam)
     base = tuple(a for (a,) in label)
     classes = _letter_classes(lam)
-    seqs = _multiset_permutations(base)
-    seqs.sort(key=lambda s: (inversions(s), s))
+    seqs = sorted((tuple(a for (a,) in lab) for lab in content_labels(lam, (1,) * M)),
+                  key=lambda s: (inversions(s), s))
 
     def swap(seq, i):
         return seq[:i - 1] + (seq[i], seq[i - 1]) + seq[i + 1:]
@@ -539,7 +517,7 @@ def fuse_psi(psi1, m):
     mapping[psi1.ctx.h_index] = half
     entries = {
         lab: psi1.entries[tuple((x,) for S in lab for x in S)].substitute(mapping, ctx)
-        for lab in content_labels(psi1.k, psi1.lam, m)
+        for lab in content_labels(psi1.lam, m)
     }
     return PsiVector(psi1.k, psi1.lam, m, ctx, entries)
 
@@ -618,111 +596,75 @@ def check_wheel(psi, positions, instance=None):
     return outcome.report
 
 
-def check_recurrence(psi_big, psi_small, p, n, instance=None):
-    """Insertion recurrence: specializing the inserted block reproduces psi_small.
+def check_recurrence(psi_big, psi_small, p, instance=None):
+    """Insertion recurrence: specializing the inserted column reproduces psi_small.
 
-    The big vector has m-sequence (m_1..m_{p-1}, n_1..n_r, m_p..m_N) with
-    sum(n) = k; the specialization sets zeta_{t+1} - zeta_t =
-    (n_t + n_{t+1})/2 hb.  Entrywise on the standard basis this forces:
+    The big vector has m-sequence (m_1..m_{p-1}, 1^k, m_p..m_N): a column
+    of k boxes, one letter to a slot, inserted at place p.  The
+    specialization sets inserted slot t (1-based) to zeta + (t-1) hb.
+    Entrywise on the standard basis this forces:
 
-    * entries whose inserted letters repeat a row vanish identically;
+    * entries whose inserted letters repeat vanish identically;
     * entries whose inserted letters are distinct but out of order collapse,
       with the sign of the sorting permutation, onto the sorted arrangement
       (the exchange relation at the specialized point has a vanishing
       prefactor, which pairs the two entries);
-    * entries with increasing inserted rows equal the matching small entry
+    * entries with sorted inserted letters equal the matching small entry
       times an explicit product of linear factors.
 
     A single global sign relating the two constructions is allowed and must
-    be consistent across all surviving entries.  The collapse branch is
-    implemented for singleton inserts (n = (1, ..., 1)).  A failing case
-    names its label and remainder lhs - rhs (``_offending``); when no sign
-    matches, the remainder is the one of the sign that leaves fewer terms.
+    be consistent across all surviving entries.  A failing case names its
+    label and remainder lhs - rhs (``_offending``); when no sign matches,
+    the remainder is the one of the sign that leaves fewer terms.
     """
-    r = len(n)
-    n = tuple(n)
     k = psi_big.k
-    if sum(n) != k:
-        raise PsiError("recurrence requires sum(n) = k")
     m_small = psi_small.m
     N = len(m_small)
     if not 1 <= p <= N + 1:
         raise PsiError(f"insertion position must lie in 1..{N + 1}, got {p}")
-    expect_big = m_small[:p - 1] + n + m_small[p - 1:]
+    expect_big = m_small[:p - 1] + (1,) * k + m_small[p - 1:]
     if psi_big.m != expect_big:
         raise PsiError(f"big m-sequence {psi_big.m} does not match insertion {expect_big}")
-    name = instance or (
-        f"k={k} insert n={n} at p={p}: m={psi_big.m} -> m={m_small}"
-    )
+    name = instance or f"k={k} insert n={(1,) * k} at p={p}: m={psi_big.m} -> m={m_small}"
     ctx = spectral_context(N, zeta=True)
     zeta = ctx.var("zeta")
-    half = ctx.hbar() * Fraction(1, 2)
-    # variable mapping from the big context
-    mapping = {}
-    offsets = [0]
-    for t in range(1, r):
-        offsets.append(offsets[-1] + n[t - 1] + n[t])
-    for pos in range(1, psi_big.N + 1):
-        if pos < p:
-            mapping[pos - 1] = ctx.z(pos)
-        elif pos < p + r:
-            mapping[pos - 1] = zeta + half * offsets[pos - p]
-        else:
-            mapping[pos - 1] = ctx.z(pos - r)
-    mapping[psi_big.ctx.h_index] = ctx.hbar() * Fraction(1, 2)
+    hb = ctx.hbar()
+    half = hb * Fraction(1, 2)
+    # variable mapping from the big context; small slot pos >= p is big slot pos + k
+    mapping = {psi_big.ctx.h_index: half}
+    for pos in range(1, N + 1):
+        mapping[pos - 1 if pos < p else pos - 1 + k] = ctx.z(pos)
+    for t in range(k):
+        mapping[p - 1 + t] = zeta + hb * t
     # the prefactor of the surviving entries
-    zeta_r = zeta + half * offsets[-1]
     pref = ctx.one()
-    for i in range(1, p):
-        mi = m_small[i - 1]
+    for i, mi in enumerate(m_small, start=1):
+        gap = ctx.z(i) - zeta if i < p else zeta + hb * (k - 1) - ctx.z(i)
         for a in range(mi):
-            pref = pref * (half * (mi + n[0] - 2 * a) + ctx.z(i) - zeta)
-    for i in range(p, N + 1):
-        mi = m_small[i - 1]
-        for a in range(mi):
-            pref = pref * (half * (mi + n[-1] - 2 * a) + zeta_r - ctx.z(i))
-    small_map = {t: ctx.z(t + 1) for t in range(psi_small.ctx.nz)}
-    small_map[psi_small.ctx.h_index] = ctx.hbar() * Fraction(1, 2)
-
-    def classify(inserted):
-        """'zero' | ('collapse', sorted_insert, sign) | 'survives'."""
-        letters = [x for S in inserted for x in S]
-        if len(set(letters)) != len(letters):
-            return ("zero", None, 0)
-        increasing = all(
-            max(inserted[t]) < min(inserted[t + 1]) for t in range(len(inserted) - 1)
-        )
-        if increasing:
-            return ("survives", None, 0)
-        if any(len(S) != 1 for S in inserted):
-            raise PsiError("out-of-order inserts supported for singleton rows only")
-        sign = (-1) ** inversions([x for S in inserted for x in S])
-        srt = tuple((x,) for x in sorted(letters))
-        return ("collapse", srt, sign)
+            pref = pref * (half * (mi + 1 - 2 * a) + gap)
+    small_map = {t: ctx.z(t + 1) for t in range(N)} | {psi_small.ctx.h_index: half}
 
     with checking("recurrence", name) as outcome:
-        sigma = 0
-        specialized = {}
+        sigma = seen_survive = 0
+        specialized = {lab: psi_big.entries[lab].substitute(mapping, ctx) for lab in psi_big.basis}
         for lab in psi_big.basis:
-            specialized[lab] = psi_big.entries[lab].substitute(mapping, ctx)
-        seen_survive = 0
-        for lab in psi_big.basis:
-            inserted = lab[p - 1:p - 1 + r]
+            inserted = lab[p - 1:p - 1 + k]
             lhs = specialized[lab]
-            kind, srt, sign = classify(inserted)
-            if kind == "zero":
+            srt = tuple(sorted(inserted))
+            if len(set(inserted)) < k:
                 if not lhs.is_zero():
                     outcome.fail(f"repeated-row entry does not vanish: {_offending(lab, lhs)}")
                 continue
-            if kind == "collapse":
-                partner = lab[:p - 1] + srt + lab[p - 1 + r:]
+            if inserted != srt:
+                sign = (-1) ** inversions(inserted)
+                partner = lab[:p - 1] + srt + lab[p - 1 + k:]
                 diff = lhs - specialized[partner] * sign
                 if diff:
                     outcome.fail(f"no collapse onto {label_text(partner)} with sign {sign}: "
                                  f"{_offending(lab, diff)}")
                 continue
             seen_survive += 1
-            small_lab = lab[:p - 1] + lab[p - 1 + r:]
+            small_lab = lab[:p - 1] + lab[p - 1 + k:]
             rhs = pref * psi_small.entries[small_lab].substitute(small_map, ctx)
             if lhs.is_zero() and rhs.is_zero():
                 continue

@@ -103,12 +103,6 @@ class ROperator:
             self._by_source = den, idx
         return self._by_source
 
-    def entry(self, t, s):
-        rf = self.entries.get((t, s))
-        if rf is None:
-            return RationalFunction.from_poly(self.ctx.zero())
-        return rf
-
     def apply(self, vec, slot=None):
         """Matrix-vector product; vec maps labels to Polynomial/RF.
 
@@ -747,7 +741,7 @@ def solve_rmatrix_from_exchange(psi, slot):
     sub_cache = {lab: split(psi.entries[lab].substitute(mapping, sctx)) for lab in labels}
     tau_cache = {lab: split(psi.entries[lab].swap_z(i, i + 1).substitute(mapping, sctx))
                  for lab in labels}
-    standard = psi.basis == tuple(content_labels(psi.k, psi.lam, psi.m))
+    standard = psi.basis == tuple(content_labels(psi.lam, psi.m))
     lo, hi = (i - 1, i + 1) if standard else (0, N)
     blocks = {}  # content -> (its windows, the rests of their labels)
     for lab in labels:

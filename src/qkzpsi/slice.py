@@ -57,7 +57,13 @@ def _coord_name(i, j, col, width):
 
 
 class SliceModel:
-    """x_m plus free coordinates, with torus weights; optionally cut to n."""
+    """x_m plus free coordinates, with torus weights; optionally cut to n.
+
+    With ``restricted`` only the coordinates strictly above the block
+    diagonal are kept; within-block coordinates (and everything below) are
+    forced to zero.  That strictly block-upper span is the ambient space for
+    multidegrees, of dimension sum_{i<j} min(m_i, m_j).
+    """
 
     def __init__(self, m, restricted=False):
         self.m = tuple(int(x) for x in m)
@@ -144,16 +150,6 @@ class SliceModel:
     def relation_is_homogeneous(self, ctx, poly):
         weights = {self.monomial_weight(ctx, e) for e in poly.terms}
         return len(weights) <= 1
-
-
-def intersect_with_n(model):
-    """Keep only coordinates strictly above the block diagonal.
-
-    Within-block coordinates (and everything below) are forced to zero;
-    the surviving span is the ambient space for multidegrees, of dimension
-    sum_{i<j} min(m_i, m_j).
-    """
-    return SliceModel(model.m, restricted=True)
 
 
 @dataclass
@@ -421,7 +417,7 @@ def eval_rational(poly, assignment, ctx):
 
 def verify_component_membership(
     ctx, n_coords, vanishing, constraints, solve_order, relations,
-    free_expected=None, instance="",
+    free_expected, instance="",
 ):
     """Generic-point membership: a constrained locus sits inside a variety.
 
@@ -429,7 +425,8 @@ def verify_component_membership(
     polynomial conditions, of which those named in ``solve_order`` (pairs
     of variable name and constraint index) are eliminated linearly, leaving
     the rest as identities to verify; ``relations`` must then vanish
-    identically in the remaining free symbols.  Exact throughout: the
+    identically in the remaining free symbols, of which there must be
+    ``free_expected`` (``n_coords`` less the assigned ones).  Exact throughout: the
     generic point uses fresh symbols, not random numbers.
     """
     with checking("membership", instance) as outcome:
@@ -449,10 +446,9 @@ def verify_component_membership(
             num, _ = eval_rational(c, assignment, ctx)
             if not num.is_zero():
                 outcome.fail(f"constraint {cidx} does not vanish on the locus")
-        if free_expected is not None:
-            free = n_coords - len(assignment)
-            if free != free_expected:
-                outcome.fail(f"dimension {free}, want {free_expected}")
+        free = n_coords - len(assignment)
+        if free != free_expected:
+            outcome.fail(f"dimension {free}, want {free_expected}")
         for ri, rel in enumerate(relations):
             if rel.is_zero():
                 continue

@@ -214,8 +214,8 @@ def test_criterion_11_counts():
 def test_criterion_12_recurrence():
     big = build_psi_fundamental(2, (2, 2))
     small = build_psi_fundamental(2, (1, 1))
-    ok = check_recurrence(big, small, 1, (1, 1)).passed
-    ok = ok and check_recurrence(big, small, 2, (1, 1)).passed
+    ok = check_recurrence(big, small, 1).passed
+    ok = ok and check_recurrence(big, small, 2).passed
     # the vanishing branch is populated: repeated-row insertions exist
     ok = ok and any(lab[0] == lab[1] for lab in big.basis)
     _accept(12, "insertion recurrence, including the vanishing branch, for k=2 M=4 -> 2", ok)

@@ -12,13 +12,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, env=None):
-    """Run the CLI in a child process that can import qkzpsi from src/.
-
-    The child inherits this process's environment with src/ prepended to
-    PYTHONPATH; entries of `env` override single variables on top of that,
-    and an entry set to None removes its variable.
-    """
+def cli_env(env=None):
+    """This process's environment with src/ prepended to PYTHONPATH; entries
+    of `env` override single variables on top of that, and an entry set to
+    None removes its variable."""
     child_env = dict(os.environ)
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), child_env.get("PYTHONPATH")) if p
@@ -28,9 +25,15 @@ def run_cli(*args, env=None):
             child_env.pop(name, None)
         else:
             child_env[name] = value
+    return child_env
+
+
+def run_cli(*args, env=None):
+    """Run the CLI in a child process that can import qkzpsi from src/,
+    in the environment ``cli_env(env)``."""
     return subprocess.run(
         [sys.executable, "-m", "qkzpsi.cli", *args],
-        capture_output=True, text=True, env=child_env,
+        capture_output=True, text=True, env=cli_env(env),
     )
 
 
@@ -395,13 +398,14 @@ def test_psi_verify_rejects_incomplete_json(tmp_path):
     (("slice", "emit", "--m", "2,2", "--ell", "3,3"), "ell must sum to the matrix size 4"),
     (("slice", "emit", "--m", "2,0", "--ell", "2"), "positive block sizes"),
     (("slice", "emit", "--m", "7,7", "--ell", "14"), "desk-scale limit"),
+    (("slice", "emit", "--m", "2,,2", "--ell", "4"), "got '2,,2'"),
     (("slice", "emit", "--m", "2,2", "--ell", "2,1,1", "--deform"), "rectangular ell only"),
     (("rmat", "show", "--k", "3", "--a", "4"), "1 <= a, b <= k-1"),
     (("rmat", "verify", "--check", "ybe", "--k", "3", "--a", "0", "--b", "1"),
      "1 <= a, b <= k-1"),
     (("rmat", "verify", "--check", "unitarity", "--k", "4", "--a", "1", "--b", "2"),
      "a = 1 != b = 2"),
-], ids=["ell-sum", "zero-block", "oversize", "deform-not-rectangular", "wedge-above-k",
+], ids=["ell-sum", "zero-block", "oversize", "m-empty-item", "deform-not-rectangular", "wedge-above-k",
         "zero-wedge", "verify-a-not-b"])
 def test_bad_slice_and_rmat_input_is_a_usage_error(argv, fragment):
     res = run_cli(*argv)
@@ -427,13 +431,34 @@ def test_psi_verify_rejects_exponents_that_do_not_pack(tmp_path):
 @pytest.mark.parametrize("argv, fragment", [
     (("--lambda", ""), "lambda must not be empty"),
     (("--lambda", "3,3", "--m", ""), "m must not be empty"),
-], ids=["empty-lambda", "empty-m"])
+    # an empty item is malformed, not skipped: 2,,2 is not the lambda (2,2)
+    (("--lambda", "2,,2"), "expected comma-separated integers, got '2,,2'"),
+    (("--lambda", ",2,2"), "expected comma-separated integers, got ',2,2'"),
+    (("--lambda", "2,2,"), "expected comma-separated integers, got '2,2,'"),
+    (("--lambda", "3,3", "--m", "2,,2,2"), "expected comma-separated integers, got '2,,2,2'"),
+], ids=["empty-lambda", "empty-m", "lambda-empty-item", "lambda-leading-comma",
+        "lambda-trailing-comma", "m-empty-item"])
 def test_psi_build_rejects_empty_lambda_and_m(tmp_path, argv, fragment):
     out = tmp_path / "psi.json"
     res = run_cli("psi", "build", "--k", "2", *argv, "--out", str(out))
     assert_usage_error(res)
     assert fragment in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("slice", "emit", "--m", "2,2,2,2,2", "--ell", "5,5"),
+    ("psi", "build", "--k", "2", "--lambda", "3,3", "--out", "-"),
+], ids=["slice-emit", "psi-build"])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(argv):
+    # each output is far larger than a pipe holds, so the job is still
+    # writing when the reader goes away after one line
+    child = subprocess.Popen([sys.executable, "-m", "qkzpsi.cli", *argv], env=cli_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline()
+    child.stdout.close()
+    assert (child.wait(timeout=60), child.stderr.read()) == (1, b"")
+    child.stderr.close()
 
 
 @pytest.mark.parametrize("check", ["cyclicity", "exchange", "qkz"])
@@ -471,6 +496,7 @@ def verify_files(tmp_path_factory):
     ("fundamental", ("wheel", "--positions", "1,9"), "must lie in 1..4, got (1, 9)"),
     # an explicitly empty list is not the default placements
     ("fundamental", ("wheel", "--positions", ""), "--positions must not be empty"),
+    ("fundamental", ("wheel", "--positions", "1,,3"), "got '1,,3'"),
     ("fused", ("recurrence",), "takes a fundamental vector, m = (1, ..., 1); got m = (2, 2)"),
     ("k3_22", ("recurrence",),
      "lambda (2, 2) has 2 rows, fewer than k = 3: no column of k boxes to remove"),
@@ -491,7 +517,8 @@ def verify_files(tmp_path_factory):
     ("fundamental", ("wheel", "--insert-at", "2"),
      "--insert-at applies to --check recurrence only, not to wheel"),
 ], ids=["exchange-slot-9", "qkz-slot-9", "slot-minus-1", "slot-0", "positions-decreasing",
-        "positions-sum-at-most-k", "positions-beyond-N", "positions-empty", "recurrence-fused",
+        "positions-sum-at-most-k", "positions-beyond-N", "positions-empty",
+        "positions-empty-item", "recurrence-fused",
         "recurrence-no-k-column", "insert-at-5",
         "cyclicity-slot", "wheel-slot", "recurrence-slot", "exchange-positions",
         "qkz-positions", "cyclicity-insert-at", "wheel-insert-at"])

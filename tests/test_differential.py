@@ -74,7 +74,6 @@ from qkzpsi.qkz import (
     PsiVector,
     _difference,
     _exchange_step,
-    _multiset_permutations,
     _offending,
     build_psi_fundamental,
     check_shape,
@@ -91,6 +90,11 @@ from qkzpsi.rmatrix import fused_rcheck
 from qkzpsi.slice import SliceModel, emit_deformed_equations
 
 
+def walk_order(base):
+    """The distinct rearrangements of base, by (inversions, word)."""
+    return sorted(set(permutations(base)), key=lambda s: (inversions(s), s))
+
+
 def oracle_fundamental(lam):
     """Entries by multiply-then-divide along the first descent of each label."""
     lam = tuple(lam)
@@ -98,7 +102,7 @@ def oracle_fundamental(lam):
     ctx = spectral_context(M)
     hb = ctx.hbar()
     base = tuple(a for a, la in enumerate(lam, start=1) for _ in range(la))
-    seqs = sorted(_multiset_permutations(base), key=lambda s: (inversions(s), s))
+    seqs = walk_order(base)
     entries = {base: extreme_component(lam)[1]}
     for seq in seqs:
         if seq in entries:
@@ -120,8 +124,7 @@ def all_descents_fundamental(k, lam):
     base = []
     for a, la in enumerate(lam, start=1):
         base.extend([a] * la)
-    seqs = _multiset_permutations(base)
-    seqs.sort(key=lambda s: (inversions(s), s))
+    seqs = walk_order(base)
     entries_seq = {}
     _, extreme = extreme_component(lam)
     entries_seq[tuple(base)] = extreme
@@ -177,7 +180,7 @@ def oracle_fuse(psi1, m):
     for mi in m:
         scale /= factorial(mi)
     entries = {}
-    for lab in content_labels(psi1.k, psi1.lam, m):
+    for lab in content_labels(psi1.lam, m):
         total = ctx.zero()
         for orderings in product(*[list(permutations(S)) for S in lab]):
             sign = 1
@@ -524,10 +527,12 @@ def route_steps(N, k, i):
 
 
 def run_chain(apply_at, vec, steps):
-    """vec through the steps, each step's values brought to lowest terms."""
+    """vec through the steps.  No step reduces its values: the denominators
+    grow along the chain, and ``rmatrix.first_difference`` and
+    ``RationalFunction.equals`` compare by cross-multiplying."""
     for (j, hcoef, a, b) in steps:
         form, sign = LinearForm.make(hcoef, a, b)
-        vec = {lab: v.reduced() for lab, v in apply_at[j](vec, form, sign).items()}
+        vec = apply_at[j](vec, form, sign)
     return vec
 
 

@@ -4,7 +4,9 @@ Every module of ``src/qkzpsi`` except ``__init__.py`` (whose imports are
 re-exports) must use each name it imports, and every module-level name
 defined in the package, private (``_name``) or public, must be read
 somewhere in it, a re-export by ``__init__.py`` counting as a read: a
-helper that only tests still call belongs in the tests.  Reports go through
+helper that only tests still call belongs in the tests.  So must every
+method and property of a class, read as an attribute outside its own
+definition.  Reports go through
 one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
 outside it passes the status ``"pass"`` (a pass comes from ``checking``).
 Every output file is written by one writer: only ``cli._write_parts``
@@ -19,6 +21,7 @@ operator sums (``RFSum``, ``_accumulate``) and hand-written tokenizer.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -128,6 +131,54 @@ UNREAD_PUBLIC = [("appendix.py", "check_labelling")]
 def test_every_public_name_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_public_names(sources) == UNREAD_PUBLIC
+
+
+def methods(tree):
+    """(Class.name, definition) of each method and property of every class, dunders left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unread_methods(sources):
+    """(module, Class.name) of each method or property that no source reads as
+    an attribute outside the method's own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = defaultdict(set)  # attribute name -> the Attribute nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr].add(node)
+    return sorted((module, qualname) for module, tree in trees.items()
+                  for qualname, definition in methods(tree)
+                  if not reads[definition.name] - set(ast.walk(definition)))
+
+
+def test_detector_finds_an_unread_method():
+    sources = {
+        "a.py": "class Op:\n    def __init__(self): pass\n    def used(self): return self.left\n"
+                "    @property\n    def left(self): return 1\n"
+                "    def recursive(self): return self.recursive()\n    def dropped(self): pass\n",
+        "b.py": "from .a import Op\nOp().used()\n",
+    }
+    assert unread_methods(sources) == [("a.py", "Op.dropped"), ("a.py", "Op.recursive")]
+
+
+# Methods that no module reads, each kept for a reader outside the package:
+# bench/tracer.py binds ROperator.matmul by name, the route-chain oracle of
+# tests/test_differential.py reads SignedPermutationOp.inverse, and
+# MVyLabel.as_tableau belongs to the labelling layer, as check_labelling does.
+UNREAD_METHODS = [("combinatorics.py", "MVyLabel.as_tableau"),
+                  ("combinatorics.py", "SignedPermutationOp.inverse"),
+                  ("rmatrix.py", "ROperator.matmul")]
+
+
+def test_every_method_is_read_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_methods(sources) == UNREAD_METHODS
 
 
 def time_imports(source):

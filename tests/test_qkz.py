@@ -221,9 +221,9 @@ def test_fused_exchange(fused_example):
 
 
 def test_content_labels_counts():
-    labs = content_labels(4, (2, 2, 2, 2), (2, 2, 2, 2))
+    labs = content_labels((2, 2, 2, 2), (2, 2, 2, 2))
     assert len(labs) == 90
-    labs2 = content_labels(2, (2, 2), (1, 1, 1, 1))
+    labs2 = content_labels((2, 2), (1, 1, 1, 1))
     assert len(labs2) == 6
 
 
@@ -248,7 +248,7 @@ def test_recurrence_fundamental():
     big = build_psi_fundamental(2, (2, 2))
     small = build_psi_fundamental(2, (1, 1))
     for p in (1, 2, 3):
-        assert check_recurrence(big, small, p, (1, 1)).passed
+        assert check_recurrence(big, small, p).passed
 
 
 def test_recurrence_has_vanishing_branch():
@@ -259,13 +259,13 @@ def test_recurrence_has_vanishing_branch():
         lab for lab in big.basis if lab[0] == lab[1]
     ]
     assert labels_with_repeat  # the branch is exercised
-    assert check_recurrence(big, small, 1, (1, 1)).passed
+    assert check_recurrence(big, small, 1).passed
 
 
 def test_recurrence_single_tableau():
     big = build_psi_fundamental(2, (3, 1))
     small = build_psi_fundamental(2, (2,))
-    assert check_recurrence(big, small, 1, (1, 1)).passed
+    assert check_recurrence(big, small, 1).passed
 
 
 @pytest.mark.parametrize("label, case", [
@@ -284,17 +284,46 @@ def test_recurrence_witness_names_the_remainder(label, case):
     entries = dict(big.entries)
     entries[label] = entries[label] + big.ctx.hbar() ** 2 * 5
     corrupted = PsiVector(2, (2, 2), (1, 1, 1, 1), big.ctx, entries)
-    rep = check_recurrence(corrupted, small, 1, (1, 1))
+    rep = check_recurrence(corrupted, small, 1)
     assert rep.status == "fail"
     assert rep.witness == (f"{case}: first offending label {label_text(label)}: "
                            "lhs - rhs = 5*hb^2 (1 terms)")
 
 
-def test_recurrence_requires_sum_k():
-    big = build_psi_fundamental(2, (2, 2))
-    small = build_psi_fundamental(2, (1, 1))
-    with pytest.raises(PsiError):
-        check_recurrence(big, small, 1, (1,))
+# (check, instance, status, witness) of recurrence reports, recorded when the
+# check still took the insertion shape n = (1,) * k as an argument, so that
+# dropping it is seen to change no report.  The last row adds 7*hb^2 to the
+# out-of-order entry ({3},{1},{2},{1},{2},{3}), which must collapse.
+RECURRENCE_GOLDEN = [
+    ('recurrence', 'k=2 insert n=(1, 1) at p=1: m=(1, 1, 1, 1) -> m=(1, 1)', 'pass', None),
+    ('recurrence', 'k=2 insert n=(1, 1) at p=2: m=(1, 1, 1, 1) -> m=(1, 1)', 'pass', None),
+    ('recurrence', 'k=2 insert n=(1, 1) at p=3: m=(1, 1, 1, 1) -> m=(1, 1)', 'pass', None),
+    ('recurrence', 'k=2 insert n=(1, 1) at p=1: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=2 insert n=(1, 1) at p=2: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=2 insert n=(1, 1) at p=3: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=2 insert n=(1, 1) at p=4: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=2 insert n=(1, 1) at p=5: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=3 insert n=(1, 1, 1) at p=1: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=3 insert n=(1, 1, 1) at p=2: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=3 insert n=(1, 1, 1) at p=3: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=3 insert n=(1, 1, 1) at p=4: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1)', 'pass', None),
+    ('recurrence', 'k=3 insert n=(1, 1, 1) at p=1: m=(1, 1, 1, 1, 1, 1) -> m=(1, 1, 1)', 'fail',
+     'no collapse onto ({1},{2},{3},{1},{2},{3}) with sign 1: first offending label '
+     '({3},{1},{2},{1},{2},{3}): lhs - rhs = 7*hb^2 (1 terms)'),
+]
+
+
+def test_recurrence_reports_match_the_recorded_ones():
+    got = []
+    for k, lam, places in ((2, (2, 2), 3), (2, (3, 3), 5), (3, (2, 2, 2), 4)):
+        big = build_psi_fundamental(k, lam)
+        small = build_psi_fundamental(k, tuple(x - 1 for x in lam))
+        got.extend(check_recurrence(big, small, p) for p in range(1, places + 1))
+    entries = dict(big.entries)
+    lab = ((3,), (1,), (2,), (1,), (2,), (3,))
+    entries[lab] = entries[lab] + big.ctx.hbar() ** 2 * 7
+    got.append(check_recurrence(PsiVector(3, (2, 2, 2), (1,) * 6, big.ctx, entries), small, 1))
+    assert [(r.check, r.instance, r.status, r.witness) for r in got] == RECURRENCE_GOLDEN
 
 
 def test_cyclicity_fundamental():
@@ -493,7 +522,7 @@ def test_build_m8_does_the_work_of_one_label_per_orbit(monkeypatch):
 def test_predicted_terms_is_the_extreme_entry_times_the_entries(lam, predicted):
     from qkzpsi.qkz import MAX_PREDICTED_TERMS, predicted_terms
 
-    entries = len(content_labels(len(lam), lam, (1,) * sum(lam)))
+    entries = len(content_labels(lam, (1,) * sum(lam)))
     assert predicted_terms(lam) == len(extreme_component(lam)[1].terms) * entries == predicted
     assert predicted <= MAX_PREDICTED_TERMS
 

@@ -12,7 +12,6 @@ from qkzpsi.slice import (
     emit_deformed_equations,
     emit_equations,
     eval_rational,
-    intersect_with_n,
     linear_component_multidegree,
     linear_solve,
 )
@@ -32,8 +31,7 @@ def test_build_slice_block_structure():
 
 
 def test_slice_weights_single_boxes():
-    model = SliceModel((1, 1))
-    n_model = intersect_with_n(model)
+    n_model = SliceModel((1, 1), restricted=True)
     ctx = spectral_context(2)
     p = linear_component_multidegree(n_model, ["A12"])
     assert p == ctx.hbar() + ctx.z(1) - ctx.z(2)
@@ -46,15 +44,14 @@ def test_slice_weight_perimeter_rule():
     perimeter = 3 + 1
     assert c.weight_h == perimeter - 2 * (c.col - 1) == 4  # = 2 hb
     ctx = spectral_context(2)
-    n_model = intersect_with_n(model)
+    n_model = SliceModel(model.m, restricted=True)
     assert linear_component_multidegree(n_model, ["A12"]) == (
         2 * ctx.hbar() + ctx.z(1) - ctx.z(2)
     )
 
 
 def test_intersect_with_n_counts():
-    model = SliceModel((2, 2, 2, 2))
-    restricted = intersect_with_n(model)
+    restricted = SliceModel((2, 2, 2, 2), restricted=True)
     names = {c.name for c in restricted.coords}
     assert len(names) == 12
     assert names == {
@@ -62,7 +59,7 @@ def test_intersect_with_n_counts():
     }
     m = (3, 1, 2)
     want = sum(min(m[i], m[j]) for i in range(3) for j in range(3) if i < j)
-    assert len(intersect_with_n(SliceModel(m)).coords) == want
+    assert len(SliceModel(m, restricted=True).coords) == want
 
 
 def test_emit_single_box():
@@ -128,7 +125,7 @@ def test_deformed_diagonalizable_point():
 
 
 def test_linear_component_multidegree_trivial_cases():
-    model = intersect_with_n(SliceModel((2, 2, 2, 2)))
+    model = SliceModel((2, 2, 2, 2), restricted=True)
     ctx = spectral_context(4)
     assert linear_component_multidegree(model, []) == ctx.one()
     full = linear_component_multidegree(model, [c.name for c in model.coords])
@@ -136,7 +133,7 @@ def test_linear_component_multidegree_trivial_cases():
 
 
 def test_linear_component_multidegree_appendix():
-    model = intersect_with_n(SliceModel((2, 2, 2, 2)))
+    model = SliceModel((2, 2, 2, 2), restricted=True)
     ctx = spectral_context(4)
     got = linear_component_multidegree(model, ["A12", "A34", "B12", "B34"])
     want = parse_polynomial("(hb+z1-z2)*(2*hb+z1-z2)*(hb+z3-z4)*(2*hb+z3-z4)", ctx)
@@ -227,9 +224,9 @@ def test_verify_component_membership_reports_failure():
 
     ctx = coordinate_context(("x", "y"))
     x, y = ctx.var("x"), ctx.var("y")
-    ok = verify_component_membership(ctx, 2, ["x"], [], [], [x * y], instance="toy")
+    ok = verify_component_membership(ctx, 2, ["x"], [], [], [x * y], 1, instance="toy")
     assert ok.passed  # x = 0 kills x*y
-    bad = verify_component_membership(ctx, 2, ["x"], [], [], [y], instance="toy")
+    bad = verify_component_membership(ctx, 2, ["x"], [], [], [y], 1, instance="toy")
     assert bad.status == "fail"
 
 
