@@ -12,6 +12,7 @@ Subcommands:
 
 Bad input ends with one ``qkzpsi: error: ...`` line on stderr and exit
 status 2, with no traceback.  Bad input is: a malformed number list; an
+output path (--out, --json-out) that cannot be opened for writing; an
 empty lambda or m, or one that does not fit k; for ``psi build`` a lambda
 whose predicted term count is above ``qkz.MAX_PREDICTED_TERMS``; a vector
 file that is missing, is not JSON, does not match the psi JSON schema, has
@@ -71,6 +72,7 @@ from .qkz import (
     check_shape,
     check_wheel,
     fuse_psi,
+    label_text,
     qkz_step,
     wheel_positions,
 )
@@ -105,8 +107,9 @@ def _ints(text):
 def _write_parts(parts, path):
     """Write the text parts of one output, any iterable of strings, to
     ``path`` (stdout for None or "-") as they are produced.  The only code
-    that opens a file for writing.  If producing a part raises, a regular
-    file is removed and the error re-raised, so no truncated output is left.
+    that opens a file for writing; a path it cannot open is a UsageError.
+    If producing a part raises, a regular file is removed and the error
+    re-raised, so no truncated output is left.
     If the reader closes stdout, stdout is pointed at devnull, so that the
     flush at exit raises nothing more (the recipe in Python's ``signal``
     docs), and the BrokenPipeError is re-raised."""
@@ -118,7 +121,10 @@ def _write_parts(parts, path):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise
         return
-    fh = open(path, "w")
+    try:
+        fh = open(path, "w")
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror}") from None
     try:
         with fh:
             fh.writelines(parts)
@@ -172,8 +178,7 @@ def cmd_psi_build(args):
     if args.format == "text":
         def lines():
             for lab in psi.basis:
-                pretty = ",".join("{" + ",".join(map(str, S)) + "}" for S in lab)
-                yield f"({pretty}) : {psi.entries[lab].text(writer)}\n"
+                yield f"{label_text(lab)} : {psi.entries[lab].text(writer)}\n"
         _write_parts(lines(), args.out)
     else:
         _write(psi.to_json(writer), args.out)

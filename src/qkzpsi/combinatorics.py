@@ -3,13 +3,17 @@
 Covers the enumeration of the column-strict tableaux indexing irreducible
 components, the subset-sequence picture and the map between the two,
 tableau promotion and the rotation operator built from it, and the
-Jordan-chain labelling of points.
+Jordan-chain labelling of points.  ``gauss_jordan`` is the package's one
+elimination over Q: the ranks of the labelling and the exchange solve of
+``rmatrix`` go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 
 class CombinatoricsError(Exception):
@@ -23,6 +27,37 @@ def inversions(seq):
     ``(-1) ** inversions(seq)``.
     """
     return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+
+
+def gauss_jordan(rows, n):
+    """Reduce rows of rationals in place on their first n columns.
+
+    Returns (pivots, det): pivots[j] indexes the row that pivots column j,
+    None for a column with no pivot, so the rank is the number of pivots.
+    Each pivot row is scaled to 1 at its pivot and cleared from every other
+    row, so with n rows that all pivot, row pivots[j] ends up holding x_j of
+    each right-hand side in the columns after n.  det is the determinant of
+    the first n columns of n rows, signed by the inversions of pivots; it
+    is 0 unless every column pivots.
+    """
+    pivots = []
+    det = Fraction(1)
+    free = list(range(len(rows)))
+    for j in range(n):
+        p = next((r for r in free if rows[r][j]), None)
+        pivots.append(p)
+        if p is None:
+            det = 0
+            continue
+        free.remove(p)
+        piv = Fraction(rows[p][j])
+        det *= piv
+        rows[p] = prow = [x / piv for x in rows[p]]
+        for r, row in enumerate(rows):
+            f = row[j]
+            if f and r != p:
+                rows[r] = [a - f * b for a, b in zip(row, prow)]
+    return pivots, -det if det and inversions(pivots) % 2 else det
 
 
 # -- tableaux ----------------------------------------------------------------
@@ -284,62 +319,26 @@ def sequence_rotation(basis, m, M, k):
 # -- Jordan chains and point labelling -----------------------------------------
 
 
-def exact_rank(rows):
-    """Rank of a matrix with Fraction entries, by Gaussian elimination."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, nr):
-            f = mat[r][col]
-            if f:
-                f *= inv
-                row = mat[r]
-                for c in range(col, nc):
-                    row[c] -= f * prow[c]
-        rank += 1
-    return rank
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def jordan_type(mat):
-    """Jordan type of a nilpotent rational matrix (partition, decreasing)."""
+    """Jordan type of a nilpotent rational matrix, as a decreasing partition.
+
+    With r_p the rank of mat^p, r_{p-1} - r_p Jordan blocks have size at
+    least p, so those differences are the conjugate Jordan type.  The
+    matrix is scaled to integer entries first, which keeps every rank, so
+    the powers are products of ints.
+    """
     n = len(mat)
-    ranks = [n]
-    power = [row[:] for row in mat]
-    while True:
-        r = exact_rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = _mat_mul(power, mat)
-        if len(ranks) > n + 1:
+    scale = lcm(*(Fraction(x).denominator for row in mat for x in row))
+    a = [[int(x * scale) for x in row] for row in mat]
+    cols = list(zip(*a))
+    power, ranks = a, [n]
+    while ranks[-1]:
+        if len(ranks) > n:
             raise CombinatoricsError("matrix is not nilpotent")
-    # blocks of size exactly p: (ranks[p-1]-ranks[p]) - (ranks[p]-ranks[p+1])
-    sizes = []
-    for p in range(1, len(ranks)):
-        exactly = (ranks[p - 1] - ranks[p]) - (ranks[p] - ranks[p + 1] if p + 1 < len(ranks) else 0)
-        sizes.extend([p] * exactly)
-    sizes.sort(reverse=True)
-    return tuple(sizes)
+        pivots, _ = gauss_jordan([row[:] for row in power], n)
+        ranks.append(n - pivots.count(None))
+        power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
+    return conjugate_partition([r - s for r, s in zip(ranks, ranks[1:])])
 
 
 def conjugate_partition(p):
@@ -347,43 +346,6 @@ def conjugate_partition(p):
     if not p:
         return ()
     return tuple(sum(1 for x in p if x >= c) for c in range(1, p[0] + 1))
-
-
-@dataclass(frozen=True)
-class MVyLabel:
-    """Increasing chain of Jordan types of the leading principal submatrices."""
-
-    chain: tuple  # tuple of partitions
-
-    def as_tableau(self):
-        """Rebuild the tableau: letter h occupies the rows added at step h (conjugates)."""
-        prev = ()
-        row_sets = []
-        for part in self.chain:
-            conj = conjugate_partition(part)
-            prev_p = conjugate_partition(prev)
-            prev_p = prev_p + (0,) * (len(conj) - len(prev_p))
-            rows = tuple(r + 1 for r in range(len(conj)) if conj[r] > prev_p[r])
-            added = sum(conj) - sum(prev_p)
-            if added != len(rows):
-                raise CombinatoricsError("chain does not grow by a vertical strip")
-            row_sets.append(rows)
-            prev = part
-        final = conjugate_partition(self.chain[-1])
-        rows = [[] for _ in final]
-        for letter, rs in enumerate(row_sets, start=1):
-            for r in rs:
-                rows[r - 1].append(letter)
-        return Tableau(tuple(tuple(r) for r in rows))
-
-    def dominance_leq(self, other):
-        """Chainwise dominance: every Jordan type at or below the other's."""
-        if len(self.chain) != len(other.chain):
-            return False
-        for p, q in zip(self.chain, other.chain):
-            if not partition_dominance_leq(p, q):
-                return False
-        return True
 
 
 def partition_dominance_leq(p, q):
@@ -399,32 +361,27 @@ def partition_dominance_leq(p, q):
     return True
 
 
+def chain_dominance_leq(a, b):
+    """Chainwise dominance: every Jordan type of chain a at or below b's."""
+    return len(a) == len(b) and all(map(partition_dominance_leq, a, b))
+
+
 def label_of_tableau(t):
-    """The Jordan-type chain a generic point of the tableau's component has."""
-    content = t.content()
-    chain = []
-    for h in range(1, len(content) + 1):
-        rows = tuple(
-            sum(1 for x in r if x <= h) for r in t.rows
-        )
-        chain.append(conjugate_partition(tuple(x for x in rows if x)))
-    return MVyLabel(tuple(chain))
+    """The chain of Jordan types, a tuple of partitions, that a generic point
+    of the tableau's component has: its h-th entry is the conjugate of the
+    shape that letters 1..h fill."""
+    return tuple(conjugate_partition([sum(x <= h for x in r) for r in t.rows])
+                 for h in range(1, len(t.content()) + 1))
 
 
 def spaltenstein_label(X, m):
     """Label a nilpotent M x M matrix by its chain of principal Jordan types.
 
-    The h-th entry of the chain is the Jordan type of the upper-left block
-    of size m_1 + ... + m_h.  For a generic point of a component the chain
-    is the component's tableau.
+    The chain is a tuple of partitions; its h-th entry is the Jordan type
+    of the upper-left block of size m_1 + ... + m_h.  For a generic point
+    of a component it equals ``label_of_tableau`` of the component's
+    tableau.
     """
-    M = len(X)
-    if sum(m) != M:
+    if sum(m) != len(X):
         raise CombinatoricsError("matrix size must equal sum(m)")
-    chain = []
-    size = 0
-    for mi in m:
-        size += mi
-        sub = [row[:size] for row in X[:size]]
-        chain.append(jordan_type(sub))
-    return MVyLabel(tuple(chain))
+    return tuple(jordan_type([row[:size] for row in X[:size]]) for size in accumulate(m))

@@ -525,7 +525,7 @@ def fuse_psi(psi1, m):
 # -- checks ----------------------------------------------------------------------
 
 
-def check_exchange(psi, i, operator=None, instance=None):
+def check_exchange(psi, i, operator=None):
     """Verify tau_i Psi = R_i(z_i - z_{i+1}) Psi, exactly.
 
     An ``operator`` whose source is the basis of psi acts on the whole
@@ -536,7 +536,7 @@ def check_exchange(psi, i, operator=None, instance=None):
     R-matrix.
     """
     m = psi.m
-    with checking("exchange", instance or f"{psi.instance_name()} i={i}") as outcome:
+    with checking("exchange", f"{psi.instance_name()} i={i}") as outcome:
         if m[i - 1] != m[i]:
             outcome.skip("inhomogeneous adjacent m")
         if operator is None:
@@ -596,7 +596,7 @@ def check_wheel(psi, positions, instance=None):
     return outcome.report
 
 
-def check_recurrence(psi_big, psi_small, p, instance=None):
+def check_recurrence(psi_big, psi_small, p):
     """Insertion recurrence: specializing the inserted column reproduces psi_small.
 
     The big vector has m-sequence (m_1..m_{p-1}, 1^k, m_p..m_N): a column
@@ -625,7 +625,7 @@ def check_recurrence(psi_big, psi_small, p, instance=None):
     expect_big = m_small[:p - 1] + (1,) * k + m_small[p - 1:]
     if psi_big.m != expect_big:
         raise PsiError(f"big m-sequence {psi_big.m} does not match insertion {expect_big}")
-    name = instance or f"k={k} insert n={(1,) * k} at p={p}: m={psi_big.m} -> m={m_small}"
+    name = f"k={k} insert n={(1,) * k} at p={p}: m={psi_big.m} -> m={m_small}"
     ctx = spectral_context(N, zeta=True)
     zeta = ctx.var("zeta")
     hb = ctx.hbar()
@@ -704,7 +704,7 @@ def check_cyclicity(psi, rho_op, instance=None):
 # -- the difference step ----------------------------------------------------------
 
 
-def qkz_step(psi, rho_op, full_ops=None, instance=None):
+def qkz_step(psi, rho_op, full_ops=None):
     """The difference step in every z_i, certified by exchange, cyclicity and unitarity.
 
     With s = (k+1) hb, route A of the step is Psi(..., z_i + s, ...) = S_i Psi,
@@ -737,7 +737,7 @@ def qkz_step(psi, rho_op, full_ops=None, instance=None):
     after ``exchange at slot j: ``, or whose ``check_cyclicity`` skips, with
     its witness.
     """
-    with checking("qkz", instance or psi.instance_name()) as outcome:
+    with checking("qkz", psi.instance_name()) as outcome:
         if len(set(psi.m)) > 1:
             outcome.skip("m not homogeneous")
         for j in range(1, psi.N):

@@ -63,7 +63,7 @@ from .algebra import (
     over_one_den,
     spectral_context,
 )
-from .combinatorics import inversions
+from .combinatorics import gauss_jordan, inversions
 from .reporting import checking
 
 
@@ -532,12 +532,17 @@ def product_basis(letters_or_labels, nslots):
 # {w-exponent: coefficient}, and the solution is rehomogenized at the end.
 #
 # A block is sampled at integers w as the module docstring describes, with
-# the degree bound D.  The determinant's integer roots r, with multiplicity
-# m, give P = prod (w - r)^m, and x_j P is interpolated from the same
-# samples.  The interpolant has degree at most D - deg(det / P) exactly when
-# it is x_j P, that is when the reduced denominator of x_j splits into the
-# forms w - r*h: the part of det that does not split must cancel against
-# every Cramer numerator.
+# the degree bound D: at each w, ``combinatorics.gauss_jordan`` gives the
+# determinant and the solution for every right-hand side at once.  The
+# interpolation is the same elimination on the Vandermonde system of the
+# sample points, with one right-hand side per polynomial (``_interpolate``):
+# once for the determinant, then once for every numerator together.  The
+# determinant's integer roots r, with multiplicity m, give
+# P = prod (w - r)^m, and x_j P is interpolated from the same samples.  The
+# interpolant has degree at most D - deg(det / P) exactly when it is x_j P,
+# that is when the reduced denominator of x_j splits into the forms
+# w - r*h: the part of det that does not split must cancel against every
+# Cramer numerator.
 
 
 def _at(p, w):
@@ -549,52 +554,21 @@ def _degree(p):
     return max(p, default=-1)
 
 
-def _gauss_jordan(rows, n):
-    """Reduce rows of rationals in place on their first n columns.
-
-    Returns (pivots, det), pivots[j] indexing the row that pivots column j,
-    or (None, 0) when the rank is below n.  With n rows, det is the
-    determinant of the first n columns and row pivots[j] ends up holding
-    x_j of each right-hand side in the columns after n.
-    """
-    pivots = []
-    det = Fraction(1)
-    free = list(range(len(rows)))
-    for j in range(n):
-        p = next((r for r in free if rows[r][j]), None)
-        if p is None:
-            return None, 0
-        free.remove(p)
-        piv = Fraction(rows[p][j])
-        det *= piv
-        rows[p] = prow = [x / piv for x in rows[p]]
-        for r, row in enumerate(rows):
-            f = row[j]
-            if f and r != p:
-                rows[r] = [a - f * b for a, b in zip(row, prow)]
-        pivots.append(p)
-    return pivots, -det if inversions(pivots) % 2 else det
-
-
-def _interpolator(xs):
-    """Map values at the points xs to the coefficients, low first and
-    trimmed, of the interpolating polynomial of degree < len(xs)."""
-    basis = []
-    for xk in xs:
-        poly, scale = [1], 1
-        for xm in xs:
-            if xm != xk:
-                poly = [a - xm * b for a, b in zip([0] + poly, poly + [0])]
-                scale *= xk - xm
-        basis.append([Fraction(c, scale) for c in poly])
-
-    def interpolate(values):
-        coeffs = [sum(v * col[e] for v, col in zip(values, basis)) for e in range(len(xs))]
+def _interpolate(points, columns):
+    """Coefficients, low first and trimmed, of the polynomial of degree
+    < len(points) through the values of each column at the points: one
+    Vandermonde elimination for every column at once."""
+    n = len(points)
+    rows = [[x ** e for e in range(n)] + list(values)
+            for x, values in zip(points, zip(*columns))]
+    pivots, _ = gauss_jordan(rows, n)
+    out = []
+    for t in range(n, n + len(columns)):
+        coeffs = [rows[p][t] for p in pivots]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        return coeffs
-
-    return interpolate
+        out.append(coeffs)
+    return out
 
 
 def _integer_roots(coeffs):
@@ -638,8 +612,8 @@ def _solve_block(A, B, n):
     """
     col = [max(_degree(row[j]) for row in A) for j in range(n)]
     for w in range(sum(col) + 1):
-        pivots, _ = _gauss_jordan([[_at(p, w) for p in row] for row in A], n)
-        if pivots is not None:
+        pivots, _ = gauss_jordan([[_at(p, w) for p in row] for row in A], n)
+        if None not in pivots:
             break
     else:
         raise RMatrixError("exchange system underdetermined (too few independent rows)")
@@ -653,21 +627,20 @@ def _solve_block(A, B, n):
     w = 0
     while len(points) <= D:
         rows = [[_at(p, w) for p in a + b] for a, b in zip(A, B)]
-        pivots, det = _gauss_jordan(rows, n)
+        pivots, det = gauss_jordan(rows, n)
         if det:
             points.append(w)
             dets.append(det)
             samples.append([rows[p][n + t] for t in range(len(B[0])) for p in pivots])
         w += 1
-    interpolate = _interpolator(points)
-    det = interpolate(dets)
+    [det] = _interpolate(points, [dets])
     roots = _integer_roots(det)
     split = sum(roots.values())
     bound = D - (len(det) - 1 - split)
     P = [prod((x - r) ** m for r, m in roots.items()) for x in points]
     out = []
-    for values in zip(*samples):
-        q = interpolate([v * p for v, p in zip(values, P)])
+    for q in _interpolate(points, [[v * p for v, p in zip(values, P)]
+                                   for values in zip(*samples)]):
         if not q:
             out.append(None)
             continue

@@ -447,6 +447,18 @@ def test_psi_build_rejects_empty_lambda_and_m(tmp_path, argv, fragment):
 
 
 @pytest.mark.parametrize("argv", [
+    ("psi", "build", "--k", "2", "--lambda", "2,2", "--out"),
+    ("appendix-suite", "--json-out"),
+], ids=["psi-build", "appendix-suite"])
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "missing" / "x.json"
+    res = run_cli(*argv, str(out))
+    assert_usage_error(res)
+    assert f"cannot write {out}: No such file or directory" in res.stderr
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("slice", "emit", "--m", "2,2,2,2,2", "--ell", "5,5"),
     ("psi", "build", "--k", "2", "--lambda", "3,3", "--out", "-"),
 ], ids=["slice-emit", "psi-build"])

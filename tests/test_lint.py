@@ -6,7 +6,8 @@ defined in the package, private (``_name``) or public, must be read
 somewhere in it, a re-export by ``__init__.py`` counting as a read: a
 helper that only tests still call belongs in the tests.  So must every
 method and property of a class, read as an attribute outside its own
-definition.  Reports go through
+definition, and every optional parameter of a function or method, passed
+by some call in the package.  Reports go through
 one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
 outside it passes the status ``"pass"`` (a pass comes from ``checking``).
 Every output file is written by one writer: only ``cli._write_parts``
@@ -168,17 +169,98 @@ def test_detector_finds_an_unread_method():
 
 
 # Methods that no module reads, each kept for a reader outside the package:
-# bench/tracer.py binds ROperator.matmul by name, the route-chain oracle of
-# tests/test_differential.py reads SignedPermutationOp.inverse, and
-# MVyLabel.as_tableau belongs to the labelling layer, as check_labelling does.
-UNREAD_METHODS = [("combinatorics.py", "MVyLabel.as_tableau"),
-                  ("combinatorics.py", "SignedPermutationOp.inverse"),
+# bench/tracer.py binds ROperator.matmul by name, and the route-chain oracle
+# of tests/test_differential.py reads SignedPermutationOp.inverse.
+UNREAD_METHODS = [("combinatorics.py", "SignedPermutationOp.inverse"),
                   ("rmatrix.py", "ROperator.matmul")]
 
 
 def test_every_method_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_methods(sources) == UNREAD_METHODS
+
+
+def optional_parameters(tree):
+    """(qualified name, parameter, position) of each parameter with a default
+    of every function and method; the position counts the arguments a call
+    passes (no self or cls), None for a keyword-only parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            method = isinstance(node, ast.ClassDef)
+            qualname = f"{node.name}.{fn.name}" if method else fn.name
+            bound = method and "staticmethod" not in {getattr(d, "id", None)
+                                                      for d in fn.decorator_list}
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for pos, arg in enumerate(positional[first:], first):
+                yield qualname, arg.arg, pos - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield qualname, arg.arg, None
+
+
+def passes(call, name, pos):
+    """Whether the call passes the parameter: by keyword, by position, or
+    through ``*args`` or ``**kwargs``."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or pos is not None and len(call.args) > pos)
+
+
+def unpassed_parameters(sources):
+    """(module, qualified name, parameter) of each optional parameter that no
+    call in the sources passes.  A call counts by the called name alone; a
+    call of the class counts for ``__init__`` and ``__new__``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    by_name = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                by_name[called_name(node)].append(node)
+    found = []
+    for module, tree in trees.items():
+        for qualname, name, pos in optional_parameters(tree):
+            owner, _, fn = qualname.rpartition(".")
+            targets = by_name[fn] + (by_name[owner] if fn in ("__init__", "__new__") else [])
+            if not any(passes(call, name, pos) for call in targets):
+                found.append((module, qualname, name))
+    return sorted(found)
+
+
+def test_detector_finds_an_unpassed_parameter():
+    sources = {
+        "a.py": "class Op:\n    def __init__(self, src, dst=None): pass\n"
+                "    def apply(self, vec, slot=None, *, check=False): pass\n"
+                "    @staticmethod\n    def make(form, sign=1): pass\n"
+                "def solve(rows, n=None, trace=False):\n"
+                "    def step(r, seen=()): return r\n    return step(rows)\n"
+                "def spread(a=1, b=2): pass\n",
+        "b.py": "from .a import Op, solve, spread\nOp(1, 2).apply(3, check=True)\n"
+                "Op.make(1, -1)\nsolve([], 2)\nspread(*(1, 2))\n",
+    }
+    assert unpassed_parameters(sources) == [("a.py", "Op.apply", "slot"),
+                                            ("a.py", "solve", "trace"),
+                                            ("a.py", "step", "seen")]
+
+
+# Optional parameters that no call in the package passes, each kept for a
+# caller outside it: acceptance criterion 6 and the route-chain oracle
+# certify the appendix through qkz_step's full_ops, the substitute_then_reduce
+# oracle of tests/test_differential.py passes substitute_z's target_ctx, and
+# bench/child.py and the tests call main with argv.
+UNPASSED_PARAMETERS = [("algebra.py", "RationalFunction.substitute_z", "target_ctx"),
+                       ("cli.py", "main", "argv"),
+                       ("qkz.py", "qkz_step", "full_ops")]
+
+
+def test_every_optional_parameter_is_passed_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unpassed_parameters(sources) == UNPASSED_PARAMETERS
 
 
 def time_imports(source):

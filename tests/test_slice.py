@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qkzpsi.algebra import LinearForm, parse_polynomial, spectral_context
-from qkzpsi.combinatorics import spaltenstein_label
+from qkzpsi.combinatorics import Tableau, label_of_tableau, spaltenstein_label
 from qkzpsi.slice import (
     SliceError,
     SliceModel,
@@ -237,7 +237,7 @@ def test_spaltenstein_sample_component1():
     rng = random.Random(20240817)
     X = sample_component_point(doc, 0, rng)
     label = spaltenstein_label(X, (2, 2, 2, 2))
-    assert label.as_tableau().rows == ((1, 2), (1, 2), (3, 4), (3, 4))
+    assert label == label_of_tableau(Tableau(((1, 2), (1, 2), (3, 4), (3, 4))))
 
 
 def test_sampled_points_satisfy_relations():
@@ -253,7 +253,7 @@ def test_sampled_points_satisfy_relations():
         X2 = [[sum(X[i][t] * X[t][j] for t in range(8)) for j in range(8)] for i in range(8)]
         X4 = [[sum(X2[i][t] * X2[t][j] for t in range(8)) for j in range(8)] for i in range(8)]
         assert all(v == 0 for row in X4 for v in row)
-        assert jordan_type(X) in {(4, 4), (4, 3, 1), (4, 2, 2), (3, 3, 2), (4, 4, 0)}
+        assert jordan_type(X) in {(4, 4), (4, 3, 1), (4, 2, 2), (3, 3, 2)}
 
 
 def test_sampling_refuses_a_constraint_without_its_variable(appendix_doc):
