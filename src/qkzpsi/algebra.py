@@ -844,12 +844,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def den_poly(self):
-        p = self.ctx.one()
-        for f, m in self.den.items():
-            p = p * (f.to_poly(self.ctx) ** m)
-        return p
-
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
@@ -890,12 +884,6 @@ class RationalFunction:
 
     def __hash__(self):
         raise TypeError("RationalFunction is unhashable")
-
-    def evaluate(self, values):
-        d = self.den_poly().evaluate(values)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.evaluate(values) / d
 
     def substitute_z(self, mapping, target_ctx=None):
         """Substitute z-variables by Polynomials of degree <= 1.

@@ -61,7 +61,7 @@ from dataclasses import replace
 from itertools import chain
 
 from .algebra import TermWriter, spectral_context
-from .combinatorics import sequence_rotation
+from .combinatorics import CombinatoricsError, sequence_rotation
 from .qkz import (
     PsiError,
     PsiVector,
@@ -254,17 +254,18 @@ def _verify_reports(psi, args):
     if args.check in ("cyclicity", "qkz"):
         # the rotation is defined for homogeneous m and lambda = (M/k)^k only
         slots = [None] if args.check == "cyclicity" else _slots(args.slot, psi.N)
-        if len(set(psi.m)) > 1:
-            why = "m not homogeneous"
-        elif psi.lam != (sum(psi.lam) // psi.k,) * psi.k:
-            why = f"lambda is not a {psi.k}-row rectangle (M/k)^k: no rotation"
-        else:
-            rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
-            if args.check == "cyclicity":
-                return [check_cyclicity(psi, rho)]
-            # one certificate covers the step in every z_i; one report per slot
-            step = qkz_step(psi, rho)
-            return [replace(step, instance=f"{step.instance} i={i}") for i in slots]
+        why = "m not homogeneous"
+        if len(set(psi.m)) == 1:
+            try:
+                rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
+            except CombinatoricsError:
+                why = f"lambda is not a {psi.k}-row rectangle (M/k)^k: no rotation"
+            else:
+                if args.check == "cyclicity":
+                    return [check_cyclicity(psi, rho)]
+                # one certificate covers the step in every z_i; one report per slot
+                step = qkz_step(psi, rho)
+                return [replace(step, instance=f"{step.instance} i={i}") for i in slots]
         name = psi.instance_name()
         return [Report(args.check, name if i is None else f"{name} i={i}", "skipped", witness=why)
                 for i in slots]

@@ -1,18 +1,22 @@
 """Diagram and tableau combinatorics of the weight data (k, lambda, m).
 
-Covers the enumeration of the column-strict tableaux indexing irreducible
-components, the subset-sequence picture and the map between the two,
-tableau promotion and the rotation operator built from it, and the
-Jordan-chain labelling of points.  ``gauss_jordan`` is the package's one
-elimination over Q: the ranks of the labelling and the exchange solve of
-``rmatrix`` go through it.
+Entries of Psi are labelled by subset sequences (S_1, ..., S_N) with
+|S_i| = m_i, and irreducible components by the column-strict tableaux of
+shape lambda.  One depth-first walk over subset sequences lists both:
+``content_labels`` prunes it by the slots left, ``enumerate_tableaux`` by
+the rule that the rows filled so far form a partition shape, and reads
+row r of the tableau off the S_i that contain r; ``phi_map`` is the
+inverse of that reading.  The module also holds tableau promotion and the
+rotation operators, and the Jordan-chain labelling of points.
+``gauss_jordan`` is the package's one elimination over Q: the ranks of the
+labelling and the exchange solve of ``rmatrix`` go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import lcm
 
 
@@ -60,7 +64,7 @@ def gauss_jordan(rows, n):
     return pivots, -det if det and inversions(pivots) % 2 else det
 
 
-# -- tableaux ----------------------------------------------------------------
+# -- subset sequences and tableaux ------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -123,77 +127,72 @@ class Tableau:
             rows.append(tuple(c[r] for c in cols if len(c) > r))
         return Tableau(tuple(rows))
 
-    def to_json(self):
-        return [list(r) for r in self.rows]
-
     def __str__(self):
         return " / ".join("".join(str(x) for x in r) for r in self.rows)
 
 
-def enumerate_tableaux(lam, m):
-    """All tableaux of shape lam with letter i used m_i times.
+def _subset_sequences(lam, m, fits):
+    """Every (S_1, ..., S_N) with |S_i| = m_i and letter a in lam_a of the
+    S_i, in increasing order.
 
-    Letters are placed in increasing order; at each stage the occupied boxes
-    must form a partition shape inside lam, which is exactly the
-    column-weak/row-strict condition.  Output is sorted by reading word.
+    A depth-first walk: each S_i is picked by ``combinations`` from the
+    letters with uses left, and a prefix is extended only while
+    ``fits(remaining, slots_left)`` holds, where remaining[a - 1] counts the
+    uses of letter a still left and slots_left the S_i still to pick.
+    """
+    out, acc = [], []
+
+    def walk(remaining, slot):
+        if slot == len(m):
+            out.append(tuple(acc))
+            return
+        left = len(m) - slot - 1
+        letters = [a for a, r in enumerate(remaining, start=1) if r]
+        for S in combinations(letters, m[slot]):
+            rest = remaining[:]
+            for a in S:
+                rest[a - 1] -= 1
+            if fits(rest, left):
+                acc.append(S)
+                walk(rest, slot + 1)
+                acc.pop()
+
+    walk(list(lam), 0)
+    return out
+
+
+def content_labels(lam, m):
+    """All subset sequences with |S_i| = m_i and letter a used lam_a times,
+    in increasing order: the labels of the entries of Psi."""
+    if sum(lam) != sum(m):
+        return []
+    # no letter may need more slots than remain
+    return _subset_sequences(lam, m, lambda rest, slots: max(rest) <= slots)
+
+
+def enumerate_tableaux(lam, m):
+    """All tableaux of shape lam with letter i used m_i times, sorted by
+    reading word.
+
+    The walk picks S_i, the set of rows that hold letter i, from the rows
+    with boxes left; a subset sequence is a tableau exactly when the rows
+    filled by letters 1..i have weakly decreasing lengths after every i.
     """
     lam = tuple(x for x in lam if x > 0)
-    m = tuple(m)
     if sum(lam) != sum(m):
         raise CombinatoricsError("box counts of lam and m differ")
-    nrows = len(lam)
-    results = []
-    row_sets = [None] * len(m)
-
-    def place(letter, lengths):
-        if letter == len(m):
-            rows = [[] for _ in range(nrows)]
-            for i, rs in enumerate(row_sets):
-                for r in rs:
-                    rows[r].append(i + 1)
-            results.append(Tableau(tuple(tuple(r) for r in rows)))
-            return
-        need = m[letter]
-        choices = [r for r in range(nrows) if lengths[r] < lam[r]]
-
-        def choose(start, picked):
-            if len(picked) == need:
-                new_lengths = list(lengths)
-                ok = True
-                for r in picked:
-                    new_lengths[r] += 1
-                for r in range(1, nrows):
-                    if new_lengths[r] > new_lengths[r - 1]:
-                        ok = False
-                        break
-                if ok:
-                    row_sets[letter] = tuple(picked)
-                    place(letter + 1, tuple(new_lengths))
-                return
-            for idx in range(start, len(choices)):
-                picked.append(choices[idx])
-                choose(idx + 1, picked)
-                picked.pop()
-
-        choose(0, [])
-
-    place(0, (0,) * nrows)
-    results.sort(key=lambda t: t.reading_word())
-    return results
+    seqs = _subset_sequences(lam, m, lambda rest, _: all(
+        a - x >= b - y for a, x, b, y in zip(lam, rest, lam[1:], rest[1:])))
+    tabs = [Tableau(tuple(tuple(i for i, S in enumerate(seq, start=1) if r in S)
+                          for r in range(1, len(lam) + 1))) for seq in seqs]
+    return sorted(tabs, key=Tableau.reading_word)
 
 
 def phi_map(t):
-    """Subset sequence of a tableau: alpha_i = rows containing letter i."""
-    content = t.content()
-    out = []
-    for letter in range(1, len(content) + 1):
-        rows = tuple(
-            ri + 1 for ri, r in enumerate(t.rows) if letter in r
-        )
-        if len(rows) != content[letter - 1]:
-            raise CombinatoricsError("letter repeated within a row")
-        out.append(rows)
-    return tuple(out)
+    """Subset sequence of a tableau, the inverse of the row reading of
+    ``enumerate_tableaux``: alpha_i = rows containing letter i."""
+    return tuple(tuple(r for r, row in enumerate(t.rows, start=1) if i in row)
+                 for i in range(1, len(t.content()) + 1))
 
 
 # -- promotion and the rotation operator --------------------------------------
@@ -305,9 +304,14 @@ def sequence_rotation(basis, m, M, k):
     The scalar is s^{m_1}, where s = eps * (-1)^(M - M/k) is the sign of the
     fundamental case m = (1, ..., 1), in the convention in which the vectors
     are built by exchange propagation: a first group of m_1 fused factors
-    rotates as m_1 fundamental ones.  Defined for full-height rectangles,
-    where every letter appears M/k times.
+    rotates as m_1 fundamental ones.  Defined for full-height rectangles
+    only: raises CombinatoricsError unless every label of the basis uses
+    each of the k letters M/k times.
     """
+    word = [a for a in range(1, k + 1) for _ in range(M // k)]
+    if M % k or any(sorted(a for S in lab for a in S) != word for lab in basis):
+        raise CombinatoricsError(f"no rotation: the labels are not of a full-height "
+                                 f"rectangle, each of the {k} letters used M/k times")
     s = epsilon_sign(M, k) * (-1 if (M - M // k) % 2 else 1)
     sign = s ** m[0]
     mapping = {}

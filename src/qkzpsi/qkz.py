@@ -89,7 +89,7 @@ from .algebra import (
     RationalFunction,
     spectral_context,
 )
-from .combinatorics import inversions
+from .combinatorics import content_labels, inversions
 from .reporting import checking
 from . import rmatrix as _rm
 
@@ -103,7 +103,7 @@ class PsiVector:
 
     Labels are tuples of sorted letter tuples (subset sequences); in the
     fundamental case every subset is a singleton.  Entries may be zero but
-    every content-compatible label is present.
+    every label of ``combinatorics.content_labels(lam, m)`` is present.
     """
 
     def __init__(self, k, lam, m, ctx, entries):
@@ -205,34 +205,6 @@ def check_shape(k, lam, m=None):
         raise PsiError(f"every m_i must satisfy 1 <= m_i <= k = {k}")
     if sum(m) != sum(lam):
         raise PsiError(f"sum(m) = {sum(m)} differs from sum(lambda) = {sum(lam)}")
-
-
-def content_labels(lam, m):
-    """All subset sequences with |S_i| = m_i and letter a used lam_a times,
-    in increasing order (the depth-first walk meets them in that order)."""
-    from itertools import combinations
-
-    out = []
-    if sum(lam) != sum(m):
-        return out
-
-    def rec(slot, remaining, acc):
-        if slot == len(m):
-            out.append(tuple(acc))
-            return
-        letters = [a for a, r in enumerate(remaining, start=1) if r]
-        for S in combinations(letters, m[slot]):
-            nxt = list(remaining)
-            for a in S:
-                nxt[a - 1] -= 1
-            # feasibility: no letter may need more slots than remain
-            if max(nxt) <= len(m) - slot - 1:
-                acc.append(S)
-                rec(slot + 1, nxt, acc)
-                acc.pop()
-
-    rec(0, list(lam), [])
-    return out
 
 
 # -- fundamental construction ---------------------------------------------------

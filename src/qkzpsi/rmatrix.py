@@ -63,7 +63,7 @@ from .algebra import (
     over_one_den,
     spectral_context,
 )
-from .combinatorics import gauss_jordan, inversions
+from .combinatorics import content_labels, gauss_jordan, inversions
 from .reporting import checking
 
 
@@ -680,7 +680,7 @@ def solve_rmatrix_from_exchange(psi, slot):
     underdetermined; the solution is verified against the full relation
     before returning.
     """
-    from .qkz import check_exchange, content_labels  # qkz imports this module
+    from .qkz import check_exchange  # qkz imports this module
 
     ctx = psi.ctx
     N = ctx.nz

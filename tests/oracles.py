@@ -1,10 +1,12 @@
 """Reference code that tests compare the package against.
 
 Nothing in ``src/`` calls these: each is an independent route to a number
-or property that the package computes, or guarantees, another way.
+or property that the package computes, or guarantees, another way, or a
+reading of a package object that only tests need (``den_poly``,
+``evaluate``).
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from qkzpsi.qkz import label_text
 
@@ -40,6 +42,33 @@ def tensor_multiplicity(lam, m, k):
     return state.get(lam, 0)
 
 
+def partitions(n, max_part, max_len):
+    """Every partition of n (weakly decreasing, positive parts) with parts at
+    most max_part and at most max_len parts."""
+    if n == 0:
+        return [()]
+    if max_len == 0:
+        return []
+    return [(first,) + rest for first in range(min(n, max_part), 0, -1)
+            for rest in partitions(n - first, first, max_len - 1)]
+
+
+def count_triples(max_k=4, max_M=10):
+    """(k, lambda, m) for k = 2..max_k and M = 1..max_M: every partition
+    lambda of M with at most k rows, and every weakly decreasing m of M with
+    parts in 1..k-1 (1,230 triples at the defaults)."""
+    return [(k, lam, m) for k in range(2, max_k + 1) for M in range(1, max_M + 1)
+            for lam in partitions(M, M, k) for m in partitions(M, k - 1, M)]
+
+
+def brute_content_labels(lam, m):
+    """The subset sequences (S_1, ..., S_N), |S_i| = m_i, that use letter a
+    lam_a times: every sequence of subsets of the letters, filtered."""
+    letters = range(1, len(lam) + 1)
+    return [seq for seq in product(*(combinations(letters, x) for x in m))
+            if all(sum(a in S for S in seq) == n for a, n in zip(letters, lam))]
+
+
 def degree_witness(psi):
     """None if every non-zero entry of psi is homogeneous of degree
     sum lam_a (lam_a - 1)/2, else the first label (in basis order) that is
@@ -50,3 +79,19 @@ def degree_witness(psi):
         if not p.is_zero() and p.homogeneous_degree() != want:
             return f"label {label_text(lab)} has degree {p.homogeneous_degree()}, want {want}"
     return None
+
+
+def den_poly(rf):
+    """The denominator of a RationalFunction, multiplied out."""
+    p = rf.ctx.one()
+    for f, m in rf.den.items():
+        p = p * (f.to_poly(rf.ctx) ** m)
+    return p
+
+
+def evaluate(rf, values):
+    """A RationalFunction at a point, one value per variable of its context."""
+    d = den_poly(rf).evaluate(values)
+    if d == 0:
+        raise ZeroDivisionError("denominator vanishes at the point")
+    return rf.num.evaluate(values) / d

@@ -44,7 +44,7 @@ from qkzpsi.rmatrix import (
     verify_ybe,
 )
 
-from oracles import degree_witness, tensor_multiplicity
+from oracles import count_triples, degree_witness, tensor_multiplicity
 
 CTX3 = spectral_context(3)
 
@@ -180,25 +180,6 @@ def test_criterion_9_slice(appendix_doc):
 def test_criterion_10_labelling(appendix_doc):
     rep = check_labelling(appendix_doc)
     _accept(10, "point labels match the printed subscripts in >= 9/10 seeded samples", rep.passed)
-
-
-def partitions(n, max_part, max_len):
-    """Every partition of n (weakly decreasing, positive parts) with parts at
-    most max_part and at most max_len parts."""
-    if n == 0:
-        return [()]
-    if max_len == 0:
-        return []
-    return [(first,) + rest for first in range(min(n, max_part), 0, -1)
-            for rest in partitions(n - first, first, max_len - 1)]
-
-
-def count_triples(max_k=4, max_M=10):
-    """(k, lambda, m) for k = 2..max_k and M = 1..max_M: every partition
-    lambda of M with at most k rows, and every weakly decreasing m of M with
-    parts in 1..k-1 (1,230 triples at the defaults)."""
-    return [(k, lam, m) for k in range(2, max_k + 1) for M in range(1, max_M + 1)
-            for lam in partitions(M, M, k) for m in partitions(M, k - 1, M)]
 
 
 def test_criterion_11_counts():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ from qkzpsi.combinatorics import (
     CombinatoricsError,
     Tableau,
     chain_dominance_leq,
+    content_labels,
     enumerate_tableaux,
     epsilon_sign,
     jordan_type,
@@ -20,7 +22,7 @@ from qkzpsi.combinatorics import (
     spaltenstein_label,
 )
 
-from oracles import tensor_multiplicity
+from oracles import brute_content_labels, count_triples, partitions, tensor_multiplicity
 
 
 def _ballot_count(n_pairs):
@@ -83,6 +85,65 @@ def test_phi_subset_sizes():
                 for a in s:
                     lam_rows[a - 1] += 1
             assert tuple(x for x in lam_rows if x) == tuple(x for x in lam if x)
+
+
+def label_sweep():
+    """(lambda, m) for k <= 4 and M <= 7: every partition lambda of M with
+    at most k rows, every weakly decreasing m of M with parts at most k,
+    and the reverse of each m that is not a palindrome (864 cases)."""
+    return [(lam, mm) for k in range(1, 5) for M in range(1, 8)
+            for lam in partitions(M, M, k) for m in partitions(M, k, M)
+            for mm in sorted({m, m[::-1]})]
+
+
+def test_content_labels_match_brute_force():
+    cases = label_sweep()
+    assert len(cases) == 864
+    for lam, m in cases:
+        assert content_labels(lam, m) == sorted(brute_content_labels(lam, m)), (lam, m)
+
+
+def test_enumerate_tableaux_digest():
+    """The rows of every tableau over criterion 11's 1,230 triples, in order,
+    as the enumerator listed them before it shared the walk of
+    ``content_labels``: SHA-256 of their repr, first 16 hex digits."""
+    rows = [[t.rows for t in enumerate_tableaux(lam, m)] for _, lam, m in count_triples()]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "e89d78665a1bf909"
+
+
+def test_subset_sequence_edge_cases():
+    with pytest.raises(CombinatoricsError):
+        enumerate_tableaux((2, 1), (2,))
+    assert content_labels((2, 1), (2,)) == []
+    # a zero part of lambda is no row and no letter; a zero part of m, an empty S_i
+    assert [t.rows for t in enumerate_tableaux((2, 0, 1), (1, 0, 2))] == [((1, 3), (3,))]
+    assert content_labels((2, 0, 1), (1, 0, 2)) == [((1,), (), (1, 3))]
+    assert enumerate_tableaux((), ()) == [Tableau(())]
+    assert content_labels((), ()) == [()]
+
+
+def rows_of(seq, nrows):
+    """Row r holds the i with r in S_i."""
+    return tuple(tuple(i for i, S in enumerate(seq, start=1) if r in S)
+                 for r in range(1, nrows + 1))
+
+
+def is_tableau(rows):
+    try:
+        Tableau(rows)
+    except CombinatoricsError:
+        return False
+    return True
+
+
+def test_phi_map_inverts_the_row_reading():
+    """phi_map of each tableau is its subset sequence, and the tableaux are
+    exactly the subset sequences whose rows make a Tableau."""
+    for _, lam, m in count_triples(max_M=7):
+        tabs = enumerate_tableaux(lam, m)
+        seqs = [seq for seq in content_labels(lam, m) if is_tableau(rows_of(seq, len(lam)))]
+        assert sorted(phi_map(t) for t in tabs) == seqs
+        assert all(rows_of(phi_map(t), len(lam)) == t.rows for t in tabs)
 
 
 def test_multiplicity_worked_example():
@@ -152,6 +213,13 @@ def test_epsilon_and_rho_matrix():
     # promotion swaps the first and last tableaux and fixes the middle one
     assert [tabs.index(rho.mapping[t]) for t in tabs] == [2, 1, 0]
     assert rho.compose(rho).is_identity()
+
+
+def test_sequence_rotation_refuses_a_shape_that_is_not_a_full_rectangle():
+    for k, lam in ((2, (3, 1)), (4, (2, 2)), (2, (4, 3))):
+        m = (1,) * sum(lam)
+        with pytest.raises(CombinatoricsError):
+            sequence_rotation(content_labels(lam, m), m, sum(lam), k)
 
 
 def test_sequence_rotation_shape():

@@ -6,14 +6,19 @@ defined in the package, private (``_name``) or public, must be read
 somewhere in it, a re-export by ``__init__.py`` counting as a read: a
 helper that only tests still call belongs in the tests.  So must every
 method and property of a class, read as an attribute outside its own
-definition, and every optional parameter of a function or method, passed
-by some call in the package.  Reports go through
+definition (a read is matched by attribute name alone, so a method also
+counts as read when a same-named method of another class is read), and
+every optional parameter of a function or method, passed by some call in
+the package.  Reports go through
 one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
 outside it passes the status ``"pass"`` (a pass comes from ``checking``).
 Every output file is written by one writer: only ``cli._write_parts``
 opens a file for writing.
 Operators reach labelled vectors through one applicator: in ``rmatrix.py``
 only ``ROperator.apply`` multiplies term dicts into sums (``_mul_into``).
+Subset sequences are listed by one walk: only ``content_labels`` and
+``enumerate_tableaux`` call ``combinatorics._subset_sequences``, and
+``qkz.py`` defines no ``content_labels`` of its own.
 Rational functions are brought to lowest terms only where an operator is
 built (``fused_rcheck``, ``_solve_block``) and where a failed check names
 its remainder (``_difference``).  No name of the retired mod-prime
@@ -378,6 +383,14 @@ def test_only_the_cli_writer_opens_a_file_for_writing():
 def test_only_the_applicator_multiplies_into_term_dicts():
     source = (SRC / "rmatrix.py").read_text()
     assert callers(source, "_mul_into") == ["ROperator.apply"]
+
+
+def test_one_walk_lists_the_labels_and_the_tableaux():
+    found = [(path.name, caller) for path in MODULES
+             for caller in callers(path.read_text(), "_subset_sequences")]
+    assert found == [("combinatorics.py", "content_labels"),
+                     ("combinatorics.py", "enumerate_tableaux")]
+    assert "content_labels" not in definitions(ast.parse((SRC / "qkz.py").read_text()))
 
 
 def test_only_operator_builders_and_witnesses_reduce():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qkzpsi.algebra import LinearForm, parse_polynomial, spectral_context
-from qkzpsi.combinatorics import SignedPermutationOp, sequence_rotation
+from qkzpsi.combinatorics import SignedPermutationOp, content_labels, sequence_rotation
 from qkzpsi.qkz import (
     PsiError,
     PsiVector,
@@ -12,7 +12,6 @@ from qkzpsi.qkz import (
     check_exchange,
     check_recurrence,
     check_wheel,
-    content_labels,
     cyclic_shift,
     extreme_component,
     fuse_psi,

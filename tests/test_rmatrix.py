@@ -31,6 +31,8 @@ from qkzpsi.rmatrix import (
     verify_ybe,
 )
 
+from oracles import evaluate
+
 CTX3 = spectral_context(3)
 
 
@@ -45,7 +47,7 @@ def _letters(k):
 
 def at_zero(R):
     """Every entry of R at z = 0, hb = 1 (the h slot holds hb/2)."""
-    return {key: rf.evaluate([Fraction(0), Fraction(1, 2)]) for key, rf in R.entries.items()}
+    return {key: evaluate(rf, [Fraction(0), Fraction(1, 2)]) for key, rf in R.entries.items()}
 
 
 def test_fundamental_at_zero_is_identity():
