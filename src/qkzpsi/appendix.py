@@ -50,8 +50,8 @@ def load_fixture():
 
 
 def fixture_labels(doc):
-    return [tuple(tuple(r) for r in phi_map(Tableau(tuple(tuple(x) for x in c["tableau"]))))
-            for c in doc["components"]]
+    N = len(doc["m"])
+    return [phi_map(Tableau(tuple(map(tuple, c["tableau"]))), N) for c in doc["components"]]
 
 
 def fixture_psi(doc):
@@ -127,15 +127,16 @@ def _coordinate_names(N):
             for i in range(1, N + 1) for j in range(i + 1, N + 1)}
 
 
-def _block_witness(eqs, prefix, mats, top, corner, combined):
-    """Where the emitted relations miss the printed block structure, or None.
+def _block_witness(eqs, m, prefix, mats, top, corner, combined):
+    """Where the emitted relations of the slice of m miss the printed block
+    structure, or None.
 
     At the first or last row and column of the Jordan blocks i, j, the
     relation named ``prefix[r,c]`` must equal top, corner, corner*B and
     top + corner*A (first/first, first/last, last/first, last/last); and
     the printed ``combined`` relation must be top + corner*A - A*corner.
     """
-    model = slicemod.SliceModel(eqs.m)
+    model = slicemod.SliceModel(m)
     corner_B = slicemod._mat_mul_poly(corner, mats["B"])
     corner_A = slicemod._mat_mul_poly(corner, mats["A"])
     A_corner = slicemod._mat_mul_poly(mats["A"], corner)
@@ -168,7 +169,7 @@ def check_equations(doc):
             slicemod.matrix_relation_value(by_name[name], mats, ctx, N)
             for name in ("B(A^2+B)", "(A^2+B)B", "A^3+AB+BA"))
         # B(A^2+B) is the explicit combination of the other two relations
-        witness = _block_witness(eqs, "X^4", mats, r_right, r_cubic, r_left)
+        witness = _block_witness(eqs, m, "X^4", mats, r_right, r_cubic, r_left)
         if witness is not None:
             outcome.fail(witness)
         # torus homogeneity of every emitted relation
@@ -347,7 +348,7 @@ def check_deformed(doc):
             for r in doc["deformed_relations"]
         ]
         # the second printed relation is the explicit combination of the others
-        witness = _block_witness(eqs, "prod(X-t)", mats, r1d, r2d, r0d)
+        witness = _block_witness(eqs, m, "prod(X-t)", mats, r1d, r2d, r0d)
         if witness is not None:
             outcome.fail(witness)
         # t = 0 recovers the undeformed equations relation by relation

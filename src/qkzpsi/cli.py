@@ -43,9 +43,12 @@ the rotation is defined for.  ``--check exchange`` skips a slot with
 m_i = k, whose k-th wedge power has no fused R-matrix, and ``--check qkz``
 skips every slot of such a vector.
 
-Every output is written to its file part by part as it is produced, so a
-job holds one polynomial's text at a time, never the whole output; a job
-that fails while writing leaves no file (stdout is written as it goes).
+Every output is written to its file part by part as it is produced, one
+polynomial's text at a time, never the whole output.  ``slice emit`` also
+builds each relation only when it is written (``slice.equation_stream``),
+so it holds one row of matrix powers (one power, for the rank minors),
+never the set of relations.  A job that fails while writing leaves no
+file (stdout is written as it goes).
 An output path of ``-`` is stdout, and then the output is all that stdout
 holds: PASS/FAIL report lines go to stderr.  A reader that closes stdout
 early (``| head``) ends the job with exit status 1 and nothing on stderr.
@@ -57,7 +60,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from itertools import chain
 
 from .algebra import TermWriter, spectral_context
@@ -265,7 +267,7 @@ def _verify_reports(psi, args):
                     return [check_cyclicity(psi, rho)]
                 # one certificate covers the step in every z_i; one report per slot
                 step = qkz_step(psi, rho)
-                return [replace(step, instance=f"{step.instance} i={i}") for i in slots]
+                return [step._replace(instance=f"{step.instance} i={i}") for i in slots]
         name = psi.instance_name()
         return [Report(args.check, name if i is None else f"{name} i={i}", "skipped", witness=why)
                 for i in slots]
@@ -287,17 +289,19 @@ def _verify_reports(psi, args):
 def cmd_slice_emit(args):
     m = _ints(args.m)
     ell = _ints(args.ell)
-    emit = slicemod.emit_deformed_equations if args.deform else slicemod.emit_equations
     try:
-        eqs = emit(m, ell)
+        ctx, relations = slicemod.equation_stream(m, ell, args.deform)
     except slicemod.SliceError as err:
         raise UsageError(str(err)) from None
-    writer = TermWriter(eqs.ctx)
+    writer = TermWriter(ctx)
     if args.format == "json":
-        _write(eqs.to_json(writer), args.out)
+        _write({"schema": 1, "m": list(m), "ell": list(ell), "deformed": args.deform,
+                "coordinates": list(ctx.names),
+                "relations": ({"name": n, "poly": p.to_json(writer)} for n, p in relations)},
+               args.out)
     else:
         header = f"# slice m={m} ell={ell}" + (" (deformed)" if args.deform else "") + "\n"
-        lines = (f"{name} : {p.text(writer)} = 0\n" for name, p in eqs.nonzero())
+        lines = (f"{name} : {p.text(writer)} = 0\n" for name, p in relations if p)
         _write_parts(chain((header,), lines), args.out)
     return 0
 

@@ -14,7 +14,7 @@ labelling and the exchange solve of ``rmatrix`` go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import lcm
@@ -67,24 +67,24 @@ def gauss_jordan(rows, n):
 # -- subset sequences and tableaux ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """Filling of the diagram of lam, one letter per box.
+class Tableau(namedtuple("Tableau", "rows")):
+    """Filling of the diagram of lam, one letter per box; ``rows`` is a
+    tuple of tuples of letters.
 
     Rows are strictly increasing left to right, columns weakly increasing
     top to bottom (the conjugate of a semistandard tableau); letter i is
     used m_i times.
     """
 
-    rows: tuple  # tuple of tuples of letters
+    __slots__ = ()
 
-    def __post_init__(self):
-        for r in self.rows:
+    def __new__(cls, rows):
+        for r in rows:
             for a, b in zip(r, r[1:]):
                 if a >= b:
                     raise CombinatoricsError(f"row {r} is not strictly increasing")
-        for ri in range(1, len(self.rows)):
-            upper, lower = self.rows[ri - 1], self.rows[ri]
+        for ri in range(1, len(rows)):
+            upper, lower = rows[ri - 1], rows[ri]
             if len(lower) > len(upper):
                 raise CombinatoricsError("row lengths must weakly decrease")
             for c, x in enumerate(lower):
@@ -92,6 +92,7 @@ class Tableau:
                     raise CombinatoricsError(
                         f"column {c + 1} not weakly increasing at rows {ri},{ri + 1}"
                     )
+        return super().__new__(cls, rows)
 
     @property
     def shape(self):
@@ -188,11 +189,12 @@ def enumerate_tableaux(lam, m):
     return sorted(tabs, key=Tableau.reading_word)
 
 
-def phi_map(t):
-    """Subset sequence of a tableau, the inverse of the row reading of
-    ``enumerate_tableaux``: alpha_i = rows containing letter i."""
+def phi_map(t, n):
+    """Subset sequence of a tableau in the letters 1..n, the inverse of the
+    row reading of ``enumerate_tableaux``: alpha_i = rows containing letter
+    i, empty for a letter the tableau does not use."""
     return tuple(tuple(r for r, row in enumerate(t.rows, start=1) if i in row)
-                 for i in range(1, len(t.content()) + 1))
+                 for i in range(1, n + 1))
 
 
 # -- promotion and the rotation operator --------------------------------------

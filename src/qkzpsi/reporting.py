@@ -8,19 +8,18 @@ end, ``fail`` or ``skip`` into its Report; no other module reads the clock.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 _INF = float("inf")
 
 
-@dataclass
-class Report:
-    check: str
-    instance: str
-    status: str              # "pass" | "fail" | "skipped"
-    witness: str | None = None
-    wall_time: float = 0.0
+class Report(namedtuple("Report", "check instance status witness wall_time",
+                        defaults=(None, 0.0))):
+    """One check's outcome; status is "pass", "fail" or "skipped"."""
+
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -91,10 +90,12 @@ def json_parts(doc):
     On CPython ``indent`` sends json.dumps to its pure-Python encoder; this
     writer emits the same text with fewer steps, and writes a list of plain
     ints with a single join.  Parts are produced as the writer asks for
-    them, so the whole text is never held at once.  Dict keys must be
-    strings.  A callable value writes its own text: it is called with the
-    newline and indent that precede it and returns that text as one part
-    (``Polynomial.to_json`` with a ``TermWriter`` puts its term rows there).
+    them, so the whole text is never held at once.  An iterator is written
+    as the list of its items, each item taken as the writer reaches it.
+    Dict keys must be strings.  A callable value writes its own text: it is
+    called with the newline and indent that precede it and returns that
+    text as one part (``Polynomial.to_json`` with a ``TermWriter`` puts its
+    term rows there).
     """
     return _emit(doc, "\n")
 
@@ -118,12 +119,9 @@ def _emit(x, nl):
             yield "Infinity" if x > 0 else "-Infinity"
         else:
             yield float.__repr__(x)
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            yield "[]"
-            return
+    elif isinstance(x, (list, tuple, Iterator)):
         inner = nl + "  "
-        if set(map(type, x)) == {int}:
+        if isinstance(x, (list, tuple)) and x and set(map(type, x)) == {int}:
             yield "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
             return
         sep = "[" + inner
@@ -131,7 +129,7 @@ def _emit(x, nl):
             yield sep
             yield from _emit(item, inner)
             sep = "," + inner
-        yield nl + "]"
+        yield "[]" if sep[0] == "[" else nl + "]"
     elif isinstance(x, dict):
         if not x:
             yield "{}"

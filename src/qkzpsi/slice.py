@@ -10,19 +10,24 @@ the "perimeter" rule.
 Equations come from the orbit-closure conditions: X^L = 0 entrywise in the
 rectangular case, rank conditions on powers in general, and the regular
 deformation prod_a (X - t_a) = 0 with coefficients written through the
-elementary symmetric polynomials of the t_a.
+elementary symmetric polynomials of the t_a.  ``equation_stream`` checks
+its input and then builds the relations as they are taken: one matrix row
+of powers at a time (row r of X^p is row r of X^(p-1) times X), or, for
+the rank conditions, the minors of one power before the next is formed.
+``slice emit`` writes each relation as it comes; ``emit_equations`` and
+``emit_deformed_equations`` hold them all in an ``EquationSet``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
+from math import comb
 
 from .algebra import (
     FIELD_MASK,
     LinearForm,
     Polynomial,
-    PolyContext,
     coordinate_context,
     spectral_context,
     sum_of_products,
@@ -35,15 +40,10 @@ class SliceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SliceCoordinate:
-    name: str
-    i: int              # block row (1-based)
-    j: int              # block column
-    col: int            # column within the allowed strip, 1-based
-    row_abs: int        # absolute matrix row (0-based)
-    col_abs: int        # absolute matrix column (0-based)
-    weight_h: int       # torus weight, h-units; z-part is z_i - z_j
+# A free coordinate: its name; its block row i and block column j (1-based);
+# its column within the allowed strip (1-based); its absolute matrix row and
+# column (0-based); its torus weight in h-units, the z-part being z_i - z_j.
+SliceCoordinate = namedtuple("SliceCoordinate", "name i j col row_abs col_abs weight_h")
 
 
 def _coord_name(i, j, col, width):
@@ -152,28 +152,14 @@ class SliceModel:
         return len(weights) <= 1
 
 
-@dataclass
-class EquationSet:
-    m: tuple
-    ell: tuple
-    ctx: PolyContext
-    relations: tuple   # of (name, Polynomial)
-    deformed: bool = False
+class EquationSet(namedtuple("EquationSet", "ctx relations")):
+    """The relations of one slice, held: (name, Polynomial) pairs in emission
+    order, over their context."""
+
+    __slots__ = ()
 
     def nonzero(self):
         return [(n, p) for n, p in self.relations if not p.is_zero()]
-
-    def to_json(self, writer=None):
-        return {
-            "schema": 1,
-            "m": list(self.m),
-            "ell": list(self.ell),
-            "deformed": self.deformed,
-            "coordinates": [n for n in self.ctx.names],
-            "relations": [
-                {"name": n, "poly": p.to_json(writer)} for n, p in self.relations
-            ],
-        }
 
 
 def _mat_mul_poly(A, B):
@@ -181,13 +167,6 @@ def _mat_mul_poly(A, B):
     ctx = A[0][0].ctx
     cols = list(zip(*B))
     return [[sum_of_products(ctx, zip(Ai, col)) for col in cols] for Ai in A]
-
-
-def _mat_pow(X, p):
-    out = X
-    for _ in range(p - 1):
-        out = _mat_mul_poly(out, X)
-    return out
 
 
 def _check_ell(ell, M):
@@ -212,62 +191,76 @@ def _desk_model(m):
     return model
 
 
-def emit_equations(m, ell):
-    """Orbit-closure relations for Jordan type at most ell on the slice.
+def equation_stream(m, ell, deform):
+    """Check (m, ell) and return (ctx, relations), ``relations`` a generator
+    of (name, Polynomial) pairs in a fixed order, built as they are taken.
 
-    Rectangular ell (all nonzero parts equal L): the entries of X^L.
-    General ell: the rank conditions rank(X^s) <= sum_i max(ell_i - s, 0),
-    emitted as vanishing minors of the powers.  Relations come back in a
-    fixed row-major order.
+    Rectangular ell (all nonzero parts equal L): the entries of X^L, or
+    with ``deform`` those of prod_a (X - t_a), row by row.  General ell:
+    the rank conditions rank(X^s) <= sum_i max(ell_i - s, 0), as vanishing
+    minors of each power in turn.  Every input error is raised here, before
+    the first relation is built.
     """
     model = _desk_model(m)
     ell = _check_ell(ell, model.M)
     parts = [x for x in ell if x > 0]
-    ctx, X = model.generic_matrix()
-    relations = []
-    if len(set(parts)) <= 1:
-        L = parts[0] if parts else 1
-        P = _mat_pow(X, L)
-        for r in range(model.M):
-            for c in range(model.M):
-                relations.append((f"X^{L}[{r + 1},{c + 1}]", P[r][c]))
-    else:
-        maxp = max(parts)
-        power = X
-        for s in range(1, maxp + 1):
-            if s > 1:
-                power = _mat_mul_poly(power, X)
-            bound = sum(max(x - s, 0) for x in parts)
-            if bound >= model.M:
-                continue
-            size = bound + 1
-            relations.extend(_minor_relations(power, size, f"X^{s}", model.M))
-    return EquationSet(m=model.m, ell=ell, ctx=ctx, relations=tuple(relations))
+    if len(set(parts)) > 1:
+        if deform:
+            raise SliceError("deformed equations are modeled for rectangular ell only")
+        sizes = [sum(max(x - s, 0) for x in parts) + 1 for s in range(1, max(parts) + 1)]
+        for size in sizes:
+            if comb(model.M, size) ** 2 > 4000:
+                raise SliceError("minor system too large for desk scale")
+            if size > 4:
+                raise SliceError("symbolic minors above size 4 are out of desk scale")
+        ctx, X = model.generic_matrix()
+        return ctx, _minor_relations(X, sizes)
+    L = parts[0]
+    if not deform:
+        ctx, X = model.generic_matrix()
+        return ctx, _power_relations(X, L, None, f"X^{L}")
+    tnames = tuple(f"t{a}" for a in range(1, L + 1))
+    ctx, X = model.generic_matrix(model.context(extra=tnames))
+    signed = [e * (-1) ** s for s, e in enumerate(elementary_symmetric(ctx, tnames))]
+    return ctx, _power_relations(X, L, signed, "prod(X-t)")
 
 
-def _minor_relations(P, size, tag, M):
-    from math import comb
+def _power_relations(X, L, signed, tag):
+    """``tag[r,c]`` = X^L[r][c], or with ``signed`` the sum over s of
+    signed[s] * X^(L-s)[r][c], one row r at a time: row r of X^p is row r
+    of X^(p-1) times X, so only the rows of one r are held."""
+    ctx = X[0][0].ctx
+    M = len(X)
+    cols = list(zip(*X))
+    for r in range(M):
+        rows = [[ctx.one() if c == r else ctx.zero() for c in range(M)], X[r]]
+        for _ in range(L - 1):
+            rows.append([sum_of_products(ctx, zip(rows[-1], col)) for col in cols])
+        for c in range(M):
+            if signed is None:
+                value = rows[L][c]
+            else:
+                value = sum_of_products(ctx, ((a, rows[L - s][c]) for s, a in enumerate(signed)))
+            yield f"{tag}[{r + 1},{c + 1}]", value
 
-    if comb(M, size) ** 2 > 4000:
-        raise SliceError("minor system too large for desk scale")
-    out = []
-    idx = list(range(M))
-    for rows in combinations(idx, size):
-        for cols in combinations(idx, size):
-            sub = [[P[r][c] for c in cols] for r in rows]
-            out.append(
-                (
-                    f"{tag} minor {tuple(r + 1 for r in rows)}x{tuple(c + 1 for c in cols)}",
-                    _poly_det(sub),
-                )
-            )
-    return out
+
+def _minor_relations(X, sizes):
+    """The minors of size ``sizes[s-1]`` of X^s, s = 1, 2, ...: those of X^s
+    are built before X^(s+1) is formed, so X and one power are held."""
+    idx = range(len(X))
+    power = X
+    for s, size in enumerate(sizes, start=1):
+        if s > 1:
+            power = _mat_mul_poly(power, X)
+        for rows in combinations(idx, size):
+            for cols in combinations(idx, size):
+                sub = [[power[r][c] for c in cols] for r in rows]
+                yield (f"X^{s} minor {tuple(r + 1 for r in rows)}x{tuple(c + 1 for c in cols)}",
+                       _poly_det(sub))
 
 
 def _poly_det(sub):
     n = len(sub)
-    if n > 4:
-        raise SliceError("symbolic minors above size 4 are out of desk scale")
     ctx = sub[0][0].ctx
 
     def products():
@@ -297,38 +290,20 @@ def elementary_symmetric(ctx, tnames):
     ]
 
 
+def emit_equations(m, ell):
+    """The relations of ``equation_stream`` without deformation, held."""
+    ctx, relations = equation_stream(m, ell, False)
+    return EquationSet(ctx, tuple(relations))
+
+
 def emit_deformed_equations(m, ell):
-    """Entries of prod_a (X - t_a) on the slice; rectangular ell only.
+    """Entries of prod_a (X - t_a) on the slice, held; rectangular ell only.
 
     The deformation moves the nilpotent orbit to the regular orbit with
     eigenvalues t_1..t_k; at t = 0 this reproduces emit_equations exactly.
     """
-    model = _desk_model(m)
-    ell = _check_ell(ell, model.M)
-    parts = [x for x in ell if x > 0]
-    if len(set(parts)) > 1:
-        raise SliceError("deformed equations are modeled for rectangular ell only")
-    L = parts[0]
-    tnames = tuple(f"t{a}" for a in range(1, L + 1))
-    ctx = model.context(extra=tnames)
-    _, X = model.generic_matrix(ctx)
-    es = elementary_symmetric(ctx, tnames)
-    powers = [None] * (L + 1)
-    ident = [
-        [ctx.one() if r == c else ctx.zero() for c in range(model.M)]
-        for r in range(model.M)
-    ]
-    powers[0] = ident
-    for p in range(1, L + 1):
-        powers[p] = _mat_mul_poly(powers[p - 1], X)
-    signed = [es[s] * (-1) ** s for s in range(L + 1)]
-    relations = []
-    for r in range(model.M):
-        for c in range(model.M):
-            val = sum_of_products(
-                ctx, ((signed[s], powers[L - s][r][c]) for s in range(L + 1)))
-            relations.append((f"prod(X-t)[{r + 1},{c + 1}]", val))
-    return EquationSet(m=model.m, ell=ell, ctx=ctx, relations=tuple(relations), deformed=True)
+    ctx, relations = equation_stream(m, ell, True)
+    return EquationSet(ctx, tuple(relations))
 
 
 def linear_component_multidegree(model, vanishing):

@@ -3,12 +3,17 @@
 Nothing in ``src/`` calls these: each is an independent route to a number
 or property that the package computes, or guarantees, another way, or a
 reading of a package object that only tests need (``den_poly``,
-``evaluate``).
+``evaluate``).  ``full_power_relations`` builds the slice equations from
+whole matrix powers, all held at once: the reference for the row-by-row
+stream of ``slice.equation_stream``.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
+from qkzpsi.algebra import sum_of_products
+from qkzpsi.combinatorics import inversions
 from qkzpsi.qkz import label_text
+from qkzpsi.slice import SliceModel, elementary_symmetric
 
 
 def _add_vertical_strip(p, a, k):
@@ -95,3 +100,67 @@ def evaluate(rf, values):
     if d == 0:
         raise ZeroDivisionError("denominator vanishes at the point")
     return rf.num.evaluate(values) / d
+
+
+def _mat_mul(A, B):
+    ctx = A[0][0].ctx
+    cols = list(zip(*B))
+    return [[sum_of_products(ctx, zip(row, col)) for col in cols] for row in A]
+
+
+def _det(sub):
+    """Determinant by the Leibniz sum, one product per permutation."""
+    ctx = sub[0][0].ctx
+    total = ctx.zero()
+    for perm in permutations(range(len(sub))):
+        term = ctx.const((-1) ** inversions(perm))
+        for i, j in enumerate(perm):
+            term = term * sub[i][j]
+        total = total + term
+    return total
+
+
+def full_power_relations(m, ell, deform):
+    """The (name, Polynomial) relations of the slice of m for Jordan type at
+    most ell, from whole M x M matrix powers.
+
+    Rectangular ell (nonzero parts all L): the entries of X^L = X^(L-1) X,
+    or with ``deform`` those of sum_s (-1)^s e_s X^(L-s), the powers built
+    from the identity up.  General ell: for s = 1..max(ell) every minor of
+    X^s of size sum_i max(ell_i - s, 0) + 1, rows and columns in
+    lexicographic order.
+    """
+    model = SliceModel(m)
+    M = model.M
+    parts = [x for x in ell if x > 0]
+    L = max(parts)
+    if deform:
+        tnames = tuple(f"t{a}" for a in range(1, L + 1))
+        ctx, X = model.generic_matrix(model.context(extra=tnames))
+    else:
+        ctx, X = model.generic_matrix()
+    if len(set(parts)) > 1:
+        out = []
+        power = X
+        for s in range(1, L + 1):
+            if s > 1:
+                power = _mat_mul(power, X)
+            size = sum(max(x - s, 0) for x in parts) + 1
+            for rows in combinations(range(M), size):
+                for cols in combinations(range(M), size):
+                    name = f"X^{s} minor {tuple(r + 1 for r in rows)}x{tuple(c + 1 for c in cols)}"
+                    out.append((name, _det([[power[r][c] for c in cols] for r in rows])))
+        return out
+    if not deform:
+        P = X
+        for _ in range(L - 1):
+            P = _mat_mul(P, X)
+        return [(f"X^{L}[{r + 1},{c + 1}]", P[r][c]) for r in range(M) for c in range(M)]
+    powers = [[[ctx.one() if r == c else ctx.zero() for c in range(M)] for r in range(M)]]
+    for _ in range(L):
+        powers.append(_mat_mul(powers[-1], X))
+    es = elementary_symmetric(ctx, tnames)
+    return [(f"prod(X-t)[{r + 1},{c + 1}]",
+             sum_of_products(ctx, ((es[s] * (-1) ** s, powers[L - s][r][c])
+                                   for s in range(L + 1))))
+            for r in range(M) for c in range(M)]

@@ -76,6 +76,21 @@ def test_psi_build_holds_less_than_its_output(tmp_path):
     assert peak < out.stat().st_size
 
 
+def test_slice_emit_holds_one_row_of_powers(tmp_path):
+    # relations are built row by row and written as they come, so the job's
+    # traced peak stays far below what all L+1 matrix powers take
+    from qkzpsi import cli
+    out = tmp_path / "eqs.txt"
+    tracemalloc.start()
+    try:
+        assert cli.main(["slice", "emit", "--m", "2,2,2,2,2", "--ell", "5,5", "--deform",
+                         "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 @pytest.mark.parametrize("argv, owner, method", [
     (("psi", "build", "--k", "2", "--lambda", "2,2"), "TermWriter", "json_rows"),
     (("slice", "emit", "--m", "2,2,2", "--ell", "3,3"), "Polynomial", "text"),
@@ -575,6 +590,15 @@ GOLDEN = [
      "b19637fdf173520bbcccd5953373f993a5ffa31985cc557d20d1f7d4e9049570"),
     (("slice", "emit", "--m", "2,2,2", "--ell", "3,3", "--deform", "--format", "json"),
      "0c3b01ade6708e7aa6bfcce685ded181aa8345b550766559de436b0097e8f007"),
+    # recorded before slice emit streamed its relations
+    (("slice", "emit", "--m", "2,2,2", "--ell", "3,3"),
+     "d8a3362da067eda2d9b2effbcfda74024b981b14008778014e4cb07e8278f349"),
+    (("slice", "emit", "--m", "2,2,2", "--ell", "3,3", "--format", "json"),
+     "ce1c5da5b2ecd3218e62e53f13f735a92bc9141bd12cd26f1a07510043c1e5d5"),
+    (("slice", "emit", "--m", "1,1,1,1", "--ell", "2,1,1,0"),
+     "11e436643e9720b3a58658dd02c4074e0b241ac096d57996de141d66d3277b70"),
+    (("slice", "emit", "--m", "1,1,1,1", "--ell", "2,1,1,0", "--format", "json"),
+     "d14713133cce5eb97e2815108e87b7478655fde347f70df188c4fccd09342339"),
     (("rmat", "show", "--k", "3", "--a", "1", "--b", "2"),
      "ae352cfdadb02d29935a60e45c03d6c4371d95b0b7f966d84d7ee22f9a49d4de"),
     # recorded before the fused braid went through ROperator.apply
@@ -586,8 +610,9 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
-    "psi-json", "psi-fused-text", "slice-deformed-text", "slice-deformed-json", "rmat-text",
-    "rmat-fused-json", "rmat-fused-text"])
+    "psi-json", "psi-fused-text", "slice-deformed-text", "slice-deformed-json",
+    "slice-rectangular-text", "slice-rectangular-json", "slice-minors-text", "slice-minors-json",
+    "rmat-text", "rmat-fused-json", "rmat-fused-text"])
 def test_output_bytes_are_golden(tmp_path, argv, digest):
     out = tmp_path / "out"
     res = run_cli(*argv, "--out", str(out))

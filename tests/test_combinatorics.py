@@ -68,17 +68,17 @@ def test_enumerate_tableaux_worked_example():
 
 def test_phi_map_examples():
     t = Tableau(((1, 2), (1, 2), (3, 4), (3, 4)))
-    assert phi_map(t) == ((1, 2), (1, 2), (3, 4), (3, 4))
+    assert phi_map(t, 4) == ((1, 2), (1, 2), (3, 4), (3, 4))
     t2 = Tableau(((1, 2), (1, 3), (2, 4), (3, 4)))
-    assert phi_map(t2) == ((1, 2), (1, 3), (2, 4), (3, 4))
+    assert phi_map(t2, 4) == ((1, 2), (1, 3), (2, 4), (3, 4))
     col = Tableau(((1,), (1,), (1,)))
-    assert phi_map(col) == ((1, 2, 3),)
+    assert phi_map(col, 1) == ((1, 2, 3),)
 
 
 def test_phi_subset_sizes():
     for lam, m in (((2, 2), (1, 1, 1, 1)), ((2, 2, 2, 2), (2, 2, 2, 2))):
         for t in enumerate_tableaux(lam, m):
-            alpha = phi_map(t)
+            alpha = phi_map(t, len(m))
             assert tuple(len(s) for s in alpha) == tuple(m)
             lam_rows = [0] * (max(max(s) for s in alpha))
             for s in alpha:
@@ -142,8 +142,17 @@ def test_phi_map_inverts_the_row_reading():
     for _, lam, m in count_triples(max_M=7):
         tabs = enumerate_tableaux(lam, m)
         seqs = [seq for seq in content_labels(lam, m) if is_tableau(rows_of(seq, len(lam)))]
-        assert sorted(phi_map(t) for t in tabs) == seqs
-        assert all(rows_of(phi_map(t), len(lam)) == t.rows for t in tabs)
+        assert sorted(phi_map(t, len(m)) for t in tabs) == seqs
+        assert all(rows_of(phi_map(t, len(m)), len(lam)) == t.rows for t in tabs)
+
+
+@pytest.mark.parametrize("lam, m", [((1,), (1, 0)), ((2, 1), (1, 2, 0, 0)), ((1, 1), (0, 2, 0))])
+def test_phi_map_keeps_the_letters_a_tableau_does_not_use(lam, m):
+    """A zero part of m is an empty S_i, at the end of m too: the round trip
+    through the tableau holds because phi_map is told the number of letters."""
+    tabs = enumerate_tableaux(lam, m)
+    assert [phi_map(t, len(m)) for t in tabs] == content_labels(lam, m)
+    assert phi_map(Tableau(((1,),)), 2) == ((1,), ())
 
 
 def test_multiplicity_worked_example():

@@ -57,7 +57,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from qkzpsi import rmatrix
+from qkzpsi import cli, rmatrix
 from qkzpsi.algebra import (
     AlgebraError,
     ExactDivisionError,
@@ -1058,17 +1058,38 @@ def test_one_writer_renders_a_sequence_like_tuples(case):
         assert "".join(json_parts({"x": [p.to_json(writer)]})) == dumps({"x": [want]})
 
 
+def psi_json(build):
+    """The streamed JSON text of a built vector, and its plain document."""
+    def texts(tmp_path):
+        psi = build()
+        return "".join(json_parts(psi.to_json(TermWriter(psi.ctx)))), psi.to_json()
+    return texts
+
+
+def slice_json(tmp_path):
+    """The JSON that ``slice emit`` streams as it builds each relation, and
+    the plain document of the relations that ``emit_deformed_equations`` holds."""
+    out = tmp_path / "slice.json"
+    assert cli.main(["slice", "emit", "--m", "2,2,2", "--ell", "3,3", "--deform",
+                     "--format", "json", "--out", str(out)]) == 0
+    eqs = emit_deformed_equations((2, 2, 2), (3, 3))
+    doc = {"schema": 1, "m": [2, 2, 2], "ell": [3, 3], "deformed": True,
+           "coordinates": list(eqs.ctx.names),
+           "relations": [{"name": n, "poly": p.to_json()} for n, p in eqs.relations]}
+    return out.read_text().removesuffix("\n"), doc
+
+
 STREAMED = {
-    "fundamental": lambda: build_psi_fundamental(3, (2, 2, 1)),
-    "fused": lambda: fuse_psi(build_psi_fundamental(3, (2, 2, 2)), (2, 2, 2)),
-    "slice": lambda: emit_deformed_equations((2, 2, 2), (3, 3)),
+    "fundamental": psi_json(lambda: build_psi_fundamental(3, (2, 2, 1))),
+    "fused": psi_json(lambda: fuse_psi(build_psi_fundamental(3, (2, 2, 2)), (2, 2, 2))),
+    "slice": slice_json,
 }
 
 
 @pytest.mark.parametrize("name", sorted(STREAMED))
-def test_streamed_json_matches_json_dumps(name):
-    out = STREAMED[name]()
-    assert "".join(json_parts(out.to_json(TermWriter(out.ctx)))) == dumps(out.to_json())
+def test_streamed_json_matches_json_dumps(name, tmp_path):
+    streamed, doc = STREAMED[name](tmp_path)
+    assert streamed == dumps(doc)
 
 
 @st.composite

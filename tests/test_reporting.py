@@ -88,3 +88,33 @@ def test_json_parts_renders_a_callable_value_only_when_it_is_reached():
     assert calls == [] and next(parts) == '{\n  "a": ' and calls == []
     assert "".join(parts) == '[],\n  "b": [\n    []\n  ]\n}'
     assert calls == ["\n  ", "\n    "]
+
+
+def iterators(doc):
+    """doc with every list turned into an iterator over its items."""
+    if isinstance(doc, list):
+        return iter([iterators(x) for x in doc])
+    if isinstance(doc, dict):
+        return {key: iterators(value) for key, value in doc.items()}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_an_iterator_is_written_as_its_list(doc):
+    assert "".join(json_parts(iterators(doc))) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_parts_takes_an_iterators_items_as_it_reaches_them():
+    taken = []
+
+    def items():
+        for i in range(2):
+            taken.append(i)
+            yield [i]
+
+    parts = json_parts({"a": items(), "b": iter(())})
+    assert next(parts) == '{\n  "a": ' and taken == []
+    assert next(parts) == "[\n    " and taken == [0]
+    assert "".join(parts) == '[\n      0\n    ],\n    [\n      1\n    ]\n  ],\n  "b": []\n}'
+    assert taken == [0, 1]

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from qkzpsi.algebra import LinearForm, parse_polynomial, spectral_context
+from oracles import full_power_relations
+from qkzpsi.algebra import LinearForm, TermWriter, parse_polynomial, spectral_context
 from qkzpsi.combinatorics import Tableau, label_of_tableau, spaltenstein_label
 from qkzpsi.slice import (
     SliceError,
@@ -11,6 +13,7 @@ from qkzpsi.slice import (
     elementary_symmetric,
     emit_deformed_equations,
     emit_equations,
+    equation_stream,
     eval_rational,
     linear_component_multidegree,
     linear_solve,
@@ -164,6 +167,53 @@ def test_elementary_symmetric():
     assert es[1] == t1 + t2 + t3
     assert es[2] == t1 * t2 + t1 * t3 + t2 * t3
     assert es[3] == t1 * t2 * t3
+
+
+@pytest.mark.parametrize("m, ell, deform", [
+    ((1,), (1,), False), ((2, 2), (2, 2), False), ((1, 2, 1), (2, 2), False),
+    ((2, 2, 2), (3, 3), True), ((1, 1, 1), (1, 1, 1), True), ((3, 1), (2, 2), True),
+    ((1, 1, 1, 1), (2, 1, 1, 0), False), ((2, 1, 1), (2, 1, 1), False),
+    ((1, 1, 1), (2, 1, 0), False),
+])
+def test_streamed_relations_equal_the_full_power_oracle(m, ell, deform):
+    """Row by row (or power by power for minors) gives the relations of whole
+    matrix powers: names, polynomials and order, streamed and held."""
+    want = full_power_relations(m, ell, deform)
+    ctx, relations = equation_stream(m, ell, deform)
+    assert list(relations) == want
+    held = (emit_deformed_equations if deform else emit_equations)(m, ell)
+    assert (held.ctx, held.relations) == (ctx, tuple(want))
+
+
+def relations_digest(ctx, relations):
+    """SHA-256 of "name : text" lines over every relation, zero ones included,
+    first 16 hex digits."""
+    writer = TermWriter(ctx)
+    text = "".join(f"{name} : {p.text(writer)}\n" for name, p in relations)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# The three slice jobs of the benchmark's appendix workload and a
+# non-rectangular ell, digested from full_power_relations.
+@pytest.mark.parametrize("m, ell, deform, digest", [
+    ((2,) * 5, (5, 5), False, "878b3794d5d93b26"),
+    ((2,) * 5, (5, 5), True, "be89107e7622d0b1"),
+    ((2,) * 6, (4, 4, 4), False, "fb30f72f6db7b513"),
+    ((1, 1, 1, 1), (2, 1, 1, 0), False, "c25d3cd1193779e9"),
+])
+def test_streamed_relations_match_the_full_power_digest(m, ell, deform, digest):
+    assert relations_digest(*equation_stream(m, ell, deform)) == digest
+
+
+@pytest.mark.parametrize("m, ell, deform, fragment", [
+    ((1,) * 6, (4, 2), False, "symbolic minors above size 4"),
+    ((1,) * 8, (2, 2, 2, 1, 1), False, "minor system too large"),
+    ((2, 2), (2, 1, 1), True, "rectangular ell only"),
+])
+def test_equation_stream_refuses_before_building(m, ell, deform, fragment):
+    # raised by the call itself, not when the first relation is taken
+    with pytest.raises(SliceError, match=fragment):
+        equation_stream(m, ell, deform)
 
 
 def test_oversize_guard():
