@@ -116,15 +116,15 @@ def fixture_rho(doc):
 
 def _full_matrices(ctx, N):
     """The full N x N matrices of the slice variables Aij and Bij."""
-    return {letter: [[ctx.var(f"{letter}{i}{j}") for j in range(1, N + 1)]
-                     for i in range(1, N + 1)]
-            for letter in ("A", "B")}
+    return slicemod.letter_matrices(N, lambda letter, i, j: ctx.var(f"{letter}{i}{j}"))
 
 
-def _coordinate_names(N):
-    """{(letter, i, j): "Lij"} for the letters A, B and 1 <= i < j <= N."""
-    return {(letter, i, j): f"{letter}{i}{j}" for letter in ("A", "B")
-            for i in range(1, N + 1) for j in range(i + 1, N + 1)}
+def _upper_entry(ctx, diagonal, letter, i, j):
+    """The slice variable Lij above the diagonal, ``diagonal[(L, i)]`` (zero
+    when absent) on it, zero below."""
+    if i < j:
+        return ctx.var(f"{letter}{i}{j}")
+    return diagonal.get((letter, i), ctx.zero()) if i == j else ctx.zero()
 
 
 def _block_witness(eqs, m, prefix, mats, top, corner, combined):
@@ -137,9 +137,9 @@ def _block_witness(eqs, m, prefix, mats, top, corner, combined):
     the printed ``combined`` relation must be top + corner*A - A*corner.
     """
     model = slicemod.SliceModel(m)
-    corner_B = slicemod._mat_mul_poly(corner, mats["B"])
-    corner_A = slicemod._mat_mul_poly(corner, mats["A"])
-    A_corner = slicemod._mat_mul_poly(mats["A"], corner)
+    corner_B = slicemod.mat_mul(corner, mats["B"])
+    corner_A = slicemod.mat_mul(corner, mats["A"])
+    A_corner = slicemod.mat_mul(mats["A"], corner)
     X = dict(eqs.relations)
     ends = [(s + 1, s + mi) for s, mi in zip(model.block_start, model.m)]  # 1-based
     pairs = [(i, j) for i in range(model.N) for j in range(model.N)]
@@ -162,11 +162,10 @@ def check_equations(doc):
         m = tuple(doc["m"])
         eqs = slicemod.emit_equations(m, tuple(doc["ell"]))
         ctx = eqs.ctx
-        N = len(m)
-        mats = _full_matrices(ctx, N)
+        mats = _full_matrices(ctx, len(m))
         by_name = {r["name"]: r["terms"] for r in doc["relations"]}
         r_left, r_right, r_cubic = (
-            slicemod.matrix_relation_value(by_name[name], mats, ctx, N)
+            slicemod.matrix_relation_value(by_name[name], mats)
             for name in ("B(A^2+B)", "(A^2+B)B", "A^3+AB+BA"))
         # B(A^2+B) is the explicit combination of the other two relations
         witness = _block_witness(eqs, m, "X^4", mats, r_right, r_cubic, r_left)
@@ -185,29 +184,26 @@ def _restricted_slice(doc):
     strictly upper-triangular A, B matrices."""
     model_n = slicemod.SliceModel(tuple(doc["m"]), restricted=True)
     ctx = model_n.context()
-    N = len(doc["m"])
-    return model_n, ctx, slicemod.upper_triangular_matrices(ctx, N, _coordinate_names(N))
+    return model_n, ctx, slicemod.letter_matrices(model_n.N, partial(_upper_entry, ctx, {}))
 
 
-def _constraint_values(comp, mats, ctx, N):
+def _constraint_values(comp, mats):
     """The printed matrix constraints of a component, as polynomials."""
     values = []
     for constraint in comp["matrix_constraints"]:
         r, c = constraint["entry"]
-        val = slicemod.matrix_relation_value(constraint["word_terms"], mats, ctx, N)
-        values.append(val[r - 1][c - 1])
+        values.append(slicemod.matrix_relation_value(constraint["word_terms"], mats)[r - 1][c - 1])
     return values
 
 
 def check_components(doc):
     """The three printed loci satisfy the matrix relations identically."""
     with checking("components", "appendix") as outcome:
-        N = len(doc["m"])
         model_n, ctx, mats = _restricted_slice(doc)
         relations = [
             entry
             for r in doc["relations"]
-            for row in slicemod.matrix_relation_value(r["terms"], mats, ctx, N)
+            for row in slicemod.matrix_relation_value(r["terms"], mats)
             for entry in row
         ]
         half_dim = len(model_n.coords) - 4  # codim = sum lam_a(lam_a-1)/2 = 4
@@ -216,7 +212,7 @@ def check_components(doc):
                 ctx,
                 len(model_n.coords),
                 comp["vanishing"],
-                _constraint_values(comp, mats, ctx, N),
+                _constraint_values(comp, mats),
                 comp["solve_order"],
                 relations,
                 free_expected=half_dim,
@@ -336,15 +332,14 @@ def check_deformed(doc):
     """Deformed relations: printed shape, t = 0 limit, component membership."""
     with checking("deformed-equations", "appendix") as outcome:
         m = tuple(doc["m"])
-        N = len(m)
         ell = tuple(doc["ell"])
         eqs = slicemod.emit_deformed_equations(m, ell)
         ctx = eqs.ctx
         tnames = tuple(f"t{a}" for a in range(1, 5))
         es = slicemod.elementary_symmetric(ctx, tnames)
-        mats = _full_matrices(ctx, N)
+        mats = _full_matrices(ctx, len(m))
         r1d, r0d, r2d = [
-            slicemod.matrix_relation_value(r["terms"], mats, ctx, N, e_polys=es)
+            slicemod.matrix_relation_value(r["terms"], mats, e_polys=es)
             for r in doc["deformed_relations"]
         ]
         # the second printed relation is the explicit combination of the others
@@ -375,27 +370,19 @@ def _check_deformed_component(doc, printed_relations):
     free coordinates must equal half the ambient dimension.
     """
     with checking("deformed-component", "appendix") as outcome:
-        m = tuple(doc["m"])
-        N = len(m)
         dc = doc["deformed_component"]
-        alpha = [tuple(s) for s in dc["alpha"]]
-        names = _coordinate_names(N)
+        model_n = slicemod.SliceModel(tuple(doc["m"]), restricted=True)
         tnames = tuple(f"t{a}" for a in range(1, 5))
-        ctx = slicemod.coordinate_context(tuple(names.values()) + tnames)
+        ctx = model_n.context(extra=tnames)
         es = slicemod.elementary_symmetric(ctx, tnames)
-        diagonal = {}
-        for i, letters in enumerate(alpha, start=1):
-            sa = ctx.zero()
-            pb = ctx.one()
-            for a in letters:
-                sa = sa + ctx.var(f"t{a}")
-                pb = pb * ctx.var(f"t{a}")
-            diagonal[("A", i)] = sa
-            diagonal[("B", i)] = -pb
-        mats = slicemod.upper_triangular_matrices(ctx, N, names, diagonal=diagonal)
+        diagonal = {}  # A_ii the sum, B_ii minus the product of the t_a, a in alpha_i
+        for i, letters in enumerate(dc["alpha"], start=1):
+            e = slicemod.elementary_symmetric(ctx, [f"t{a}" for a in letters])
+            diagonal["A", i], diagonal["B", i] = e[1], -e[-1]
+        mats = slicemod.letter_matrices(model_n.N, partial(_upper_entry, ctx, diagonal))
         quadratics = [parse_polynomial(q, ctx) for q in dc["quadratics"]]
         rel_values = [
-            slicemod.matrix_relation_value(rel["terms"], mats, ctx, N, e_polys=es)
+            slicemod.matrix_relation_value(rel["terms"], mats, e_polys=es)
             for rel in printed_relations
         ]
         constraints = list(quadratics)
@@ -406,7 +393,7 @@ def _check_deformed_component(doc, printed_relations):
         relations = [entry for val in rel_values for row in val for entry in row]
         rep = slicemod.verify_component_membership(
             ctx,
-            len(names),
+            len(model_n.coords),
             [],
             constraints,
             solve_order,
@@ -422,20 +409,21 @@ def _check_deformed_component(doc, printed_relations):
 def sample_component_point(doc, comp_index, rng):
     """Random rational point of a printed component.
 
-    Free coordinates are integers in [-9, 9]; constrained ones are solved
-    from the printed equations (resampling if a pivot degenerates).
-    Returns the full 8 x 8 slice matrix.
+    Free coordinates are integers in [-9, 9]; the vanishing ones are zero,
+    and the solved ones are filled from the last solution of ``solve_locus``
+    back, each solution being free of the variables solved before it
+    (resampling if a pivot degenerates).  Returns the full 8 x 8 slice
+    matrix.
     """
     comp = doc["components"][comp_index]
     model_n, ctx, mats = _restricted_slice(doc)
-    cvals = _constraint_values(comp, mats, ctx, len(doc["m"]))
-    solutions = [(var, slicemod.linear_solve(cvals[cidx], var, ctx))
-                 for var, cidx in comp["solve_order"]]
+    _, solutions = slicemod.solve_locus(ctx, comp["vanishing"], _constraint_values(comp, mats),
+                                        comp["solve_order"])
     while True:
         point = {c.name: Fraction(rng.randrange(-9, 10)) for c in model_n.coords}
         for name in comp["vanishing"]:
             point[name] = Fraction(0)
-        for var, (num, den) in solutions:
+        for var, num, den in reversed(solutions):
             values = [point[name] for name in ctx.names]
             pivot = den.evaluate(values)
             if pivot == 0:
@@ -443,11 +431,9 @@ def sample_component_point(doc, comp_index, rng):
             point[var] = num.evaluate(values) / pivot
         else:
             break
-    model = slicemod.SliceModel(tuple(doc["m"]))
-    M = model.M
+    M = model_n.M
     X = [[Fraction(0)] * M for _ in range(M)]
-    for bi, mi in enumerate(model.m):
-        s = model.block_start[bi]
+    for s, mi in zip(model_n.block_start, model_n.m):
         for r in range(mi - 1):
             X[s + r][s + r + 1] = Fraction(1)
     for c in model_n.coords:
@@ -473,7 +459,7 @@ def check_labelling(doc):
         rng = _random.Random(1)
         for ci, comp in enumerate(doc["components"]):
             printed_tab = Tableau(tuple(tuple(r) for r in comp["tableau"]))
-            printed = label_of_tableau(printed_tab)
+            printed = label_of_tableau(printed_tab, len(m))
             hits = 0
             minority = []
             for _ in range(samples):

@@ -98,15 +98,6 @@ class Tableau(namedtuple("Tableau", "rows")):
     def shape(self):
         return tuple(len(r) for r in self.rows)
 
-    def content(self):
-        """Number of occurrences of each letter 1..max."""
-        top = max((x for r in self.rows for x in r), default=0)
-        counts = [0] * top
-        for r in self.rows:
-            for x in r:
-                counts[x - 1] += 1
-        return tuple(counts)
-
     def reading_word(self):
         return tuple(x for r in self.rows for x in r)
 
@@ -372,12 +363,13 @@ def chain_dominance_leq(a, b):
     return len(a) == len(b) and all(map(partition_dominance_leq, a, b))
 
 
-def label_of_tableau(t):
+def label_of_tableau(t, n):
     """The chain of Jordan types, a tuple of partitions, that a generic point
-    of the tableau's component has: its h-th entry is the conjugate of the
-    shape that letters 1..h fill."""
+    of the tableau's component has, in the letters 1..n: its h-th entry is
+    the conjugate of the shape that letters 1..h fill, so a letter the
+    tableau does not use repeats the entry before it."""
     return tuple(conjugate_partition([sum(x <= h for x in r) for r in t.rows])
-                 for h in range(1, len(t.content()) + 1))
+                 for h in range(1, n + 1))
 
 
 def spaltenstein_label(X, m):

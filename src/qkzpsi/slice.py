@@ -16,6 +16,14 @@ of powers at a time (row r of X^p is row r of X^(p-1) times X), or, for
 the rank conditions, the minors of one power before the next is formed.
 ``slice emit`` writes each relation as it comes; ``emit_equations`` and
 ``emit_deformed_equations`` hold them all in an ``EquationSet``.
+
+The worked example's component loci go through one elimination,
+``solve_locus``: its vanishing coordinates are set to zero, then the
+solutions of its constraints are eliminated in order, each from every
+polynomial, so the membership check (``verify_component_membership``) sees
+polynomials free of every solved variable, and a sampled point is filled
+from the last solution back.  ``letter_matrices`` builds the example's
+matrices A and B, whose words ``matrix_relation_value`` evaluates.
 """
 
 from __future__ import annotations
@@ -46,14 +54,13 @@ class SliceError(Exception):
 SliceCoordinate = namedtuple("SliceCoordinate", "name i j col row_abs col_abs weight_h")
 
 
-def _coord_name(i, j, col, width):
-    """Bij / Aij style names when two columns exist, else Xij_c."""
-    if width == 2:
-        return ("B" if col == 1 else "A") + f"{i}{j}"
-    if width == 1:
-        return f"A{i}{j}"
-    letter = chr(ord("A") + width - col)
-    return f"{letter}{i}{j}"
+def _coord_name(i, j, col, width, N):
+    """The coordinate of block (i, j) in column ``col`` of a ``width``-wide
+    strip: a letter counting back from the last column (A), then the block
+    indices, joined by an underscore from N = 11 blocks on (A1_11), where
+    plain juxtaposition would give (1,11) and (11,1) the same name."""
+    pair = f"{i}_{j}" if N > 10 else f"{i}{j}"
+    return chr(ord("A") + width - col) + pair
 
 
 class SliceModel:
@@ -90,7 +97,7 @@ class SliceModel:
                     col_abs = self.block_start[j - 1] + (col - 1)
                     coords.append(
                         SliceCoordinate(
-                            name=_coord_name(i, j, col, width),
+                            name=_coord_name(i, j, col, width, self.N),
                             i=i,
                             j=j,
                             col=col,
@@ -162,7 +169,7 @@ class EquationSet(namedtuple("EquationSet", "ctx relations")):
         return [(n, p) for n, p in self.relations if not p.is_zero()]
 
 
-def _mat_mul_poly(A, B):
+def mat_mul(A, B):
     """A*B, each entry accumulated in one dict."""
     ctx = A[0][0].ctx
     cols = list(zip(*B))
@@ -251,7 +258,7 @@ def _minor_relations(X, sizes):
     power = X
     for s, size in enumerate(sizes, start=1):
         if s > 1:
-            power = _mat_mul_poly(power, X)
+            power = mat_mul(power, X)
         for rows in combinations(idx, size):
             for cols in combinations(idx, size):
                 sub = [[power[r][c] for c in cols] for r in rows]
@@ -326,68 +333,99 @@ def linear_component_multidegree(model, vanishing):
     return p
 
 
-# -- generic points with rational coordinates -----------------------------------
+# -- component loci: letter matrices, words, ordered elimination -----------------
 
 
-def linear_solve(poly, var, ctx):
-    """Solve a polynomial linear in ``var``: returns (num, den) with var = num/den."""
+def letter_matrices(N, entry):
+    """{"A": A, "B": B}, the N x N matrices whose (i, j) entry (1-based) is
+    ``entry(letter, i, j)``."""
+    return {letter: [[entry(letter, i, j) for j in range(1, N + 1)] for i in range(1, N + 1)]
+            for letter in ("A", "B")}
+
+
+def word_value(word, mats):
+    """Product of the matrices named by ``word`` ("" means the identity)."""
+    if not word:
+        A = mats["A"]
+        ctx = A[0][0].ctx
+        return [[ctx.one() if r == c else ctx.zero() for c in range(len(A))]
+                for r in range(len(A))]
+    out = mats[word[0]]
+    for letter in word[1:]:
+        out = mat_mul(out, mats[letter])
+    return out
+
+
+def matrix_relation_value(terms, mats, e_polys=None):
+    """Evaluate a sum of scalar-weighted matrix words as an N x N matrix."""
+    ctx = mats["A"][0][0].ctx
+    weighted = []
+    for term in terms:
+        scalar = ctx.const(term.get("c", 1))
+        if "e" in term:
+            if e_polys is None:
+                raise SliceError("relation uses deformation coefficients but none given")
+            scalar = scalar * e_polys[term["e"]]
+        weighted.append((scalar, word_value(term.get("word", ""), mats)))
+    N = len(mats["A"])
+    return [[sum_of_products(ctx, ((a, val[r][c]) for a, val in weighted)) for c in range(N)]
+            for r in range(N)]
+
+
+def _layers(poly, var):
+    """The coefficients of var^0, var^1, ... in ``poly``, free of ``var``."""
+    ctx = poly.ctx
     vidx = ctx.index(var)
     off, unit = ctx.offset(vidx), ctx.units[vidx]
-    c0 = {}
-    c1 = {}
+    layers = []
     for e, coeff in poly.terms.items():
         d = e >> off & FIELD_MASK
-        if d == 0:
-            c0[e] = coeff
-        elif d == 1:
-            c1[e - unit] = coeff
-        else:
-            raise SliceError(f"constraint is not linear in {var}")
-    num = -Polynomial(ctx, c0)
-    den = Polynomial(ctx, c1)
-    if den.is_zero():
+        while len(layers) <= d:
+            layers.append({})
+        layers[d][e - d * unit] = coeff
+    return [Polynomial(ctx, terms, _clean=True) for terms in layers]
+
+
+def linear_solve(poly, var):
+    """Solve a polynomial linear in ``var``: returns (num, den) with var = num/den."""
+    layers = _layers(poly, var)
+    if len(layers) > 2:
+        raise SliceError(f"constraint is not linear in {var}")
+    if len(layers) < 2:
         raise SliceError(f"constraint does not involve {var}")
-    return num, den
+    return -layers[0], layers[1]
 
 
-def eval_rational(poly, assignment, ctx):
-    """Evaluate with some variables set to num/den pairs; returns (num, den).
+def solve_locus(ctx, vanishing, polys, solve_order):
+    """Restrict ``polys`` to a locus by ordered elimination.
 
-    Unassigned variables stay symbolic.  The result denominator is the
-    product of the assignment denominators raised to the maximal exponents,
-    so membership checks reduce to `num == 0`.
+    The ``vanishing`` coordinates are set to zero.  Then, for each
+    (var, cidx) of ``solve_order`` in turn, ``polys[cidx]`` is solved
+    linearly for var = num/den, and the solution is eliminated from every
+    polynomial: p of degree d in var becomes den**d * p(num/den), so each
+    later solve and every result is free of the variables solved before it.
+    Returns (the restricted polynomials, [(var, num, den), ...]).  A
+    solution may still involve the variables solved after it, so a point of
+    the locus is filled from the last solution back.  A polynomial vanishes
+    on the locus exactly when its restriction is zero; the solved ones
+    restrict to zero.
     """
-    offsets = {name: ctx.offset(ctx.index(name)) for name in assignment}
-    units = {name: ctx.units[ctx.index(name)] for name in assignment}
-    maxdeg = {}
-    for e in poly.terms:
-        for name, off in offsets.items():
-            exp = e >> off & FIELD_MASK
-            if exp > maxdeg.get(name, 0):
-                maxdeg[name] = exp
-    den_total = ctx.one()
-    for name, d in maxdeg.items():
-        den_total = den_total * (assignment[name][1] ** d)
-    total = {}
-    get = total.get
-    for e, coeff in poly.terms.items():
-        # the unassigned variables stay as they are: take the others out
-        rest = e
-        exps = {}
-        for name in maxdeg:
-            exp = exps[name] = e >> offsets[name] & FIELD_MASK
-            rest -= exp * units[name]
-        factor = Polynomial(ctx, {rest: coeff}, _clean=True)
-        for name, exp in exps.items():
-            num, den = assignment[name]
-            if exp:
-                factor = factor * (num ** exp)
-            pad = maxdeg[name] - exp
-            if pad:
-                factor = factor * (den ** pad)
-        for mono, c in factor.terms.items():
-            total[mono] = get(mono, 0) + c
-    return Polynomial(ctx, total), den_total
+    mask = 0
+    for name in vanishing:
+        mask |= FIELD_MASK << ctx.offset(ctx.index(name))
+    polys = [Polynomial(ctx, {e: c for e, c in p.terms.items() if not e & mask}, _clean=True)
+             for p in polys]
+    solutions = []
+    for var, cidx in solve_order:
+        num, den = linear_solve(polys[cidx], var)
+        solutions.append((var, num, den))
+        for pi, p in enumerate(polys):
+            layers = _layers(p, var)
+            d = len(layers) - 1
+            if d > 0:
+                polys[pi] = sum_of_products(ctx, ((layer, num ** k * den ** (d - k))
+                                                  for k, layer in enumerate(layers)))
+    return polys, solutions
 
 
 def verify_component_membership(
@@ -398,90 +436,24 @@ def verify_component_membership(
 
     ``vanishing`` names coordinates set to zero; ``constraints`` are
     polynomial conditions, of which those named in ``solve_order`` (pairs
-    of variable name and constraint index) are eliminated linearly, leaving
-    the rest as identities to verify; ``relations`` must then vanish
-    identically in the remaining free symbols, of which there must be
-    ``free_expected`` (``n_coords`` less the assigned ones).  Exact throughout: the
-    generic point uses fresh symbols, not random numbers.
+    of variable name and constraint index) are solved linearly and
+    eliminated in that order (``solve_locus``), each solution from every
+    constraint and relation, so a solution may use a variable solved after
+    it (a point of the locus is filled from the last solution back); the
+    remaining constraints are identities to verify, and ``relations`` must
+    then vanish identically in the remaining free symbols, of which there
+    must be ``free_expected`` (``n_coords`` less the assigned ones).  Exact
+    throughout: the generic point uses fresh symbols, not random numbers.
     """
     with checking("membership", instance) as outcome:
-        assignment = {}
-        zero, one = ctx.zero(), ctx.one()
-        for name in vanishing:
-            assignment[name] = (zero, one)
-        solved = set()
-        for var, cidx in solve_order:
-            num, _ = eval_rational(constraints[cidx], assignment, ctx)
-            vn, vd = linear_solve(num, var, ctx)
-            assignment[var] = (vn, vd)
-            solved.add(cidx)
-        for cidx, c in enumerate(constraints):
-            if cidx in solved:
-                continue
-            num, _ = eval_rational(c, assignment, ctx)
-            if not num.is_zero():
+        values, _ = solve_locus(ctx, vanishing, list(constraints) + list(relations), solve_order)
+        for cidx, value in enumerate(values[:len(constraints)]):
+            if not value.is_zero():
                 outcome.fail(f"constraint {cidx} does not vanish on the locus")
-        free = n_coords - len(assignment)
+        free = n_coords - len(set(vanishing) | {var for var, _ in solve_order})
         if free != free_expected:
             outcome.fail(f"dimension {free}, want {free_expected}")
-        for ri, rel in enumerate(relations):
-            if rel.is_zero():
-                continue
-            num, _ = eval_rational(rel, assignment, ctx)
-            if not num.is_zero():
+        for ri, value in enumerate(values[len(constraints):]):
+            if not value.is_zero():
                 outcome.fail(f"relation {ri} does not vanish")
     return outcome.report
-
-
-def upper_triangular_matrices(ctx, N, names, diagonal=None):
-    """Symbolic N x N upper-triangular matrices from coordinate names.
-
-    ``names`` maps (letter, i, j) -> variable name for i < j; ``diagonal``
-    optionally maps (letter, i) -> Polynomial for the diagonal entries
-    (strict upper triangular when omitted).
-    """
-    mats = {}
-    for letter in ("A", "B"):
-        rows = []
-        for i in range(1, N + 1):
-            row = []
-            for j in range(1, N + 1):
-                if i < j:
-                    row.append(ctx.var(names[(letter, i, j)]))
-                elif i == j and diagonal is not None:
-                    row.append(diagonal.get((letter, i), ctx.zero()))
-                else:
-                    row.append(ctx.zero())
-            rows.append(row)
-        mats[letter] = rows
-    return mats
-
-
-def word_value(word, mats, ctx, N):
-    """Product of the matrices named by ``word`` ("" means the identity)."""
-    ident = [
-        [ctx.one() if r == c else ctx.zero() for c in range(N)] for r in range(N)
-    ]
-    out = ident
-    for letter in word:
-        out = _mat_mul_poly(out, mats[letter])
-    return out
-
-
-def matrix_relation_value(terms, mats, ctx, N, e_polys=None):
-    """Evaluate a sum of scalar-weighted matrix words as an N x N matrix."""
-    total = [[ctx.zero() for _ in range(N)] for _ in range(N)]
-    for term in terms:
-        c = term.get("c", 1)
-        word = term.get("word", "")
-        val = word_value(word, mats, ctx, N)
-        scalar = ctx.const(c)
-        if "e" in term:
-            if e_polys is None:
-                raise SliceError("relation uses deformation coefficients but none given")
-            scalar = scalar * e_polys[term["e"]]
-        for r in range(N):
-            for cc in range(N):
-                if not val[r][cc].is_zero():
-                    total[r][cc] = total[r][cc] + scalar * val[r][cc]
-    return total

@@ -5,15 +5,18 @@ or property that the package computes, or guarantees, another way, or a
 reading of a package object that only tests need (``den_poly``,
 ``evaluate``).  ``full_power_relations`` builds the slice equations from
 whole matrix powers, all held at once: the reference for the row-by-row
-stream of ``slice.equation_stream``.
+stream of ``slice.equation_stream``.  ``eval_rational`` substitutes every
+solution of a component locus at once, and ``restrict_at_once`` restricts
+polynomials to a locus through it, as the membership check did before
+``slice.solve_locus`` eliminated the solutions in order.
 """
 
 from itertools import combinations, permutations, product
 
-from qkzpsi.algebra import sum_of_products
+from qkzpsi.algebra import FIELD_MASK, Polynomial, sum_of_products
 from qkzpsi.combinatorics import inversions
 from qkzpsi.qkz import label_text
-from qkzpsi.slice import SliceModel, elementary_symmetric
+from qkzpsi.slice import SliceModel, elementary_symmetric, linear_solve
 
 
 def _add_vertical_strip(p, a, k):
@@ -164,3 +167,57 @@ def full_power_relations(m, ell, deform):
              sum_of_products(ctx, ((es[s] * (-1) ** s, powers[L - s][r][c])
                                    for s in range(L + 1))))
             for r in range(M) for c in range(M)]
+
+
+def eval_rational(poly, assignment, ctx):
+    """Evaluate with some variables set to num/den pairs; returns (num, den).
+
+    Unassigned variables stay symbolic, and so do assigned ones inside the
+    images of others: no image is substituted into another.  The result
+    denominator is the product of the assignment denominators raised to the
+    maximal exponents, so a value vanishes when ``num == 0``.
+    """
+    offsets = {name: ctx.offset(ctx.index(name)) for name in assignment}
+    units = {name: ctx.units[ctx.index(name)] for name in assignment}
+    maxdeg = {}
+    for e in poly.terms:
+        for name, off in offsets.items():
+            exp = e >> off & FIELD_MASK
+            if exp > maxdeg.get(name, 0):
+                maxdeg[name] = exp
+    den_total = ctx.one()
+    for name, d in maxdeg.items():
+        den_total = den_total * (assignment[name][1] ** d)
+    total = {}
+    get = total.get
+    for e, coeff in poly.terms.items():
+        # the unassigned variables stay as they are: take the others out
+        rest = e
+        exps = {}
+        for name in maxdeg:
+            exp = exps[name] = e >> offsets[name] & FIELD_MASK
+            rest -= exp * units[name]
+        factor = Polynomial(ctx, {rest: coeff}, _clean=True)
+        for name, exp in exps.items():
+            num, den = assignment[name]
+            if exp:
+                factor = factor * (num ** exp)
+            pad = maxdeg[name] - exp
+            if pad:
+                factor = factor * (den ** pad)
+        for mono, c in factor.terms.items():
+            total[mono] = get(mono, 0) + c
+    return Polynomial(ctx, total), den_total
+
+
+def restrict_at_once(ctx, vanishing, polys, solve_order):
+    """The numerators of ``polys`` on a locus, by ``eval_rational``: the
+    vanishing coordinates map to 0, and each (var, cidx) of ``solve_order``
+    solves ``polys[cidx]`` at the solutions before it; then every
+    polynomial is evaluated at all the solutions at once."""
+    zero, one = ctx.zero(), ctx.one()
+    assignment = {name: (zero, one) for name in vanishing}
+    for var, cidx in solve_order:
+        num, _ = eval_rational(polys[cidx], assignment, ctx)
+        assignment[var] = linear_solve(num, var)
+    return [eval_rational(p, assignment, ctx)[0] for p in polys]

@@ -245,6 +245,15 @@ def test_slice_emit_text():
     assert "A12" in res.stdout or "B12" in res.stdout
 
 
+def test_slice_emit_names_eleven_blocks_apart():
+    # with 11 blocks, block indices (1,11) and (11,1) must give two names
+    ones = ",".join(["1"] * 11)
+    res = run_cli("slice", "emit", "--m", ones, "--ell", ones)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "X^1[1,11] : A1_11 = 0" in res.stdout and "X^1[11,1] : A11_1 = 0" in res.stdout
+
+
 def test_slice_emit_deformed_mentions_t():
     res = run_cli("slice", "emit", "--m", "2,2", "--ell", "2,2", "--deform")
     assert res.returncode == 0, res.stderr

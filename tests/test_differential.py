@@ -44,6 +44,11 @@ through ``RationalFunction.substitute_z`` and reduces it by
 ``exact_div_reduce``, so ``ROperator.substitute_spectral``, which expands
 over one table of powers and does not reduce, is seen to carry a reduced
 operator to reduced entries.
+``oracles.restrict_at_once`` evaluates polynomials on a component locus
+by substituting every solution at once (``oracles.eval_rational``), as the
+membership check did before ``slice.solve_locus`` eliminated the solutions
+in order; on an order where no solution involves a variable solved after
+it, both see the same polynomials vanish.
 All of them live only here, as references.
 """
 
@@ -57,7 +62,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from qkzpsi import cli, rmatrix
+from qkzpsi import appendix, cli, rmatrix
+from qkzpsi import slice as slicemod
 from qkzpsi.algebra import (
     AlgebraError,
     ExactDivisionError,
@@ -65,6 +71,7 @@ from qkzpsi.algebra import (
     Polynomial,
     RationalFunction,
     TermWriter,
+    coordinate_context,
     spectral_context,
 )
 from qkzpsi.appendix import fixture_psi, fixture_rho, fixture_rmatrices
@@ -93,7 +100,7 @@ from qkzpsi.reporting import json_parts
 from qkzpsi.rmatrix import fused_rcheck
 from qkzpsi.slice import SliceModel, emit_deformed_equations
 
-from oracles import den_poly, evaluate
+from oracles import den_poly, evaluate, restrict_at_once
 
 
 def walk_order(base):
@@ -1692,3 +1699,77 @@ def test_integral_solve_coordinates_match_half_sums_on_appendix(monkeypatch, app
 def test_integral_solve_coordinates_match_half_sums_slotwise(monkeypatch, k, lam, slot):
     psi = build_psi_fundamental(k, lam)
     assert assert_solve_matches_half_sums(monkeypatch, psi, slot).source == slot_pairs(psi, slot)
+
+
+def fixture_loci(doc):
+    """(instance, ctx, vanishing, polys, solve_order) of each membership check
+    of the appendix suite, its constraints then its relations in ``polys``."""
+    loci = []
+    verify = slicemod.verify_component_membership
+
+    def record(ctx, n_coords, vanishing, constraints, solve_order, relations, *args, **kw):
+        loci.append((kw["instance"], ctx, list(vanishing), list(constraints) + list(relations),
+                     [tuple(step) for step in solve_order]))
+        return verify(ctx, n_coords, vanishing, constraints, solve_order, relations, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slicemod, "verify_component_membership", record)
+        assert appendix.check_components(doc).passed and appendix.check_deformed(doc).passed
+    return loci
+
+
+def assert_same_zeros(ctx, vanishing, polys, solve_order):
+    """solve_locus and restrict_at_once see the same polynomials vanish; returns
+    how many do."""
+    values, _ = slicemod.solve_locus(ctx, vanishing, polys, solve_order)
+    at_once = restrict_at_once(ctx, vanishing, polys, solve_order)
+    assert [v.is_zero() for v in values] == [v.is_zero() for v in at_once]
+    return sum(v.is_zero() for v in values)
+
+
+def test_ordered_elimination_matches_substituting_at_once_on_the_fixture(appendix_doc):
+    loci = fixture_loci(appendix_doc)
+    assert [instance for instance, *_ in loci] == [
+        "component 1", "component 2", "component 3", "deformed component"]
+    for _, ctx, vanishing, polys, solve_order in loci:
+        # every constraint and relation vanishes; the bare coordinates tell
+        # the vanishing and solved-to-zero ones from the rest
+        probes = polys + [ctx.var(name) for name in ctx.names]
+        assert assert_same_zeros(ctx, vanishing, probes, solve_order) >= len(polys)
+
+
+LOCUS = coordinate_context(("w", "f1", "f2", "v1", "v2", "v3"))
+
+
+def locus_polys(names, min_terms=0, max_terms=3):
+    """Small integer polynomials of LOCUS in the named variables."""
+    slots = [LOCUS.index(name) for name in names]
+    monomials = st.dictionaries(st.sampled_from(slots), st.integers(1, 2), max_size=2).map(
+        lambda d: LOCUS.pack([d.get(i, 0) for i in range(LOCUS.nvars)]))
+    return st.dictionaries(monomials, st.integers(-3, 3).filter(bool), min_size=min_terms,
+                           max_size=max_terms).map(lambda terms: Polynomial(LOCUS, terms))
+
+
+@st.composite
+def triangular_loci(draw):
+    """A locus where w vanishes and each solved v is D v - n with D a nonzero
+    polynomial in f1, f2 and n free of the v solved after it; the polys are
+    its constraints, random probes, and combinations of the constraints and
+    w, which vanish on the locus."""
+    order = draw(st.permutations(["v1", "v2", "v3"]))[:draw(st.integers(1, 3))]
+    constraints = [draw(locus_polys(["f1", "f2"], min_terms=1)) * LOCUS.var(var)
+                   - draw(locus_polys(["w", "f1", "f2", *order[:k]]))
+                   for k, var in enumerate(order)]
+    every = locus_polys(LOCUS.names)
+    probes = draw(st.lists(every, max_size=3))
+    vanishing = [sum((draw(every) * c for c in constraints), draw(every) * LOCUS.var("w"))
+                 for _ in range(2)]
+    polys = constraints + probes + vanishing + [p + q for p in vanishing for q in probes[:1]]
+    return polys, [(var, k) for k, var in enumerate(order)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangular_loci())
+def test_ordered_elimination_matches_substituting_at_once_on_triangular_orders(case):
+    polys, solve_order = case
+    assert assert_same_zeros(LOCUS, ["w"], polys, solve_order) >= len(solve_order) + 2

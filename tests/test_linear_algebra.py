@@ -231,7 +231,7 @@ def test_labelling_hits_are_pinned(appendix_doc):
     rng = random.Random(1)
     hits = []
     for ci, comp in enumerate(appendix_doc["components"]):
-        printed = label_of_tableau(Tableau(tuple(map(tuple, comp["tableau"]))))
+        printed = label_of_tableau(Tableau(tuple(map(tuple, comp["tableau"]))), 4)
         hits.append(sum(spaltenstein_label(sample_component_point(appendix_doc, ci, rng),
                                            (2, 2, 2, 2)) == printed for _ in range(10)))
     assert hits == [10, 9, 9]

@@ -21,9 +21,13 @@ Subset sequences are listed by one walk: only ``content_labels`` and
 ``qkz.py`` defines no ``content_labels`` of its own.
 Rational functions are brought to lowest terms only where an operator is
 built (``fused_rcheck``, ``_solve_block``) and where a failed check names
-its remainder (``_difference``).  No name of the retired mod-prime
-non-divisibility certificate comes back, nor of the retired per-denominator
-operator sums (``RFSum``, ``_accumulate``) and hand-written tokenizer.
+its remainder (``_difference``).  Component loci go through one ordered
+elimination: only ``slice.solve_locus`` calls ``linear_solve``.  No name of
+the retired mod-prime non-divisibility certificate comes back, nor of the
+retired per-denominator operator sums (``RFSum``, ``_accumulate``) and
+hand-written tokenizer, nor of the all-at-once locus evaluation and the
+letter-matrix builders it had (``eval_rational``,
+``upper_triangular_matrices``, ``_mat_mul_poly``, ``_coordinate_names``).
 """
 
 import ast
@@ -403,9 +407,19 @@ def test_only_operator_builders_and_witnesses_reduce():
                              ("rmatrix.py", "fused_rcheck")]
 
 
+def test_only_the_ordered_elimination_solves_a_locus():
+    found = [(path.name, caller) for path in MODULES
+             for caller in callers(path.read_text(), "linear_solve")]
+    assert found == [("slice.py", "solve_locus")]
+
+
 RETIRED = {"_may_divide", "_hyperplane", "PRIME", "BETA", "_reduced"}
 # the sums kept one term dict per denominator; the parser had its own tokenizer
 RETIRED_SUMS_AND_TOKENIZER = {"RFSum", "_accumulate", "_TOKEN"}
+# loci were evaluated with every solution substituted at once, over matrices
+# built by three hand-written comprehensions and a private product
+RETIRED_LOCUS_LAYER = {"eval_rational", "upper_triangular_matrices", "_mat_mul_poly",
+                       "_coordinate_names"}
 
 
 def identifiers(source):
@@ -443,3 +457,8 @@ def test_no_name_of_the_retired_certificate_remains(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_name_of_the_retired_sums_or_tokenizer_remains(path):
     assert identifiers(path.read_text()) & RETIRED_SUMS_AND_TOKENIZER == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_name_of_the_retired_locus_layer_remains(path):
+    assert identifiers(path.read_text()) & RETIRED_LOCUS_LAYER == set()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import full_power_relations
+from oracles import eval_rational, full_power_relations, restrict_at_once
 from qkzpsi.algebra import LinearForm, TermWriter, parse_polynomial, spectral_context
 from qkzpsi.combinatorics import Tableau, label_of_tableau, spaltenstein_label
 from qkzpsi.slice import (
@@ -14,9 +14,10 @@ from qkzpsi.slice import (
     emit_deformed_equations,
     emit_equations,
     equation_stream,
-    eval_rational,
     linear_component_multidegree,
     linear_solve,
+    solve_locus,
+    verify_component_membership,
 )
 
 
@@ -31,6 +32,15 @@ def test_build_slice_block_structure():
     # coordinates sit on the last row of their block
     assert c.row_abs == 1 and c.col_abs == 2
     assert a.row_abs == 1 and a.col_abs == 3
+
+
+def test_coordinate_names_stay_distinct_from_eleven_blocks_on():
+    assert [c.name for c in SliceModel((1,) * 10).coords][9:11] == ["A110", "A21"]
+    model = SliceModel((1,) * 11)
+    names = [c.name for c in model.coords]
+    assert len(set(names)) == 121 and names[10] == "A1_11" and names[110] == "A11_1"
+    ctx = model.context()
+    assert parse_polynomial("A1_11 - 2*A11_1", ctx) == ctx.var("A1_11") - 2 * ctx.var("A11_1")
 
 
 def test_slice_weights_single_boxes():
@@ -149,13 +159,17 @@ def test_linear_solve_and_eval_rational():
     ctx = coordinate_context(("x", "y", "z"))
     x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
     constraint = x * y + z  # solve: y = -z / x
-    num, den = linear_solve(constraint, "y", ctx)
+    num, den = linear_solve(constraint, "y")
     assert num == -z and den == x
     # substitute back: x*(-z/x) + z = 0
     val, _ = eval_rational(constraint, {"y": (num, den)}, ctx)
     assert val.is_zero()
-    with pytest.raises(SliceError):
-        linear_solve(x * x + y, "x", ctx)
+    (restricted,), solutions = solve_locus(ctx, [], [constraint], [("y", 0)])
+    assert restricted.is_zero() and solutions == [("y", num, den)]
+    with pytest.raises(SliceError, match="not linear in x"):
+        linear_solve(x * x + y, "x")
+    with pytest.raises(SliceError, match="does not involve z"):
+        linear_solve(x * y, "z")
 
 
 def test_elementary_symmetric():
@@ -270,7 +284,6 @@ def test_inserted_block_weight_product_matches_formula():
 
 def test_verify_component_membership_reports_failure():
     from qkzpsi.algebra import coordinate_context
-    from qkzpsi.slice import verify_component_membership
 
     ctx = coordinate_context(("x", "y"))
     x, y = ctx.var("x"), ctx.var("y")
@@ -280,6 +293,43 @@ def test_verify_component_membership_reports_failure():
     assert bad.status == "fail"
 
 
+def test_a_solution_in_a_later_variable_is_eliminated():
+    # v1 = v2 is solved first and v2 = 1 second, so the point is v1 = v2 = 1
+    # and v1 - 1 vanishes on it; substituting both solutions at once leaves
+    # v1 - 1 at v1 = v2, which is v2 - 1, not zero
+    from qkzpsi.algebra import coordinate_context
+
+    ctx = coordinate_context(("v1", "v2"))
+    v1, v2 = ctx.var("v1"), ctx.var("v2")
+    constraints, order, relations = [v1 - v2, v2 - 1], [("v1", 0), ("v2", 1)], [v1 - 1]
+    rep = verify_component_membership(ctx, 2, [], constraints, order, relations, 0)
+    assert rep.passed, rep.witness
+    values, solutions = solve_locus(ctx, [], constraints + relations, order)
+    assert all(v.is_zero() for v in values)
+    assert [var for var, _, _ in solutions] == ["v1", "v2"]
+    assert not restrict_at_once(ctx, [], constraints + relations, order)[2].is_zero()
+    # and a locus that misses the relation still fails
+    rep = verify_component_membership(ctx, 2, [], constraints, order, [v1 - 2], 0)
+    assert rep.witness == "relation 0 does not vanish"
+
+
+def test_component_three_lies_in_the_slice_variety_in_either_solve_order(appendix_doc):
+    # reversed, the order solves A24 first, from an entry that holds B24,
+    # which is solved second: membership and sampling must both see it
+    import copy
+
+    from qkzpsi.appendix import check_components, sample_component_point
+
+    doc = copy.deepcopy(appendix_doc)
+    doc["components"][2]["solve_order"].reverse()
+    assert check_components(doc).passed
+    X = sample_component_point(doc, 2, random.Random(3))
+    power = X
+    for _ in range(3):
+        power = [[sum(p * x for p, x in zip(row, col)) for col in zip(*X)] for row in power]
+    assert all(v == 0 for row in power for v in row)
+
+
 def test_spaltenstein_sample_component1():
     from qkzpsi.appendix import load_fixture, sample_component_point
 
@@ -287,7 +337,7 @@ def test_spaltenstein_sample_component1():
     rng = random.Random(20240817)
     X = sample_component_point(doc, 0, rng)
     label = spaltenstein_label(X, (2, 2, 2, 2))
-    assert label == label_of_tableau(Tableau(((1, 2), (1, 2), (3, 4), (3, 4))))
+    assert label == label_of_tableau(Tableau(((1, 2), (1, 2), (3, 4), (3, 4))), 4)
 
 
 def test_sampled_points_satisfy_relations():
