@@ -42,8 +42,12 @@ coefficients.
 
 Display.  ``Polynomial.text`` and ``to_json`` render terms through a
 ``TermWriter``, which caches the text of each distinct coefficient and each
-distinct half of the exponent fields.  An output passes one writer to all
+distinct span of the exponent fields.  An output passes one writer to all
 of its polynomials, as most reuse is across them; the caches die with it.
+The cache of a span wider than four fields is emptied before a polynomial
+with fewer terms than it holds, so it holds at most twice the terms of the
+polynomial being written: it grows with the largest polynomial of the
+output, not with the output.
 
 Rational functions are kept in the restricted form used throughout:
 a polynomial numerator over a multiset of integer linear forms
@@ -242,8 +246,14 @@ def _mul_into(acc, a, b, shift):
             acc[e] = get(e, 0) + ca * cb
 
 
+_is_int = int.__instancecheck__
+
+
 def sum_of_products(ctx, pairs):
-    """The polynomial sum of a*b over the pairs (a, b), accumulated in one dict."""
+    """The polynomial sum of a*b over the pairs (a, b), accumulated in one
+    dict, which becomes the result's terms unless a term cancelled: then the
+    terms are copied without the zeros, as a dict does not shrink when items
+    are deleted."""
     acc = {}
     shift = ctx.shift
     for a, b in pairs:
@@ -251,19 +261,21 @@ def sum_of_products(ctx, pairs):
             raise ContextError("polynomials from different contexts")
         if a.terms and b.terms:
             _mul_into(acc, a.terms, b.terms, shift)
-    return Polynomial(ctx, acc)
-
-
-_is_int = int.__instancecheck__
+    if 0 in acc.values():
+        acc = {e: c for e, c in acc.items() if c}
+    return Polynomial(ctx, acc, _clean=all(map(_is_int, acc.values())))
 
 
 class Polynomial:
     """Sparse exact polynomial: map from packed monomials to rational coeffs.
 
     Instances are treated as immutable; no method mutates ``terms`` after
-    construction.  Zero coefficients are never stored.  Terms whose
-    coefficients are all ints, as sums and products of int polynomials
-    give, need no normalizing: only their zeros are dropped.
+    construction.  Zero coefficients are never stored: ``__init__`` copies
+    its terms without them (normalizing coefficients unless all are ints),
+    but not with ``_clean``, which the kernels that own their accumulator
+    pass for all-int terms without zeros: ``sum_of_products`` copies only a
+    sum in which a term cancelled, and ``qkz._exchange_step`` deletes the
+    few terms that cancel in place.
     """
 
     __slots__ = ("ctx", "terms")
@@ -619,6 +631,20 @@ def _factors(star_names, fields, count, offset):
     return "".join(out)
 
 
+class _Spans(dict):
+    """The texts of a span of exponent fields, each joined on first use
+    from the texts of the span's two halves."""
+
+    __slots__ = ("high", "low", "bits", "mask")
+
+    def __init__(self, high, low, bits):
+        self.high, self.low, self.bits, self.mask = high, low, bits, (1 << bits) - 1
+
+    def __missing__(self, x):
+        text = self[x] = self.high(x >> self.bits) + self.low(x & self.mask)
+        return text
+
+
 class TermWriter:
     """Text and JSON term rows of the polynomials of one output, over one context.
 
@@ -627,6 +653,13 @@ class TermWriter:
     Each distinct coefficient (with its h exponent) and half is rendered once
     and cached, so a term costs three lookups and a join.  A half is joined
     from the cached texts of its own halves, down to spans of four fields.
+    The caches of coefficients and of spans of at most four fields live with
+    the writer; they stay small.  The cache of a wider span (in 9 or more
+    variables) is emptied before a polynomial with fewer terms than it
+    holds: held for the whole output, the two halves' caches would grow with
+    it (25.7k entries on the deformed (2^5),(5,5) emit), while on the psi
+    vectors, whose halves take at most a few hundred values, they are
+    seldom emptied.
     No cache refers back to the writer, so they are freed with it.
     """
 
@@ -639,27 +672,35 @@ class TermWriter:
         self._rows_nl = None
 
     def _caches(self, coefficient, half):
-        """Cached functions from a term's coefficient (and h exponent) to
-        ``coefficient(num, den)``, and from each half of its fields to
-        ``half(fields, count, index of the lowest field)``."""
+        """A cached function from a term's coefficient (and h exponent) to
+        ``coefficient(num, den)``, a cached function from each half of its
+        fields to ``half(fields, count, index of the lowest field)``, and
+        the caches of its spans wider than four fields."""
+        spans = []
+
         def fields(count, offset):
             if count > 4:
                 nlow = count - count // 2
-                high, low = fields(count // 2, offset + nlow), fields(nlow, offset)
-                bits = FIELD_BITS * nlow
-                return cache(lambda x: high(x >> bits) + low(x & (1 << bits) - 1))
+                spans.append(_Spans(fields(count // 2, offset + nlow), fields(nlow, offset),
+                                    FIELD_BITS * nlow))
+                return spans[-1].__getitem__
             mask = (1 << FIELD_BITS * count) - 1  # drops the degree above the high half
             return cache(lambda x: half(x & mask, count, offset))
         n = self.ctx.nvars
         return (cache(lambda c, eh=0: coefficient(*_display(c, eh))),
-                fields(n // 2, n - n // 2), fields(n - n // 2, 0))
+                fields(n // 2, n - n // 2), fields(n - n // 2, 0), spans)
 
     def _pieces(self, p, caches):
-        """The texts of p's terms in canonical order, from the three caches."""
+        """The texts of p's terms in canonical order, from the caches; a
+        cache of spans that holds more entries than p has terms is emptied
+        first."""
         if p.ctx is not self.ctx and p.ctx != self.ctx:
             raise ContextError("polynomial and writer from different contexts")
-        coefficient, high, low = caches
+        coefficient, high, low, spans = caches
         terms = p.terms
+        for texts in spans:
+            if len(texts) > len(terms):
+                texts.clear()
         keys = sorted(terms, reverse=True)
         ehs = () if self.ctx.h_index is None else (map(FIELD_MASK.__and__, keys),)
         coefficients = map(coefficient, map(terms.__getitem__, keys), *ehs)

@@ -11,7 +11,8 @@ Subcommands:
   appendix-suite   run all eight fixture checks
 
 Bad input ends with one ``qkzpsi: error: ...`` line on stderr and exit
-status 2, with no traceback.  Bad input is: a malformed number list; an
+status 2, with no traceback, as does an output that cannot be written (a
+full device).  Bad input is: a malformed number list; an
 output path (--out, --json-out) that cannot be opened for writing; an
 empty lambda or m, or one that does not fit k; for ``psi build`` a lambda
 whose predicted term count is above ``qkz.MAX_PREDICTED_TERMS``; a vector
@@ -92,7 +93,8 @@ from . import slice as slicemod
 
 
 class UsageError(Exception):
-    """Bad command-line input; ``main`` prints it and exits with status 2."""
+    """Bad command-line input, or an output that cannot be written; ``main``
+    prints it and exits with status 2."""
 
 
 def _ints(text):
@@ -109,19 +111,23 @@ def _ints(text):
 def _write_parts(parts, path):
     """Write the text parts of one output, any iterable of strings, to
     ``path`` (stdout for None or "-") as they are produced.  The only code
-    that opens a file for writing; a path it cannot open is a UsageError.
-    If producing a part raises, a regular file is removed and the error
-    re-raised, so no truncated output is left.
-    If the reader closes stdout, stdout is pointed at devnull, so that the
-    flush at exit raises nothing more (the recipe in Python's ``signal``
-    docs), and the BrokenPipeError is re-raised."""
+    that opens a file for writing.  A path it cannot open, or a write that
+    fails (a full device), is a UsageError naming the path ("stdout" for
+    stdout), so the job ends with one line and exit status 2.
+    If producing or writing a part raises, a regular file is removed, so no
+    truncated output is left.
+    If stdout fails, it is pointed at devnull, so that the flush at exit
+    raises nothing more (the recipe in Python's ``signal`` docs); a
+    BrokenPipeError (the reader closed stdout) is re-raised as it is."""
     if path in (None, "-"):
         try:
             sys.stdout.writelines(parts)
             sys.stdout.flush()
-        except BrokenPipeError:
+        except OSError as err:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise
+            if isinstance(err, BrokenPipeError):
+                raise
+            raise UsageError(f"cannot write stdout: {err.strerror}") from None
         return
     try:
         fh = open(path, "w")
@@ -130,9 +136,11 @@ def _write_parts(parts, path):
     try:
         with fh:
             fh.writelines(parts)
-    except BaseException:
+    except BaseException as err:
         if os.path.isfile(path):  # not a device such as /dev/null, nor a pipe
             os.remove(path)
+        if isinstance(err, OSError):  # the last of the failed write and the flush at close
+            raise UsageError(f"cannot write {path}: {err.strerror}") from None
         raise
 
 

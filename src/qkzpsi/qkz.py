@@ -87,6 +87,7 @@ from .algebra import (
     LinearForm,
     Polynomial,
     RationalFunction,
+    _is_int,
     spectral_context,
 )
 from .combinatorics import content_labels, inversions
@@ -260,7 +261,10 @@ def _exchange_step(f, i):
         for _ in range(top - lo + 1):
             out[t] = get(t, 0) + cc
             t += step
-    return Polynomial(ctx, {e: c for e, c in out.items() if c}, _clean=True)
+    for e in [e for e, c in out.items() if not c]:
+        del out[e]
+    # 2c of a Fraction c may be integral, and then Polynomial normalizes it
+    return Polynomial(ctx, out, _clean=all(map(_is_int, out.values())))
 
 
 MAX_PREDICTED_TERMS = 10_000_000

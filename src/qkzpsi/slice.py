@@ -12,8 +12,9 @@ rectangular case, rank conditions on powers in general, and the regular
 deformation prod_a (X - t_a) = 0 with coefficients written through the
 elementary symmetric polynomials of the t_a.  ``equation_stream`` checks
 its input and then builds the relations as they are taken: one matrix row
-of powers at a time (row r of X^p is row r of X^(p-1) times X), or, for
-the rank conditions, the minors of one power before the next is formed.
+of powers at a time (row r of X^p is row r of X^(p-1) times X), with the
+entries of the top power built one by one, or, for the rank conditions,
+the minors of one power before the next is formed.
 ``slice emit`` writes each relation as it comes; ``emit_equations`` and
 ``emit_deformed_equations`` hold them all in an ``EquationSet``.
 
@@ -235,19 +236,22 @@ def equation_stream(m, ell, deform):
 def _power_relations(X, L, signed, tag):
     """``tag[r,c]`` = X^L[r][c], or with ``signed`` the sum over s of
     signed[s] * X^(L-s)[r][c], one row r at a time: row r of X^p is row r
-    of X^(p-1) times X, so only the rows of one r are held."""
+    of X^(p-1) times X.  Only row r of X^0..X^(L-1) is held; each entry of
+    row r of X^L is built when its relation is taken, and dropped after."""
     ctx = X[0][0].ctx
     M = len(X)
     cols = list(zip(*X))
     for r in range(M):
         rows = [[ctx.one() if c == r else ctx.zero() for c in range(M)], X[r]]
-        for _ in range(L - 1):
+        for _ in range(L - 2):
             rows.append([sum_of_products(ctx, zip(rows[-1], col)) for col in cols])
-        for c in range(M):
+        for c, col in enumerate(cols):
+            top = sum_of_products(ctx, zip(rows[L - 1], col))
             if signed is None:
-                value = rows[L][c]
+                value = top
             else:
-                value = sum_of_products(ctx, ((a, rows[L - s][c]) for s, a in enumerate(signed)))
+                value = sum_of_products(ctx, ((a, rows[L - s][c] if s else top)
+                                              for s, a in enumerate(signed)))
             yield f"{tag}[{r + 1},{c + 1}]", value
 
 

@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -91,6 +92,24 @@ def test_slice_emit_holds_one_row_of_powers(tmp_path):
     assert peak < 16 * 2 ** 20
 
 
+def test_slice_emit_holds_one_polynomials_text(tmp_path):
+    # the writer's caches of wide spans of exponent fields hold at most twice
+    # the terms of the polynomial being written, and the relation builder
+    # holds one entry of the top power, so the traced peak of the deformed
+    # emit stays far below the 8.2 MiB it took with every span cached for the
+    # whole output
+    from qkzpsi import cli
+    out = tmp_path / "eqs.txt"
+    tracemalloc.start()
+    try:
+        assert cli.main(["slice", "emit", "--m", "2,2,2,2,2", "--ell", "5,5", "--deform",
+                         "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 @pytest.mark.parametrize("argv, owner, method", [
     (("psi", "build", "--k", "2", "--lambda", "2,2"), "TermWriter", "json_rows"),
     (("slice", "emit", "--m", "2,2,2", "--ell", "3,3"), "Polynomial", "text"),
@@ -128,6 +147,61 @@ def test_a_job_that_fails_while_writing_to_a_device_removes_nothing(monkeypatch)
     with pytest.raises(RuntimeError, match="render failed"):
         cli.main(["psi", "build", "--k", "2", "--lambda", "1,1", "--out", os.devnull])
     assert removed == []
+
+
+def test_a_write_that_fails_ends_in_one_line_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    from qkzpsi import algebra, cli
+    out = tmp_path / "psi.json"
+    rows = algebra.TermWriter.json_rows
+    calls = []
+
+    def full_after_one_entry(*args):
+        calls.append(out.exists())
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return rows(*args)
+
+    monkeypatch.setattr(algebra.TermWriter, "json_rows", full_after_one_entry)
+    assert cli.main(["psi", "build", "--k", "2", "--lambda", "2,2", "--out", str(out)]) == 2
+    assert calls == [True, True]
+    assert not out.exists()
+    assert capsys.readouterr().err == (f"qkzpsi: error: cannot write {out}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+
+
+FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(not os.path.exists(FULL), reason="no /dev/full")
+
+
+def assert_one_error_line(res, path):
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines() == [
+        f"qkzpsi: error: cannot write {path}: {os.strerror(errno.ENOSPC)}"]
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ("psi", "build", "--k", "2", "--lambda", "2,2", "--out"),
+    ("slice", "emit", "--m", "2,2", "--ell", "2,2", "--out"),
+    ("rmat", "verify", "--check", "unitarity", "--k", "3", "--out"),
+    ("appendix-suite", "--json-out"),
+    ("slice", "verify-appendix", "--json-out"),
+], ids=["psi-build", "slice-emit", "rmat-verify", "appendix-suite", "slice-verify-appendix"])
+def test_a_full_device_ends_in_one_line(argv):
+    assert_one_error_line(run_cli(*argv, FULL), FULL)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ("psi", "build", "--k", "2", "--lambda", "2,2"),
+    ("slice", "emit", "--m", "2,2,2,2,2", "--ell", "5,5"),
+], ids=["psi-build", "slice-emit"])
+def test_a_full_stdout_ends_in_one_line(argv):
+    with open(FULL, "w") as full:
+        res = subprocess.run([sys.executable, "-m", "qkzpsi.cli", *argv], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=cli_env())
+    assert_one_error_line(res, "stdout")
 
 
 def test_psi_verify_wheel_roundtrip(tmp_path):

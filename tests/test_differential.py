@@ -73,6 +73,7 @@ from qkzpsi.algebra import (
     TermWriter,
     coordinate_context,
     spectral_context,
+    sum_of_products,
 )
 from qkzpsi.appendix import fixture_psi, fixture_rho, fixture_rmatrices
 from qkzpsi.combinatorics import (
@@ -1164,6 +1165,68 @@ def test_packed_exact_div_matches_tuples(case):
 def test_packed_swap_matches_tuples(case):
     ctx, a, i, j = case
     assert tuple_terms(packed(ctx, a).swap_z(i, j)) == tuple_swap(a, i, j)
+
+
+def neg(terms):
+    return {e: -c for e, c in terms.items()}
+
+
+def assert_clean(p):
+    """No zero coefficient is stored, and an integral one is an int."""
+    assert all(c != 0 and (type(c) is int or c.denominator != 1) for c in p.terms.values())
+
+
+@st.composite
+def cancelling_pairs(draw, ctx):
+    """Tuple-keyed factor pairs whose products partly cancel: each pair may
+    come back with one factor negated, and with ``total`` every pair does,
+    so the whole sum is zero."""
+    pairs = draw(st.lists(st.tuples(tuple_polys(ctx), tuple_polys(ctx)), min_size=1, max_size=4))
+    total = draw(st.booleans())
+    flips = [total or draw(st.booleans()) for _ in pairs]
+    pairs += [(neg(a), b) if draw(st.booleans()) else (a, neg(b))
+              for (a, b), flip in zip(pairs, flips) if flip]
+    return ctx, draw(st.permutations(pairs)), total
+
+
+@settings(max_examples=150, deadline=None)
+@given(contexts.flatmap(cancelling_pairs))
+def test_sum_of_products_drops_what_cancels_like_the_stepwise_sum(case):
+    ctx, pairs, total = case
+    got = sum_of_products(ctx, [(packed(ctx, a), packed(ctx, b)) for a, b in pairs])
+    stepwise = ctx.zero()
+    want = {}
+    for a, b in pairs:
+        stepwise = stepwise + packed(ctx, a) * packed(ctx, b)
+        want = tuple_add(want, tuple_mul(a, b))
+    assert got == stepwise
+    assert tuple_terms(got) == want
+    assert_clean(got)
+    if total:
+        assert got.terms == {}
+
+
+def tuple_exchange_step(terms, i, ctx):
+    """hb * (f - s_i f)/(z_i - z_{i+1}) - s_i f on tuple-keyed terms."""
+    swapped = tuple_swap(terms, i, i + 1)
+    quotient, remainder = tuple_exact_div(tuple_add(terms, neg(swapped)), LinearForm(0, i, i + 1),
+                                          ctx.h_index)
+    assert not remainder
+    hb = {tuple(int(k == ctx.h_index) for k in range(ctx.nvars)): 2}  # hb = 2h
+    return tuple_add(tuple_mul(quotient, hb), neg(swapped))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectral.flatmap(lambda ctx: st.tuples(
+    st.just(ctx), tuple_polys(ctx), tuple_polys(ctx, max_terms=2), st.integers(1, ctx.nz - 1))))
+def test_exchange_step_drops_what_cancels_like_tuples(case):
+    # g + s_i g is symmetric in z_i, z_{i+1}: its divided-difference terms
+    # all cancel, and the rest of f cancels some of its swapped terms
+    ctx, g, rest, i = case
+    f = tuple_add(tuple_add(g, tuple_swap(g, i, i + 1)), rest)
+    got = _exchange_step(packed(ctx, f), i)
+    assert tuple_terms(got) == tuple_exchange_step(f, i, ctx)
+    assert_clean(got)
 
 
 # -- the univariate exchange solver ---------------------------------------------

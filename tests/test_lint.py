@@ -13,7 +13,13 @@ the package.  Reports go through
 one path: only ``reporting.py`` imports ``time``, and no ``Report(`` call
 outside it passes the status ``"pass"`` (a pass comes from ``checking``).
 Every output file is written by one writer: only ``cli._write_parts``
-opens a file for writing.
+opens a file for writing.  No cache outlives its output: only
+``TermWriter`` uses a ``functools`` caching decorator, the two cached
+operator builders of ``rmatrix`` (``pair_operator``, ``pair_unitarity``)
+being the named exceptions.  Cancelled terms are deleted from a dict in
+place only by ``qkz._exchange_step``, once for all of them, and by
+``Polynomial.__add__`` and ``exact_div``, which delete a term as its sum
+cancels.
 Operators reach labelled vectors through one applicator: in ``rmatrix.py``
 only ``ROperator.apply`` multiplies term dicts into sums (``_mul_into``).
 Subset sequences are listed by one walk: only ``content_labels`` and
@@ -313,10 +319,10 @@ def test_only_reporting_reads_the_clock_and_builds_a_pass(path):
     assert (time_imports(source), passing_report_calls(source)) == ([], [])
 
 
-def calls(source):
-    """(qualified name, call) of every call in the source; the qualified name
+def scoped_nodes(source):
+    """(qualified name, node) of every node in the source; the qualified name
     (``f``, ``Class.method``, or ``<module>``) is that of the top-level
-    definition whose code makes the call, nested functions included."""
+    definition whose code holds the node, nested functions included."""
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
             scopes = [(f"{node.name}.{item.name}", item) for item in node.body
@@ -326,9 +332,14 @@ def calls(source):
         else:
             scopes = [("<module>", node)]
         for qualname, scope in scopes:
-            for call in ast.walk(scope):
-                if isinstance(call, ast.Call):
-                    yield qualname, call
+            for child in ast.walk(scope):
+                yield qualname, child
+
+
+def calls(source):
+    """(qualified name, call) of every call in the source (see ``scoped_nodes``)."""
+    return ((qualname, node) for qualname, node in scoped_nodes(source)
+            if isinstance(node, ast.Call))
 
 
 def called_name(call):
@@ -411,6 +422,64 @@ def test_only_the_ordered_elimination_solves_a_locus():
     found = [(path.name, caller) for path in MODULES
              for caller in callers(path.read_text(), "linear_solve")]
     assert found == [("slice.py", "solve_locus")]
+
+
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def cache_users(source):
+    """Sorted qualified names of the top-level definitions that use a caching
+    decorator of ``functools``, by a name imported from it or as an
+    attribute of the module.  A local variable of the same name as an
+    imported decorator counts too."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names if alias.name in CACHE_DECORATORS}
+    return sorted({qualname for qualname, node in scoped_nodes(source)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   and node.id in imported
+                   or isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS
+                   and getattr(node.value, "id", None) == "functools"})
+
+
+def item_deleters(source):
+    """Sorted qualified names of the top-level definitions that delete an
+    item (``del d[k]``)."""
+    return sorted({qualname for qualname, node in scoped_nodes(source)
+                   if isinstance(node, ast.Delete)
+                   and any(isinstance(t, ast.Subscript) for t in node.targets)})
+
+
+def test_detectors_find_every_cache_user_and_item_deleter():
+    source = ("from functools import cache, lru_cache as lru, partial\nimport functools\n"
+              "class W:\n    def make(self): return cache(lambda x: x)\n"
+              "    def bound(self): return partial(len)\n"
+              "@lru(maxsize=None)\ndef op(k): pass\n@functools.cached_property\ndef prop(): pass\n"
+              "def drop(acc):\n    for e in [e for e, c in acc.items() if not c]:\n"
+              "        del acc[e]\n    del e\nclass P:\n    def pop(self, d): del d[0], d[1]\n")
+    assert cache_users(source) == ["W.make", "op", "prop"]
+    assert item_deleters(source) == ["P.pop", "drop"]
+
+
+def test_only_the_writer_and_the_operator_builders_cache():
+    # the writer's caches die with it; the two operator builders of rmatrix
+    # are the named exceptions, cached for the process (their results are
+    # immutable and few: one per wedge pair (k, a, b))
+    found = [(path.name, user) for path in MODULES for user in cache_users(path.read_text())]
+    assert found == [("algebra.py", "TermWriter._caches"), ("rmatrix.py", "pair_operator"),
+                     ("rmatrix.py", "pair_unitarity")]
+
+
+def test_only_the_kernels_that_own_their_accumulator_delete_from_it():
+    # _exchange_step deletes its few cancelled terms in place, once, instead
+    # of copying the dict; __add__ and exact_div delete a term as its sum
+    # cancels.  A dict keeps its size when items are deleted, so no other
+    # code deletes: sum_of_products copies a sum in which a term cancelled.
+    found = [(path.name, deleter) for path in MODULES
+             for deleter in item_deleters(path.read_text())]
+    assert found == [("algebra.py", "Polynomial.__add__"), ("algebra.py", "Polynomial.exact_div"),
+                     ("qkz.py", "_exchange_step")]
 
 
 RETIRED = {"_may_divide", "_hyperplane", "PRIME", "BETA", "_reduced"}
