@@ -26,10 +26,13 @@ coefficients.
 * Linearity.  Packing is linear in the exponent vector, so unit arithmetic
   whose result has every field in [0, 2**16) is exact: a monomial product
   is one integer ``+``; swapping z_i and z_j adds (b - a)*(U_i - U_j) for
-  the field units U; the divided differences of the fundamental builder
-  and the layers and carry of ``exact_div`` add and subtract units (with
-  their degree bit where the degree changes).  Code subtracts a unit only
-  from a field it has read as positive, so no field ever borrows.
+  the field units U; ``substitute`` adds exp*(K - U_i) for z_i^exp whose
+  image is the one term of key K; the divided differences of the
+  fundamental builder and the layers and carry of ``exact_div`` add and
+  subtract units (with their degree bit where the degree changes).  Code
+  subtracts a unit only from a field it has read as positive, so no field
+  ever borrows.  A kernel that reads fields walks the non-zero ones alone,
+  from the top set bit down: ``substitute`` those its mapping touches.
 * Degree guard.  No exponent exceeds the total degree, so no field can
   carry while every degree stays below 2**16 (``DEGREE_LIMIT``).
   ``_mul_into`` (every product of two polynomials), ``__pow__`` and
@@ -340,12 +343,11 @@ class Polynomial:
         if not other.terms:
             return self
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = _norm_coeff(s)
-            elif e in out:
-                del out[e]
+            out[e] = _norm_coeff(get(e, 0) + c)
+        if 0 in out.values():  # copied without its zeros: a dict does not shrink
+            out = {e: c for e, c in out.items() if c}
         return Polynomial(self.ctx, out, _clean=True)
 
     __radd__ = __add__
@@ -430,60 +432,67 @@ class Polynomial:
         Polynomials over ``target_ctx`` (default: this context, with
         unmapped variables passing through unchanged; a target context must
         map every variable explicitly).
+
+        A term walks only its non-zero mapped fields, from the top down.  For
+        z^exp whose image power is one term (a rename, hb/2, -z, a constant)
+        the key moves by exp*(image key - unit) and the coefficient scales;
+        a zero image drops the term; a longer power expands it.
         """
         ctx = self.ctx
         tctx = target_ctx if target_ctx is not None else ctx
-        images = {}
+        by_offset, deg = {}, 0  # the unit and image of each mapped field
         for k, v in mapping.items():
             idx = k if isinstance(k, int) else ctx.index(k)
             if isinstance(v, (int, Fraction)):
                 v = tctx.const(v)
-            if v.ctx != tctx:
+            if v.ctx is not tctx and v.ctx != tctx:
                 raise ContextError("substitution image in wrong context")
-            images[idx] = v
-        if tctx != ctx:
-            for idx in range(ctx.nvars):
-                if idx not in images:
-                    raise ContextError(
-                        f"substitution into a new context must map {ctx.names[idx]!r}"
-                    )
+            by_offset[ctx.offset(idx)] = ctx.units[idx], v
+            deg = max(deg, v.degree())
+        if tctx != ctx and len(by_offset) < ctx.nvars:
+            name = next(n for i, n in enumerate(ctx.names) if ctx.offset(i) not in by_offset)
+            raise ContextError(f"substitution into a new context must map {name!r}")
         if not self.terms:
             return tctx.zero()
-        deg = self.degree() * max((v.degree() for v in images.values()), default=0)
+        deg *= self.degree()
         if deg >= DEGREE_LIMIT:
             raise _degree_overflow(deg)
-        # Each term expands over the non-zero exponents of its mapped
-        # variables only, by cached power dicts, into one accumulator; what
-        # is left of the term (0 in a new context) is the unmapped monomial.
-        fields = [(idx, ctx.offset(idx), ctx.units[idx]) for idx in sorted(images)]
-        pow_cache = {}
-        acc = {}
+        # moves by field value exp << offset: the image's power with exp*unit
+        # off its keys, as one (key shift, coefficient) pair or else a dict
+        mask, moves, acc = sum(FIELD_MASK << off for off in by_offset), {}, {}
         get = acc.get
         for e, c in self.terms.items():
-            cur = None
-            for idx, off, unit in fields:
-                exp = e >> off & FIELD_MASK
-                if not exp:
-                    continue
-                e -= exp * unit
-                pw = pow_cache.get((idx, exp))
-                if pw is None:
-                    pw = pow_cache[(idx, exp)] = (images[idx] ** exp).terms
-                if cur is None:
-                    cur = {e2: c * c2 for e2, c2 in pw.items()}
-                    continue
-                nxt = {}
-                nget = nxt.get
-                for e1, c1 in cur.items():
-                    for e2, c2 in pw.items():
-                        mon = e1 + e2
-                        nxt[mon] = nget(mon, 0) + c1 * c2
-                cur = nxt
+            x, cur = e & mask, None
+            while x:
+                at = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+                f = x >> at << at
+                x ^= f
+                move = moves.get(f)
+                if move is None:
+                    (unit, v), exp = by_offset[at], f >> at
+                    if len(v.terms) == 1:
+                        (k, a), = v.terms.items()
+                        move = moves[f] = exp * (k - unit), a ** exp
+                    else:
+                        move = moves[f] = {k - exp * unit: a for k, a in (v ** exp).terms.items()}
+                if type(move) is tuple:
+                    e += move[0]
+                    c *= move[1]
+                elif cur is None:
+                    cur = move
+                else:
+                    nxt = {}
+                    nget = nxt.get
+                    for e1, c1 in cur.items():
+                        for e2, c2 in move.items():
+                            mon = e1 + e2
+                            nxt[mon] = nget(mon, 0) + c1 * c2
+                    cur = nxt
             if cur is None:
-                cur = {0: c}
-            for mon, cm in cur.items():
-                mon += e
-                acc[mon] = get(mon, 0) + cm
+                acc[e] = get(e, 0) + c
+            else:
+                for mon, cm in cur.items():
+                    acc[mon + e] = get(mon + e, 0) + c * cm
         return Polynomial(tctx, acc)
 
     def evaluate(self, values):
@@ -491,13 +500,14 @@ class Polynomial:
         vals = [Fraction(v) if not isinstance(v, (int, Fraction)) else v for v in values]
         if len(vals) != self.ctx.nvars:
             raise ContextError("wrong number of values")
-        unpack = self.ctx.unpack
         total = Fraction(0)
         for e, c in self.terms.items():
-            term = Fraction(c)
-            for v, exp in zip(vals, unpack(e)):
-                if exp:
-                    term *= Fraction(v) ** exp
+            term, x = Fraction(c), e & self.ctx.mask
+            while x:
+                at = (x.bit_length() - 1) // FIELD_BITS
+                exp = x >> at * FIELD_BITS
+                x ^= exp << at * FIELD_BITS
+                term *= vals[-1 - at] ** exp
             total += term
         return total
 

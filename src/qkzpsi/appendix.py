@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 from .algebra import LinearForm, RationalFunction, parse_polynomial, spectral_context
@@ -346,13 +347,17 @@ def check_deformed(doc):
         witness = _block_witness(eqs, m, "prod(X-t)", mats, r1d, r2d, r0d)
         if witness is not None:
             outcome.fail(witness)
-        # t = 0 recovers the undeformed equations relation by relation
+        # t = 0 recovers the undeformed equations relation by relation, each
+        # deformed [r,c] entry paired with the undeformed one at [r,c]
         zero_map = {ctx.index(t): ctx.zero() for t in tnames}
         undeformed = slicemod.emit_equations(m, ell)
         embed = {undeformed.ctx.index(nm): ctx.var(nm) for nm in undeformed.ctx.names}
-        for (name_d, pd), (name_u, pu) in zip(eqs.relations, undeformed.relations):
-            if pd.substitute(zero_map) != pu.substitute(embed, ctx):
-                outcome.fail(f"t=0 limit differs at {name_d}")
+        for deformed, plain in zip_longest(eqs.relations, undeformed.relations):
+            if (deformed is None or plain is None
+                    or deformed[0].partition("[")[2] != plain[0].partition("[")[2]):
+                outcome.fail(f"t=0 limit has no match for {(deformed or plain)[0]}")
+            if deformed[1].substitute(zero_map) != plain[1].substitute(embed, ctx):
+                outcome.fail(f"t=0 limit differs at {deformed[0]}")
         # membership of the printed deformed component
         rep = _check_deformed_component(doc, printed_relations=doc["deformed_relations"])
         if not rep.passed:

@@ -34,6 +34,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .algebra import (
+    FIELD_BITS,
     FIELD_MASK,
     LinearForm,
     Polynomial,
@@ -132,32 +133,31 @@ class SliceModel:
             return LinearForm.make(coord.weight_h)[0], 1
         return LinearForm.make(coord.weight_h, coord.i, coord.j)
 
-    def weight_vector(self, name):
-        """Grading vector (z_1.., z_N, h-units) of a coordinate."""
-        c = self.by_name[name]
-        z = [0] * self.N
-        if c.i != c.j:
-            z[c.i - 1] += 1
-            z[c.j - 1] -= 1
-        return tuple(z) + (c.weight_h,)
-
-    def monomial_weight(self, ctx, mono):
-        """Grading vector of a packed monomial of ``ctx``."""
-        total = [0] * (self.N + 1)
-        for idx, e in enumerate(ctx.unpack(mono)):
-            if not e:
-                continue
-            name = ctx.names[idx]
-            if name not in self.by_name:
-                continue  # deformation parameters and such carry weight 0 here
-            w = self.weight_vector(name)
-            for t in range(self.N + 1):
-                total[t] += e * w[t]
-        return tuple(total)
-
     def relation_is_homogeneous(self, ctx, poly):
-        weights = {self.monomial_weight(ctx, e) for e in poly.terms}
-        return len(weights) <= 1
+        """Whether every term of ``poly`` (over ``ctx``) has one torus weight.
+
+        A coordinate's weight, z_i - z_j plus ``weight_h`` half-units of hb,
+        is packed once per call as one int with a 64-bit slot for each of
+        z_1..z_N and h: linear in the weight vector, and one-to-one while a
+        term's weights stay below 2**63 in size.  A term walks only its
+        non-zero coordinate fields, from the top down, as
+        ``Polynomial.substitute`` does; other variables (deformation
+        parameters and such) carry weight 0 here.
+        """
+        slot = [1 << 64 * t for t in range(self.N + 1)]
+        weights = {ctx.offset(i): slot[c.i - 1] - slot[c.j - 1] + c.weight_h * slot[-1]
+                   for i, c in enumerate(map(self.by_name.get, ctx.names)) if c}
+        mask = sum(FIELD_MASK << off for off in weights)
+        graded = set()
+        for e in poly.terms:
+            x, total = e & mask, 0
+            while x:
+                at = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+                exp = x >> at
+                x ^= exp << at
+                total += exp * weights[at]
+            graded.add(total)
+        return len(graded) <= 1
 
 
 class EquationSet(namedtuple("EquationSet", "ctx relations")):

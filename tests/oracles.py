@@ -9,6 +9,9 @@ stream of ``slice.equation_stream``.  ``eval_rational`` substitutes every
 solution of a component locus at once, and ``restrict_at_once`` restricts
 polynomials to a locus through it, as the membership check did before
 ``slice.solve_locus`` eliminated the solutions in order.
+``monomial_weight`` grades a packed monomial by unpacking all of its
+fields, as ``SliceModel`` did with its weight vectors before
+``relation_is_homogeneous`` walked the non-zero fields alone.
 """
 
 from itertools import combinations, permutations, product
@@ -167,6 +170,22 @@ def full_power_relations(m, ell, deform):
              sum_of_products(ctx, ((es[s] * (-1) ** s, powers[L - s][r][c])
                                    for s in range(L + 1))))
             for r in range(M) for c in range(M)]
+
+
+def monomial_weight(model, ctx, mono):
+    """Grading vector (z_1.., z_N, h-units) of a packed monomial of ctx, from
+    all of its unpacked exponents: a coordinate of block (i, j) weighs
+    z_i - z_j plus its ``weight_h`` half-units; variables that are not
+    coordinates of the model (deformation parameters and such) weigh 0."""
+    total = [0] * (model.N + 1)
+    for name, e in zip(ctx.names, ctx.unpack(mono)):
+        c = model.by_name.get(name)
+        if e and c is not None:
+            if c.i != c.j:
+                total[c.i - 1] += e
+                total[c.j - 1] -= e
+            total[-1] += e * c.weight_h
+    return tuple(total)
 
 
 def eval_rational(poly, assignment, ctx):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,17 @@ HB = CTX4.hbar()
 def test_addition_cancels():
     half = HB * Fraction(1, 2)
     assert (Z[1] + half) + (Z[1] - half) == 2 * Z[1]
+
+
+def test_a_sum_that_cancels_holds_no_larger_dict_than_its_terms():
+    # a dict does not shrink when items are deleted, so a sum in which terms
+    # cancel is copied without its zeros
+    p = (Z[1] + Z[2] + Z[3] + Z[4] + HB) ** 6
+    q = p.swap_z(1, 2) * Z[1]
+    assert len(p.terms) == 210
+    assert sys.getsizeof((p - p).terms) == sys.getsizeof({})
+    assert (p + q - q).terms == p.terms
+    assert sys.getsizeof((p + q - q).terms) == sys.getsizeof({e: c for e, c in p.terms.items()})
 
 
 def test_sum_of_products_drops_zeros_and_collapses_integral_fractions():
@@ -82,6 +94,15 @@ def test_substitute_forced_cancellation():
     half = HB * Fraction(1, 2)
     p = HB + Z[1] - Z[2]
     assert p.substitute({0: Z[1] - half, 1: Z[1] + half}).is_zero()
+
+
+def test_substitute_into_a_new_context_must_map_every_variable():
+    target = spectral_context(2)
+    mapping = {0: target.z(1), 1: target.z(2), 2: target.z(1), 4: target.hbar()}
+    with pytest.raises(ContextError, match="must map 'z4'"):
+        (Z[1] + Z[4]).substitute(mapping, target)
+    mapping[3] = target.z(2)
+    assert (Z[1] + Z[4]).substitute(mapping, target) == target.z(1) + target.z(2)
 
 
 def test_swap_involution_and_fixed_points():

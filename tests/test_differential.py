@@ -101,7 +101,7 @@ from qkzpsi.reporting import json_parts
 from qkzpsi.rmatrix import fused_rcheck
 from qkzpsi.slice import SliceModel, emit_deformed_equations
 
-from oracles import den_poly, evaluate, restrict_at_once
+from oracles import den_poly, evaluate, monomial_weight, restrict_at_once
 
 
 def walk_order(base):
@@ -902,8 +902,9 @@ def tuple_substitute(terms, images, nvars):
         for idx, exp in enumerate(e):
             for _ in range(exp):
                 cur = tuple_mul(cur, images[idx])
-        acc = tuple_add(acc, cur)
-    return acc
+        for m, cm in cur.items():
+            acc[m] = acc.get(m, 0) + cm
+    return {m: c for m, c in acc.items() if c}
 
 
 def tuple_swap(terms, i, j):
@@ -1100,32 +1101,102 @@ def test_streamed_json_matches_json_dumps(name, tmp_path):
     assert streamed == dumps(doc)
 
 
+# a target ring whose variables come in another order than every source's
+REORDERED = coordinate_context(tuple(reversed(COORDINATE[0].names)))
+
+
+def variable_images(target):
+    """The image of one variable over target: a rename, a rename scaled by
+    1/2 or -1, a constant, zero, or a polynomial of at most three terms."""
+    n = target.nvars
+    var = st.integers(0, n - 1).map(lambda j: tuple(int(i == j) for i in range(n)))
+    return st.one_of(
+        var.map(lambda e: {e: 1}),
+        var.map(lambda e: {e: Fraction(1, 2)}),
+        var.map(lambda e: {e: -1}),
+        coefficients.map(lambda c: {(0,) * n: c}),
+        st.just({}),
+        tuple_polys(target, max_terms=3, max_exp=1, support=2),
+    )
+
+
 @st.composite
 def substitutions(draw, ctx):
     """A term dict over ctx, images of its variables over a target ring, and
     the variables left out of the mapping.
 
+    The target is a ring of the same kind as ctx, or ``REORDERED``.
     Variables that the terms do not use map to zero.  When the target is
     ctx itself, some used variables may be left out; their images are the
     variables themselves.
     """
-    target = SPECTRAL[0] if ctx.h_index is not None else COORDINATE[0]
+    target = draw(st.sampled_from(
+        (SPECTRAL[0] if ctx.h_index is not None else COORDINATE[0], REORDERED)))
     terms = draw(tuple_polys(ctx, max_terms=3, max_exp=2, support=3))
     used = sorted({idx for e in terms for idx, x in enumerate(e) if x})
     dropped = draw(st.sets(st.sampled_from(used))) if used and target is ctx else set()
-    images = [{tuple(int(j == idx) for j in range(ctx.nvars)): 1} if idx in dropped
-              else draw(tuple_polys(target, max_terms=3, max_exp=1, support=2)) if idx in used
-              else {} for idx in range(ctx.nvars)]
-    return ctx, target, terms, images, dropped
+    image = variable_images(target)
+    return ctx, target, terms, [
+        {tuple(int(j == idx) for j in range(ctx.nvars)): 1} if idx in dropped
+        else draw(image) if idx in used else {} for idx in range(ctx.nvars)], dropped
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(contexts.flatmap(substitutions))
 def test_packed_substitute_matches_tuples(case):
     ctx, target, terms, images, dropped = case
     mapping = {idx: packed(target, img) for idx, img in enumerate(images) if idx not in dropped}
     got = packed(ctx, terms).substitute(mapping, target)
     assert tuple_terms(got) == tuple_substitute(terms, images, target.nvars)
+
+
+BENCH_SLICES = {  # the slices that the benchmark's appendix workload emits
+    "5x2_55": ((2,) * 5, (5, 5), False),
+    "5x2_55_deformed": ((2,) * 5, (5, 5), True),
+    "6x2_444": ((2,) * 6, (4, 4, 4), False),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCH_SLICES))
+def bench_slice(request):
+    m, ell, deform = BENCH_SLICES[request.param]
+    eqs = (emit_deformed_equations if deform else slicemod.emit_equations)(m, ell)
+    return SliceModel(m), eqs, ell[0]
+
+
+def test_t_zero_substitutions_match_tuples_on_the_bench_slices(bench_slice):
+    # the two shapes of appendix.check_deformed's t = 0 limit: a deformed
+    # relation with every t_a mapped to zero, an undeformed one embedded by
+    # renaming into the ring with t_1..t_L
+    model, eqs, L = bench_slice
+    ctx, n = eqs.ctx, eqs.ctx.nvars
+    tnames = tuple(f"t{a}" for a in range(1, L + 1))
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    if tnames[0] in ctx.names:
+        target = ctx
+        mapping = {ctx.index(t): ctx.zero() for t in tnames}
+        images = [{} if name in tnames else {unit[idx]: 1} for idx, name in enumerate(ctx.names)]
+    else:
+        target = model.context(extra=tnames)
+        mapping = {idx: target.var(name) for idx, name in enumerate(ctx.names)}
+        images = [{tuple(int(i == target.index(name)) for i in range(target.nvars)): 1}
+                  for name in ctx.names]
+    for name, p in eqs.relations:
+        got = p.substitute(mapping, target)
+        assert tuple_terms(got) == tuple_substitute(tuple_terms(p), images, target.nvars), name
+
+
+def test_grading_matches_the_unpacked_weights_on_the_bench_slices(bench_slice):
+    model, eqs, _ = bench_slice
+    ctx = eqs.ctx
+    for name, p in eqs.relations:
+        want = len({monomial_weight(model, ctx, e) for e in p.terms}) <= 1
+        assert model.relation_is_homogeneous(ctx, p) == want, name
+    # a relation plus itself times a coordinate has two weights or more
+    p = next(p for _, p in eqs.relations if p.terms)
+    mixed = p + p * ctx.var(model.coords[0].name)
+    assert len({monomial_weight(model, ctx, e) for e in mixed.terms}) >= 2
+    assert not model.relation_is_homogeneous(ctx, mixed)
 
 
 @st.composite

@@ -18,8 +18,9 @@ opens a file for writing.  No cache outlives its output: only
 operator builders of ``rmatrix`` (``pair_operator``, ``pair_unitarity``)
 being the named exceptions.  Cancelled terms are deleted from a dict in
 place only by ``qkz._exchange_step``, once for all of them, and by
-``Polynomial.__add__`` and ``exact_div``, which delete a term as its sum
-cancels.
+``Polynomial.exact_div``, which deletes a term as its sum cancels.
+Only output unpacks a packed monomial: outside ``PolyContext``, only
+``Polynomial.to_json`` reads an ``unpack`` attribute.
 Operators reach labelled vectors through one applicator: in ``rmatrix.py``
 only ``ROperator.apply`` multiplies term dicts into sums (``_mul_into``).
 Subset sequences are listed by one walk: only ``content_labels`` and
@@ -473,13 +474,35 @@ def test_only_the_writer_and_the_operator_builders_cache():
 
 def test_only_the_kernels_that_own_their_accumulator_delete_from_it():
     # _exchange_step deletes its few cancelled terms in place, once, instead
-    # of copying the dict; __add__ and exact_div delete a term as its sum
-    # cancels.  A dict keeps its size when items are deleted, so no other
-    # code deletes: sum_of_products copies a sum in which a term cancelled.
+    # of copying the dict; exact_div deletes a term as its sum cancels.  A
+    # dict keeps its size when items are deleted, so no other code deletes:
+    # sum_of_products and __add__ copy a sum in which a term cancelled.
     found = [(path.name, deleter) for path in MODULES
              for deleter in item_deleters(path.read_text())]
-    assert found == [("algebra.py", "Polynomial.__add__"), ("algebra.py", "Polynomial.exact_div"),
-                     ("qkz.py", "_exchange_step")]
+    assert found == [("algebra.py", "Polynomial.exact_div"), ("qkz.py", "_exchange_step")]
+
+
+def unpack_readers(source):
+    """Sorted qualified names of the top-level definitions that read an
+    ``unpack`` attribute, to call it or to bind it."""
+    return sorted({qualname for qualname, node in scoped_nodes(source)
+                   if isinstance(node, ast.Attribute) and node.attr == "unpack"})
+
+
+def test_detector_finds_every_unpack_reader():
+    source = ("class Ctx:\n    def unpack(self, m): return self._fields.unpack(m)\n"
+              "def out(p): return p.ctx.unpack(1)\n"
+              "def bound(ctx):\n    f = ctx.unpack\n    return f(1)\n"
+              "def other(unpack): return unpack(1)\n")
+    assert unpack_readers(source) == ["Ctx.unpack", "bound", "out"]
+
+
+def test_only_output_unpacks_a_monomial():
+    # kernels walk the non-zero fields of a packed monomial, from the top
+    # field down; only the JSON rows of to_json unpack one whole
+    found = [(path.name, reader) for path in MODULES for reader in unpack_readers(path.read_text())
+             if (path.name, reader) != ("algebra.py", "PolyContext.unpack")]
+    assert found == [("algebra.py", "Polynomial.to_json")]
 
 
 RETIRED = {"_may_divide", "_hyperplane", "PRIME", "BETA", "_reduced"}

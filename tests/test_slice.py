@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import eval_rational, full_power_relations, restrict_at_once
+from qkzpsi import slice as slicemod
 from qkzpsi.algebra import LinearForm, TermWriter, parse_polynomial, spectral_context
+from qkzpsi.appendix import check_deformed
 from qkzpsi.combinatorics import Tableau, label_of_tableau, spaltenstein_label
 from qkzpsi.slice import (
     SliceError,
@@ -117,6 +119,29 @@ def test_deformed_t_zero_recovers():
     lift = {plain.ctx.index(nm): ctx.var(nm) for nm in plain.ctx.names}
     for (nd, pd), (np_, pp) in zip(deformed.relations, plain.relations):
         assert pd.substitute(tzero) == pp.substitute(lift, ctx)
+
+
+def test_t_zero_check_fails_when_a_relation_has_no_partner(appendix_doc, monkeypatch):
+    # zip would pair the 64 deformed relations with the first 63 undeformed
+    # ones and never compare the last deformed one
+    emit = slicemod.emit_equations
+    monkeypatch.setattr(slicemod, "emit_equations",
+                        lambda m, ell: emit(m, ell)._replace(relations=emit(m, ell).relations[:-1]))
+    rep = check_deformed(appendix_doc)
+    assert (rep.status, rep.witness) == ("fail", "t=0 limit has no match for prod(X-t)[8,8]")
+
+
+def test_t_zero_check_fails_when_the_entries_do_not_line_up(appendix_doc, monkeypatch):
+    emit = slicemod.emit_equations
+
+    def swapped(m, ell):
+        eqs = emit(m, ell)
+        first, second, *rest = eqs.relations
+        return eqs._replace(relations=(second, first, *rest))
+
+    monkeypatch.setattr(slicemod, "emit_equations", swapped)
+    rep = check_deformed(appendix_doc)
+    assert (rep.status, rep.witness) == ("fail", "t=0 limit has no match for prod(X-t)[1,1]")
 
 
 def test_deformed_diagonalizable_point():
