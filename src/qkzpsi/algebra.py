@@ -26,17 +26,20 @@ coefficients.
 * Linearity.  Packing is linear in the exponent vector, so unit arithmetic
   whose result has every field in [0, 2**16) is exact: a monomial product
   is one integer ``+``; swapping z_i and z_j adds (b - a)*(U_i - U_j) for
-  the field units U; ``substitute`` adds exp*(K - U_i) for z_i^exp whose
-  image is the one term of key K; the divided differences of the
-  fundamental builder and the layers and carry of ``exact_div`` add and
-  subtract units (with their degree bit where the degree changes).  Code
-  subtracts a unit only from a field it has read as positive, so no field
-  ever borrows.  A kernel that reads fields walks the non-zero ones alone,
-  from the top set bit down: ``substitute`` those its mapping touches.
+  the field units U; ``substitute_all`` adds exp*(K - U_i) for z_i^exp
+  whose image is the one term of key K; ``exchange_step`` (the divided
+  difference of the fundamental builder), ``Polynomial.layers`` and the
+  carry of ``exact_div`` add and subtract units (with their degree bit
+  where the degree changes).  Code subtracts a unit only from a field it
+  has read as positive, so no field ever borrows.  A kernel that reads
+  fields walks the non-zero ones alone, from the top set bit down:
+  ``substitute_all`` and ``term_weights`` those their mapping touches.
+  No other module reads a field: none imports ``FIELD_BITS`` or
+  ``FIELD_MASK``.
 * Degree guard.  No exponent exceeds the total degree, so no field can
   carry while every degree stays below 2**16 (``DEGREE_LIMIT``).
   ``_mul_into`` (every product of two polynomials), ``__pow__`` and
-  ``substitute`` bound the degree of their result before their loop (the
+  ``substitute_all`` bound the degree of their result before their loop (the
   top field of the largest key is the degree) and raise AlgebraError
   instead of carrying.
   ``ctx.pack``, and through it ``from_json``, rejects exponents outside
@@ -269,6 +272,124 @@ def sum_of_products(ctx, pairs):
     return Polynomial(ctx, acc, _clean=all(map(_is_int, acc.values())))
 
 
+def substitute_all(ctx, polys, mapping, target_ctx):
+    """Substitute polynomials for variables in each of ``polys``, over ctx.
+
+    ``mapping`` maps variable indices (or names) of ctx to Polynomials (or
+    numbers) over ``target_ctx``; with None for it, over ctx, unmapped
+    variables passing through unchanged.  Into another context every
+    variable must be mapped.
+
+    A term walks only its non-zero mapped fields, from the top down.  Each
+    field value exp << offset gets one move, made on first use and shared
+    by the batch.  For z^exp whose image power is one term (a rename, hb/2,
+    -z, a constant) the key moves by exp*(image key - unit) and the
+    coefficient scales; a longer power (from the one before it) expands the
+    term; a zero image drops it.
+    """
+    tctx = target_ctx if target_ctx is not None else ctx
+    by_offset, deg = {}, 0  # the unit of each mapped field and the powers of its image
+    for k, v in mapping.items():
+        idx = k if isinstance(k, int) else ctx.index(k)
+        if isinstance(v, (int, Fraction)):
+            v = tctx.const(v)
+        if v.ctx is not tctx and v.ctx != tctx:
+            raise ContextError("substitution image in wrong context")
+        by_offset[ctx.offset(idx)] = ctx.units[idx], [None, v]  # powers[exp] = v**exp
+        deg = max(deg, v.degree())
+    if tctx != ctx and len(by_offset) < ctx.nvars:
+        name = next(n for i, n in enumerate(ctx.names) if ctx.offset(i) not in by_offset)
+        raise ContextError(f"substitution into a new context must map {name!r}")
+    deg *= max((p.degree() for p in polys), default=0)
+    if deg >= DEGREE_LIMIT:
+        raise _degree_overflow(deg)
+    # moves by field value exp << offset: a (key shift, coefficient) pair
+    # for a one-term power, else the power's terms with exp*unit off the keys
+    mask, shifts, expands, out = sum(FIELD_MASK << off for off in by_offset), {}, {}, []
+    for p in polys:
+        if p.ctx is not ctx and p.ctx != ctx:
+            raise ContextError("polynomials from different contexts")
+        acc = {}
+        get = acc.get
+        for e, c in p.terms.items():
+            x, cur = e & mask, None
+            while x:
+                at = x.bit_length() - 1 & -FIELD_BITS  # the top non-zero field
+                f = x >> at << at
+                x ^= f
+                move = shifts.get(f)
+                if move is not None:
+                    e += move[0]
+                    c *= move[1]
+                    continue
+                move = expands.get(f)
+                if move is None:  # made on first use, then read again
+                    (unit, powers), exp = by_offset[at], f >> at
+                    if len(powers[1].terms) == 1:
+                        (k, a), = powers[1].terms.items()
+                        shifts[f] = exp * (k - unit), a ** exp
+                    else:
+                        while len(powers) <= exp:
+                            powers.append(powers[-1] * powers[1])
+                        expands[f] = {k - exp * unit: a for k, a in powers[exp].terms.items()}
+                    x |= f
+                elif cur is None:
+                    cur = move
+                else:
+                    nxt = {}
+                    nget = nxt.get
+                    for e1, c1 in cur.items():
+                        for e2, c2 in move.items():
+                            mon = e1 + e2
+                            nxt[mon] = nget(mon, 0) + c1 * c2
+                    cur = nxt
+            if cur is None:
+                acc[e] = get(e, 0) + c
+            else:
+                for mon, cm in cur.items():
+                    mon += e
+                    acc[mon] = get(mon, 0) + c * cm
+        if 0 in acc.values():  # copied without its zeros: a dict does not shrink
+            acc = {e: c for e, c in acc.items() if c}
+        out.append(Polynomial(tctx, acc, _clean=all(map(_is_int, acc.values()))))
+    return out
+
+
+def exchange_step(f, i):
+    """hb * d_i f - tau_i f, emitted term by term (see the ``qkz`` docstring).
+
+    With x = z_i, y = z_{i+1} and hb = 2h internally, a term c x^a y^b
+    contributes -c x^b y^a, and for a != b also
+    2c * sign(a-b) * h * x^min y^min * x^t y^(|a-b|-1-t) for each t.
+    On packed monomials with field units X, Y of x, y the swap adds
+    (b-a)*(X-Y), and the divided-difference terms start at
+    x^lo y^top h^(e_h+1) and step by X - Y.  The degree never changes, and
+    the h field is the lowest, with unit 1.
+    """
+    ctx = f.ctx
+    x_off, y_off = ctx.offset(i - 1), ctx.offset(i)
+    X, Y = 1 << x_off, 1 << y_off
+    step = X - Y
+    out = {}
+    get = out.get
+    for e, c in f.terms.items():
+        a, b = e >> x_off & FIELD_MASK, e >> y_off & FIELD_MASK
+        if a == b:
+            out[e] = get(e, 0) - c
+            continue
+        t = e + (b - a) * step
+        out[t] = get(t, 0) - c
+        lo, top, cc = (b, a - 1, 2 * c) if a > b else (a, b - 1, -2 * c)
+        t = e - a * X - b * Y + lo * X + top * Y + 1
+        for _ in range(top - lo + 1):
+            out[t] = get(t, 0) + cc
+            t += step
+    for e in [e for e, c in out.items() if not c]:
+        del out[e]
+    # 2c of a Fraction c may be integral, and then Polynomial normalizes it
+    return Polynomial(ctx, out, _clean=all(map(_is_int, out.values())))
+
+
 class Polynomial:
     """Sparse exact polynomial: map from packed monomials to rational coeffs.
 
@@ -277,7 +398,7 @@ class Polynomial:
     its terms without them (normalizing coefficients unless all are ints),
     but not with ``_clean``, which the kernels that own their accumulator
     pass for all-int terms without zeros: ``sum_of_products`` copies only a
-    sum in which a term cancelled, and ``qkz._exchange_step`` deletes the
+    sum in which a term cancelled, and ``exchange_step`` deletes the
     few terms that cancel in place.
     """
 
@@ -426,90 +547,48 @@ class Polynomial:
         return Polynomial(ctx, out, _clean=True)
 
     def substitute(self, mapping, target_ctx=None):
-        """Substitute polynomials for variables.
+        """Substitute polynomials for variables: ``substitute_all`` of this one."""
+        return substitute_all(self.ctx, (self,), mapping, target_ctx)[0]
 
-        ``mapping`` maps variable indices (or names) of this context to
-        Polynomials over ``target_ctx`` (default: this context, with
-        unmapped variables passing through unchanged; a target context must
-        map every variable explicitly).
-
-        A term walks only its non-zero mapped fields, from the top down.  For
-        z^exp whose image power is one term (a rename, hb/2, -z, a constant)
-        the key moves by exp*(image key - unit) and the coefficient scales;
-        a zero image drops the term; a longer power expands it.
-        """
+    def layers(self, idx):
+        """The coefficients of var^0, var^1, ..., var^degree of the variable
+        ``idx`` (an index or name), each free of it, with terms of its own."""
         ctx = self.ctx
-        tctx = target_ctx if target_ctx is not None else ctx
-        by_offset, deg = {}, 0  # the unit and image of each mapped field
-        for k, v in mapping.items():
-            idx = k if isinstance(k, int) else ctx.index(k)
-            if isinstance(v, (int, Fraction)):
-                v = tctx.const(v)
-            if v.ctx is not tctx and v.ctx != tctx:
-                raise ContextError("substitution image in wrong context")
-            by_offset[ctx.offset(idx)] = ctx.units[idx], v
-            deg = max(deg, v.degree())
-        if tctx != ctx and len(by_offset) < ctx.nvars:
-            name = next(n for i, n in enumerate(ctx.names) if ctx.offset(i) not in by_offset)
-            raise ContextError(f"substitution into a new context must map {name!r}")
-        if not self.terms:
-            return tctx.zero()
-        deg *= self.degree()
-        if deg >= DEGREE_LIMIT:
-            raise _degree_overflow(deg)
-        # moves by field value exp << offset: the image's power with exp*unit
-        # off its keys, as one (key shift, coefficient) pair or else a dict
-        mask, moves, acc = sum(FIELD_MASK << off for off in by_offset), {}, {}
-        get = acc.get
+        idx = idx if isinstance(idx, int) else ctx.index(idx)
+        off, unit = ctx.offset(idx), ctx.units[idx]
+        layers = []
         for e, c in self.terms.items():
-            x, cur = e & mask, None
+            d = e >> off & FIELD_MASK
+            while len(layers) <= d:
+                layers.append({})
+            layers[d][e - d * unit] = c
+        return [Polynomial(ctx, terms, _clean=True) for terms in layers]
+
+    def term_weights(self, weights):
+        """The set of the weights of the terms: a term weighs the sum of
+        exp * weights[i] over the variables i (indices) that ``weights``
+        maps to ints, read from its non-zero mapped fields, the top first."""
+        by_offset = {self.ctx.offset(i): w for i, w in weights.items()}
+        mask, graded = sum(FIELD_MASK << off for off in by_offset), set()
+        for e in self.terms:
+            x, total = e & mask, 0
             while x:
-                at = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
-                f = x >> at << at
-                x ^= f
-                move = moves.get(f)
-                if move is None:
-                    (unit, v), exp = by_offset[at], f >> at
-                    if len(v.terms) == 1:
-                        (k, a), = v.terms.items()
-                        move = moves[f] = exp * (k - unit), a ** exp
-                    else:
-                        move = moves[f] = {k - exp * unit: a for k, a in (v ** exp).terms.items()}
-                if type(move) is tuple:
-                    e += move[0]
-                    c *= move[1]
-                elif cur is None:
-                    cur = move
-                else:
-                    nxt = {}
-                    nget = nxt.get
-                    for e1, c1 in cur.items():
-                        for e2, c2 in move.items():
-                            mon = e1 + e2
-                            nxt[mon] = nget(mon, 0) + c1 * c2
-                    cur = nxt
-            if cur is None:
-                acc[e] = get(e, 0) + c
-            else:
-                for mon, cm in cur.items():
-                    acc[mon + e] = get(mon + e, 0) + c * cm
-        return Polynomial(tctx, acc)
+                at = x.bit_length() - 1 & -FIELD_BITS
+                exp = x >> at
+                x ^= exp << at
+                total += exp * by_offset[at]
+            graded.add(total)
+        return graded
 
     def evaluate(self, values):
-        """Evaluate at a full rational point (sequence ordered as ctx.names)."""
-        vals = [Fraction(v) if not isinstance(v, (int, Fraction)) else v for v in values]
-        if len(vals) != self.ctx.nvars:
+        """Evaluate at a full rational point (sequence ordered as ctx.names),
+        as a Fraction: the substitution of its values into the ring of no
+        variables."""
+        if len(values) != self.ctx.nvars:
             raise ContextError("wrong number of values")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term, x = Fraction(c), e & self.ctx.mask
-            while x:
-                at = (x.bit_length() - 1) // FIELD_BITS
-                exp = x >> at * FIELD_BITS
-                x ^= exp << at * FIELD_BITS
-                term *= vals[-1 - at] ** exp
-            total += term
-        return total
+        point = dict(enumerate(map(Fraction, values)))
+        value, = substitute_all(self.ctx, (self,), point, coordinate_context(()))
+        return Fraction(value.terms.get(0, 0))
 
     def exact_div(self, form):
         """Divide exactly by a LinearForm; raise ExactDivisionError otherwise.
@@ -543,22 +622,15 @@ class Polynomial:
         # The canonical form z_lead - rest has +z_i as its leading variable,
         # and rest = z_j - c*h (maybe no z_j).
         lead = form.i - 1
-        lead_off = ctx.offset(lead)
         ulead = units[lead]
         hc = form.hcoef
         uj = None if form.j is None else units[form.j - 1]
-        # group by exponent of z_lead; a layer key has the z_lead field (and
-        # its share of the degree) taken out
-        layers = {}
-        for e, c in self.terms.items():
-            d = e >> lead_off & FIELD_MASK
-            layers.setdefault(d, {})[e - d * ulead] = c
-        D = max(layers)
+        layers = self.layers(lead)
         carry = {}
         quotient = {}
-        for d in range(D, 0, -1):
+        for d in range(len(layers) - 1, 0, -1):
             # cur = layer_d + carry; its terms are quotient terms at z_lead^(d-1)
-            cur = layers.get(d, {})
+            cur = dict(layers[d].terms)
             get = cur.get
             for e, c in carry.items():
                 s = get(e, 0) + c
@@ -578,7 +650,7 @@ class Polynomial:
                 if hc:
                     t = e + uh
                     carry[t] = cget(t, 0) - hc * c
-        rem = Polynomial(ctx, layers.get(0, {}), _clean=True) + Polynomial(ctx, carry)
+        rem = layers[0] + Polynomial(ctx, carry)
         if rem:
             raise ExactDivisionError("division not exact", remainder=rem)
         return Polynomial(ctx, quotient, _clean=True)
@@ -606,13 +678,16 @@ class Polynomial:
 
     @staticmethod
     def from_json(doc, ctx):
-        """Read ``to_json`` output; AlgebraError for exponents that cannot be packed."""
+        """Read ``to_json`` output; AlgebraError for exponents that cannot be
+        packed and for a monomial given twice."""
         h = ctx.h_index
         pack = ctx.pack
         terms = {}
         for row in doc["terms"]:
             num, den, *e = row
             mono = pack(e)
+            if mono in terms:
+                raise AlgebraError(f"the monomial with exponents {e} is given twice")
             eh = 0 if h is None else e[h]
             if den == 1 and type(num) is int:
                 terms[mono] = num << eh
@@ -942,20 +1017,7 @@ class RationalFunction:
         ``mapping`` maps 1-based z indices to their images, over
         ``target_ctx`` when given; denominator forms must stay linear.
         """
-        poly_map = {zi - 1: image for zi, image in mapping.items()}
-        if target_ctx is not None:
-            # map h through unchanged, other z's must be covered
-            h = target_ctx.h_index
-            poly_map[self.ctx.h_index] = Polynomial(target_ctx, {target_ctx.units[h]: 1})
-        num = self.num.substitute(poly_map, target_ctx)
-        den = {}
-        for f, m in self.den.items():
-            p = f.to_poly(self.ctx).substitute(poly_map, target_ctx)
-            form, sign = _poly_to_form(p)
-            if sign < 0 and m % 2:
-                num = -num
-            den[form] = den.get(form, 0) + m
-        return RationalFunction(num, den)
+        return substitute_z_all(self.ctx, (self,), mapping, target_ctx)[0]
 
     def text(self, writer=None):
         if not self.den:
@@ -968,6 +1030,31 @@ class RationalFunction:
 
     def __repr__(self):
         return f"<RatFun {self.text()}>"
+
+
+def substitute_z_all(ctx, values, mapping, target_ctx):
+    """``RationalFunction.substitute_z`` of each of ``values``, over ctx: the
+    numerators and each distinct denominator form go through one
+    ``substitute_all``, and each form's image is written as a form once."""
+    poly_map = {zi - 1: image for zi, image in mapping.items()}
+    if target_ctx is not None:  # h passes through; every z must be mapped
+        poly_map[ctx.h_index] = target_ctx.var(target_ctx.h_index)
+    forms = {}  # the distinct denominator forms, in order of first appearance
+    for v in values:
+        forms.update(v.den)
+    polys = substitute_all(ctx, [v.num for v in values] + [f.to_poly(ctx) for f in forms],
+                           poly_map, target_ctx)
+    images = dict(zip(forms, map(_poly_to_form, polys[len(values):])))
+    out = []
+    for v, num in zip(values, polys):
+        den = {}
+        for f, m in v.den.items():
+            form, sign = images[f]
+            if sign < 0 and m % 2:
+                num = -num
+            den[form] = den.get(form, 0) + m
+        out.append(RationalFunction(num, den))
+    return out
 
 
 def _lift(num, den, target):

@@ -296,7 +296,7 @@ def check_cyclicity_fixture(doc):
         labels = fixture_labels(doc)
         m = tuple(doc["m"])
         M = sum(m)
-        derived = rho_matrix(tabs, m, M, 4)
+        derived = rho_matrix(tabs, m, 4)
         tab_of = dict(zip(labels, tabs))
         lab_of = {t: lab for lab, t in tab_of.items()}
         for lab in labels:

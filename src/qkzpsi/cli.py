@@ -17,7 +17,8 @@ output path (--out, --json-out) that cannot be opened for writing; an
 empty lambda or m, or one that does not fit k; for ``psi build`` a lambda
 whose predicted term count is above ``qkz.MAX_PREDICTED_TERMS``; a vector
 file that is missing, is not JSON, does not match the psi JSON schema, has
-no slots or holds exponents outside [0, 2**16); for ``psi verify`` a flag
+no slots, holds exponents outside [0, 2**16), or gives a label, or a
+monomial of one entry, twice; for ``psi verify`` a flag
 that its check does not read (--slot outside exchange and qkz, --positions
 outside wheel, --insert-at outside recurrence), a --slot outside the
 vector's slots (any --slot of exchange on a one-slot vector), wheel
@@ -26,8 +27,10 @@ m-sum of at most k, and a recurrence check of a lambda with fewer
 than k rows (no column of k boxes to remove), of a fused vector, or at an
 --insert-at outside the small vector's N+1 places; for ``slice
 emit`` an empty m or a non-positive block size, an ell with a negative
-entry or a sum other than sum(m), a slice larger than the desk-scale limit
-``slice.MAX_SLICE_SIZE`` (12), or a non-rectangular ell with ``--deform``;
+entry or a sum other than sum(m), an ell whose orbit closure misses x_m
+(sorted m not below ell in dominance order: the slice is empty), a slice
+larger than the desk-scale limit ``slice.MAX_SLICE_SIZE`` (12), or a
+non-rectangular ell with ``--deform``;
 for ``rmat`` wedge sizes a, b outside 1..k-1, and for ``rmat verify``
 a != b (its checks act on the a-th wedge power alone).
 
@@ -267,7 +270,7 @@ def _verify_reports(psi, args):
         why = "m not homogeneous"
         if len(set(psi.m)) == 1:
             try:
-                rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
+                rho = sequence_rotation(psi.basis, psi.m, psi.k)
             except CombinatoricsError:
                 why = f"lambda is not a {psi.k}-row rectangle (M/k)^k: no rotation"
             else:

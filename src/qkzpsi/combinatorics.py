@@ -276,12 +276,13 @@ def epsilon_sign(M, k):
     return -1 if (M // k - 1) % 2 else 1
 
 
-def rho_matrix(basis, m, M, k):
+def rho_matrix(basis, m, k):
     """Rotation operator on a component (tableau) basis via promotion.
 
-    rho[a][b] = eps^{m_1} * delta(a, promotion(b)) with eps = (-1)^(M/k-1).
+    rho[a][b] = eps^{m_1} * delta(a, promotion(b)) with eps = (-1)^(M/k-1),
+    M = sum(m).
     """
-    eps = epsilon_sign(M, k)
+    eps = epsilon_sign(sum(m), k)
     sign = eps if m[0] % 2 else 1
     mapping = {}
     for t in basis:
@@ -289,7 +290,7 @@ def rho_matrix(basis, m, M, k):
     return SignedPermutationOp(tuple(basis), mapping, sign)
 
 
-def sequence_rotation(basis, m, M, k):
+def sequence_rotation(basis, m, k):
     """Rotation operator on the standard (subset-sequence) basis.
 
     Acts by (rho v)_{(S_1..S_N)} = sign * v_{(S_N, S_1, ..., S_{N-1})}, the
@@ -299,8 +300,9 @@ def sequence_rotation(basis, m, M, k):
     are built by exchange propagation: a first group of m_1 fused factors
     rotates as m_1 fundamental ones.  Defined for full-height rectangles
     only: raises CombinatoricsError unless every label of the basis uses
-    each of the k letters M/k times.
+    each of the k letters M/k times, M = sum(m).
     """
+    M = sum(m)
     word = [a for a in range(1, k + 1) for _ in range(M // k)]
     if M % k or any(sorted(a for S in lab for a in S) != word for lab in basis):
         raise CombinatoricsError(f"no rotation: the labels are not of a full-height "

@@ -15,11 +15,12 @@ and d_i f = (f - tau_i f)/(z_i - z_{i+1}) is the Newton divided difference
     (x^a y^b - x^b y^a)/(x - y) = sign(a-b) x^min y^min sum_t x^t y^(|a-b|-1-t),
 
 so each step is written down term by term, with no multiplication and no
-division.  The division by z_i - z_{i+1} on the left is exact for every f,
-so exactness certifies nothing.  The step T_i f = hb*d_i f - tau_i f is an
-involution (d_i tau_i = -d_i, tau_i d_i = d_i and d_i^2 = 0 give
-T_i^2 f = f), so the relation on an edge {beta, s_i beta} of labels reads
-the same from either end.
+division (``algebra.exchange_step``, on the packed exponent fields).  The
+division by z_i - z_{i+1} on the left is exact for every f, so exactness
+certifies nothing.  The step T_i f = hb*d_i f - tau_i f is an involution
+(d_i tau_i = -d_i, tau_i d_i = d_i and d_i^2 = 0 give T_i^2 f = f), so the
+relation on an edge {beta, s_i beta} of labels reads the same from either
+end.
 
 Letters with equal parts of lambda are interchangeable.  Let G be the
 product of the symmetric groups on the classes of letters a with equal
@@ -81,13 +82,12 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (
-    FIELD_MASK,
     AlgebraError,
     ExactDivisionError,
     LinearForm,
     Polynomial,
     RationalFunction,
-    _is_int,
+    exchange_step,
     spectral_context,
 )
 from .combinatorics import content_labels, inversions
@@ -151,10 +151,12 @@ class PsiVector:
             if doc["vars"] != len(m):
                 raise PsiError(f"psi JSON has vars = {doc['vars']!r}, want {len(m)}")
             ctx = spectral_context(len(m))
-            entries = {
-                tuple(tuple(S) for S in row["label"]): Polynomial.from_json(row["poly"], ctx)
-                for row in doc["entries"]
-            }
+            entries = {}
+            for row in doc["entries"]:
+                lab = tuple(tuple(S) for S in row["label"])
+                if lab in entries:
+                    raise PsiError(f"psi JSON gives the label {label_text(lab)} twice")
+                entries[lab] = Polynomial.from_json(row["poly"], ctx)
         except KeyError as err:
             raise PsiError(f"psi JSON lacks the field {err}") from None
         except (TypeError, ValueError, ZeroDivisionError, AlgebraError) as err:
@@ -230,41 +232,6 @@ def extreme_component(lam):
                 p = p * LinearForm(2, i + 1, j + 1).to_poly(ctx)
     label = tuple((a,) for a in seq)
     return label, p
-
-
-def _exchange_step(f, i):
-    """hb * d_i f - tau_i f, emitted term by term (see the module docstring).
-
-    With x = z_i, y = z_{i+1} and hb = 2h internally, a term c x^a y^b
-    contributes -c x^b y^a, and for a != b also
-    2c * sign(a-b) * h * x^min y^min * x^t y^(|a-b|-1-t) for each t.
-    On packed monomials (see ``algebra``) with field units X, Y of x, y the
-    swap adds (b-a)*(X-Y), and the divided-difference terms start at
-    x^lo y^top h^(e_h+1) and step by X - Y.  The degree never changes, and
-    the h field is the lowest, with unit 1.
-    """
-    ctx = f.ctx
-    x_off, y_off = ctx.offset(i - 1), ctx.offset(i)
-    X, Y = 1 << x_off, 1 << y_off
-    step = X - Y
-    out = {}
-    get = out.get
-    for e, c in f.terms.items():
-        a, b = e >> x_off & FIELD_MASK, e >> y_off & FIELD_MASK
-        if a == b:
-            out[e] = get(e, 0) - c
-            continue
-        t = e + (b - a) * step
-        out[t] = get(t, 0) - c
-        lo, top, cc = (b, a - 1, 2 * c) if a > b else (a, b - 1, -2 * c)
-        t = e - a * X - b * Y + lo * X + top * Y + 1
-        for _ in range(top - lo + 1):
-            out[t] = get(t, 0) + cc
-            t += step
-    for e in [e for e, c in out.items() if not c]:
-        del out[e]
-    # 2c of a Fraction c may be integral, and then Polynomial normalizes it
-    return Polynomial(ctx, out, _clean=all(map(_is_int, out.values())))
 
 
 MAX_PREDICTED_TERMS = 10_000_000
@@ -345,7 +312,7 @@ def build_psi_fundamental(k, lam):
                       / (z_i - z_{i+1})
                     = hb * d_i entry(beta') - tau_i entry(beta') = T_i entry(beta'),
 
-    computed in closed form by ``_exchange_step``.  The numerator equals
+    computed in closed form by ``algebra.exchange_step``.  The numerator equals
     hb*(f - tau_i f) - (z_i - z_{i+1}) tau_i f, which z_i - z_{i+1} always
     divides, so the division is exact for every f and checking it would
     certify nothing.
@@ -412,7 +379,7 @@ def build_psi_fundamental(k, lam):
             continue
         i = next(i for i in range(1, M) if seq[i - 1] > seq[i])
         partner = swap(seq, i)
-        entries[seq] = _exchange_step(entries[partner], i)
+        entries[seq] = exchange_step(entries[partner], i)
         held.add((i, min(key, keys[partner][0])))
 
     want = sum(a * (a - 1) // 2 for a in lam)
@@ -440,7 +407,7 @@ def build_psi_fundamental(k, lam):
                 if edge in held:
                     continue
                 held.add(edge)
-                if _exchange_step(entries[partner], i) != entries[seq]:
+                if exchange_step(entries[partner], i) != entries[seq]:
                     raise PsiError(f"propagation path mismatch at {seq}, slot {i}")
 
     return PsiVector(k, lam, (1,) * M, ctx,

@@ -52,16 +52,17 @@ from math import comb, lcm, prod
 from types import MappingProxyType
 
 from .algebra import (
-    FIELD_MASK,
     ContextError,
     LinearForm,
     Polynomial,
     RationalFunction,
     TermWriter,
-    _lift,
-    _mul_into,
+    coordinate_context,
     over_one_den,
     spectral_context,
+    substitute_all,
+    substitute_z_all,
+    sum_of_products,
 )
 from .combinatorics import content_labels, gauss_jordan, inversions
 from .reporting import checking
@@ -116,24 +117,21 @@ class ROperator:
         denominator.  Image labels come out in order of first appearance,
         including labels whose sum cancels to zero.
         """
-        ctx, shift = self.ctx, self.ctx.shift
+        ctx = self.ctx
         den, by_source = self.by_source()
         vec_den, nums = over_one_den({k: v for k, v in vec.items() if not v.is_zero()})
-        sums = {}
+        pairs = {}  # image label -> its (entry, numerator) products
         for label, num in nums.items():
             if num.ctx is not ctx and num.ctx != ctx:
                 raise ContextError("operator and vector from different contexts")
             lo, hi = (0, len(label)) if slot is None else (slot, slot + 2)
             for t, entry in by_source.get(label[lo:hi], ()):
-                key = label[:lo] + t + label[hi:]
-                acc = sums.get(key)
-                if acc is None:
-                    acc = sums[key] = {}
-                _mul_into(acc, entry.terms, num.terms, shift)
+                pairs.setdefault(label[:lo] + t + label[hi:], []).append((entry, num))
         den = dict(den)
         for f, m in vec_den.items():
             den[f] = den.get(f, 0) + m
-        return {key: RationalFunction(Polynomial(ctx, acc), den) for key, acc in sums.items()}
+        return {key: RationalFunction(sum_of_products(ctx, products), den)
+                for key, products in pairs.items()}
 
     def matmul(self, other):
         """self o other (apply other first), one result column at a time."""
@@ -152,11 +150,9 @@ class ROperator:
         """Reinterpret a one-variable operator at argument sign*(form).
 
         ``form`` is a LinearForm over ``target_ctx`` with a z-part; entries
-        become rational functions over that context.  The numerators expand
-        over one table of the powers of the image, shared by all entries,
-        and each denominator form maps to its image form directly.  A
-        pure-h argument is refused: it can send a denominator form to zero
-        (hb + z at z = -hb).
+        become rational functions over that context, all substituted in one
+        ``algebra.substitute_z_all``.  A pure-h argument is refused: it can
+        send a denominator form to zero (hb + z at z = -hb).
         """
         ctx = self.ctx
         if ctx.nz != 1:
@@ -164,34 +160,8 @@ class ROperator:
         if form[1] is None and form[2] is None:
             raise RMatrixError("the spectral argument needs a z-part")
         image = form.to_poly(target_ctx) * sign
-        z_off = ctx.offset(0)
-        uh = target_ctx.units[target_ctx.h_index]
-        powers = [target_ctx.one().terms]  # powers[e]: the terms of image**e
-        images = {}  # denominator form -> (image form, sign)
-        entries = {}
-        for key, rf in self.entries.items():
-            acc = {}
-            get = acc.get
-            for e, c in rf.num.terms.items():
-                ez = e >> z_off & FIELD_MASK
-                while len(powers) <= ez:
-                    powers.append((Polynomial(target_ctx, powers[-1], _clean=True) * image).terms)
-                shift = (e & FIELD_MASK) * uh  # h -> h: the h exponent rides along
-                for e2, c2 in powers[ez].items():
-                    t = e2 + shift
-                    acc[t] = get(t, 0) + c * c2
-            num = Polynomial(target_ctx, acc)
-            den = {}
-            for f, m in rf.den.items():
-                mapped = images.get(f)
-                if mapped is None:
-                    mapped = images[f] = _image_form(f, form, sign)
-                g, s = mapped
-                if s < 0 and m % 2:
-                    num = -num
-                den[g] = m
-            entries[key] = RationalFunction(num, den)
-        return ROperator(target_ctx, self.source, self.target, entries)
+        values = substitute_z_all(ctx, list(self.entries.values()), {1: image}, target_ctx)
+        return ROperator(target_ctx, self.source, self.target, dict(zip(self.entries, values)))
 
     def equals(self, other):
         return (self.source == other.source and self.target == other.target
@@ -230,16 +200,6 @@ class ROperator:
                 row.append("0" if rf is None else rf.text(writer))
             lines.append("[ " + " , ".join(row) + " ]")
         return "\n".join(lines)
-
-
-def _image_form(f, form, sign):
-    """(canonical form, sign) of a one-variable form f = hcoef*h [+ z] at
-    z -> sign*form, h -> h."""
-    hc, i, _ = f
-    if i is None:
-        return f, 1
-    fh, a, b = form
-    return LinearForm.make(hc + sign * fh, *((a, b) if sign > 0 else (b, a)))
 
 
 # -- fundamental and fused construction ---------------------------------------
@@ -393,15 +353,16 @@ def first_difference(lhs, rhs):
     """The first key at which two labelled vectors differ, or None.
 
     Values are Polynomials or RationalFunctions, mixed; a missing key reads
-    as zero.  Each vector is brought to its own common denominator, and at
-    each key the two numerators are lifted to the lcm of the two and
-    compared.  The keys of lhs are walked in order, then the keys only rhs
-    has, so the key a failure names does not depend on hashing.
+    as zero.  The values of both vectors are brought to one common
+    denominator (``algebra.over_one_den``), and at each key the two
+    numerators are compared.  The keys of lhs are walked in order, then the
+    keys only rhs has, so the key a failure names does not depend on hashing.
     """
-    (lden, left), (rden, right) = over_one_den(lhs), over_one_den(rhs)
+    _, nums = over_one_den([*lhs.values(), *rhs.values()])
+    left, right = dict(zip(lhs, nums)), dict(zip(rhs, nums[len(lhs):]))
     for key, a in left.items():
         b = right.get(key)
-        if not (a.is_zero() if b is None else _lift(a, lden, rden) == _lift(b, rden, lden)):
+        if not (a.is_zero() if b is None else a == b):
             return key
     return next((key for key, b in right.items() if key not in left and b), None)
 
@@ -528,8 +489,10 @@ def product_basis(letters_or_labels, nslots):
 # w = z_i - z_{i+1} and hb.  Substituting z_i = u + w, z_{i+1} = u
 # makes every other monomial a formal "row" whose coefficient is a
 # homogeneous polynomial in (w, h); each row gives one linear equation over
-# Q(w, h).  Homogeneity lets the solve set h = 1: a coefficient is kept as
-# {w-exponent: coefficient}, and the solution is rehomogenized at the end.
+# Q(w, h).  Homogeneity lets the solve set h = 1 in the same substitution: a
+# coefficient is kept as {w-exponent: coefficient}, read from the layers in
+# w, and the solution is rehomogenized at the end.  tau_i Psi is the same
+# substitution with the images of z_i and z_{i+1} swapped.
 #
 # A block is sampled at integers w as the module docstring describes, with
 # the degree bound D: at each w, ``combinatorics.gauss_jordan`` gives the
@@ -689,31 +652,26 @@ def solve_rmatrix_from_exchange(psi, slot):
         raise RMatrixError("slot out of range")
     labels = list(psi.basis)
 
-    # substitution z_i -> u + w, z_{i+1} -> u into a context
-    # (w, u, other z's, hb)
+    # z_i -> u + w, z_{i+1} -> u (for tau_i Psi the other way round), the
+    # other z's renamed and h -> 1, into the ring of (w, u, other z's)
     rest = [t for t in range(1, N + 1) if t not in (i, i + 1)]
-    names = ("w", "u", *[f"r{t}" for t in rest], "hb")
-    sctx = type(ctx)(names, h_index=len(names) - 1)
+    sctx = coordinate_context(("w", "u", *[f"r{t}" for t in rest]))
     zi, zj = _pair_images(sctx.var("u"), sctx.var("w"))
-    mapping = {i - 1: zi, i: zj, ctx.h_index: sctx.var("hb")}
-    mapping.update((t - 1, sctx.var(f"r{t}")) for t in rest)
-    w_off = sctx.offset(sctx.index("w"))
-    # a rest-monomial keeps the fields of u and the r's: no w, h or degree,
-    # so its integer order is the lex order of those exponents
-    rest_mask = sctx.mask ^ (FIELD_MASK << w_off) ^ FIELD_MASK
+    fixed = {ctx.h_index: 1} | {t - 1: sctx.var(f"r{t}") for t in rest}
+    values = [psi.entries[lab] for lab in labels]
 
-    def split(p):
-        """rest-monomial -> its (w, h) coefficient at h = 1, as {w-exponent: c}."""
-        rows = {}
-        for e, c in p.terms.items():
-            ew = e >> w_off & FIELD_MASK
-            coeffs = rows.setdefault(e & rest_mask, {})
-            coeffs[ew] = coeffs.get(ew, 0) + c
-        return rows
+    def split(a, b):
+        """label -> {rest-monomial: its coefficient, as {w-exponent: c}} of
+        each entry at z_i -> a, z_{i+1} -> b."""
+        out = {}
+        for lab, p in zip(labels, substitute_all(ctx, values, fixed | {i - 1: a, i: b}, sctx)):
+            out[lab] = coeffs = {}
+            for d, layer in enumerate(p.layers(0)):
+                for key, c in layer.terms.items():
+                    coeffs.setdefault(key, {})[d] = c
+        return out
 
-    sub_cache = {lab: split(psi.entries[lab].substitute(mapping, sctx)) for lab in labels}
-    tau_cache = {lab: split(psi.entries[lab].swap_z(i, i + 1).substitute(mapping, sctx))
-                 for lab in labels}
+    sub_cache, tau_cache = split(zi, zj), split(zj, zi)
     standard = psi.basis == tuple(content_labels(psi.lam, psi.m))
     lo, hi = (i - 1, i + 1) if standard else (0, N)
     blocks = {}  # content -> (its windows, the rests of their labels)

@@ -34,15 +34,14 @@ from itertools import combinations, permutations
 from math import comb
 
 from .algebra import (
-    FIELD_BITS,
-    FIELD_MASK,
     LinearForm,
     Polynomial,
     coordinate_context,
     spectral_context,
+    substitute_all,
     sum_of_products,
 )
-from .combinatorics import inversions
+from .combinatorics import inversions, partition_dominance_leq
 from .reporting import checking
 
 
@@ -139,25 +138,14 @@ class SliceModel:
         A coordinate's weight, z_i - z_j plus ``weight_h`` half-units of hb,
         is packed once per call as one int with a 64-bit slot for each of
         z_1..z_N and h: linear in the weight vector, and one-to-one while a
-        term's weights stay below 2**63 in size.  A term walks only its
-        non-zero coordinate fields, from the top down, as
-        ``Polynomial.substitute`` does; other variables (deformation
-        parameters and such) carry weight 0 here.
+        term's weights stay below 2**63 in size.  ``Polynomial.term_weights``
+        sums them over each term; other variables (deformation parameters
+        and such) carry weight 0 here.
         """
         slot = [1 << 64 * t for t in range(self.N + 1)]
-        weights = {ctx.offset(i): slot[c.i - 1] - slot[c.j - 1] + c.weight_h * slot[-1]
+        weights = {i: slot[c.i - 1] - slot[c.j - 1] + c.weight_h * slot[-1]
                    for i, c in enumerate(map(self.by_name.get, ctx.names)) if c}
-        mask = sum(FIELD_MASK << off for off in weights)
-        graded = set()
-        for e in poly.terms:
-            x, total = e & mask, 0
-            while x:
-                at = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
-                exp = x >> at
-                x ^= exp << at
-                total += exp * weights[at]
-            graded.add(total)
-        return len(graded) <= 1
+        return len(poly.term_weights(weights)) <= 1
 
 
 class EquationSet(namedtuple("EquationSet", "ctx relations")):
@@ -207,14 +195,19 @@ def equation_stream(m, ell, deform):
     with ``deform`` those of prod_a (X - t_a), row by row.  General ell:
     the rank conditions rank(X^s) <= sum_i max(ell_i - s, 0), as vanishing
     minors of each power in turn.  Every input error is raised here, before
-    the first relation is built.
+    the first relation is built; so is an ell whose orbit closure misses
+    x_m (sorted m not below ell in dominance order), where the slice is empty.
     """
     model = _desk_model(m)
     ell = _check_ell(ell, model.M)
     parts = [x for x in ell if x > 0]
+    if deform and len(set(parts)) > 1:
+        raise SliceError("deformed equations are modeled for rectangular ell only")
+    jordan = tuple(sorted(model.m, reverse=True))
+    if not partition_dominance_leq(jordan, sorted(ell, reverse=True)):
+        raise SliceError(f"the orbit closure of ell {ell} misses x_m: sorted m {jordan} "
+                         "is not below ell in dominance order")
     if len(set(parts)) > 1:
-        if deform:
-            raise SliceError("deformed equations are modeled for rectangular ell only")
         sizes = [sum(max(x - s, 0) for x in parts) + 1 for s in range(1, max(parts) + 1)]
         for size in sizes:
             if comb(model.M, size) ** 2 > 4000:
@@ -376,23 +369,9 @@ def matrix_relation_value(terms, mats, e_polys=None):
             for r in range(N)]
 
 
-def _layers(poly, var):
-    """The coefficients of var^0, var^1, ... in ``poly``, free of ``var``."""
-    ctx = poly.ctx
-    vidx = ctx.index(var)
-    off, unit = ctx.offset(vidx), ctx.units[vidx]
-    layers = []
-    for e, coeff in poly.terms.items():
-        d = e >> off & FIELD_MASK
-        while len(layers) <= d:
-            layers.append({})
-        layers[d][e - d * unit] = coeff
-    return [Polynomial(ctx, terms, _clean=True) for terms in layers]
-
-
 def linear_solve(poly, var):
     """Solve a polynomial linear in ``var``: returns (num, den) with var = num/den."""
-    layers = _layers(poly, var)
+    layers = poly.layers(var)
     if len(layers) > 2:
         raise SliceError(f"constraint is not linear in {var}")
     if len(layers) < 2:
@@ -414,17 +393,13 @@ def solve_locus(ctx, vanishing, polys, solve_order):
     on the locus exactly when its restriction is zero; the solved ones
     restrict to zero.
     """
-    mask = 0
-    for name in vanishing:
-        mask |= FIELD_MASK << ctx.offset(ctx.index(name))
-    polys = [Polynomial(ctx, {e: c for e, c in p.terms.items() if not e & mask}, _clean=True)
-             for p in polys]
+    polys = substitute_all(ctx, polys, dict.fromkeys(vanishing, 0), None)
     solutions = []
     for var, cidx in solve_order:
         num, den = linear_solve(polys[cidx], var)
         solutions.append((var, num, den))
         for pi, p in enumerate(polys):
-            layers = _layers(p, var)
+            layers = p.layers(var)
             d = len(layers) - 1
             if d > 0:
                 polys[pi] = sum_of_products(ctx, ((layer, num ** k * den ** (d - k))

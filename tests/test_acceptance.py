@@ -117,7 +117,7 @@ def test_criterion_6_qkz_step(appendix_doc):
     full_ops = {1: printed["R1"], 2: printed["R2"], 3: printed["R3"]}
     ok = qkz_step(psi, rho, full_ops=full_ops).passed
     fund = build_psi_fundamental(2, (2, 2))
-    rho2 = sequence_rotation(fund.basis, fund.m, 4, 2)
+    rho2 = sequence_rotation(fund.basis, fund.m, 2)
     ok = ok and qkz_step(fund, rho2).passed
     _accept(6, "difference step with s=(k+1)hb on both instances, route independent", ok)
 

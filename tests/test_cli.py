@@ -459,7 +459,7 @@ def test_psi_build_refuses_an_instance_above_the_term_limit(monkeypatch, capsys,
         raise AssertionError("the instance was built")
 
     monkeypatch.setattr(qkz, "extreme_component", built)
-    monkeypatch.setattr(qkz, "_exchange_step", built)
+    monkeypatch.setattr(qkz, "exchange_step", built)
     out = tmp_path / "psi.json"
     assert cli.main(["psi", "build", "--k", "2", "--lambda", "5,5", "--out", str(out)]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
@@ -524,6 +524,41 @@ def test_psi_verify_rejects_exponents_that_do_not_pack(tmp_path):
         res = run_cli("psi", "verify", "--check", "exchange", "--in", str(path))
         assert_usage_error(res)
         assert "malformed psi JSON" in res.stderr
+
+
+def repeated_row_files(tmp_path):
+    """A vector file of ``psi build --k 2 --lambda 2,2`` whose first row is
+    given twice, the second time with another polynomial, and one whose
+    first entry gives its first term twice, with another coefficient."""
+    from qkzpsi.qkz import build_psi_fundamental
+
+    doc = build_psi_fundamental(2, (2, 2)).to_json()
+    rows = doc["entries"]
+    labels = dict(doc, entries=[rows[0], dict(rows[0], poly=rows[1]["poly"])] + rows[1:])
+    terms = rows[0]["poly"]["terms"]
+    first = dict(rows[0], poly=dict(rows[0]["poly"], terms=[terms[0], [7, 1, *terms[0][2:]],
+                                                              *terms[1:]]))
+    monomials = dict(doc, entries=[first] + rows[1:])
+    paths = {}
+    for name, bad in (("label", labels), ("monomial", monomials)):
+        paths[name] = tmp_path / f"repeated_{name}.json"
+        paths[name].write_text(json.dumps(bad))
+    return paths
+
+
+def test_psi_verify_refuses_a_label_given_twice(tmp_path):
+    # the last of the two rows used to win, and the label check passed
+    res = run_cli("psi", "verify", "--check", "exchange",
+                  "--in", str(repeated_row_files(tmp_path)["label"]))
+    assert_usage_error(res)
+    assert "gives the label ({1},{1},{2},{2}) twice" in res.stderr
+
+
+def test_psi_verify_refuses_a_monomial_given_twice(tmp_path):
+    res = run_cli("psi", "verify", "--check", "exchange",
+                  "--in", str(repeated_row_files(tmp_path)["monomial"]))
+    assert_usage_error(res)
+    assert "malformed psi JSON" in res.stderr and "is given twice" in res.stderr
 
 
 @pytest.mark.parametrize("argv, fragment", [

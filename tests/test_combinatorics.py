@@ -218,7 +218,7 @@ def test_epsilon_and_rho_matrix():
     assert epsilon_sign(4, 2) == -1
     assert epsilon_sign(2, 2) == 1
     tabs = enumerate_tableaux((2, 2, 2, 2), (2, 2, 2, 2))
-    rho = rho_matrix(tabs, (2, 2, 2, 2), 8, 4)
+    rho = rho_matrix(tabs, (2, 2, 2, 2), 4)
     assert rho.sign == 1  # eps^2
     # promotion swaps the first and last tableaux and fixes the middle one
     assert [tabs.index(rho.mapping[t]) for t in tabs] == [2, 1, 0]
@@ -229,12 +229,12 @@ def test_sequence_rotation_refuses_a_shape_that_is_not_a_full_rectangle():
     for k, lam in ((2, (3, 1)), (4, (2, 2)), (2, (4, 3))):
         m = (1,) * sum(lam)
         with pytest.raises(CombinatoricsError):
-            sequence_rotation(content_labels(lam, m), m, sum(lam), k)
+            sequence_rotation(content_labels(lam, m), m, k)
 
 
 def test_sequence_rotation_shape():
     basis = [((1,), (2,)), ((2,), (1,))]
-    rho = sequence_rotation(basis, (1, 1), 2, 2)
+    rho = sequence_rotation(basis, (1, 1), 2)
     assert rho.sign == -1
     assert rho.mapping[((1,), (2,))] == ((2,), (1,))
 

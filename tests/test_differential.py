@@ -41,9 +41,9 @@ it substituted before it took u + w and u.
 by every denominator form, in one pass, as ``RationalFunction.reduced``
 does; ``substitute_then_reduce`` substitutes every entry of an operator
 through ``RationalFunction.substitute_z`` and reduces it by
-``exact_div_reduce``, so ``ROperator.substitute_spectral``, which expands
-over one table of powers and does not reduce, is seen to carry a reduced
-operator to reduced entries.
+``exact_div_reduce``, so ``ROperator.substitute_spectral``, which
+substitutes all entries in one batch and does not reduce, is seen to carry
+a reduced operator to reduced entries.
 ``oracles.restrict_at_once`` evaluates polynomials on a component locus
 by substituting every solution at once (``oracles.eval_rational``), as the
 membership check did before ``slice.solve_locus`` eliminated the solutions
@@ -56,7 +56,7 @@ import contextlib
 import json
 from fractions import Fraction
 from itertools import permutations, product, zip_longest
-from math import factorial
+from math import factorial, prod
 
 import pytest
 import sympy
@@ -72,7 +72,9 @@ from qkzpsi.algebra import (
     RationalFunction,
     TermWriter,
     coordinate_context,
+    exchange_step,
     spectral_context,
+    substitute_all,
     sum_of_products,
 )
 from qkzpsi.appendix import fixture_psi, fixture_rho, fixture_rmatrices
@@ -86,7 +88,6 @@ from qkzpsi.qkz import (
     PsiError,
     PsiVector,
     _difference,
-    _exchange_step,
     _offending,
     build_psi_fundamental,
     check_shape,
@@ -152,7 +153,7 @@ def all_descents_fundamental(k, lam):
         value = None
         for i in descents:
             partner = seq[:i - 1] + (seq[i], seq[i - 1]) + seq[i + 1:]
-            cand = _exchange_step(entries_seq[partner], i)
+            cand = exchange_step(entries_seq[partner], i)
             if value is None:
                 value = cand
             elif cand != value:
@@ -621,7 +622,7 @@ def built_closure(psi, i, rho, full_ops=None):
 
 
 def rotation(psi):
-    return sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
+    return sequence_rotation(psi.basis, psi.m, psi.k)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -1150,6 +1151,74 @@ def test_packed_substitute_matches_tuples(case):
     assert tuple_terms(got) == tuple_substitute(terms, images, target.nvars)
 
 
+@st.composite
+def substitution_batches(draw, ctx):
+    """A batch of term dicts over ctx, of mixed degrees and with zero ones
+    among them, and ``substitutions``' target, images and left-out variables
+    for the variables they use.  Exponents reach 3, so one variable meets
+    the batch at several exponents, and so its moves at several keys."""
+    target = draw(st.sampled_from(
+        (SPECTRAL[0] if ctx.h_index is not None else COORDINATE[0], REORDERED)))
+    batch = draw(st.lists(st.one_of(st.just({}), tuple_polys(ctx, max_terms=3, support=2),
+                                    tuple_polys(ctx, max_terms=2, max_exp=1, support=1)),
+                          min_size=1, max_size=5))
+    used = sorted({idx for terms in batch for e in terms for idx, x in enumerate(e) if x})
+    dropped = draw(st.sets(st.sampled_from(used))) if used and target is ctx else set()
+    image = variable_images(target)
+    return ctx, target, batch, [
+        {tuple(int(j == idx) for j in range(ctx.nvars)): 1} if idx in dropped
+        else draw(image) if idx in used else {} for idx in range(ctx.nvars)], dropped
+
+
+@settings(max_examples=200, deadline=None)
+@given(contexts.flatmap(substitution_batches))
+def test_substituting_a_batch_matches_substituting_each_alone(case):
+    # every polynomial of the batch meets the moves the ones before it made
+    ctx, target, batch, images, dropped = case
+    mapping = {idx: packed(target, img) for idx, img in enumerate(images) if idx not in dropped}
+    polys = [packed(ctx, terms) for terms in batch]
+    got = substitute_all(ctx, polys, mapping, target)
+    assert len(got) == len(batch)
+    for p, terms, q in zip(polys, batch, got):
+        alone = p.substitute(mapping, target)
+        assert (q.ctx, q.terms) == (alone.ctx, alone.terms)
+        assert tuple_terms(q) == tuple_substitute(terms, images, target.nvars)
+        assert_clean(q)
+
+
+def tuple_layers(terms, idx):
+    """The coefficients of variable idx^0, idx^1, ... of tuple-keyed terms."""
+    layers = [{} for _ in range(max((e[idx] + 1 for e in terms), default=0))]
+    for e, c in terms.items():
+        layers[e[idx]][e[:idx] + (0,) + e[idx + 1:]] = c
+    return layers
+
+
+@settings(max_examples=150, deadline=None)
+@given(contexts.flatmap(lambda ctx: st.tuples(
+    st.just(ctx), tuple_polys(ctx, max_terms=6), st.integers(0, ctx.nvars - 1))))
+def test_layers_match_tuples(case):
+    ctx, terms, idx = case
+    p = packed(ctx, terms)
+    layers = p.layers(idx)
+    assert [tuple_terms(layer) for layer in layers] == tuple_layers(terms, idx)
+    assert p.layers(ctx.names[idx]) == layers
+    assert sum_of_products(ctx, ((layer, ctx.var(idx) ** d) for d, layer in enumerate(layers))) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(contexts.flatmap(lambda ctx: st.tuples(
+    st.just(ctx), tuple_polys(ctx, max_terms=6),
+    st.lists(st.one_of(st.just(0), coefficients), min_size=ctx.nvars, max_size=ctx.nvars))))
+def test_evaluate_matches_tuples(case):
+    # a value of zero drops the terms that use it; a term free of it keeps its value
+    ctx, terms, values = case
+    want = sum((c * prod(Fraction(v) ** x for v, x in zip(values, e)) for e, c in terms.items()),
+               Fraction(0))
+    got = packed(ctx, terms).evaluate(values)
+    assert type(got) is Fraction and got == want
+
+
 BENCH_SLICES = {  # the slices that the benchmark's appendix workload emits
     "5x2_55": ((2,) * 5, (5, 5), False),
     "5x2_55_deformed": ((2,) * 5, (5, 5), True),
@@ -1295,7 +1364,7 @@ def test_exchange_step_drops_what_cancels_like_tuples(case):
     # all cancel, and the rest of f cancels some of its swapped terms
     ctx, g, rest, i = case
     f = tuple_add(tuple_add(g, tuple_swap(g, i, i + 1)), rest)
-    got = _exchange_step(packed(ctx, f), i)
+    got = exchange_step(packed(ctx, f), i)
     assert tuple_terms(got) == tuple_exchange_step(f, i, ctx)
     assert_clean(got)
 

@@ -17,12 +17,12 @@ opens a file for writing.  No cache outlives its output: only
 ``TermWriter`` uses a ``functools`` caching decorator, the two cached
 operator builders of ``rmatrix`` (``pair_operator``, ``pair_unitarity``)
 being the named exceptions.  Cancelled terms are deleted from a dict in
-place only by ``qkz._exchange_step``, once for all of them, and by
+place only by ``algebra.exchange_step``, once for all of them, and by
 ``Polynomial.exact_div``, which deletes a term as its sum cancels.
 Only output unpacks a packed monomial: outside ``PolyContext``, only
-``Polynomial.to_json`` reads an ``unpack`` attribute.
-Operators reach labelled vectors through one applicator: in ``rmatrix.py``
-only ``ROperator.apply`` multiplies term dicts into sums (``_mul_into``).
+``Polynomial.to_json`` reads an ``unpack`` attribute.  The packed layout
+stays inside ``algebra.py``: no other module imports ``FIELD_BITS``,
+``FIELD_MASK`` or a private name from it.
 Subset sequences are listed by one walk: only ``content_labels`` and
 ``enumerate_tableaux`` call ``combinatorics._subset_sequences``, and
 ``qkz.py`` defines no ``content_labels`` of its own.
@@ -399,9 +399,47 @@ def test_only_the_cli_writer_opens_a_file_for_writing():
     assert found == [("cli.py", "_write_parts")]
 
 
-def test_only_the_applicator_multiplies_into_term_dicts():
-    source = (SRC / "rmatrix.py").read_text()
-    assert callers(source, "_mul_into") == ["ROperator.apply"]
+LAYOUT_NAMES = {"FIELD_BITS", "FIELD_MASK"}
+
+
+def layout_imports(source):
+    """(line, name) of each name imported from the package's ``algebra``
+    module (``.algebra``, ``qkzpsi.algebra``) that is a layout constant or
+    private, and of each such name read as an attribute of a module bound
+    to it (``from . import algebra``, ``import qkzpsi.algebra as a``)."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "algebra" and node.level or node.module == "qkzpsi.algebra":
+                found += [(node.lineno, alias.name) for alias in node.names
+                          if alias.name in LAYOUT_NAMES or alias.name.startswith("_")]
+            elif node.module in (None, "qkzpsi") and (node.level or node.module):
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "algebra"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names
+                        if alias.name == "qkzpsi.algebra" and alias.asname}
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules
+              and (node.attr in LAYOUT_NAMES or node.attr.startswith("_"))]
+    return sorted(found)
+
+
+def test_detector_finds_every_import_of_the_packed_layout():
+    source = ("from .algebra import FIELD_MASK, Polynomial, _lift\n"
+              "from qkzpsi.algebra import FIELD_BITS\nfrom .rmatrix import _at\n"
+              "from . import algebra as alg\nimport qkzpsi.algebra as qa\n"
+              "x = alg._mul_into, alg.Polynomial, qa.FIELD_MASK\n"
+              "from .algebra import sum_of_products\n")
+    assert layout_imports(source) == [(1, "FIELD_MASK"), (1, "_lift"), (2, "FIELD_BITS"),
+                                      (6, "FIELD_MASK"), (6, "_mul_into")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_only_algebra_knows_the_packed_layout(path):
+    assert layout_imports(path.read_text()) == []
 
 
 def test_one_walk_lists_the_labels_and_the_tableaux():
@@ -473,13 +511,13 @@ def test_only_the_writer_and_the_operator_builders_cache():
 
 
 def test_only_the_kernels_that_own_their_accumulator_delete_from_it():
-    # _exchange_step deletes its few cancelled terms in place, once, instead
+    # exchange_step deletes its few cancelled terms in place, once, instead
     # of copying the dict; exact_div deletes a term as its sum cancels.  A
     # dict keeps its size when items are deleted, so no other code deletes:
     # sum_of_products and __add__ copy a sum in which a term cancelled.
     found = [(path.name, deleter) for path in MODULES
              for deleter in item_deleters(path.read_text())]
-    assert found == [("algebra.py", "Polynomial.exact_div"), ("qkz.py", "_exchange_step")]
+    assert found == [("algebra.py", "Polynomial.exact_div"), ("algebra.py", "exchange_step")]
 
 
 def unpack_readers(source):

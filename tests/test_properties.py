@@ -18,10 +18,10 @@ from qkzpsi.algebra import (
     Polynomial,
     RationalFunction,
     coordinate_context,
+    exchange_step,
     parse_polynomial,
     spectral_context,
 )
-from qkzpsi.qkz import _exchange_step
 from qkzpsi.rmatrix import ROperator
 
 from oracles import den_poly
@@ -95,7 +95,7 @@ def test_swap_z_is_an_involution(p, i, j):
 def test_exchange_step_is_an_involution(f, i):
     # the builder checks one edge {beta, s_i beta} per orbit from whichever
     # end is the ascent; that reads the relation both ways only if T_i^2 = 1
-    assert _exchange_step(_exchange_step(f, i), i) == f
+    assert exchange_step(exchange_step(f, i), i) == f
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,7 +104,7 @@ def test_exchange_step_is_hb_times_the_divided_difference_minus_the_swap(f, i):
     tau = f.swap_z(i, i + 1)
     form, sign = LinearForm.make(0, i, i + 1)
     divided = (f - tau).exact_div(form) * sign
-    assert _exchange_step(f, i) == CTX.hbar() * divided - tau
+    assert exchange_step(f, i) == CTX.hbar() * divided - tau
 
 
 @settings(max_examples=200, deadline=None)

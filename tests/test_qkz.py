@@ -86,7 +86,7 @@ def test_exchange_negative_control():
 def test_failing_checks_name_the_remainder():
     psi = build_psi_fundamental(2, (2, 2))
     ctx = psi.ctx
-    rho = sequence_rotation(psi.basis, psi.m, 4, 2)
+    rho = sequence_rotation(psi.basis, psi.m, 2)
     assert check_exchange(psi, 1).witness is None
     assert check_cyclicity(psi, rho).witness is None
     lab = ((1,), (1,), (2,), (2,))
@@ -111,7 +111,7 @@ def test_failing_wheel_and_qkz_routes_name_the_remainder():
     # its cyclic shift, 1 at ({1},{2})
     psi = build_psi_fundamental(2, (1, 1))
     ctx = psi.ctx
-    rho = sequence_rotation(psi.basis, psi.m, 2, 2)
+    rho = sequence_rotation(psi.basis, psi.m, 2)
     assert qkz_step(psi, rho).witness is None
     first = "cyclicity: first offending label ({1},{2}): lhs - rhs ="
     # g = z1 + z2 is symmetric, so g*Psi keeps the exchange relation; its cyclic
@@ -128,7 +128,7 @@ def test_failing_wheel_and_qkz_routes_name_the_remainder():
     lab = ((1,), (1,), (2,), (2,))
     bad = PsiVector(psi.k, psi.lam, psi.m, psi.ctx,
                     {**psi.entries, lab: psi.entries[lab] + psi.ctx.hbar() ** 2})
-    assert qkz_step(bad, sequence_rotation(psi.basis, psi.m, 4, 2)).witness == (
+    assert qkz_step(bad, sequence_rotation(psi.basis, psi.m, 2)).witness == (
         "exchange at slot 1: first offending label ({1},{1},{2},{2}): "
         "lhs - rhs = 2*z1*hb^2 - 2*z2*hb^2 (2 terms)")
     # the wheel z2 = z1 + hb, z3 = z1 + 2 hb kills Psi (2,(2,2)) but not an added hb^2
@@ -144,7 +144,7 @@ def test_qkz_step_is_exchange_at_every_slot_and_one_cyclicity(monkeypatch):
     import qkzpsi.qkz as qkz
 
     psi = build_psi_fundamental(4, (1, 1, 1, 1))
-    rho = sequence_rotation(psi.basis, psi.m, 4, 4)
+    rho = sequence_rotation(psi.basis, psi.m, 4)
     calls = []
 
     def counted(name):
@@ -173,7 +173,7 @@ def test_a_non_unitary_operator_that_keeps_exchange_fails_the_closure():
     from qkzpsi.rmatrix import ROperator, pair_operator
 
     psi = build_psi_fundamental(2, (1, 1))
-    rho = sequence_rotation(psi.basis, psi.m, 2, 2)
+    rho = sequence_rotation(psi.basis, psi.m, 2)
     R = pair_operator(2, 1, 1)
     one, zero = (RationalFunction.from_poly(p) for p in (R.ctx.one(), R.ctx.zero()))
     op = ROperator(R.ctx, psi.basis, psi.basis, {
@@ -328,14 +328,14 @@ def test_recurrence_reports_match_the_recorded_ones():
 def test_cyclicity_fundamental():
     for lam in ((1, 1), (2, 2)):
         psi = build_psi_fundamental(2, lam)
-        rho = sequence_rotation(psi.basis, psi.m, sum(lam), 2)
+        rho = sequence_rotation(psi.basis, psi.m, 2)
         assert check_cyclicity(psi, rho).passed
 
 
 def test_cyclicity_negative_control():
     psi = build_psi_fundamental(2, (2, 2))
-    rho = sequence_rotation(psi.basis, psi.m, 4, 2)
-    wrong = sequence_rotation(psi.basis, psi.m, 4, 2)
+    rho = sequence_rotation(psi.basis, psi.m, 2)
+    wrong = sequence_rotation(psi.basis, psi.m, 2)
     wrong.sign = -wrong.sign
     assert check_cyclicity(psi, rho).passed
     assert check_cyclicity(psi, wrong).status == "fail"
@@ -345,7 +345,7 @@ def test_cyclicity_iterated_closure():
     # applying the rotation N times returns the vector with all arguments
     # shifted, which equals the vector itself by translation invariance
     psi = build_psi_fundamental(2, (2, 2))
-    rho = sequence_rotation(psi.basis, psi.m, 4, 2)
+    rho = sequence_rotation(psi.basis, psi.m, 2)
     comp = rho
     for _ in range(3):
         comp = comp.compose(rho)
@@ -370,7 +370,7 @@ def test_cyclicity_iterated_closure():
 
 def test_qkz_step_fundamental():
     psi = build_psi_fundamental(2, (2, 2))
-    rho = sequence_rotation(psi.basis, psi.m, 4, 2)
+    rho = sequence_rotation(psi.basis, psi.m, 2)
     assert qkz_step(psi, rho).passed
 
 
@@ -385,7 +385,7 @@ def rotated(request):
     """A vector whose entries tell the rotation from its inverse, and its rho."""
     k, lam = request.param
     psi = build_psi_fundamental(k, lam)
-    return psi, sequence_rotation(psi.basis, psi.m, sum(lam), k)
+    return psi, sequence_rotation(psi.basis, psi.m, k)
 
 
 def test_cyclicity_and_both_qkz_routes(rotated):
@@ -403,7 +403,7 @@ def test_inverse_rotation_fails_cyclicity_and_both_qkz_routes(rotated):
 
 
 def test_qkz_step_fused_m8(fused_example):
-    rho = sequence_rotation(fused_example.basis, fused_example.m, 8, 4)
+    rho = sequence_rotation(fused_example.basis, fused_example.m, 4)
     rep = qkz_step(fused_example, rho)
     assert rep.passed, rep.witness
 
@@ -420,7 +420,7 @@ def test_qkz_step_scope(k, lam, m, status):
     # rows of the table in the qkz module docstring that no other test covers
     psi = build_psi_fundamental(k, lam)
     psi = fuse_psi(psi, m) if m else psi
-    rho = sequence_rotation(psi.basis, psi.m, sum(lam), k)
+    rho = sequence_rotation(psi.basis, psi.m, k)
     rep = qkz_step(psi, rho)
     assert rep.status == status
     assert rep.passed or rep.witness.startswith("cyclicity: ")
@@ -428,14 +428,14 @@ def test_qkz_step_scope(k, lam, m, status):
 
 def test_qkz_route_composites_are_inverse_k2_33():
     psi = build_psi_fundamental(2, (3, 3))
-    assert qkz_step(psi, sequence_rotation(psi.basis, psi.m, 6, 2)).passed
+    assert qkz_step(psi, sequence_rotation(psi.basis, psi.m, 2)).passed
 
 
 def test_cyclicity_k2_44():
     # 64 of its 70 labels fail under the inverse rotation; its qKZ step is
     # left out, as the exchange checks at its 7 slots take about 50 s
     psi = build_psi_fundamental(2, (4, 4))
-    assert check_cyclicity(psi, sequence_rotation(psi.basis, psi.m, 8, 2)).passed
+    assert check_cyclicity(psi, sequence_rotation(psi.basis, psi.m, 2)).passed
 
 
 def test_degree_invariant_selection():
@@ -470,13 +470,13 @@ def test_build_returns_a_vector_the_caller_owns():
 def test_build_checks_fire(monkeypatch, k, lam, slot, perturb, message):
     import qkzpsi.qkz as qkz
 
-    real = qkz._exchange_step
+    real = qkz.exchange_step
 
     def step(f, i):
         out = real(f, i)
         return perturb(f, out) if i == slot else out
 
-    monkeypatch.setattr(qkz, "_exchange_step", step)
+    monkeypatch.setattr(qkz, "exchange_step", step)
     with pytest.raises(PsiError, match=message):
         build_psi_fundamental(k, lam)
 
@@ -499,7 +499,7 @@ def test_build_m8_does_the_work_of_one_label_per_orbit(monkeypatch):
     from qkzpsi.algebra import Polynomial
 
     calls = {"step": 0, "exact_div": 0}
-    step, exact_div = qkz._exchange_step, Polynomial.exact_div
+    step, exact_div = qkz.exchange_step, Polynomial.exact_div
 
     def counted_step(f, i):
         calls["step"] += 1
@@ -509,7 +509,7 @@ def test_build_m8_does_the_work_of_one_label_per_orbit(monkeypatch):
         calls["exact_div"] += 1
         return exact_div(self, form)
 
-    monkeypatch.setattr(qkz, "_exchange_step", counted_step)
+    monkeypatch.setattr(qkz, "exchange_step", counted_step)
     monkeypatch.setattr(Polynomial, "exact_div", counted_div)
     build_psi_fundamental(4, (2, 2, 2, 2))
     assert calls == {"step": 315, "exact_div": 105}

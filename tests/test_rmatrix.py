@@ -163,7 +163,7 @@ def test_passing_checks_divide_nothing(request, fused_example, fresh_unitarity):
     # the checks compare by cross-multiplying; only building an operator
     # (here before counting) brings rational functions to lowest terms
     psi = fused_example
-    rho = sequence_rotation(psi.basis, psi.m, sum(psi.lam), psi.k)
+    rho = sequence_rotation(psi.basis, psi.m, psi.k)
     R = pair_operator(3, 2, 2)
     pair_operator(psi.k, 2, 2)
     wedges = [tuple(c) for c in combinations(range(1, 4), 2)]

@@ -210,7 +210,7 @@ def test_elementary_symmetric():
 
 @pytest.mark.parametrize("m, ell, deform", [
     ((1,), (1,), False), ((2, 2), (2, 2), False), ((1, 2, 1), (2, 2), False),
-    ((2, 2, 2), (3, 3), True), ((1, 1, 1), (1, 1, 1), True), ((3, 1), (2, 2), True),
+    ((2, 2, 2), (3, 3), True), ((1, 1, 1), (1, 1, 1), True), ((3, 1), (4,), True),
     ((1, 1, 1, 1), (2, 1, 1, 0), False), ((2, 1, 1), (2, 1, 1), False),
     ((1, 1, 1), (2, 1, 0), False),
 ])
@@ -248,11 +248,27 @@ def test_streamed_relations_match_the_full_power_digest(m, ell, deform, digest):
     ((1,) * 6, (4, 2), False, "symbolic minors above size 4"),
     ((1,) * 8, (2, 2, 2, 1, 1), False, "minor system too large"),
     ((2, 2), (2, 1, 1), True, "rectangular ell only"),
+    # the orbit closure of ell misses x_m: the slice is empty
+    ((3,), (1, 1, 1), False, r"sorted m \(3,\) is not below ell"),
+    ((2, 1), (1, 1, 1), False, r"sorted m \(2, 1\) is not below ell"),
+    ((3, 1), (2, 2), True, r"sorted m \(3, 1\) is not below ell"),
+    ((1, 3), (2, 2), False, r"sorted m \(3, 1\) is not below ell"),
 ])
 def test_equation_stream_refuses_before_building(m, ell, deform, fragment):
     # raised by the call itself, not when the first relation is taken
     with pytest.raises(SliceError, match=fragment):
         equation_stream(m, ell, deform)
+
+
+def test_the_benchmark_and_appendix_slices_meet_the_orbit_closure(appendix_doc):
+    # the closure of the orbit of ell contains x_m on every slice that is emitted
+    slices = [((2,) * 5, (5, 5), False), ((2,) * 5, (5, 5), True), ((2,) * 6, (4, 4, 4), False),
+              (tuple(appendix_doc["m"]), tuple(appendix_doc["ell"]), False),
+              (tuple(appendix_doc["m"]), tuple(appendix_doc["ell"]), True)]
+    for m, ell, deform in slices:
+        _, relations = equation_stream(m, ell, deform)
+        name, p = next(relations)
+        assert name.endswith("[1,1]") and not p.is_zero(), (m, ell, deform)
 
 
 def test_oversize_guard():
