@@ -72,6 +72,7 @@ import ast
 import struct
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain, repeat
 from operator import itemgetter
 
 FIELD_BITS = 16
@@ -390,6 +391,27 @@ def exchange_step(f, i):
     return Polynomial(ctx, out, _clean=all(map(_is_int, out.values())))
 
 
+def share_terms(p, table):
+    """p with each key and coefficient replaced by the equal object of
+    ``table``, entered there on first sight (``table.setdefault(x, x)``).
+    Polynomials passed through one table hold each distinct monomial and
+    coefficient once; ints and Fractions are immutable, so sharing is safe."""
+    put = table.setdefault
+    return Polynomial(p.ctx, {put(e, e): put(c, c) for e, c in p.terms.items()}, _clean=True)
+
+
+def _layers(terms, off, unit):
+    """The terms of var^0, var^1, ..., var^degree of the variable whose field
+    sits at bit ``off`` and whose unit is ``unit``, as dicts free of it."""
+    layers = []
+    for e, c in terms.items():
+        d = e >> off & FIELD_MASK
+        while len(layers) <= d:
+            layers.append({})
+        layers[d][e - d * unit] = c
+    return layers
+
+
 class Polynomial:
     """Sparse exact polynomial: map from packed monomials to rational coeffs.
 
@@ -516,21 +538,36 @@ class Polynomial:
 
     # -- structural operations --------------------------------------------
 
-    def swap_z(self, i, j):
-        """Exchange the spectral variables z_i and z_j (1-based).  Involution."""
+    def _swap_fields(self, i, j):
+        """The field offsets of z_i and z_j (1-based) and the key step X - Y of
+        their field units: swapping moves key e by (e_j - e_i) * (X - Y)."""
         ctx = self.ctx
         if ctx.h_index is None:
             raise ContextError("swap requires a spectral context")
         if not (1 <= i <= ctx.nz and 1 <= j <= ctx.nz):
             raise ContextError("swap index out of range")
+        si, sj = ctx.offset(i - 1), ctx.offset(j - 1)
+        return si, sj, (1 << si) - (1 << sj)
+
+    def swap_z(self, i, j):
+        """Exchange the spectral variables z_i and z_j (1-based).  Involution."""
+        si, sj, step = self._swap_fields(i, j)
         if i == j:
             return self
-        si, sj = ctx.offset(i - 1), ctx.offset(j - 1)
-        step = (1 << si) - (1 << sj)
         out = {}
         for e, c in self.terms.items():
             out[e + ((e >> sj & FIELD_MASK) - (e >> si & FIELD_MASK)) * step] = c
         return Polynomial(self.ctx, out, _clean=True)
+
+    def is_symmetric(self, i, j):
+        """Whether ``swap_z(i, j)`` leaves self unchanged: one lookup a term,
+        of the swapped key, and no swapped copy."""
+        si, sj, step = self._swap_fields(i, j)
+        get = self.terms.get
+        for e, c in self.terms.items():
+            if get(e + ((e >> sj & FIELD_MASK) - (e >> si & FIELD_MASK)) * step) != c:
+                return False
+        return True
 
     def rotate_z(self):
         """Rename z_t -> z_{t+1} (t < nz) and z_nz -> z_1 by shifting the packed
@@ -555,14 +592,8 @@ class Polynomial:
         ``idx`` (an index or name), each free of it, with terms of its own."""
         ctx = self.ctx
         idx = idx if isinstance(idx, int) else ctx.index(idx)
-        off, unit = ctx.offset(idx), ctx.units[idx]
-        layers = []
-        for e, c in self.terms.items():
-            d = e >> off & FIELD_MASK
-            while len(layers) <= d:
-                layers.append({})
-            layers[d][e - d * unit] = c
-        return [Polynomial(ctx, terms, _clean=True) for terms in layers]
+        return [Polynomial(ctx, terms, _clean=True)
+                for terms in _layers(self.terms, ctx.offset(idx), ctx.units[idx])]
 
     def term_weights(self, weights):
         """The set of the weights of the terms: a term weighs the sum of
@@ -620,40 +651,34 @@ class Polynomial:
                 out[e - uh] = _norm_coeff(Fraction(coeff, c) if coeff % c else coeff // c)
             return Polynomial(ctx, out, _clean=True)
         # The canonical form z_lead - rest has +z_i as its leading variable,
-        # and rest = z_j - c*h (maybe no z_j).
+        # and rest = z_j - c*h (maybe no z_j).  The layers in z_lead are
+        # carried down in place: the top layer, with the carries of the layers
+        # above it, is the quotient's coefficient of z_lead^(d-1), and its
+        # product with rest is added into the layer below.
         lead = form.i - 1
-        ulead = units[lead]
-        hc = form.hcoef
+        ulead, hc = units[lead], form.hcoef
         uj = None if form.j is None else units[form.j - 1]
-        layers = self.layers(lead)
-        carry = {}
+        layers = _layers(self.terms, ctx.offset(lead), ulead)
         quotient = {}
-        for d in range(len(layers) - 1, 0, -1):
-            # cur = layer_d + carry; its terms are quotient terms at z_lead^(d-1)
-            cur = dict(layers[d].terms)
-            get = cur.get
-            for e, c in carry.items():
-                s = get(e, 0) + c
-                if s:
-                    cur[e] = _norm_coeff(s)
-                elif e in cur:
-                    del cur[e]
-            # carry = cur * rest, accumulated in place
-            carry = {}
-            cget = carry.get
-            up = (d - 1) * ulead
-            for e, c in cur.items():
+        while len(layers) > 1:
+            top, below = layers.pop(), layers[-1]
+            get = below.get
+            up = (len(layers) - 1) * ulead
+            for e, c in top.items():
+                if not c:  # a carry cancelled the layer's term
+                    continue
                 quotient[e + up] = c
                 if uj is not None:
                     t = e + uj
-                    carry[t] = cget(t, 0) + c
+                    below[t] = get(t, 0) + c
                 if hc:
                     t = e + uh
-                    carry[t] = cget(t, 0) - hc * c
-        rem = layers[0] + Polynomial(ctx, carry)
-        if rem:
-            raise ExactDivisionError("division not exact", remainder=rem)
-        return Polynomial(ctx, quotient, _clean=True)
+                    below[t] = get(t, 0) - hc * c
+        rem, = layers
+        if any(rem.values()):
+            raise ExactDivisionError("division not exact", remainder=Polynomial(ctx, rem))
+        # a sum of Fractions may be integral, and then Polynomial normalizes it
+        return Polynomial(ctx, quotient, _clean=all(map(_is_int, quotient.values())))
 
     # -- ordering, display, serialization ---------------------------------
 
@@ -677,11 +702,14 @@ class Polynomial:
         return {"terms": terms, "vars": ctx.nz if ctx.h_index is not None else list(ctx.names)}
 
     @staticmethod
-    def from_json(doc, ctx):
+    def from_json(doc, ctx, table=None):
         """Read ``to_json`` output; AlgebraError for exponents that cannot be
-        packed and for a monomial given twice."""
+        packed and for a monomial given twice.  Keys and coefficients are
+        shared through ``table`` as by ``share_terms`` (through a table of
+        this polynomial's own when none is given)."""
         h = ctx.h_index
         pack = ctx.pack
+        put = ({} if table is None else table).setdefault
         terms = {}
         for row in doc["terms"]:
             num, den, *e = row
@@ -690,9 +718,10 @@ class Polynomial:
                 raise AlgebraError(f"the monomial with exponents {e} is given twice")
             eh = 0 if h is None else e[h]
             if den == 1 and type(num) is int:
-                terms[mono] = num << eh
+                c = num << eh
             else:
-                terms[mono] = _norm_coeff(Fraction(num, den) * 2 ** eh)
+                c = _norm_coeff(Fraction(num, den) * 2 ** eh)
+            terms[put(mono, mono)] = put(c, c)
         return Polynomial(ctx, terms)
 
 
@@ -746,6 +775,8 @@ class TermWriter:
     vectors, whose halves take at most a few hundred values, they are
     seldom emptied.
     No cache refers back to the writer, so they are freed with it.
+    ``json_rows`` streams a polynomial's rows, one part a row, so an output
+    never holds the JSON text of a whole entry.
     """
 
     def __init__(self, ctx):
@@ -775,10 +806,10 @@ class TermWriter:
         return (cache(lambda c, eh=0: coefficient(*_display(c, eh))),
                 fields(n // 2, n - n // 2), fields(n - n // 2, 0), spans)
 
-    def _pieces(self, p, caches):
-        """The texts of p's terms in canonical order, from the caches; a
-        cache of spans that holds more entries than p has terms is emptied
-        first."""
+    def _pieces(self, p, caches, *lead):
+        """The texts of p's terms in canonical order, from the caches, each
+        after its item of the iterables ``lead``; a cache of spans that holds
+        more entries than p has terms is emptied first."""
         if p.ctx is not self.ctx and p.ctx != self.ctx:
             raise ContextError("polynomial and writer from different contexts")
         coefficient, high, low, spans = caches
@@ -789,7 +820,7 @@ class TermWriter:
         keys = sorted(terms, reverse=True)
         ehs = () if self.ctx.h_index is None else (map(FIELD_MASK.__and__, keys),)
         coefficients = map(coefficient, map(terms.__getitem__, keys), *ehs)
-        return map("".join, zip(coefficients, map(high, map(self._split.__rrshift__, keys)),
+        return map("".join, zip(*lead, coefficients, map(high, map(self._split.__rrshift__, keys)),
                                 map(low, map(((1 << self._split) - 1).__and__, keys))))
 
     def text(self, p):
@@ -802,9 +833,11 @@ class TermWriter:
 
     def json_rows(self, p, nl):
         """The JSON text of p's term rows, as ``json.dumps(rows, indent=2)``
-        writes a list value that sits after the newline-and-indent ``nl``."""
+        writes a list value that sits after the newline-and-indent ``nl``,
+        as an iterable of parts: one a row, joined from the caches after the
+        separator before it, then the closing bracket."""
         if not p.terms:
-            return "[]"
+            return ("[]",)
         inner = nl + "  "
         if nl != self._rows_nl:
             sep = "," + inner + "  "
@@ -813,8 +846,8 @@ class TermWriter:
                 lambda x, count, offset: "".join(sep + str(x >> FIELD_BITS * i & FIELD_MASK)
                                                  for i in range(count - 1, -1, -1)))
         close = inner + "]"
-        rows = (close + "," + inner).join(self._pieces(p, self._rows))
-        return "[" + inner + rows + close + nl + "]"
+        seps = chain(("[" + inner,), repeat(close + "," + inner))
+        return chain(self._pieces(p, self._rows, seps), (close + nl + "]",))
 
 
 def _frac_str(f):
@@ -1070,23 +1103,38 @@ def _lift(num, den, target):
     return num if cofactor is None else num * cofactor
 
 
+def common_denominator(values):
+    """The lcm of the denominators of values (Polynomials and
+    RationalFunctions), its forms in order of first appearance."""
+    den = {}
+    for v in values:
+        if isinstance(v, RationalFunction):
+            for f, m in v.den.items():
+                if den.get(f, 0) < m:
+                    den[f] = m
+    return den
+
+
+def numerator_over(value, den):
+    """The numerator of value (a Polynomial or RationalFunction) over ``den``,
+    a multiple of its denominator; a value already over den keeps its own."""
+    if isinstance(value, RationalFunction):
+        return _lift(value.num, value.den, den)
+    return _lift(value, {}, den)
+
+
 def over_one_den(values):
     """(den, numerators) of values over den, the lcm of their denominators.
 
     ``values`` holds Polynomials and RationalFunctions, as a mapping (the
     numerators come as a dict with its keys) or a sequence (as a list in its
-    order).  ``den`` lists the forms in order of first appearance.  A value
-    whose denominator is already den keeps its numerator.
+    order).  ``den`` is their ``common_denominator``, and each numerator
+    their ``numerator_over`` it.
     """
     keyed = hasattr(values, "values")
-    parts = [(v.num, v.den) if isinstance(v, RationalFunction) else (v, {})
-             for v in (values.values() if keyed else values)]
-    den = {}
-    for _, d in parts:
-        for f, m in d.items():
-            if den.get(f, 0) < m:
-                den[f] = m
-    nums = [_lift(num, d, den) for num, d in parts]
+    listed = list(values.values() if keyed else values)
+    den = common_denominator(listed)
+    nums = [numerator_over(v, den) for v in listed]
     return den, dict(zip(values, nums)) if keyed else nums
 
 

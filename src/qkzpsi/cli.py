@@ -47,11 +47,12 @@ the rotation is defined for.  ``--check exchange`` skips a slot with
 m_i = k, whose k-th wedge power has no fused R-matrix, and ``--check qkz``
 skips every slot of such a vector.
 
-Every output is written to its file part by part as it is produced, one
-polynomial's text at a time, never the whole output.  ``slice emit`` also
-builds each relation only when it is written (``slice.equation_stream``),
-so it holds one row of matrix powers (one power, for the rank minors),
-never the set of relations.  A job that fails while writing leaves no
+Every output is written to its file part by part as it is produced, never
+the whole output: a text output one polynomial's text at a time, a JSON
+output with the term rows of each psi entry streamed a row at a time.
+``slice emit`` also builds each relation only when it is written
+(``slice.equation_stream``), so it holds one row of matrix powers (one
+power, for the rank minors), never the set of relations.  A job that fails while writing leaves no
 file (stdout is written as it goes).
 An output path of ``-`` is stdout, and then the output is all that stdout
 holds: PASS/FAIL report lines go to stderr.  A reader that closes stdout

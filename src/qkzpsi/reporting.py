@@ -94,8 +94,8 @@ def json_parts(doc):
     as the list of its items, each item taken as the writer reaches it.
     Dict keys must be strings.  A callable value writes its own text: it is
     called with the newline and indent that precede it and returns that
-    text as one part (``Polynomial.to_json`` with a ``TermWriter`` puts its
-    term rows there).
+    text as an iterable of parts (``Polynomial.to_json`` with a
+    ``TermWriter`` puts its term rows there, streamed a row a part).
     """
     return _emit(doc, "\n")
 
@@ -144,6 +144,6 @@ def _emit(x, nl):
             sep = "," + inner
         yield nl + "}"
     elif callable(x):
-        yield x(nl)
+        yield from x(nl)
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

@@ -18,7 +18,8 @@ operator's entries are brought to theirs, D, once; a vector's values to
 theirs, d, once per application; and every value of the image is one sum
 of products over D + d.  So the images of ``apply`` share one denominator
 and feed the next application without a lift.  ``first_difference``
-brings both vectors to one denominator and compares numerators.
+takes one denominator for both vectors and compares numerators over it,
+one key's pair at a time.
 
 The fundamental operator sees letters only through whether two are equal,
 so the braid commutes with every relabelling sigma in S_k of the letters,
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import comb, lcm, prod
 from types import MappingProxyType
 
@@ -57,7 +58,9 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     TermWriter,
+    common_denominator,
     coordinate_context,
+    numerator_over,
     over_one_den,
     spectral_context,
     substitute_all,
@@ -353,18 +356,20 @@ def first_difference(lhs, rhs):
     """The first key at which two labelled vectors differ, or None.
 
     Values are Polynomials or RationalFunctions, mixed; a missing key reads
-    as zero.  The values of both vectors are brought to one common
-    denominator (``algebra.over_one_den``), and at each key the two
-    numerators are compared.  The keys of lhs are walked in order, then the
-    keys only rhs has, so the key a failure names does not depend on hashing.
+    as zero.  The common denominator of both vectors is taken first
+    (``algebra.common_denominator``); then at each key the two values are
+    lifted to it and compared, and the lifted pair is dropped before the
+    next key, so no more than one pair is held.  The keys of lhs are walked
+    in order, then the keys only rhs has, so the key a failure names does
+    not depend on hashing.
     """
-    _, nums = over_one_den([*lhs.values(), *rhs.values()])
-    left, right = dict(zip(lhs, nums)), dict(zip(rhs, nums[len(lhs):]))
-    for key, a in left.items():
-        b = right.get(key)
-        if not (a.is_zero() if b is None else a == b):
+    den = common_denominator(chain(lhs.values(), rhs.values()))
+    for key, a in lhs.items():
+        b = rhs.get(key)
+        if (not a.is_zero() if b is None
+                else numerator_over(a, den) != numerator_over(b, den)):
             return key
-    return next((key for key, b in right.items() if key not in left and b), None)
+    return next((key for key, b in rhs.items() if key not in lhs and not b.is_zero()), None)
 
 
 def _check_columns(check, instance, basis, ctx, lhs, rhs):

@@ -35,7 +35,6 @@ from math import comb
 
 from .algebra import (
     LinearForm,
-    Polynomial,
     coordinate_context,
     spectral_context,
     substitute_all,
@@ -282,16 +281,14 @@ def _poly_det(sub):
 
 
 def elementary_symmetric(ctx, tnames):
-    """e_0..e_k of the named deformation parameters, as polynomials.
-
-    e_a is the sum of the packed monomials of the a-element subsets, each
-    with coefficient 1.
-    """
-    units = [ctx.units[ctx.index(name)] for name in tnames]
-    return [
-        Polynomial(ctx, {sum(subset): 1 for subset in combinations(units, a)}, _clean=True)
-        for a in range(len(units) + 1)
-    ]
+    """e_0..e_k of the named deformation parameters, as polynomials: the
+    coefficients of prod_t (1 + t x), by the recurrence e_a += t * e_{a-1}
+    over the parameters t."""
+    es = [ctx.one()]
+    for name in tnames:
+        t, zero = ctx.var(name), ctx.zero()
+        es = [a + t * b for a, b in zip(es + [zero], [zero] + es)]
+    return es
 
 
 def emit_equations(m, ell):

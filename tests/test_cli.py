@@ -77,6 +77,33 @@ def test_psi_build_holds_less_than_its_output(tmp_path):
     assert peak < out.stat().st_size
 
 
+@pytest.mark.parametrize("k, lam", [(2, "2,1"), (4, "1,1,1,1")])
+def test_psi_build_streams_the_bytes_of_json_dumps(tmp_path, k, lam):
+    # the term rows of an entry are streamed a row a part, and the file is
+    # byte for byte what json.dumps writes of the whole document
+    from qkzpsi import cli
+    from qkzpsi.qkz import build_psi_fundamental
+    out = tmp_path / "psi.json"
+    assert cli.main(["psi", "build", "--k", str(k), "--lambda", lam, "--out", str(out)]) == 0
+    psi = build_psi_fundamental(k, tuple(map(int, lam.split(","))))
+    want = json.dumps(psi.to_json(), indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == want.encode()
+
+
+def test_json_rows_are_one_part_a_row():
+    from qkzpsi.algebra import TermWriter
+    from qkzpsi.qkz import build_psi_fundamental
+    psi = build_psi_fundamental(2, (2, 1))
+    writer = TermWriter(psi.ctx)
+    for lab in psi.basis:
+        p = psi.entries[lab]
+        parts = writer.json_rows(p, "\n")
+        assert not isinstance(parts, str)
+        parts = list(parts)
+        assert len(parts) == (len(p.terms) + 1 if p.terms else 1)
+        assert "".join(parts) == json.dumps(p.to_json()["terms"], indent=2)
+
+
 def test_slice_emit_holds_one_row_of_powers(tmp_path):
     # relations are built row by row and written as they come, so the job's
     # traced peak stays far below what all L+1 matrix powers take

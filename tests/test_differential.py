@@ -73,6 +73,7 @@ from qkzpsi.algebra import (
     TermWriter,
     coordinate_context,
     exchange_step,
+    over_one_den,
     spectral_context,
     substitute_all,
     sum_of_products,
@@ -1297,6 +1298,95 @@ def test_packed_exact_div_matches_tuples(case):
         assert tuple_terms(got) == quotient
     if multiply:
         assert not remainder
+
+
+@st.composite
+def planted_divisions(draw, ctx):
+    """(p, form): p = q * form + r for a drawn q, form, and r that is zero
+    or a few terms; q's coefficients are Fractions if ``fractions`` is drawn,
+    and a pure-h form is drawn as often as the forms with a z."""
+    fractions = draw(st.booleans())
+    q = packed(ctx, draw(tuple_polys(ctx)))
+    if fractions:
+        q = q * Fraction(1, draw(st.integers(2, 6)))
+    if draw(st.booleans()):
+        form = LinearForm.make(draw(st.integers(1, 4)))[0]
+    else:
+        form = draw(spectral_forms(ctx))
+    r = packed(ctx, draw(tuple_polys(ctx, max_terms=2))) if draw(st.booleans()) else ctx.zero()
+    return q * form.to_poly(ctx) + r, form
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectral.flatmap(lambda ctx: planted_divisions(ctx)))
+def test_one_pass_exact_div_matches_tuples(case):
+    # the layers carried down in place give the quotient of the tuple
+    # division, its coefficients normalized, and a failed division carries
+    # the tuple remainder
+    p, form = case
+    quotient, remainder = tuple_exact_div(tuple_terms(p), form, p.ctx.h_index)
+    try:
+        got = p.exact_div(form)
+    except ExactDivisionError as err:
+        assert remainder
+        assert tuple_terms(err.remainder) == remainder
+        assert_clean(err.remainder)
+    else:
+        assert not remainder
+        assert tuple_terms(got) == quotient
+        assert_clean(got)
+
+
+def first_difference_all_at_once(lhs, rhs):
+    """``rmatrix.first_difference`` as it compared before: every value of both
+    vectors lifted at once to their one denominator."""
+    _, nums = over_one_den([*lhs.values(), *rhs.values()])
+    left, right = dict(zip(lhs, nums)), dict(zip(rhs, nums[len(lhs):]))
+    for key, a in left.items():
+        b = right.get(key)
+        if not (a.is_zero() if b is None else a == b):
+            return key
+    return next((key for key, b in right.items() if key not in left and b), None)
+
+
+VECTOR_CTX = spectral_context(3)
+VECTOR_FORMS = (LinearForm(2, 1, 2), LinearForm(0, 1, 3), LinearForm(4), LinearForm(-2, 2, 3))
+
+
+@st.composite
+def labelled_pairs(draw):
+    """Two labelled vectors over VECTOR_CTX of Polynomials and RationalFunctions
+    with denominators from VECTOR_FORMS; an rhs value is often the lhs value
+    at its key, over another denominator, or that value plus a small change."""
+    ctx = VECTOR_CTX
+
+    def value():
+        num = packed(ctx, draw(tuple_polys(ctx, max_terms=3, max_exp=2)))
+        den = draw(st.dictionaries(st.sampled_from(VECTOR_FORMS), st.integers(1, 2), max_size=2))
+        return RationalFunction(num, den) if den or draw(st.booleans()) else num
+
+    labels = st.sampled_from("abcdef")
+    lhs = {key: value() for key in draw(st.lists(labels, unique=True, max_size=4))}
+    rhs = {}
+    for key in draw(st.permutations(sorted(set(lhs) | set(draw(st.lists(labels, max_size=3)))))):
+        kind = draw(st.sampled_from(("same", "same", "changed", "new")))
+        if key in lhs and kind != "new":
+            v = lhs[key]
+            v = v if isinstance(v, RationalFunction) else RationalFunction.from_poly(v)
+            extra = draw(st.sampled_from(VECTOR_FORMS))
+            v = RationalFunction(v.num * extra.to_poly(ctx), {**v.den, extra: v.den.get(extra, 0) + 1})
+            rhs[key] = v + ctx.z(1) if kind == "changed" else v
+        else:
+            rhs[key] = value()
+    return lhs, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_pairs())
+def test_first_difference_pair_by_pair_matches_the_all_at_once_comparison(case):
+    lhs, rhs = case
+    assert rmatrix.first_difference(lhs, rhs) == first_difference_all_at_once(lhs, rhs)
+    assert rmatrix.first_difference(rhs, lhs) == first_difference_all_at_once(rhs, lhs)
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,12 +17,13 @@ opens a file for writing.  No cache outlives its output: only
 ``TermWriter`` uses a ``functools`` caching decorator, the two cached
 operator builders of ``rmatrix`` (``pair_operator``, ``pair_unitarity``)
 being the named exceptions.  Cancelled terms are deleted from a dict in
-place only by ``algebra.exchange_step``, once for all of them, and by
-``Polynomial.exact_div``, which deletes a term as its sum cancels.
+place only by ``algebra.exchange_step``, once for all of them.
 Only output unpacks a packed monomial: outside ``PolyContext``, only
 ``Polynomial.to_json`` reads an ``unpack`` attribute.  The packed layout
 stays inside ``algebra.py``: no other module imports ``FIELD_BITS``,
-``FIELD_MASK`` or a private name from it.
+``FIELD_MASK`` or a private name from it, passes the private ``_clean``
+keyword (which takes a packed term dict as built) or reads a ``units``
+attribute (the packed monomials of the variables).
 Subset sequences are listed by one walk: only ``content_labels`` and
 ``enumerate_tableaux`` call ``combinatorics._subset_sequences``, and
 ``qkz.py`` defines no ``content_labels`` of its own.
@@ -442,6 +443,30 @@ def test_only_algebra_knows_the_packed_layout(path):
     assert layout_imports(path.read_text()) == []
 
 
+def layout_uses(source):
+    """(line, name) of each call that passes the ``_clean`` keyword and of
+    each read of a ``units`` attribute."""
+    tree = ast.parse(source)
+    found = [(node.lineno, "_clean") for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for kw in node.keywords if kw.arg == "_clean"]
+    found += [(node.lineno, "units") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "units"]
+    return sorted(found)
+
+
+def test_detector_finds_every_clean_keyword_and_units_read():
+    source = ("p = Polynomial(ctx, terms, _clean=True)\nu = [ctx.units[i] for i in idx]\n"
+              "q = Polynomial(ctx, terms, clean=True)\nunits = 3\nf(units)\n"
+              "g(a.ctx.units, _clean=x)\n")
+    assert layout_uses(source) == [(1, "_clean"), (2, "units"), (6, "_clean"), (6, "units")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_only_algebra_builds_packed_terms(path):
+    assert layout_uses(path.read_text()) == []
+
+
 def test_one_walk_lists_the_labels_and_the_tableaux():
     found = [(path.name, caller) for path in MODULES
              for caller in callers(path.read_text(), "_subset_sequences")]
@@ -512,12 +537,12 @@ def test_only_the_writer_and_the_operator_builders_cache():
 
 def test_only_the_kernels_that_own_their_accumulator_delete_from_it():
     # exchange_step deletes its few cancelled terms in place, once, instead
-    # of copying the dict; exact_div deletes a term as its sum cancels.  A
-    # dict keeps its size when items are deleted, so no other code deletes:
-    # sum_of_products and __add__ copy a sum in which a term cancelled.
+    # of copying the dict.  A dict keeps its size when items are deleted, so
+    # no other code deletes: sum_of_products and __add__ copy a sum in which
+    # a term cancelled, and exact_div skips a term that a carry cancelled.
     found = [(path.name, deleter) for path in MODULES
              for deleter in item_deleters(path.read_text())]
-    assert found == [("algebra.py", "Polynomial.exact_div"), ("algebra.py", "exchange_step")]
+    assert found == [("algebra.py", "exchange_step")]
 
 
 def unpack_readers(source):

@@ -481,6 +481,67 @@ def test_build_checks_fire(monkeypatch, k, lam, slot, perturb, message):
         build_psi_fundamental(k, lam)
 
 
+@pytest.mark.parametrize("g, message", [
+    # z_1 hb is not symmetric in z_1, z_2: the quotient at slot 1 is not either
+    (lambda ctx: ctx.z(1) * ctx.hbar(), r"quotient at \(1, 1, 2, 1\), slot 1 not symmetric"),
+    # (z_1 + z_2) hb is: the entry passes its own checks, and a later one fails
+    (lambda ctx: (ctx.z(1) + ctx.z(2)) * ctx.hbar(), r"entry \(1, 2, 1, 1\) not divisible"),
+], ids=["asymmetric", "symmetric"])
+def test_build_refuses_a_divisible_quotient_that_is_not_symmetric(monkeypatch, g, message):
+    # (2,(3,1)): the first step derives (1,1,2,1), whose letters at slots 1, 2
+    # are equal; adding (hb + z_1 - z_2) g keeps it homogeneous and divisible
+    import qkzpsi.qkz as qkz
+
+    real, calls = qkz.exchange_step, []
+
+    def step(f, i):
+        out = real(f, i)
+        calls.append(i)
+        if len(calls) == 1:
+            out = out + LinearForm(2, 1, 2).to_poly(f.ctx) * g(f.ctx)
+        return out
+
+    monkeypatch.setattr(qkz, "exchange_step", step)
+    with pytest.raises(PsiError, match=message):
+        build_psi_fundamental(2, (3, 1))
+    assert calls[0] == 3
+
+
+def held_objects(psi):
+    """(distinct key values, key objects, coefficient values, coefficient
+    objects, entry objects) over the entries of psi."""
+    keys, coefficients = {}, {}
+    for p in psi.entries.values():
+        for e, c in p.terms.items():
+            keys.setdefault(e, set()).add(id(e))
+            coefficients.setdefault(c, set()).add(id(c))
+    return (len(keys), sum(map(len, keys.values())), len(coefficients),
+            sum(map(len, coefficients.values())), len({id(p) for p in psi.entries.values()}))
+
+
+@pytest.mark.parametrize("k, lam, monomials, entries", [
+    (2, (4, 3), 4250, 35),
+    (3, (2, 2, 2), 42, 15),    # 90 labels; its chi is +1 on every label
+    (2, (3, 3), 378, 20),      # 20 labels, in 10 orbits of a label and its chi = -1 mate
+    (3, (1, 1, 1), 1, 2),      # 6 labels in one orbit, three of them chi = -1
+])
+def test_built_entries_hold_each_monomial_and_coefficient_once(k, lam, monomials, entries):
+    psi = build_psi_fundamental(k, lam)
+    nkeys, key_objects, ncoefficients, coefficient_objects, entry_objects = held_objects(psi)
+    assert nkeys == key_objects == monomials
+    assert ncoefficients == coefficient_objects
+    assert entry_objects == entries
+
+
+def test_loaded_entries_share_their_monomials_and_coefficients():
+    psi = build_psi_fundamental(2, (3, 3))
+    back = PsiVector.from_json(psi.to_json())
+    nkeys, key_objects, ncoefficients, coefficient_objects, _ = held_objects(back)
+    assert nkeys == key_objects == 378
+    assert ncoefficients == coefficient_objects
+    assert all(back.entries[lab] == psi.entries[lab] for lab in psi.basis)
+
+
 @pytest.mark.parametrize("lam", [(1, 1), (3, 3)])
 def test_build_checks_the_letter_symmetry_it_uses(monkeypatch, lam):
     # chi(swap of letters 1, 2) is (-1)^3 = -1 here; forcing +1 must break an edge
