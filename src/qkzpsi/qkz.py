@@ -184,6 +184,14 @@ def _offending(lab, diff):
     return f"first offending label {label_text(lab)}: lhs - rhs = {head} ({len(terms)} terms)"
 
 
+def _map_entries(psi, fn):
+    """{label: fn(entry)} over ``psi.basis`` in order, fn called once per
+    distinct entry object: labels of one orbit share theirs."""
+    distinct = {id(psi.entries[lab]): psi.entries[lab] for lab in psi.basis}
+    images = {key: fn(entry) for key, entry in distinct.items()}
+    return {lab: images[id(psi.entries[lab])] for lab in psi.basis}
+
+
 def _require_equal(outcome, lhs, rhs, zero):
     """Fail the check with the ``_offending`` witness at the first difference
     of the labelled vectors lhs (of Polynomials) and rhs, if they differ."""
@@ -502,7 +510,7 @@ def check_exchange(psi, i, operator=None):
         form, sign = LinearForm.make(0, i, i + 1)
         sub = operator.substitute_spectral(form, sign, psi.ctx)
         applied = sub.apply(psi.entries, i - 1 if slotwise else None)
-        lhs = {lab: psi.entries[lab].swap_z(i, i + 1) for lab in psi.basis}
+        lhs = _map_entries(psi, lambda entry: entry.swap_z(i, i + 1))
         _require_equal(outcome, lhs, applied, psi.ctx.zero())
     return outcome.report
 
@@ -546,7 +554,7 @@ def check_wheel(psi, positions, instance=None):
         offset += n[t - 1] + n[t]  # in h-units
         mapping[positions[t] - 1] = base + half * offset
     with checking("wheel", name) as outcome:
-        values = {lab: psi.entries[lab].substitute(mapping) for lab in psi.basis}
+        values = _map_entries(psi, lambda entry: entry.substitute(mapping))
         _require_equal(outcome, values, {}, ctx.zero())
     return outcome.report
 
@@ -601,7 +609,7 @@ def check_recurrence(psi_big, psi_small, p):
 
     with checking("recurrence", name) as outcome:
         sigma = seen_survive = 0
-        specialized = {lab: psi_big.entries[lab].substitute(mapping, ctx) for lab in psi_big.basis}
+        specialized = _map_entries(psi_big, lambda entry: entry.substitute(mapping, ctx))
         for lab in psi_big.basis:
             inserted = lab[p - 1:p - 1 + k]
             lhs = specialized[lab]
@@ -651,7 +659,7 @@ def check_cyclicity(psi, rho_op, instance=None):
             outcome.skip("m not homogeneous")
         if rho_op is None:
             outcome.skip("no rotation")
-        lhs = {lab: cyclic_shift(psi.entries[lab], psi.k) for lab in psi.basis}
+        lhs = _map_entries(psi, lambda entry: cyclic_shift(entry, psi.k))
         _require_equal(outcome, lhs, rho_op.apply(psi.entries), psi.ctx.zero())
     return outcome.report
 

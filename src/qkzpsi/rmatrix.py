@@ -1,17 +1,18 @@
 """R-matrices: the fundamental one, fused ones, and their defining relations.
 
 The fundamental operator on a pair of vector factors is
-(hb - z P) / (hb + z) with P the flip.  Higher ones act on wedge powers and
-are produced by the fusion procedure: embed the wedge factors into tensor
-powers of the vector representation with spectral parameters shifted along
-an arithmetic progression of step hb, braid the two groups past each other
-with fundamental operators, project back, and normalize so that the
-eigenvalue on the extreme weight vector is prod_c (c*hb - z)/(c*hb + z)
-(equivalently so that unitarity holds).  A word is a label of single
-letters, so each braid step is the fundamental operator, substituted at
-its shifted argument, applied by ``ROperator.apply`` at two adjacent slots:
-``apply`` is the one loop that applies an operator to a labelled vector,
-and ``first_difference`` the one comparison of two labelled vectors.
+(hb - z P) / (hb + z) with P the flip.  The fused one on wedge_a x wedge_b
+is its spectral decomposition (Kulish-Reshetikhin-Sklyanin; MacKay's
+tensor-product graph).  Component r of wedge_a x wedge_b, of shape
+(2^r, 1^(a+b-2r)) for r in max(0, a+b-k)..min(a, b), is where the Casimir
+Omega = sum_{x,y} E_xy (x) E_yx takes the value omega_r = r(a+b+1-r) - ab
+(the shape's content sum minus those of (1^a) and (1^b)).  These are
+distinct, so Pi_r = prod_{s != r} (Omega - omega_s)/(omega_r - omega_s)
+projects onto it, and R(z) = sum_r rho_r(z) flip o Pi_r, flip mapping
+(S, T) to (T, S), with rho_r(z) = prod_{c=1}^{min(a,b)} (c hb - z)/(c hb + z)
+prod_{s=r+1}^{min(a,b)} (z + A_s hb/2)/(z - A_s hb/2), A_s = a+b+2-2s.
+``ROperator.apply`` is the one loop that applies an operator to a labelled
+vector, and ``first_difference`` the one comparison of two labelled vectors.
 
 Both work over one common denominator (``algebra.over_one_den``).  An
 operator's entries are brought to theirs, D, once; a vector's values to
@@ -21,16 +22,13 @@ and feed the next application without a lift.  ``first_difference``
 takes one denominator for both vectors and compares numerators over it,
 one key's pair at a time.
 
-The fundamental operator sees letters only through whether two are equal,
-so the braid commutes with every relabelling sigma in S_k of the letters,
-applied letter by letter to words.  Relabelling a wedge vector gives
+Omega commutes with every relabelling sigma in S_k of the letters, and so
+does the fused operator.  Relabelling a wedge vector gives
 e_{sort sigma(S)} times e(S), the sign of sorting sigma(S); hence
 R[(sigma P, sigma Q), (sigma S, sigma T)] = e(S) e(T) e(P) e(Q) R[(P, Q), (S, T)],
 and the S_k-orbit of a source (S, T) is fixed by r = |S & T|.  The fused
-operator is therefore braided on one source per r and transported to the
-rest.  The projection check transports too: sigma maps the span of the
-sorted wedge words onto itself, so an image that lies in it for the
-representative lies in it for every source of the orbit.
+operator is therefore built on one source per r and transported to the
+rest.
 
 The module also solves for an R-matrix directly from the exchange relation
 satisfied by a vector of polynomials.  The solved operator acts on a window
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, combinations, product
 from math import comb, lcm, prod
 from types import MappingProxyType
 
@@ -209,8 +207,6 @@ class ROperator:
 
 
 def _pair_labels(k, a, b):
-    from itertools import combinations
-
     lefts = [tuple(c) for c in combinations(range(1, k + 1), a)]
     rights = [tuple(c) for c in combinations(range(1, k + 1), b)]
     return [(S, T) for S in lefts for T in rights]
@@ -236,50 +232,44 @@ def fundamental_rcheck(k):
 
 def normalization_factor(mi, mj):
     """prod_{c=1}^{min(mi,mj)} (c*hb - z)/(c*hb + z), as a rational function."""
-    ctx = CTX1
-    z = ctx.z(1)
-    num = ctx.one()
-    den = {}
-    for c in range(1, min(mi, mj) + 1):
-        num = num * (ctx.hbar() * c - z)
-        f, _ = LinearForm.make(2 * c, 1)
-        den[f] = den.get(f, 0) + 1
-    return RationalFunction(num, den)
+    cs = range(1, min(mi, mj) + 1)
+    num = prod((CTX1.hbar() * c - CTX1.z(1) for c in cs), start=CTX1.one())
+    return RationalFunction(num, {LinearForm(2 * c, 1): 1 for c in cs})
 
 
-def _wedge_embed(S):
-    """Unnormalized antisymmetrizer image of the wedge vector of S, its words
-    held as labels of single letters."""
-    return {tuple((x,) for x in perm): (-1) ** inversions(perm) for perm in permutations(S)}
+def _move(S, y, x):
+    """E_xy on the wedge label S, for y in S and x not in S: the sorted label
+    of S - y + x, and the sign (-1)^(number of elements of S strictly
+    between x and y)."""
+    lo, hi = sorted((x, y))
+    return tuple(sorted(x if s == y else s for s in S)), (-1) ** sum(lo < s < hi for s in S)
 
 
-def _braid_column(S, T, target, steps):
-    """Column (S, T) of the unnormalized fused operator: {(P, Q): entry}.
+def _casimir(vec):
+    """Omega on a vector {(P, Q): Fraction}: the terms x = y of the sum give
+    |P & Q|, the others run over y in P - Q and x in Q - P."""
+    out = {}
+    for (P, Q), c in vec.items():
+        out[(P, Q)] = out.get((P, Q), 0) + c * len(set(P) & set(Q))
+        for y, x in product(P, Q):
+            if y not in Q and x not in P:
+                (P2, s), (Q2, t) = _move(P, y, x), _move(Q, x, y)
+                out[(P2, Q2)] = out.get((P2, Q2), 0) + s * t * c
+    return out
 
-    Embeds e_S x e_T into words, braids the a = |S| left letters past the
-    b = |T| right ones (factor arguments u_p - v_q = z + c h with
-    c = 2p - 2q + b - a; ``steps[c]`` is the fundamental operator there),
-    reads the coefficients of the sorted target words, and checks that the
-    image is the wedge vector those coefficients rebuild.
-    """
-    a, b = len(S), len(T)
-    vec = {ws + wt: CTX1.const(cs * ct)
-           for ws, cs in _wedge_embed(S).items() for wt, ct in _wedge_embed(T).items()}
-    for p in range(a, 0, -1):
-        for q in range(1, b + 1):
-            vec = steps[2 * p - 2 * q + b - a].apply(vec, p + q - 2)
-    words = {(P, Q): tuple((x,) for x in P + Q) for (P, Q) in target}
-    coeffs = {key: vec[word] for key, word in words.items() if word in vec}
-    # a word wp + wq names its (P, Q) and both permutations: no two products share it
-    den, nums = over_one_den(coeffs)
-    rebuilt = {wp + wq: RationalFunction(num * (cp * cq), den)
-               for (P, Q), num in nums.items()
-               for wp, cp in _wedge_embed(P).items()
-               for wq, cq in _wedge_embed(Q).items()}
-    w = first_difference(vec, rebuilt)
-    if w is not None:
-        raise RMatrixError(f"projection failure at word {w} (source {S},{T})")
-    return coeffs
+
+def _omega(a, b, r):
+    """The eigenvalue of Omega on component r of wedge_a x wedge_b."""
+    return r * (a + b + 1 - r) - a * b
+
+
+def _rho(a, b, r):
+    """The eigenvalue rho_r of flip o R on component r of wedge_a x wedge_b."""
+    rho = normalization_factor(a, b)
+    for s in range(r + 1, min(a, b) + 1):
+        A = a + b + 2 - 2 * s
+        rho = rho * RationalFunction(LinearForm(A, 1).to_poly(CTX1), {LinearForm(-A, 1): 1})
+    return rho
 
 
 def _transport_parity(sigma, *tuples):
@@ -288,20 +278,19 @@ def _transport_parity(sigma, *tuples):
 
 
 def fused_rcheck(k, a, b):
-    """Fused operator on wedge_a x wedge_b: braid, project, rescale, transport.
+    """Fused operator on wedge_a x wedge_b: decompose, then transport.
 
-    One source per S_k-orbit is braided (see the module docstring): for
+    One source per S_k-orbit is built (see the module docstring): for
     r = |S & T| in max(0, a+b-k)..min(a, b), the representative is
-    S0 = (1..a), T0 = (1..r, a+1..a+b-r).  At r = min(a, b) it is the
-    extreme pair ((1..a), (1..b)), whose (T0, S0) entry fixes the
-    normalization.  A source (S, T) is reached by the relabelling sigma
-    that maps the blocks 1..r, r+1..a, a+1..a+b-r, a+b-r+1..k of the
-    representative in order onto S & T, S - T, T - S and the rest, and
+    S0 = (1..a), T0 = (1..r, a+1..a+b-r).  Entry (Q, P) of its column is
+    sum_r c_r rho_r, c_r the coefficient of (P, Q) in Pi_r e_(S0, T0), as one
+    sum of products over the rho_r's common denominator in lowest terms.
+    A source (S, T) is reached by the relabelling sigma that maps the blocks
+    1..r, r+1..a, a+1..a+b-r, a+b-r+1..k of the representative in order
+    onto S & T, S - T, T - S and the rest, and
         R[(sigma P, sigma Q), (S, T)] = e(S0) e(T0) e(P) e(Q) R[(P, Q), (S0, T0)],
-    e(X) being the sign of sorting sigma(X).  The braided values are kept
-    as built; each entry is brought to lowest terms once, after the
-    rescaling.  Entries come out column by column in the order of
-    ``source``, each column in the order of ``target``.
+    e(X) being the sign of sorting sigma(X).  Entries come out column by
+    column in the order of ``source``, each column in the order of ``target``.
     """
     if not (1 <= a <= k - 1 and 1 <= b <= k - 1):
         raise RMatrixError("wedge sizes must lie in 1..k-1")
@@ -311,26 +300,27 @@ def fused_rcheck(k, a, b):
     source = _pair_labels(k, a, b)
     target = _pair_labels(k, b, a)
     S0 = tuple(range(1, a + 1))
-    fundamental = fundamental_rcheck(k)
-    steps = {c: fundamental.substitute_spectral(LinearForm(c, 1), 1, ctx)
-             for c in range(2 - a - b, a + b - 1, 2)}
+    rs = range(max(0, a + b - k), min(a, b) + 1)
+    omega = [_omega(a, b, r) for r in rs]
+    den, nums = over_one_den([_rho(a, b, r) for r in rs])
     reps = {}
-    for r in range(max(0, a + b - k), min(a, b) + 1):
+    for r in rs:
         T0 = tuple(range(1, r + 1)) + tuple(range(a + 1, a + b - r + 1))
-        reps[r] = T0, _braid_column(S0, T0, target, steps)
-    T0, top = reps[min(a, b)]
-    raw_extreme = top.get((T0, S0))
-    if raw_extreme is None or raw_extreme.is_zero():
-        raise RMatrixError("extreme matrix element vanished; cannot normalize")
-    # unitarity at the extreme weight makes raw(-z) the inverse of raw(z);
-    # checked exactly, it spares factoring raw's numerator
-    flipped = raw_extreme.substitute_z({1: -ctx.z(1)})
-    if not (raw_extreme * flipped).equals(ctx.one()):
-        raise RMatrixError("extreme matrix element is not unitary; cannot normalize")
-    scalar = normalization_factor(a, b) * flipped
-    for _, col in reps.values():
-        for key, rf in col.items():
-            col[key] = (scalar * rf).reduced()
+        projections = []  # Pi_r e_(S0, T0) for each r, as {(P, Q): Fraction}
+        for w in omega:
+            vec = {(S0, T0): Fraction(1)}
+            for v in omega:
+                if v != w:
+                    image = _casimir(vec)
+                    vec = {key: (c - v * vec.get(key, 0)) / (w - v) for key, c in image.items()}
+            projections.append({key: c for key, c in vec.items() if c})
+        # rho_r / rho_min(a,b) have distinct poles: no entry some Pi_r e reaches cancels
+        col = {}
+        reps[r] = T0, col
+        for P, Q in dict.fromkeys(key for vec in projections for key in vec):
+            products = [(ctx.const(vec[(P, Q)]), num)
+                        for vec, num in zip(projections, nums) if (P, Q) in vec]
+            col[(Q, P)] = RationalFunction(sum_of_products(ctx, products), den).reduced()
     row = {lab: n for n, lab in enumerate(target)}
     entries = {}
     for (S, T) in source:

@@ -405,6 +405,14 @@ def test_rmat_verify_unitarity_k6_33():
     assert res.stdout.strip() == "PASS  unitarity  fused k=6 a=3 b=3"
 
 
+@pytest.mark.parametrize("check", ["unitarity", "ybe"])
+def test_rmat_verify_k6_55(check):
+    # wedge_5 x wedge_5 of k = 6: two components, r = |S & T| = 4 and 5
+    res = run_cli("rmat", "verify", "--check", check, "--k", "6", "--a", "5", "--b", "5")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"PASS  {check}  fused k=6 a=5 b=5"
+
+
 def test_appendix_suite_cli(tmp_path):
     out = tmp_path / "reports.json"
     res = run_cli("appendix-suite", "--json-out", str(out))

@@ -426,8 +426,9 @@ def test_oracle_factor_linear_forms():
 def apply_fundamental_slot(vec, slot, arg_hcoef, ctx):
     """The fundamental operator at word positions (slot, slot+1) and argument
     z + arg_hcoef * h, on words of letters, with the equal and unequal letter
-    cases written out, as ``_braid_column`` applied it before it went
-    through ``ROperator.apply``; terms that cancel are dropped."""
+    cases written out, as each step of the braid that ``fused_rcheck`` used
+    to build its columns applied it before the steps went through
+    ``ROperator.apply``; terms that cancel are dropped."""
     z = ctx.z(1)
     hb = ctx.hbar()
     arg = z + hb * Fraction(arg_hcoef, 2)

@@ -189,8 +189,12 @@ def test_detector_finds_an_unread_method():
 # bench/tracer.py binds ROperator.matmul by name and counts the relations of
 # emit_equations and emit_deformed_equations by EquationSet.nonzero, and the
 # route-chain oracle of tests/test_differential.py reads
-# SignedPermutationOp.inverse.
-UNREAD_METHODS = [("combinatorics.py", "SignedPermutationOp.inverse"),
+# SignedPermutationOp.inverse.  bench/tracer.py also binds
+# RationalFunction.substitute_z, as algebra.rf_substitute_z, and the oracles
+# of tests/test_differential.py call it: deleting it would break
+# tests/test_bench_tracer.py and the benchmark's --trace 1.
+UNREAD_METHODS = [("algebra.py", "RationalFunction.substitute_z"),
+                  ("combinatorics.py", "SignedPermutationOp.inverse"),
                   ("rmatrix.py", "ROperator.matmul"),
                   ("slice.py", "EquationSet.nonzero")]
 

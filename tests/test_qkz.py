@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkzpsi.algebra import LinearForm, parse_polynomial, spectral_context
+from qkzpsi.algebra import LinearForm, Polynomial, parse_polynomial, spectral_context
 from qkzpsi.combinatorics import SignedPermutationOp, content_labels, sequence_rotation
 from qkzpsi.qkz import (
     PsiError,
@@ -400,6 +400,38 @@ def test_inverse_rotation_fails_cyclicity_and_both_qkz_routes(rotated):
     wrong = inverse_rotation(rho)
     assert check_cyclicity(psi, wrong).status == "fail"
     assert qkz_step(psi, wrong).status == "fail"
+
+
+@pytest.mark.parametrize("method, run", [
+    ("swap_z", lambda psi, rho: [check_exchange(psi, i) for i in range(1, psi.N)]),
+    ("rotate_z", lambda psi, rho: [check_cyclicity(psi, inverse_rotation(rho))]),
+    ("substitute", lambda psi, rho: [check_wheel(psi, wheel_positions(psi.m, psi.k)[0])]),
+], ids=["exchange", "cyclicity", "wheel"])
+def test_the_checks_map_each_shared_entry_once(monkeypatch, method, run):
+    # (3,(2,2,2)) holds its 90 labels in 15 objects; a copy of each label's
+    # entry gives the same reports, the failing cyclicity's witness included
+    psi = build_psi_fundamental(3, (2, 2, 2))
+    copies = PsiVector(psi.k, psi.lam, psi.m, psi.ctx,
+                       {lab: Polynomial(psi.ctx, dict(p.terms)) for lab, p in psi.entries.items()})
+    rho = sequence_rotation(psi.basis, psi.m, psi.k)
+    run(psi, rho)  # builds the cached pair operators before counting
+    real = getattr(Polynomial, method)
+    calls = []
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Polynomial, method, counted)
+    seen = []
+    for vec in (psi, copies):
+        calls.clear()
+        reports = run(vec, rho)
+        seen.append((len(calls) / len(reports),
+                     [(r.check, r.instance, r.status, r.witness) for r in reports]))
+    (shared, got), (copied, want) = seen
+    assert (shared, copied) == (15, 90)
+    assert got == want
 
 
 def test_qkz_step_fused_m8(fused_example):
